@@ -217,6 +217,7 @@ def _cmd_design(args, parser) -> int:
     config = MooConfig(population=args.pop, generations=args.gens, seed=args.seed)
     out = _out_dir(args)
     fronts = {}
+    missing = False
     for method in methods:
         best = None
         for restart in range(args.restarts):
@@ -226,8 +227,9 @@ def _cmd_design(args, parser) -> int:
             if best is None or _front_coverage(front) > _front_coverage(best):
                 best = front
         if best is None or len(best) == 0:
-            raise CliError(f"no feasible designs found for {method.value}",
-                           EXIT_NUMERICAL_FAILURE)
+            print(f"error: no feasible designs found for {method.value}", file=sys.stderr)
+            missing = True
+            continue
         fronts[method] = best
         path = out / f"front_{method.value}.csv"
         write_front_csv(path, best)
@@ -249,7 +251,7 @@ def _cmd_design(args, parser) -> int:
             ys.append(obj[:, 1])
             labels.append(method.value)
         _maybe_plot(args, out / "fronts.png", xs, ys, labels, "trade-off fronts")
-    return EXIT_OK
+    return EXIT_NUMERICAL_FAILURE if missing else EXIT_OK
 
 
 def _front_coverage(front) -> float:

@@ -38,11 +38,7 @@ def gl_coefficients(gamma: float, n: int) -> np.ndarray:
         raise ValueError(f"need at least one coefficient, got n={n}")
     if not math.isfinite(gamma):
         raise ValueError(f"order must be finite, got {gamma}")
-    c = np.empty(n)
-    c[0] = 1.0
-    for j in range(1, n):
-        c[j] = c[j - 1] * (1.0 - (gamma + 1.0) / j)
-    return c
+    return np.cumprod(np.concatenate(([1.0], 1.0 - (gamma + 1.0) / np.arange(1, n))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,7 +236,9 @@ def differintegrator_ss(
     """
     if not (-2.0 <= gamma <= 2.0):
         raise ValueError(f"exponent must lie in [-2, 2], got {gamma}")
-    if gamma == 0.0:
+    # an exponent too small to move gamma + 1 off 1.0 is the identity; the
+    # anchored split below would leave a residual of exactly 1 otherwise
+    if gamma + 1.0 == 1.0:
         return (
             np.zeros((0, 0)), np.zeros((0, 1)),
             np.zeros((1, 0)), np.array([[1.0]]),

@@ -1,12 +1,27 @@
 """Independent reference implementations used only to check the library.
 
 Everything here is deliberately written from first principles (truncated
-series, eigen-decompositions, exhaustive enumeration) so the production
-code paths and the checks never share an algorithm.
+series, eigen-decompositions, exhaustive enumeration, per-sample
+recursions) so the production code paths and the checks never share an
+algorithm.  The per-sample simulation loops at the end share only the
+operator realizations with the package; they are the reference its
+power-series engine must agree with.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from lqrfopid.fracnum import differintegrator_ss, gl_coefficients
+from lqrfopid.sim import (
+    DIVERGENCE_FACTOR,
+    PENALTY_OBJECTIVE,
+    SimResult,
+    _plant_ss,
+    _zoh,
+    performance_indices,
+)
 
 
 def expm_series(M: np.ndarray, tol: float = 1e-30, max_terms: int = 300) -> np.ndarray:
@@ -123,3 +138,140 @@ def random_stabilizable(rng, n: int, m: int = 1, min_margin: float = 0.1):
         B = rng.standard_normal((n, m))
         if stabilizability_margin(A, B) >= min_margin:
             return A, B
+
+
+def _rev_window(arr: np.ndarray, k: int, width: int) -> np.ndarray:
+    """arr[k], arr[k-1], ..., arr[k-width+1] as a view."""
+    stop = k - width
+    return arr[k::-1] if stop < 0 else arr[k:stop:-1]
+
+
+def _loop_result(y, u, x1, x2, x3, k, h, u_ss, horizon, diverged):
+    t = np.arange(y.size) * h
+    if diverged:
+        sl = slice(0, k + 1)
+        t, y, u, x1, x2, x3 = (a[sl] for a in (t, y, u, x1, x2, x3))
+        itse = isdco = PENALTY_OBJECTIVE
+    else:
+        itse, isdco = performance_indices(x2, u, u_ss, h, horizon)
+    return SimResult(t=t, y=y, u=u, x1=x1, x2=x2, x3=x3,
+                     itse=itse, isdco=isdco, diverged=diverged)
+
+
+def open_loop_step_loop(plant, horizon, h, solver, band=(1e-3, 1e3), order=5):
+    """Open-loop unit step, one sample at a time: GL recursion or the
+    ZOH state update of the Oustaloup plant realization."""
+    n = int(round(horizon / h))
+    d = int(round(plant.L / h))
+    y = np.zeros(n)
+    diverged = False
+    k = 0
+    if solver == "gl":
+        ca = gl_coefficients(plant.alpha, n)
+        Th = plant.T * h ** (-plant.alpha)
+        for k in range(n):
+            uin = 1.0 if k >= d + 1 else 0.0
+            s = float(np.dot(ca[1:k + 1], _rev_window(y, k - 1, k))) if k > 0 else 0.0
+            y[k] = (plant.K * uin - Th * s) / (Th + 1.0)
+            if not math.isfinite(y[k]) or abs(y[k]) > DIVERGENCE_FACTOR:
+                diverged = True
+                break
+    else:
+        Ap, Bp, Cp, _ = _plant_ss(plant, band, order)
+        Ad, Bd = _zoh(Ap, Bp, h)
+        z = np.zeros(Ap.shape[0])
+        for k in range(n):
+            y[k] = float(Cp[0] @ z)
+            if not math.isfinite(y[k]) or abs(y[k]) > DIVERGENCE_FACTOR:
+                diverged = True
+                break
+            z = Ad @ z + Bd[:, 0] * (1.0 if k >= d else 0.0)
+    zeros = np.zeros(n)
+    return _loop_result(y, np.ones(n), zeros, 1.0 - y, zeros.copy(), k, h, 1.0,
+                        horizon, diverged)
+
+
+def closed_loop_gl_loop(plant, controller, scenario):
+    """GL closed loop, one sample at a time, full convolution memory."""
+    h, r, n = scenario.step_size, scenario.setpoint, scenario.n_steps
+    d = int(round(plant.L / h))
+    ca = gl_coefficients(plant.alpha, n)
+    ci = gl_coefficients(-controller.lam, n)
+    cd = gl_coefficients(controller.mu, n)
+    Th = plant.T * h ** (-plant.alpha)
+    hi = h ** controller.lam
+    hd = h ** (-controller.mu)
+    t = np.arange(n) * h
+    y, u, e, x1, x3 = (np.zeros(n) for _ in range(5))
+    threshold = DIVERGENCE_FACTOR * max(1.0, abs(r))
+    diverged = False
+    k = 0
+    for k in range(n):
+        j = k - 1 - d
+        uin = u[j] if j >= 0 else 0.0
+        if t[k] >= scenario.disturbance_time:
+            uin += scenario.disturbance_magnitude
+        s = float(np.dot(ca[1:k + 1], _rev_window(y, k - 1, k))) if k > 0 else 0.0
+        y[k] = (plant.K * uin - Th * s) / (Th + 1.0)
+        if not math.isfinite(y[k]) or abs(y[k]) > threshold:
+            diverged = True
+            break
+        e[k] = r - y[k]
+        win = _rev_window(e, k, k + 1)
+        x1[k] = hi * float(np.dot(ci[:k + 1], win))
+        x3[k] = hd * float(np.dot(cd[:k + 1], win))
+        u[k] = controller.kp * e[k] + controller.ki * x1[k] + controller.kd * x3[k]
+    u_ss = r / plant.K if controller.lam > 0 else float(u[-1])
+    return _loop_result(y, u, x1, e, x3, k, h, u_ss, scenario.horizon, diverged)
+
+
+def closed_loop_oustaloup_loop(plant, controller, scenario, band=(1e-3, 1e3), order=5):
+    """Oustaloup closed loop, one sample at a time: the integral, derivative
+    and plant realizations fused into one ZOH state update."""
+    h, r, n = scenario.step_size, scenario.setpoint, scenario.n_steps
+    d = int(round(plant.L / h))
+    Ai, Bi, Ci, Di = differintegrator_ss(-controller.lam, band, order)
+    Ad_, Bd_, Cd_, Dd_ = differintegrator_ss(controller.mu, band, order)
+    Ap, Bp, Cp, _ = _plant_ss(plant, band, order)
+    ni, nd, npl = Ai.shape[0], Ad_.shape[0], Ap.shape[0]
+    nz = ni + nd + npl
+    A = np.zeros((nz, nz))
+    A[:ni, :ni] = Ai
+    A[ni:ni + nd, ni:ni + nd] = Ad_
+    A[ni + nd:, ni + nd:] = Ap
+    B = np.zeros((nz, 2))  # inputs: (e, plant input)
+    B[:ni, 0] = Bi[:, 0]
+    B[ni:ni + nd, 0] = Bd_[:, 0]
+    B[ni + nd:, 1] = Bp[:, 0]
+    Adisc, Bdisc = _zoh(A, B, h)
+    be, bu = Bdisc[:, 0], Bdisc[:, 1]
+    ci_row, cd_row, cp_row = np.zeros(nz), np.zeros(nz), np.zeros(nz)
+    ci_row[:ni] = Ci[0]
+    cd_row[ni:ni + nd] = Cd_[0]
+    cp_row[ni + nd:] = Cp[0]
+    di, dd = float(Di[0, 0]), float(Dd_[0, 0])
+
+    t = np.arange(n) * h
+    y, u, e, x1, x3 = (np.zeros(n) for _ in range(5))
+    z = np.zeros(nz)
+    threshold = DIVERGENCE_FACTOR * max(1.0, abs(r))
+    diverged = False
+    kp, ki, kd = controller.kp, controller.ki, controller.kd
+    k = 0
+    for k in range(n):
+        yk = float(cp_row @ z)
+        if not math.isfinite(yk) or abs(yk) > threshold:
+            y[k] = yk
+            diverged = True
+            break
+        ek = r - yk
+        x1k = float(ci_row @ z) + di * ek
+        x3k = float(cd_row @ z) + dd * ek
+        uk = kp * ek + ki * x1k + kd * x3k
+        y[k], e[k], x1[k], x3[k], u[k] = yk, ek, x1k, x3k, uk
+        uin = u[k - d] if k >= d else 0.0
+        if t[k] >= scenario.disturbance_time:
+            uin += scenario.disturbance_magnitude
+        z = Adisc @ z + be * ek + bu * uin
+    u_ss = r / plant.K if controller.lam > 0 else float(u[-1])
+    return _loop_result(y, u, x1, e, x3, k, h, u_ss, scenario.horizon, diverged)

@@ -153,6 +153,28 @@ class TestDesign:
         for name in ("front_cai.csv", "front_he.csv"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
+    def test_empty_front_does_not_stop_other_methods(self, tmp_path, monkeypatch, capsys):
+        import lqrfopid.cli
+        from lqrfopid import DelayMethod, ParetoFront
+
+        search = lqrfopid.cli.run_nsga2
+
+        def no_cai_designs(plant, method, *args, **kwargs):
+            if method is DelayMethod.CAI:
+                return ParetoFront(entries=(), method=method, plant=plant)
+            return search(plant, method, *args, **kwargs)
+
+        monkeypatch.setattr(lqrfopid.cli, "run_nsga2", no_cai_designs)
+        code = main(self.ARGS + ["--out-dir", str(tmp_path)])
+        assert code == EXIT_NUMERICAL_FAILURE
+        captured = capsys.readouterr()
+        assert "no feasible designs found for cai" in captured.err
+        assert "front comparison verdict:" not in captured.out
+        assert "median [he]:" in captured.out
+        assert not (tmp_path / "front_cai.csv").exists()
+        _, rows = read_csv(tmp_path / "front_he.csv")
+        assert len(rows) >= 1
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_flags_override(self, tmp_path, monkeypatch):

@@ -206,8 +206,10 @@ class TestDifferintegratorSS:
         assert rel.max() < 0.12
 
     def test_identity_for_zero_order(self):
-        A, B, C, D = differintegrator_ss(0.0)
-        assert A.size == 0 and D[0, 0] == 1.0
+        # exponents too small to move gamma + 1 off 1.0 count as zero
+        for gamma in (0.0, -5e-17, -1e-300, 1e-300):
+            A, B, C, D = differintegrator_ss(gamma)
+            assert A.size == 0 and D[0, 0] == 1.0
 
     def test_negative_orders_have_no_feedthrough(self):
         for gamma in (-0.3, -1.0, -1.7, -2.0):

@@ -1,0 +1,127 @@
+"""The power-series engine of ``lqrfopid.sim`` against the per-sample loops
+it replaced (``oracles.*_loop``): the same divergence verdicts and
+truncation lengths, outputs within 1e-9 of the output scale, and indices
+within 1e-9 relative."""
+import numpy as np
+import pytest
+
+from lqrfopid import (
+    DelayMethod,
+    FopidController,
+    LqrDesignVars,
+    NioptdPlant,
+    Scenario,
+    design_from_vars,
+    simulate_closed_loop,
+    simulate_open_loop_step,
+)
+from lqrfopid.matops import CareFailure
+from lqrfopid.nsga2 import DESIGN_BOUNDS
+
+from oracles import closed_loop_gl_loop, closed_loop_oustaloup_loop, open_loop_step_loop
+from reference_cases import BY_NAME, OSCILLATORY_PLANT
+
+REFERENCE_LOOPS = {"oustaloup": closed_loop_oustaloup_loop, "gl": closed_loop_gl_loop}
+DISTURBED = Scenario(disturbance_time=40.0, disturbance_magnitude=0.1)
+
+
+def assert_agree(res, ref):
+    assert res.diverged == ref.diverged
+    assert res.t.size == ref.t.size
+    assert np.max(np.abs(res.y - ref.y)) <= 1e-9 * max(1.0, np.max(np.abs(ref.y)))
+    # the controller-side states pass through one more series product each
+    for name in ("u", "x1", "x3"):
+        got, want = getattr(res, name), getattr(ref, name)
+        assert np.max(np.abs(got - want)) <= 1e-8 * max(1.0, np.max(np.abs(want))), name
+    assert res.itse == pytest.approx(ref.itse, rel=1e-9, abs=0)
+    assert res.isdco == pytest.approx(ref.isdco, rel=1e-9, abs=0)
+
+
+def closed_loop_pair(plant, controller, scenario, solver):
+    res = simulate_closed_loop(plant, controller, scenario, solver=solver)
+    return res, REFERENCE_LOOPS[solver](plant, controller, scenario)
+
+
+@pytest.mark.parametrize("solver", ["oustaloup", "gl"])
+@pytest.mark.parametrize("scenario", [Scenario(), DISTURBED], ids=["step", "disturbed"])
+@pytest.mark.parametrize("name", sorted(BY_NAME))
+def test_reference_designs(name, scenario, solver):
+    case = BY_NAME[name]
+    vars = LqrDesignVars(q1=case.q1, q2=case.q2, q3=case.q3, r=case.r,
+                         lam=case.lam, mu=case.mu)
+    controller = design_from_vars(case.plant, vars, case.method)
+    assert_agree(*closed_loop_pair(case.plant, controller, scenario, solver))
+
+
+@pytest.mark.parametrize("alpha, h, horizon, seed",
+                         [(1.5, 0.01, 10.0, 11), (0.5, 0.05, 50.0, 12)])
+def test_random_designs(alpha, h, horizon, seed):
+    """60 designs with gains per plant, drawn uniformly from the search box,
+    half of them with a disturbance step, each run on both paths."""
+    rng = np.random.default_rng(seed)
+    lo, hi = np.array(DESIGN_BOUNDS).T
+    plant = NioptdPlant(K=1.0, L=0.5, T=2.0, alpha=alpha)
+    verdicts = []
+    designs = 0
+    while designs < 60:
+        method = (DelayMethod.CAI, DelayMethod.HE)[int(rng.integers(2))]
+        try:
+            controller = design_from_vars(plant, LqrDesignVars.from_array(rng.uniform(lo, hi)),
+                                          method)
+        except (CareFailure, ValueError):
+            continue
+        designs += 1
+        disturbed = rng.random() < 0.5
+        scenario = Scenario(setpoint=float(rng.uniform(0.5, 2.0)), horizon=horizon, step_size=h,
+                            disturbance_time=float(rng.uniform(0.0, horizon)),
+                            disturbance_magnitude=float(rng.uniform(-1.0, 1.0)) * disturbed)
+        for solver in REFERENCE_LOOPS:
+            res, ref = closed_loop_pair(plant, controller, scenario, solver)
+            assert_agree(res, ref)
+            verdicts.append(res.diverged)
+    # both outcomes are exercised
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+@pytest.mark.parametrize("solver", ["oustaloup", "gl"])
+def test_zero_delay_plant(solver):
+    plant = NioptdPlant(K=1, L=0.0, T=2, alpha=1.5)
+    vars = LqrDesignVars(q1=0.6, q2=0.03, q3=0.06, r=0.35, lam=1.1, mu=0.45)
+    controller = design_from_vars(plant, vars, DelayMethod.DELAY_FREE)
+    scenario = Scenario(horizon=20.0, disturbance_time=10.0, disturbance_magnitude=0.2)
+    assert_agree(*closed_loop_pair(plant, controller, scenario, solver))
+
+
+@pytest.mark.parametrize("solver", ["oustaloup", "gl"])
+def test_unstable_loop_at_rest_until_disturbed(solver):
+    # zero set-point: the output stays exactly 0 until the disturbance
+    # excites the unstable loop, however large its sensitivity has grown
+    plant = NioptdPlant(K=1.0, L=0.0, T=2.0, alpha=1.5)
+    controller = FopidController(kp=-3000.0, ki=0.0, kd=0.0, lam=1.0, mu=0.1)
+    scenario = Scenario(setpoint=0.0, horizon=30.0, disturbance_time=20.0,
+                        disturbance_magnitude=0.1)
+    res, ref = closed_loop_pair(plant, controller, scenario, solver)
+    assert_agree(res, ref)
+    assert res.diverged and res.t[-1] > 20.0
+
+
+@pytest.mark.parametrize("solver", ["oustaloup", "gl"])
+def test_tiny_setpoint_under_disturbance(solver):
+    # the sensitivity grows past 1e80 while the output stays tiny: FFT
+    # rounding of the disturbance terms must not show up as a divergence
+    controller = FopidController(kp=-30.0, ki=0.0, kd=0.0, lam=1.0, mu=0.5)
+    scenario = Scenario(setpoint=1e-100, horizon=30.0, disturbance_time=29.0,
+                        disturbance_magnitude=1e-3)
+    res, ref = closed_loop_pair(OSCILLATORY_PLANT, controller, scenario, solver)
+    assert_agree(res, ref)
+    assert not res.diverged
+
+
+@pytest.mark.parametrize("solver", ["oustaloup", "gl"])
+@pytest.mark.parametrize("K, L, alpha", [(1.0, 0.5, 0.5), (1.0, 0.5, 1.0), (1.0, 0.5, 1.5),
+                                         (1.0, 0.0, 1.5), (2000.0, 0.5, 1.0)])
+def test_open_loop_steps(K, L, alpha, solver):
+    plant = NioptdPlant(K=K, L=L, T=2.0, alpha=alpha)
+    res = simulate_open_loop_step(plant, horizon=20.0, h=0.01, solver=solver)
+    assert_agree(res, open_loop_step_loop(plant, 20.0, 0.01, solver))
+    assert res.diverged == (K > 1e3)
