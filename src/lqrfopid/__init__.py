@@ -19,10 +19,8 @@ from .design import (
     gains_delay_free,
     gains_from_row,
     gains_he,
-    matignon_margin,
 )
 from .fracnum import (
-    GlKernel,
     RationalFilter,
     analytic_power_differintegral,
     differintegrator_ss,

@@ -17,6 +17,7 @@ overridden by explicit flags.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -109,6 +110,13 @@ def _plant_from_args(args) -> NioptdPlant:
         raise CliError(f"invalid plant: {exc}")
 
 
+def _scenario_from_args(args) -> Scenario:
+    try:
+        return Scenario(horizon=args.horizon, step_size=args.h)
+    except ValueError as exc:
+        raise CliError(f"invalid time grid: {exc}")
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out_dir or os.environ.get("LQRFOPID_OUTDIR", "."))
     out.mkdir(parents=True, exist_ok=True)
@@ -152,10 +160,9 @@ def _maybe_plot(args, fig_path: Path, xs, ys, labels, title) -> None:
 
 def _cmd_step(args, parser) -> int:
     plant = _plant_from_args(args)
-    if args.h <= 0:
-        raise CliError(f"step size must be positive, got {args.h}")
+    scenario = _scenario_from_args(args)
     out = _out_dir(args)
-    result = simulate_open_loop_step(plant, horizon=args.horizon, h=args.h,
+    result = simulate_open_loop_step(plant, horizon=scenario.horizon, h=scenario.step_size,
                                      solver=args.solver)
     if result.diverged:
         raise CliError("open-loop simulation diverged", EXIT_NUMERICAL_FAILURE)
@@ -213,20 +220,22 @@ def _cmd_design(args, parser) -> int:
             methods.append(DelayMethod(name))
         except ValueError:
             raise CliError(f"unknown method {name!r}; use delay_free, cai or he")
-    scenario = Scenario(horizon=args.horizon, step_size=args.h)
-    config = MooConfig(population=args.pop, generations=args.gens, seed=args.seed)
+    scenario = _scenario_from_args(args)
+    if args.restarts < 1:
+        raise CliError(f"restarts must be at least 1, got {args.restarts}")
+    try:
+        config = MooConfig(population=args.pop, generations=args.gens, seed=args.seed)
+    except ValueError as exc:
+        raise CliError(f"invalid search settings: {exc}")
     out = _out_dir(args)
     fronts = {}
     missing = False
     for method in methods:
-        best = None
-        for restart in range(args.restarts):
-            cfg = MooConfig(population=args.pop, generations=args.gens,
-                            seed=args.seed + restart)
-            front = run_nsga2(plant, method, cfg, scenario, workers=args.workers)
-            if best is None or _front_coverage(front) > _front_coverage(best):
-                best = front
-        if best is None or len(best) == 0:
+        configs = (dataclasses.replace(config, seed=args.seed + r) for r in range(args.restarts))
+        # max keeps the first of equally covering fronts
+        best = max((run_nsga2(plant, method, cfg, scenario, workers=args.workers)
+                    for cfg in configs), key=_front_coverage)
+        if len(best) == 0:
             print(f"error: no feasible designs found for {method.value}", file=sys.stderr)
             missing = True
             continue
@@ -291,6 +300,7 @@ def _parse_grid(text: str, name: str) -> np.ndarray:
 
 def _cmd_sweep(args, parser) -> int:
     plant = _plant_from_args(args)
+    scenario = _scenario_from_args(args)
     try:
         controller = FopidController(kp=args.Kp, ki=args.Ki, kd=args.Kd,
                                      lam=args.lam, mu=args.mu)
@@ -300,7 +310,6 @@ def _cmd_sweep(args, parser) -> int:
     T_grid = _parse_grid(args.T_grid, "T") if args.T_grid else np.array([plant.T])
     if np.any(L_grid < 0) or np.any(T_grid <= 0):
         raise CliError("grids must satisfy L >= 0 and T > 0")
-    scenario = Scenario(horizon=args.horizon, step_size=args.h)
     sweep = robustness_sweep(plant, controller, L_grid, T_grid, scenario)
     out = _out_dir(args)
     path = out / "sweep.csv"

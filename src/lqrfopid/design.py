@@ -41,7 +41,6 @@ __all__ = [
     "gains_cai",
     "gains_he",
     "design_from_vars",
-    "matignon_margin",
 ]
 
 
@@ -239,20 +238,3 @@ def design_from_vars(
         kp=triple.kp, ki=triple.ki, kd=triple.kd, lam=vars.lam, mu=vars.mu
     )
 
-
-def matignon_margin(A_closed: np.ndarray, q: float) -> float:
-    """Stability margin of a commensurate-order system of base order q.
-
-    Returns ``min over nonzero eigenvalues of (|arg(lambda)| - q*pi/2)``;
-    positive means every eigenvalue lies outside the instability sector.
-    Eigenvalues at the origin are excluded (they carry no argument).
-    """
-    if not (0.0 < q <= 1.0):
-        raise ValueError(f"base order must lie in (0, 1], got {q}")
-    A_closed = np.asarray(A_closed, dtype=float)
-    eigs = np.linalg.eigvals(A_closed)
-    scale = max(1.0, float(np.abs(eigs).max()))
-    nonzero = eigs[np.abs(eigs) > 1e-12 * scale]
-    if nonzero.size == 0:
-        raise ValueError("all eigenvalues are at the origin; margin undefined")
-    return float(np.min(np.abs(np.angle(nonzero)) - q * np.pi / 2.0))

@@ -11,12 +11,11 @@ t < 0), where the GL and Caputo definitions coincide.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "GlKernel",
     "RationalFilter",
     "gl_coefficients",
     "gl_differintegral",
@@ -41,55 +40,19 @@ def gl_coefficients(gamma: float, n: int) -> np.ndarray:
     return np.cumprod(np.concatenate(([1.0], 1.0 - (gamma + 1.0) / np.arange(1, n))))
 
 
-@dataclass(frozen=True, eq=False)
-class GlKernel:
-    """GL differintegration kernel on a fixed grid.
-
-    ``coeffs[j]`` weights the sample j steps in the past; the operator value
-    at step k is ``step**(-order) * sum_j coeffs[j] * f[k - j]``.
-    """
-
-    order: float
-    step: float
-    memory_length: int
-    coeffs: np.ndarray = field(repr=False)
-
-    def __init__(self, order: float, step: float, memory_length: int):
-        if step <= 0.0:
-            raise ValueError(f"step must be positive, got {step}")
-        object.__setattr__(self, "order", float(order))
-        object.__setattr__(self, "step", float(step))
-        object.__setattr__(self, "memory_length", int(memory_length))
-        object.__setattr__(self, "coeffs", gl_coefficients(order, memory_length))
-
-    def apply(self, f: np.ndarray) -> np.ndarray:
-        return gl_differintegral(f, self.order, self.step, memory=self.memory_length)
-
-
-def gl_differintegral(
-    f: np.ndarray,
-    gamma: float,
-    h: float,
-    memory: int | None = None,
-) -> np.ndarray:
+def gl_differintegral(f: np.ndarray, gamma: float, h: float) -> np.ndarray:
     """GL differintegral of a sampled signal starting at t = 0.
 
-    ``out[k] = h**(-gamma) * sum_{j=0}^{min(k, memory-1)} c_j f[k-j]``.
-    ``memory=None`` keeps the full history (accurate, O(N^2));  a finite
-    memory truncates the convolution tail for speed.
+    ``out[k] = h**(-gamma) * sum_{j=0}^{k} c_j f[k-j]``: the full history,
+    a direct O(N^2) convolution.
     """
     if h <= 0.0:
         raise ValueError(f"step must be positive, got {h}")
     f = np.asarray(f, dtype=float)
     n = f.shape[0]
-    if n == 0:
+    if n == 0 or gamma == 0.0:
         return f.copy()
-    if gamma == 0.0:
-        return f.copy()
-    m = n if memory is None else max(1, min(int(memory), n))
-    c = gl_coefficients(gamma, m)
-    out = np.convolve(f, c)[:n]
-    return h ** (-gamma) * out
+    return h ** (-gamma) * np.convolve(f, gl_coefficients(gamma, n))[:n]
 
 
 def analytic_power_differintegral(p: float, gamma: float, t: float) -> float:
@@ -145,10 +108,6 @@ class RationalFilter:
         den = np.prod(jw - self.poles[None, :], axis=1)
         resp = self.gain * num / den
         return complex(resp[0]) if scalar else resp
-
-    def to_state_space(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Biproper cascade realization (A, B, C, D) of the filter."""
-        return _cascade_ss(self.zeros, self.poles, self.gain)
 
 
 def oustaloup_approximation(

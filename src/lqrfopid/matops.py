@@ -104,14 +104,6 @@ class CareProblem:
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "R", R)
 
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.B.shape[1]
-
 
 @dataclass(frozen=True, eq=False)
 class CareSolution:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .design import (
     design_from_vars,
 )
 from .matops import CareFailure
-from .sim import PENALTY_OBJECTIVE, Scenario, evaluate_design_objectives
+from .sim import DEFAULT_BAND, PENALTY_OBJECTIVE, Scenario, evaluate_design_objectives
 
 __all__ = [
     "MooConfig",
@@ -68,9 +69,6 @@ class MooConfig:
     crossover_fraction: float = 0.8
     mutation_scale: float = 0.1
     seed: int = 0
-    early_stop: bool = False
-    early_stop_window: int = 10
-    early_stop_tol: float = 1e-4
 
     def __post_init__(self):
         if self.population < 4:
@@ -260,7 +258,6 @@ def nsga2_minimize(
     F = evaluate(X)
     X, F, rank, crowd = _survival(X, F, config)
 
-    spread_history: list[float] = []
     for _ in range(config.generations):
         pool_idx = binary_tournament(rank, crowd, rng, 2 * pop)
         children = make_offspring(X[pool_idx], config, rng)
@@ -268,16 +265,6 @@ def nsga2_minimize(
         X = np.vstack([X, children])
         F = np.vstack([F, Fc])
         X, F, rank, crowd = _survival(X, F, config)
-        if config.early_stop:
-            front0 = F[rank == 0]
-            spread = float(np.linalg.norm(front0.max(axis=0) - front0.min(axis=0)))
-            spread_history.append(spread)
-            w = config.early_stop_window
-            if len(spread_history) > w:
-                recent = spread_history[-w:]
-                scale = max(1.0, abs(recent[-1]))
-                if max(recent) - min(recent) <= config.early_stop_tol * scale:
-                    break
 
     mask = rank == 0
     Xf, Ff = X[mask], F[mask]
@@ -319,32 +306,13 @@ class FrontVerdict:
     WEAK = "weak"
 
 
-class _DesignObjective:
-    """Picklable objective closure for process pools."""
-
-    def __init__(self, plant, method, scenario, solver, band, order):
-        self.plant = plant
-        self.method = method
-        self.scenario = scenario
-        self.solver = solver
-        self.band = band
-        self.order = order
-
-    def __call__(self, x):
-        return evaluate_design_objectives(
-            self.plant, x, self.method, self.scenario,
-            solver=self.solver, band=self.band, order=self.order,
-        )
-
-
 def run_nsga2(
     plant: NioptdPlant,
     method: DelayMethod,
     config: MooConfig | None = None,
     scenario: Scenario | None = None,
     solver: str = "oustaloup",
-    band: tuple[float, float] = (1e-3, 1e3),
-    order: int = 5,
+    band: tuple[float, float] = DEFAULT_BAND,
     workers: int = 1,
 ) -> ParetoFront:
     """Trade-off search over the LQR weights and controller orders.
@@ -354,7 +322,9 @@ def run_nsga2(
     """
     config = config or MooConfig()
     scenario = scenario or Scenario()
-    objective = _DesignObjective(plant, method, scenario, solver, band, order)
+    # a partial of a module-level function pickles for the process pool
+    objective = partial(evaluate_design_objectives, plant, method=method,
+                        scenario=scenario, solver=solver, band=band)
     X, F = nsga2_minimize(objective, config, workers=workers)
     entries = []
     for x, f in zip(X, F):

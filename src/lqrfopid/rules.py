@@ -163,18 +163,13 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
-def fit_polynomial_surface(
-    points,
-    orders: tuple[int, int] = (2, 4),
-) -> tuple[TuningRuleCoefficients, FitDiagnostics]:
+def fit_polynomial_surface(points) -> tuple[TuningRuleCoefficients, FitDiagnostics]:
     """Ordinary least squares on the 12-term basis.
 
     ``points`` is a sequence of (L/T, alpha, value) triples; at least 13
     points (one more than the coefficient count) are required.  A
     rank-deficient design matrix is rejected.
     """
-    if tuple(orders) != (2, 4):
-        raise ValueError(f"only the (2, 4)-order basis is supported, got {orders}")
     pts = _as_points(points)
     n = pts.shape[0]
     if n < N_TERMS + 1:

@@ -203,15 +203,15 @@ def _markov(A: np.ndarray, b: np.ndarray, c: np.ndarray, d: float, n: int) -> np
     return np.concatenate(terms)[:n]
 
 
-def _kernels(plant, h, solver, band, order, exponents=()):
+def _kernels(plant, h, solver, band, exponents=()):
     """Input delay d and ``series`` of one numerical path: ``series(n)`` is
     the first n terms of the plant, y = (num / den) z**d (plant input), and
     of the operators s**gamma for the given exponents."""
     d = int(round(plant.L / h))
     if solver == "oustaloup":
         # one matrix exponential holds and samples the block-diagonal union
-        systems = [_plant_ss(plant, band, order)] + [
-            differintegrator_ss(g, band, order) for g in exponents]
+        systems = [_plant_ss(plant, band, DEFAULT_FILTER_ORDER)] + [
+            differintegrator_ss(g, band, DEFAULT_FILTER_ORDER) for g in exponents]
         edges = np.cumsum([0] + [A.shape[0] for A, _, _, _ in systems])
         A, B = np.zeros((edges[-1], edges[-1])), np.zeros((edges[-1], len(systems)))
         for k, (i, j, (Ak, Bk, _, _)) in enumerate(zip(edges, edges[1:], systems)):
@@ -304,15 +304,15 @@ def simulate_open_loop_step(
     h: float = 0.01,
     solver: str = "gl",
     band: tuple[float, float] = DEFAULT_BAND,
-    order: int = DEFAULT_FILTER_ORDER,
 ) -> SimResult:
     """Unit-step response of the plant alone.
 
     Solves T D**alpha y + y = K u(t - L) with u the unit step and zero
-    initial conditions.  x2 is filled with 1 - y; x1 and x3 stay zero.
+    initial conditions; the horizon must be a whole number of steps h, as
+    in :class:`Scenario`.  x2 is filled with 1 - y; x1 and x3 stay zero.
     """
-    n = int(round(horizon / h))
-    delay, series = _kernels(plant, h, solver, band, order)
+    n = Scenario(horizon=horizon, step_size=h).n_steps
+    delay, series = _kernels(plant, h, solver, band)
     num, den, _ = series(n)
     # the step reaches the plant input at sample ``delay``: feed it there as
     # a disturbance of an open loop with zero set-point
@@ -353,7 +353,6 @@ def simulate_closed_loop(
     scenario: Scenario | None = None,
     solver: str = "oustaloup",
     band: tuple[float, float] = DEFAULT_BAND,
-    order: int = DEFAULT_FILTER_ORDER,
 ) -> SimResult:
     """Unit-feedback FOPID loop on the delayed plant.
 
@@ -365,7 +364,7 @@ def simulate_closed_loop(
     """
     scenario = scenario or Scenario()
     h, r, n = scenario.step_size, scenario.setpoint, scenario.n_steps
-    delay, series = _kernels(plant, h, solver, band, order, (-controller.lam, controller.mu))
+    delay, series = _kernels(plant, h, solver, band, (-controller.lam, controller.mu))
     w_start = int(np.searchsorted(np.arange(n) * h, scenario.disturbance_time))
     # most diverging loops cross within a few hundred samples: runs of
     # growing length spare them the kernels of the whole horizon
@@ -395,7 +394,6 @@ def evaluate_design_objectives(
     scenario: Scenario | None = None,
     solver: str = "oustaloup",
     band: tuple[float, float] = DEFAULT_BAND,
-    order: int = DEFAULT_FILTER_ORDER,
 ) -> tuple[float, float]:
     """(ITSE, ISDCO) of the closed loop designed from a decision vector.
 
@@ -413,9 +411,7 @@ def evaluate_design_objectives(
         controller = design_from_vars(plant, vars, method)
     except (CareFailure, ValueError):
         return penalty
-    result = simulate_closed_loop(
-        plant, controller, scenario, solver=solver, band=band, order=order
-    )
+    result = simulate_closed_loop(plant, controller, scenario, solver=solver, band=band)
     if result.diverged:
         return penalty
     return result.itse, result.isdco
@@ -429,7 +425,6 @@ def robustness_sweep(
     scenario: Scenario | None = None,
     solver: str = "oustaloup",
     band: tuple[float, float] = DEFAULT_BAND,
-    order: int = DEFAULT_FILTER_ORDER,
 ) -> SweepResult:
     """Re-simulate a fixed controller over a grid of perturbed (L, T).
 
@@ -446,9 +441,7 @@ def robustness_sweep(
     for i, L in enumerate(L_grid):
         for j, T in enumerate(T_grid):
             perturbed = replace(plant_nominal, L=float(L), T=float(T))
-            res = simulate_closed_loop(
-                perturbed, controller, scenario, solver=solver, band=band, order=order
-            )
+            res = simulate_closed_loop(perturbed, controller, scenario, solver=solver, band=band)
             itse[i, j] = res.itse
             isdco[i, j] = res.isdco
             diverged[i, j] = res.diverged

@@ -176,6 +176,24 @@ class TestDesign:
         assert len(rows) >= 1
 
 
+class TestBadNumbers:
+    @pytest.mark.parametrize("argv", [
+        ["step", "--horizon", "0.001"],
+        ["step", "--solver", "oustaloup", "--horizon", "0.005"],
+        ["sweep", "--Kp", "1", "--Ki", "1", "--Kd", "1", "--lam", "1", "--mu", "0.5",
+         "--horizon", "0.001"],
+        ["design", "--horizon", "0.001"],
+        ["design", "--pop", "2"],
+        ["design", "--gens", "0"],
+        ["design", "--restarts", "0"],
+    ])
+    def test_exit_2_without_output(self, tmp_path, capsys, argv):
+        code = main(argv + ["--out-dir", str(tmp_path)])
+        assert code == EXIT_INVALID_INPUT
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_flags_override(self, tmp_path, monkeypatch):
         cfg = tmp_path / "exp.cfg"

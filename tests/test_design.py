@@ -17,7 +17,6 @@ from lqrfopid import (
     gains_delay_free,
     gains_from_row,
     gains_he,
-    matignon_margin,
 )
 
 from oracles import care_hamiltonian
@@ -190,21 +189,3 @@ class TestDelayMethods:
         assert by_method.ki == triple.ki
         assert by_method.kd == triple.kd
 
-
-class TestMatignonMargin:
-    def test_hurwitz_integer_order(self):
-        assert matignon_margin(np.diag([-1.0, -2.0]), 1.0) == pytest.approx(math.pi / 2)
-
-    def test_marginal_imaginary_pair(self):
-        A = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        assert matignon_margin(A, 1.0) == pytest.approx(0.0, abs=1e-12)
-
-    def test_fractional_base_order_stabilizes_imaginary_axis(self):
-        A = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        assert matignon_margin(A, 0.5) == pytest.approx(math.pi / 4)
-
-    def test_rejects_bad_base_order(self):
-        with pytest.raises(ValueError):
-            matignon_margin(np.eye(2), 0.0)
-        with pytest.raises(ValueError):
-            matignon_margin(np.eye(2), 1.5)

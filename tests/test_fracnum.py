@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lqrfopid import (
-    GlKernel,
     analytic_power_differintegral,
     differintegrator_ss,
     gl_coefficients,
@@ -92,25 +91,9 @@ class TestGlDifferintegral:
             back = gl_differintegral(gl_differintegral(f, gamma, h), -gamma, h)
             assert np.max(np.abs(back - f)) <= 10 * h
 
-    def test_memory_truncation_close_to_full(self):
-        h = 0.01
-        t = np.arange(0, 5, h)
-        f = np.sin(t)
-        full = gl_differintegral(f, 0.5, h)
-        trunc = gl_differintegral(f, 0.5, h, memory=400)
-        assert np.max(np.abs(full - trunc)) < 0.02
-
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
             gl_differintegral(np.ones(4), 0.5, 0.0)
-
-    def test_kernel_wrapper_matches_function(self):
-        kern = GlKernel(order=0.4, step=0.01, memory_length=64)
-        assert kern.coeffs[0] == 1.0
-        f = np.linspace(0, 1, 64)
-        np.testing.assert_allclose(
-            kern.apply(f), gl_differintegral(f, 0.4, 0.01, memory=64)
-        )
 
 
 class TestAnalyticOracle:

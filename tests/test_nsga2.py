@@ -177,12 +177,6 @@ class TestMinimize:
                 if i != j:
                     assert not weakly_dominates(F[i], F[j])
 
-    def test_early_stop_shortens_run(self):
-        cfg = MooConfig(population=40, generations=200, bounds=((-5.0, 5.0),),
-                        seed=3, early_stop=True, early_stop_window=5,
-                        early_stop_tol=1e-3)
-        X, F = nsga2_minimize(biquadratic, cfg)  # must terminate quickly
-        assert X.size > 0
 
 
 def _tiny_front(points, method=DelayMethod.CAI):

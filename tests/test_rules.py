@@ -149,11 +149,6 @@ class TestFit:
         with pytest.raises(ValueError):
             fit_polynomial_surface(degenerate)
 
-    def test_rejects_unsupported_orders(self):
-        rng = np.random.default_rng(1)
-        pts = np.column_stack([rng.random(20) * 4, rng.random(20) * 2, rng.random(20)])
-        with pytest.raises(ValueError):
-            fit_polynomial_surface(pts, orders=(3, 3))
 
 
 class TestOutliers:
