@@ -21,6 +21,7 @@ segment for t < L is intentionally not modeled.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -195,10 +196,19 @@ def gains_cai(
     Solves the CARE for (A, exp(-A L) B) and returns the effective row
     F = R^-1 (exp(-A L) B)' P together with the Riccati solution.
     """
+    A, _ = build_state_space(plant)
+    sol = solve_care(CareProblem(A=A, B=_cai_input_matrix(plant), Q=Q, R=R))
+    return sol.gain[0].copy(), sol
+
+
+@functools.lru_cache(maxsize=8)
+def _cai_input_matrix(plant: NioptdPlant) -> np.ndarray:
+    """Cai's input matrix exp(-A L) B; it depends on K, T and L only, so a
+    search computes it once.  Read-only, as it is shared."""
     A, B = build_state_space(plant)
     B_mod = expm(-A * plant.L) @ B
-    sol = solve_care(CareProblem(A=A, B=B_mod, Q=Q, R=R))
-    return sol.gain[0].copy(), sol
+    B_mod.flags.writeable = False
+    return B_mod
 
 
 def gains_he(

@@ -160,22 +160,23 @@ def _cascade_ss(zeros, poles, gain, integrators: int = 0):
     """
     zeros = np.asarray(zeros, dtype=float)
     poles = np.asarray(poles, dtype=float)
-    sections = [(p, p - z, 1.0) for z, p in zip(zeros, poles)]  # (a, c, d)
-    sections += [(0.0, 1.0, 0.0)] * integrators
-    n = len(sections)
-    A = np.zeros((n, n))
+    # section i: x_i' = p_i x_i + (its input), output (p_i - z_i) x_i + input
+    c = poles - zeros
+    m, n = c.size, c.size + integrators
+    # a pole/zero section's input is the cascade input plus the outputs
+    # c_j x_j of all sections before it; an integrator's is the output of the
+    # stage before it (whose own feedthrough is 0 past the first integrator)
+    A = np.tril(np.tile(np.concatenate([c, np.ones(integrators)]), (n, 1)), -1)
+    A[m + 1:] = np.eye(n, k=-1)[m + 1:]
+    A[np.arange(m), np.arange(m)] = poles
     B = np.zeros((n, 1))
-    C = np.zeros((1, n))
-    D = np.array([[float(gain)]])
-    for i, (a, c, d) in enumerate(sections):
-        A[i, i] = a
-        # section input = running output of everything before it
-        A[i, :i] = C[0, :i]
-        B[i, 0] = D[0, 0]
-        # running output through this section: out = c*x_i + d*in
-        C[0, :i] *= d
-        C[0, i] = c
-        D[0, 0] *= d
+    B[:m + 1] = float(gain)
+    if integrators:
+        C = np.eye(1, n, n - 1)
+        D = np.zeros((1, 1))
+    else:
+        C = c[None, :].copy()
+        D = np.array([[float(gain)]])
     return A, B, C, D
 
 

@@ -1,10 +1,20 @@
 """Dense-matrix control mathematics.
 
 Matrix exponential, stabilizing solutions of the continuous algebraic
-Riccati equation (CARE), and eigenvalue-based stability diagnostics.  The
-heavy lifting is delegated to scipy.linalg; every result is checked against
-the contracts below before it is returned, and contract violations raise
-:class:`CareFailure` so optimization layers can penalize rather than crash.
+Riccati equation (CARE), and eigenvalue-based stability diagnostics.
+
+The CARE is solved by Laub's ordered-Schur method (IEEE TAC 24, 1979):
+the stable invariant subspace of the Hamiltonian matrix
+``[[A, -B R^-1 B'], [-Q, -A']]``, spanned by the first n Schur vectors
+once the open-left-half-plane eigenvalues are ordered first, gives
+``P = Z21 Z11^-1``.  Every solution is then certified before it is
+returned: finite, symmetric, a Hurwitz closed loop, a residual within
+``CARE_RESIDUAL_RTOL`` (after at most five Newton-Kleinman steps) and
+positive semidefinite.  A violated contract raises :class:`CareFailure`
+so optimization layers can penalize rather than crash.  When fewer than
+n eigenvalues lie in the open left half plane, as for the error-state
+design with q1 = 0 (the integrator mode is then undetectable), no
+stabilizing solution exists and the solver says so.
 """
 from __future__ import annotations
 
@@ -124,10 +134,26 @@ def solve_care(prob: CareProblem) -> CareSolution:
     weight matrices losing detectability.
     """
     A, B, Q, R = prob.A, prob.B, prob.Q, prob.R
+    n = A.shape[0]
     try:
-        P = linalg.solve_continuous_are(A, B, Q, R)
-    except Exception as exc:  # scipy raises LinAlgError or ValueError
+        H = np.empty((2 * n, 2 * n))
+        H[:n, :n], H[:n, n:] = A, -B @ np.linalg.solve(R, B.T)
+        H[n:, :n], H[n:, n:] = -Q, -A.T
+        _, Z, k = linalg.schur(H, sort="lhp")
+        if k != n:
+            raise CareFailure(
+                f"Hamiltonian has {k} open-left-half-plane eigenvalues, need {n}")
+        P = np.linalg.solve(Z[:n, :n].T, Z[n:, :n].T).T
+    except (np.linalg.LinAlgError, ValueError) as exc:
         raise CareFailure(f"Riccati solver failed: {exc}") from exc
+    return _certify(prob, P)
+
+
+def _certify(prob: CareProblem, P: np.ndarray) -> CareSolution:
+    """Check a candidate CARE solution P against the contracts, polishing
+    it by Newton-Kleinman steps when only the residual falls short, and
+    return it with its gain; raises :class:`CareFailure` otherwise."""
+    A, B, Q, R = prob.A, prob.B, prob.Q, prob.R
     if not np.all(np.isfinite(P)):
         raise CareFailure("Riccati solver returned non-finite entries")
 

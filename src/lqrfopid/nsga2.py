@@ -12,6 +12,7 @@ the strict form (< in every component) exposed as :func:`dominates`.
 """
 from __future__ import annotations
 
+import contextlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -237,8 +238,8 @@ def nsga2_minimize(
     penalty values, never exceptions).  Returns the decision vectors and
     objective rows of the final non-dominated front.  Fully reproducible
     for a fixed ``config.seed``; ``workers > 1`` evaluates populations in
-    a process pool without perturbing determinism (evaluation order does
-    not influence the evolution path).
+    one process pool, kept for the whole run, without perturbing
+    determinism (evaluation order does not influence the evolution path).
     """
     rng = np.random.default_rng(config.seed)
     nvar = len(config.bounds)
@@ -246,25 +247,25 @@ def nsga2_minimize(
     high = np.array([b[1] for b in config.bounds])
     pop = config.population
 
-    def evaluate(X):
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(objective, X))
-        else:
-            rows = [objective(x) for x in X]
-        return np.asarray(rows, dtype=float)
+    # one pool for the whole run, so its workers keep their caches warm
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+          else contextlib.nullcontext()) as pool:
 
-    X = low + (high - low) * rng.random((pop, nvar))
-    F = evaluate(X)
-    X, F, rank, crowd = _survival(X, F, config)
+        def evaluate(X):
+            rows = pool.map(objective, X) if pool else map(objective, X)
+            return np.asarray(list(rows), dtype=float)
 
-    for _ in range(config.generations):
-        pool_idx = binary_tournament(rank, crowd, rng, 2 * pop)
-        children = make_offspring(X[pool_idx], config, rng)
-        Fc = evaluate(children)
-        X = np.vstack([X, children])
-        F = np.vstack([F, Fc])
+        X = low + (high - low) * rng.random((pop, nvar))
+        F = evaluate(X)
         X, F, rank, crowd = _survival(X, F, config)
+
+        for _ in range(config.generations):
+            pool_idx = binary_tournament(rank, crowd, rng, 2 * pop)
+            children = make_offspring(X[pool_idx], config, rng)
+            Fc = evaluate(children)
+            X = np.vstack([X, children])
+            F = np.vstack([F, Fc])
+            X, F, rank, crowd = _survival(X, F, config)
 
     mask = rank == 0
     Xf, Ff = X[mask], F[mask]

@@ -5,7 +5,11 @@ Two interchangeable numerical paths realize the fractional operators:
 * ``solver="gl"`` - Grunwald-Letnikov weights, full memory; closest to
   the ideal operators, used as the accuracy reference.
 * ``solver="oustaloup"`` - the impulse responses of band-limited rational
-  (Oustaloup) realizations, ZOH-discretized together; the closed-loop default.
+  (Oustaloup) realizations, each ZOH-discretized on its own; the
+  closed-loop default.  The sampled parts are cached, the plant's per
+  (plant, step, band), with its impulse response per run length, and each
+  operator's per (exponent, step, band): a search samples its plant once
+  and a robustness sweep each operator once.
 
 Both loops are linear and causal, so one engine solves them on power
 series truncated to the N samples of a run: with the one-sample delay z,
@@ -24,6 +28,7 @@ Rounding the delay to the grid induces at most h/2 of delay error.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -209,20 +214,13 @@ def _kernels(plant, h, solver, band, exponents=()):
     of the operators s**gamma for the given exponents."""
     d = int(round(plant.L / h))
     if solver == "oustaloup":
-        # one matrix exponential holds and samples the block-diagonal union
-        systems = [_plant_ss(plant, band, DEFAULT_FILTER_ORDER)] + [
-            differintegrator_ss(g, band, DEFAULT_FILTER_ORDER) for g in exponents]
-        edges = np.cumsum([0] + [A.shape[0] for A, _, _, _ in systems])
-        A, B = np.zeros((edges[-1], edges[-1])), np.zeros((edges[-1], len(systems)))
-        for k, (i, j, (Ak, Bk, _, _)) in enumerate(zip(edges, edges[1:], systems)):
-            A[i:j, i:j], B[i:j, k] = Ak, Bk[:, 0]
-        Ad, Bd = _zoh(A, B, h)
-        parts = [(Ad[i:j, i:j], Bd[i:j, k], C[0], np.ravel(D)[0])
-                 for k, (i, j, (_, _, C, D)) in enumerate(zip(edges, edges[1:], systems))]
+        band = tuple(band)
+        # the blocks are decoupled, so each is held and sampled on its own
+        ops = [_sampled_operator(g, h, band) for g in exponents]
 
         def series(n):
-            num, *ops = (_markov(*part, n) for part in parts)
-            return num, np.ones(1), ops
+            return (_plant_markov(plant, h, band, n), np.ones(1),
+                    [_markov(*part, n) for part in ops])
         return d, series
     if solver == "gl":
         def series(n):
@@ -345,6 +343,44 @@ def _zoh(A: np.ndarray, B: np.ndarray, h: float):
     M[:n, n:] = B
     E = expm(M * h)
     return E[:n, :n], E[:n, n:]
+
+
+def _sampled(system, h):
+    """ZOH-sampled (A, b, c, d) of a single-input, single-output realization;
+    read-only, as the caches below share it."""
+    A, B, C, D = system
+    Ad, Bd = _zoh(A, B, h)
+    part = (Ad, Bd[:, 0], C[0], float(np.ravel(D)[0]))
+    for a in part[:3]:
+        a.flags.writeable = False
+    return part
+
+
+# The caches hold what one search or one sweep reuses: a single plant, its
+# few run lengths, the two operators of one controller.  They are kept too
+# small to hold a whole search or sweep, which only a repeat of the same
+# job in one process would reuse.
+@functools.lru_cache(maxsize=8)
+def _sampled_plant(plant: NioptdPlant, h: float, band: tuple[float, float]):
+    """The plant's sampled realization: built once per search, since plant,
+    step and band stay fixed there."""
+    return _sampled(_plant_ss(plant, band, DEFAULT_FILTER_ORDER), h)
+
+
+@functools.lru_cache(maxsize=16)
+def _plant_markov(plant: NioptdPlant, h: float, band: tuple[float, float], n: int):
+    """The first n Markov parameters of the sampled plant (read-only): a
+    search asks for the same few run lengths at every evaluation."""
+    num = _markov(*_sampled_plant(plant, h, band), n)
+    num.flags.writeable = False
+    return num
+
+
+@functools.lru_cache(maxsize=16)
+def _sampled_operator(gamma: float, h: float, band: tuple[float, float]):
+    """The sampled realization of s**gamma: built once per controller order,
+    for instance once across a robustness sweep."""
+    return _sampled(differintegrator_ss(gamma, band, DEFAULT_FILTER_ORDER), h)
 
 
 def simulate_closed_loop(

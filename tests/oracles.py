@@ -5,15 +5,20 @@ series, eigen-decompositions, exhaustive enumeration, per-sample
 recursions) so the production code paths and the checks never share an
 algorithm.  The per-sample simulation loops at the end share only the
 operator realizations with the package; they are the reference its
-power-series engine must agree with.
+power-series engine must agree with.  Likewise the constructions the
+package replaced are kept here as the references of their replacements:
+scipy's CARE solver, the fused ZOH of all loop blocks and the loop that
+built a cascade realization.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+from scipy import linalg
 
 from lqrfopid.fracnum import differintegrator_ss, gl_coefficients
+from lqrfopid.matops import CareFailure, _certify
 from lqrfopid.sim import (
     DIVERGENCE_FACTOR,
     PENALTY_OBJECTIVE,
@@ -82,6 +87,62 @@ def care_newton(A, B, Q, R, P0=None, iters: int = 60) -> np.ndarray:
             break
         P = P_new
     return P
+
+
+def care_scipy(prob):
+    """The CARE solution the package certified before its Schur solver:
+    ``scipy.linalg.solve_continuous_are`` followed by the package's own
+    certification, so a comparison sees only the solving step."""
+    try:
+        P = linalg.solve_continuous_are(prob.A, prob.B, prob.Q, prob.R)
+    except Exception as exc:  # scipy raises LinAlgError or ValueError
+        raise CareFailure(f"Riccati solver failed: {exc}") from exc
+    return _certify(prob, P)
+
+
+def cascade_ss_loop(zeros, poles, gain, integrators: int = 0):
+    """Series connection of first-order sections (s - z_i)/(s - p_i) times
+    ``gain``, then ``integrators`` exact 1/s stages, built section by
+    section with a running output map."""
+    sections = [(p, p - z, 1.0) for z, p in zip(zeros, poles)]  # (a, c, d)
+    sections += [(0.0, 1.0, 0.0)] * integrators
+    n = len(sections)
+    A = np.zeros((n, n))
+    B = np.zeros((n, 1))
+    C = np.zeros((1, n))
+    D = np.array([[float(gain)]])
+    for i, (a, c, d) in enumerate(sections):
+        A[i, i] = a
+        # section input = running output of everything before it
+        A[i, :i] = C[0, :i]
+        B[i, 0] = D[0, 0]
+        # running output through this section: out = c*x_i + d*in
+        C[0, :i] *= d
+        C[0, i] = c
+        D[0, 0] *= d
+    return A, B, C, D
+
+
+def fused_oustaloup_markov(plant, h, exponents, n, band=(1e-3, 1e3), order=5):
+    """The first n Markov parameters of the sampled plant and of the
+    operators s**gamma, from one matrix exponential that holds and samples
+    the block-diagonal union of their realizations, then the plain
+    recursion d, c b, c A b, ..."""
+    systems = [_plant_ss(plant, band, order)] + [
+        differintegrator_ss(g, band, order) for g in exponents]
+    edges = np.cumsum([0] + [A.shape[0] for A, _, _, _ in systems])
+    A, B = np.zeros((edges[-1], edges[-1])), np.zeros((edges[-1], len(systems)))
+    for k, (i, j, (Ak, Bk, _, _)) in enumerate(zip(edges, edges[1:], systems)):
+        A[i:j, i:j], B[i:j, k] = Ak, Bk[:, 0]
+    Ad, Bd = _zoh(A, B, h)
+    series = []
+    for k, (i, j, (_, _, C, D)) in enumerate(zip(edges, edges[1:], systems)):
+        out, x = [float(np.ravel(D)[0])], Bd[i:j, k]
+        for _ in range(n - 1):
+            out.append(float(C[0] @ x) if j > i else 0.0)
+            x = Ad[i:j, i:j] @ x
+        series.append(np.array(out))
+    return series
 
 
 def brute_force_fronts(objectives: np.ndarray) -> list[list[int]]:

@@ -12,6 +12,9 @@ from lqrfopid import (
     gl_differintegral,
     oustaloup_approximation,
 )
+from lqrfopid import fracnum
+
+from oracles import cascade_ss_loop
 
 
 class TestGlCoefficients:
@@ -207,3 +210,15 @@ class TestDifferintegratorSS:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             differintegrator_ss(2.5)
+
+    def test_cascade_matches_section_loop(self, monkeypatch):
+        # every section feedthrough is exactly 1 or 0, so the vectorized
+        # cascade must equal the section-by-section build to the bit
+        rng = np.random.default_rng(41)
+        exponents = [-2.0, -1.0, 0.0, 1.0, 2.0] + list(rng.uniform(-2.0, 2.0, 60))
+        band = (1e-3, 1e3)
+        built = [differintegrator_ss(g, band, 5) for g in exponents]
+        monkeypatch.setattr(fracnum, "_cascade_ss", cascade_ss_loop)
+        for gamma, got in zip(exponents, built):
+            for a, b in zip(got, differintegrator_ss(gamma, band, 5)):
+                assert a.shape == b.shape and np.array_equal(a, b), gamma

@@ -1,7 +1,10 @@
 """The power-series engine of ``lqrfopid.sim`` against the per-sample loops
 it replaced (``oracles.*_loop``): the same divergence verdicts and
 truncation lengths, outputs within 1e-9 of the output scale, and indices
-within 1e-9 relative."""
+within 1e-9 relative.  The Oustaloup kernels, sampled block by block and
+cached, against the single fused matrix exponential they replaced."""
+import itertools
+
 import numpy as np
 import pytest
 
@@ -17,8 +20,14 @@ from lqrfopid import (
 )
 from lqrfopid.matops import CareFailure
 from lqrfopid.nsga2 import DESIGN_BOUNDS
+from lqrfopid.sim import DEFAULT_BAND, _kernels
 
-from oracles import closed_loop_gl_loop, closed_loop_oustaloup_loop, open_loop_step_loop
+from oracles import (
+    closed_loop_gl_loop,
+    closed_loop_oustaloup_loop,
+    fused_oustaloup_markov,
+    open_loop_step_loop,
+)
 from reference_cases import BY_NAME, OSCILLATORY_PLANT
 
 REFERENCE_LOOPS = {"oustaloup": closed_loop_oustaloup_loop, "gl": closed_loop_gl_loop}
@@ -125,3 +134,40 @@ def test_open_loop_steps(K, L, alpha, solver):
     res = simulate_open_loop_step(plant, horizon=20.0, h=0.01, solver=solver)
     assert_agree(res, open_loop_step_loop(plant, 20.0, 0.01, solver))
     assert res.diverged == (K > 1e3)
+
+
+ORDER_EDGES = (0.0, 1e-300, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("h", [0.01, 0.05])
+def test_split_sampling_matches_fused(h):
+    """Markov series of the plant and both operators: seeded (lam, mu) pairs
+    and every pair of edge orders, on a sluggish and an oscillatory plant."""
+    rng = np.random.default_rng(31)
+    pairs = [tuple(rng.uniform(0.0, 2.0, 2)) for _ in range(12)]
+    pairs += list(itertools.product(ORDER_EDGES, ORDER_EDGES))
+    n = 300
+    for alpha in (0.5, 1.5):
+        plant = NioptdPlant(K=1.0, L=0.5, T=2.0, alpha=alpha)
+        for lam, mu in pairs:
+            _, series = _kernels(plant, h, "oustaloup", DEFAULT_BAND, (-lam, mu))
+            num, den, ops = series(n)
+            assert np.array_equal(den, [1.0])
+            want = fused_oustaloup_markov(plant, h, (-lam, mu), n)
+            for got, ref in zip([num] + ops, want):
+                got = np.pad(got, (0, n - got.size))
+                assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref)), (alpha, lam, mu)
+
+
+def test_cached_kernels_repeat_bit_for_bit():
+    case = BY_NAME["slug_median"]
+    vars = LqrDesignVars(q1=case.q1, q2=case.q2, q3=case.q3, r=case.r,
+                         lam=case.lam, mu=case.mu)
+    controller = design_from_vars(case.plant, vars, case.method)
+    runs = [simulate_closed_loop(case.plant, controller, DISTURBED, band=band)
+            for band in ((2e-3, 5e2), (2e-3, 5e2), [2e-3, 5e2])]
+    for res in runs[1:]:
+        for name in ("t", "y", "u", "x1", "x2", "x3"):
+            assert np.array_equal(getattr(res, name), getattr(runs[0], name)), name
+        assert (res.itse, res.isdco, res.diverged) == (runs[0].itse, runs[0].isdco,
+                                                       runs[0].diverged)
