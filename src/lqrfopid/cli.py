@@ -161,6 +161,9 @@ def _maybe_plot(args, fig_path: Path, xs, ys, labels, title) -> None:
 def _cmd_step(args, parser) -> int:
     plant = _plant_from_args(args)
     scenario = _scenario_from_args(args)
+    if args.bode and not (0.0 < args.w_low < args.w_high < np.inf and args.n_freq >= 1):
+        raise CliError(f"Bode band needs 0 < w-low < w-high and n-freq >= 1, got "
+                       f"{args.w_low}, {args.w_high} and {args.n_freq}")
     out = _out_dir(args)
     result = simulate_open_loop_step(plant, horizon=scenario.horizon, h=scenario.step_size,
                                      solver=args.solver)
@@ -295,6 +298,8 @@ def _parse_grid(text: str, name: str) -> np.ndarray:
         raise CliError(f"invalid {name} grid {text!r}: {exc}")
     if values.size == 0:
         raise CliError(f"empty {name} grid")
+    if not np.all(np.isfinite(values)):
+        raise CliError(f"invalid {name} grid {text!r}: values must be finite")
     return values
 
 

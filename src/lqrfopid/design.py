@@ -61,10 +61,10 @@ class NioptdPlant:
     def __post_init__(self):
         if self.K == 0.0 or not math.isfinite(self.K):
             raise ValueError(f"dc gain must be nonzero and finite, got {self.K}")
-        if self.L < 0.0:
-            raise ValueError(f"delay must be nonnegative, got {self.L}")
-        if self.T <= 0.0:
-            raise ValueError(f"pseudo time constant must be positive, got {self.T}")
+        if not (0.0 <= self.L < math.inf):
+            raise ValueError(f"delay must be nonnegative and finite, got {self.L}")
+        if not (0.0 < self.T < math.inf):
+            raise ValueError(f"pseudo time constant must be positive and finite, got {self.T}")
         if not (0.0 < self.alpha < 2.0):
             raise ValueError(f"fractional order must lie in (0, 2), got {self.alpha}")
 

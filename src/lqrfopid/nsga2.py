@@ -169,7 +169,8 @@ def make_offspring(
     """One child per parent pair from the tournament-selected pool.
 
     With probability ``crossover_fraction`` the child is an intermediate
-    (per-coordinate random weighted average) of two parents; otherwise it
+    (per-coordinate random weighted average) of two parents, which keeps
+    the coordinates they share exactly; otherwise it
     is a copy of the first parent with a bounded uniform perturbation
     added at one randomly chosen coordinate.  Children are clamped to the
     bounds.
@@ -185,7 +186,9 @@ def make_offspring(
         p2 = parents[2 * i + 1]
         if rng.random() < config.crossover_fraction:
             w = rng.random(nvar)
-            child = w * p1 + (1.0 - w) * p2
+            # a shared coordinate is inherited exactly: the weighted average
+            # of two equal values can be 1 ulp off, a distinct duplicate
+            child = np.where(p1 == p2, p1, w * p1 + (1.0 - w) * p2)
         else:
             child = p1.copy()
             j = rng.integers(0, nvar)

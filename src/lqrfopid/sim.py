@@ -6,9 +6,9 @@ Two interchangeable numerical paths realize the fractional operators:
   the ideal operators, used as the accuracy reference.
 * ``solver="oustaloup"`` - the impulse responses of band-limited rational
   (Oustaloup) realizations, each ZOH-discretized on its own; the
-  closed-loop default.  The sampled parts are cached, the plant's per
-  (plant, step, band), with its impulse response per run length, and each
-  operator's per (exponent, step, band): a search samples its plant once
+  closed-loop default.  The sampled parts are cached, the plant's impulse
+  response per (plant, step, band, length) and each operator's
+  realization per (exponent, step, band): a search samples its plant once
   and a robustness sweep each operator once.
 
 Both loops are linear and causal, so one engine solves them on power
@@ -19,7 +19,10 @@ Products are FFT convolutions and the reciprocal comes by Newton
 doubling: O(N log N) per run.  A run diverges at the first sample whose
 output is non-finite or exceeds DIVERGENCE_FACTOR * max(1, |setpoint|)
 in magnitude; the engine tests each block a doubling adds and stops
-there, so a diverging tail never meets earlier samples in an FFT.
+there, so a diverging tail never meets earlier samples in an FFT.  Newton
+runs once, building the operator kernels only as far as it has reached,
+RUN_GROWTH-fold from DIRECT_TERMS terms: most diverging loops cross
+within a few hundred samples and never build those of the whole horizon.
 
 Timing convention shared by both paths: the plant state reached at sample
 k has integrated the (zero-order-held, delayed) input up to sample
@@ -65,7 +68,6 @@ DEFAULT_FILTER_ORDER = 5
 # below this many terms in a factor a direct product beats the FFT
 DIRECT_TERMS = 128
 MARKOV_BLOCK = 256
-FIRST_RUN = 128
 MAX_SPREAD = 1e4
 RUN_GROWTH = 8
 
@@ -208,48 +210,48 @@ def _markov(A: np.ndarray, b: np.ndarray, c: np.ndarray, d: float, n: int) -> np
     return np.concatenate(terms)[:n]
 
 
-def _kernels(plant, h, solver, band, exponents=()):
-    """Input delay d and ``series`` of one numerical path: ``series(n)`` is
-    the first n terms of the plant, y = (num / den) z**d (plant input), and
+def _kernels(plant, h, solver, band, n, exponents=()):
+    """Input delay d, the first n terms of the plant, y = (num / den) z**d
+    (plant input), and ``operators``: ``operators(m)`` is the first m terms
     of the operators s**gamma for the given exponents."""
     d = int(round(plant.L / h))
     if solver == "oustaloup":
         band = tuple(band)
         # the blocks are decoupled, so each is held and sampled on its own
         ops = [_sampled_operator(g, h, band) for g in exponents]
-
-        def series(n):
-            return (_plant_markov(plant, h, band, n), np.ones(1),
-                    [_markov(*part, n) for part in ops])
-        return d, series
+        return (d, _plant_markov(plant, h, band, n), np.ones(1),
+                lambda m: [_markov(*part, m) for part in ops])
     if solver == "gl":
-        def series(n):
-            den = plant.T * h ** (-plant.alpha) * gl_coefficients(plant.alpha, n)
-            den[0] += 1.0
-            return np.array([plant.K]), den, [h ** -g * gl_coefficients(g, n) for g in exponents]
-        return d + 1, series
+        den = plant.T * h ** (-plant.alpha) * gl_coefficients(plant.alpha, n)
+        den[0] += 1.0
+        return (d + 1, np.array([plant.K]), den,
+                lambda m: [h ** -g * gl_coefficients(g, m) for g in exponents])
     raise ValueError(f"unknown solver {solver!r}")
 
 
-def _error_series(F, q, r, threshold, n):
+def _error_series(F_of, q, r, threshold, n):
     """The first n terms of e = (q / F) / (1 - z), cut at the first sample k
     whose output r - e[k] is non-finite or exceeds ``threshold`` in
     magnitude: returns (e[:k + 1], k) then, else (e, None).
 
     1 / F comes by Newton doubling, each step extending a prefix whose
-    outputs all passed the test.  An FFT product spreads rounding errors of
-    about sum|q| max|1 / F| over all its terms; past MAX_SPREAD times the
-    threshold a block is halved, and at DIRECT_TERMS summed directly, which
-    keeps each sample free of the later ones.  Leading zeros of q are split
-    off first: e is zero there whatever 1 / F does.
+    outputs all passed the test; ``F_of(t)`` gives the first t terms of F,
+    RUN_GROWTH times more whenever a step needs more.  An FFT product
+    spreads rounding errors of about sum|q| max|1 / F| over all its terms;
+    past MAX_SPREAD times the threshold a block is halved, and at
+    DIRECT_TERMS summed directly, which keeps each sample free of the later
+    ones.  Leading zeros of q are split off first: e is zero there whatever
+    1 / F does.
     """
     lead = np.flatnonzero(q[:n])
     s = int(lead[0]) if lead.size else n
     q, size = q[s:n], n - s
-    g = e = np.zeros(0)
+    F = g = e = np.zeros(0)
     m, t = 0, min(1, size)
     with np.errstate(over="ignore", invalid="ignore"):
         while m < size:
+            if t > F.size:
+                F = F_of(min(size, max(t, RUN_GROWTH * F.size or DIRECT_TERMS)))
             gt = np.array([1.0 / F[0]]) if m == 0 else np.concatenate(
                 [g, -_series_mul(g, _series_mul(F, g, m, t), 0, t - m)])
             if min(q.size, t) > DIRECT_TERMS and not (
@@ -269,23 +271,26 @@ def _error_series(F, q, r, threshold, n):
     return np.concatenate([np.zeros(s), e]), None
 
 
-def _loop_output(num, den, delay, H, r, w_start, w_mag, n):
+def _loop_output(num, den, delay, H_of, r, w_start, w_mag, n):
     """Output of y = (num / den) (z**delay H (r - y) + w) to n samples, and
     the sample at which it diverges (None if it does not).
 
     The set-point r and the input disturbance w (w_mag from sample w_start
     on) are steps, so the error e = r - y solves
     e F = (r den - w_mag z**w_start num) / (1 - z) with
-    F = den + z**delay num H.  ``H=None`` opens the loop.
+    F = den + z**delay num H, where ``H_of(t)`` is the first t terms of H.
     """
-    F = _padded(den, n)
-    if H is not None and delay < n:
-        F[delay:] += _series_mul(num, H, 0, n - delay)
+    def F_of(t):
+        F, H = _padded(den, t), H_of(t)
+        if delay < t:
+            F[delay:] += _series_mul(num, H, 0, t - delay)
+        return F
+
     q = r * den
     if w_mag != 0.0 and w_start < n:
         q = _padded(q, n)
         q[w_start:] -= w_mag * _padded(num, n - w_start)
-    e, k = _error_series(F, q, r, DIVERGENCE_FACTOR * max(1.0, abs(r)), n)
+    e, k = _error_series(F_of, q, r, DIVERGENCE_FACTOR * max(1.0, abs(r)), n)
     return r - e, k
 
 
@@ -310,11 +315,10 @@ def simulate_open_loop_step(
     in :class:`Scenario`.  x2 is filled with 1 - y; x1 and x3 stay zero.
     """
     n = Scenario(horizon=horizon, step_size=h).n_steps
-    delay, series = _kernels(plant, h, solver, band)
-    num, den, _ = series(n)
+    delay, num, den, _ = _kernels(plant, h, solver, band, n)
     # the step reaches the plant input at sample ``delay``: feed it there as
-    # a disturbance of an open loop with zero set-point
-    y, k = _loop_output(num, den, delay, None, 0.0, delay, 1.0, n)
+    # a disturbance of an open loop (H = 0) with zero set-point
+    y, k = _loop_output(num, den, delay, lambda t: np.zeros(1), 0.0, delay, 1.0, n)
     zeros = np.zeros(y.size)
     return _finish(y, np.ones(y.size), zeros, 1.0 - y, zeros.copy(), h,
                    u_ss=1.0, horizon=horizon, diverged=k is not None)
@@ -356,22 +360,15 @@ def _sampled(system, h):
     return part
 
 
-# The caches hold what one search or one sweep reuses: a single plant, its
-# few run lengths, the two operators of one controller.  They are kept too
-# small to hold a whole search or sweep, which only a repeat of the same
-# job in one process would reuse.
+# The caches hold what one search or one sweep reuses: a single plant at
+# the one length of its runs, the two operators of one controller.  They
+# are kept too small to hold a whole search or sweep, which only a repeat
+# of the same job in one process would reuse.
 @functools.lru_cache(maxsize=8)
-def _sampled_plant(plant: NioptdPlant, h: float, band: tuple[float, float]):
-    """The plant's sampled realization: built once per search, since plant,
-    step and band stay fixed there."""
-    return _sampled(_plant_ss(plant, band, DEFAULT_FILTER_ORDER), h)
-
-
-@functools.lru_cache(maxsize=16)
 def _plant_markov(plant: NioptdPlant, h: float, band: tuple[float, float], n: int):
-    """The first n Markov parameters of the sampled plant (read-only): a
-    search asks for the same few run lengths at every evaluation."""
-    num = _markov(*_sampled_plant(plant, h, band), n)
+    """The first n Markov parameters of the sampled plant (read-only): built
+    once per search, since plant, step, band and horizon stay fixed there."""
+    num = _markov(*_sampled(_plant_ss(plant, band, DEFAULT_FILTER_ORDER), h), n)
     num.flags.writeable = False
     return num
 
@@ -400,22 +397,23 @@ def simulate_closed_loop(
     """
     scenario = scenario or Scenario()
     h, r, n = scenario.step_size, scenario.setpoint, scenario.n_steps
-    delay, series = _kernels(plant, h, solver, band, (-controller.lam, controller.mu))
+    delay, num, den, operators = _kernels(plant, h, solver, band, n,
+                                          (-controller.lam, controller.mu))
     w_start = int(np.searchsorted(np.arange(n) * h, scenario.disturbance_time))
-    # most diverging loops cross within a few hundred samples: runs of
-    # growing length spare them the kernels of the whole horizon
-    length, k = 0, None
-    while k is None and length < n:
-        length = min(n, RUN_GROWTH * length or FIRST_RUN)
-        num, den, (k_i, k_d) = series(length)
-        H = _padded(controller.ki * k_i, length) + _padded(controller.kd * k_d, length)
+    kernels = [np.zeros(1)] * 2  # the last built: they cover e past its leading zeros
+
+    def H_of(t):
+        kernels[:] = operators(t)
+        H = _padded(controller.ki * kernels[0], t) + _padded(controller.kd * kernels[1], t)
         H[0] += controller.kp
-        y, k = _loop_output(num, den, delay, H, r, w_start,
-                            scenario.disturbance_magnitude, length)
+        return H
+
+    y, k = _loop_output(num, den, delay, H_of, r, w_start,
+                        scenario.disturbance_magnitude, n)
     e = r - y
     if k is not None:
         e[k] = 0.0
-    x1, x3 = (_series_mul(kernel, e, 0, y.size) for kernel in (k_i, k_d))
+    x1, x3 = (_series_mul(kernel, e, 0, y.size) for kernel in kernels)
     if k is not None:
         x1[k] = x3[k] = 0.0
     u = controller.kp * e + controller.ki * x1 + controller.kd * x3

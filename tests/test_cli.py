@@ -186,6 +186,17 @@ class TestBadNumbers:
         ["design", "--pop", "2"],
         ["design", "--gens", "0"],
         ["design", "--restarts", "0"],
+        ["step", "--L", "nan"],
+        ["step", "--L", "inf"],
+        ["step", "--T", "nan"],
+        ["gains", "--L", "nan", "--Q1", "1", "--Q2", "1", "--Q3", "1", "--R", "1"],
+        ["sweep", "--Kp", "1", "--Ki", "1", "--Kd", "1", "--lam", "1", "--mu", "0.5",
+         "--L-grid", "nan"],
+        ["sweep", "--Kp", "1", "--Ki", "1", "--Kd", "1", "--lam", "1", "--mu", "0.5",
+         "--T-grid", "1,inf"],
+        ["step", "--bode", "--w-low", "0"],
+        ["step", "--bode", "--w-low", "10", "--w-high", "1"],
+        ["step", "--bode", "--n-freq", "0"],
     ])
     def test_exit_2_without_output(self, tmp_path, capsys, argv):
         code = main(argv + ["--out-dir", str(tmp_path)])

@@ -35,6 +35,9 @@ class TestPlantAndTypes:
             NioptdPlant(K=1.0, L=0.5, T=0.0, alpha=1.5)
         with pytest.raises(ValueError):
             NioptdPlant(K=1.0, L=0.5, T=2.0, alpha=2.0)
+        for L, T in ((np.nan, 2.0), (np.inf, 2.0), (0.5, np.nan), (0.5, np.inf)):
+            with pytest.raises(ValueError):
+                NioptdPlant(K=1.0, L=L, T=T, alpha=1.5)
 
     def test_open_loop_classification(self):
         assert OSCILLATORY_PLANT.is_oscillatory

@@ -112,11 +112,12 @@ class TestOffspring:
         return MooConfig(**defaults)
 
     def test_identical_parents_give_identical_child(self):
+        # w * 0.9 + (1 - w) * 0.9 differs from 0.9 for some w
         cfg = self._config(crossover_fraction=1.0)
         rng = np.random.default_rng(0)
-        parents = np.ones((8, 3)) * 0.7
+        parents = np.full((8, 3), 0.9)
         children = make_offspring(parents, cfg, rng)
-        np.testing.assert_allclose(children, 0.7)
+        assert np.array_equal(children, np.full((4, 3), 0.9))
 
     def test_crossover_child_inside_parent_box(self):
         cfg = self._config(crossover_fraction=1.0)
@@ -249,6 +250,18 @@ class TestDesignBinding:
         f1 = run_nsga2(self.PLANT, DelayMethod.CAI, self.CFG, self.SCN, workers=1)
         f2 = run_nsga2(self.PLANT, DelayMethod.CAI, self.CFG, self.SCN, workers=2)
         np.testing.assert_array_equal(f1.objectives_array(), f2.objectives_array())
+
+    @pytest.mark.parametrize("method", [DelayMethod.CAI, DelayMethod.HE])
+    def test_front_has_no_duplicates(self, method):
+        """Crossover of two copies of a design must not make a third copy that
+        differs in the last bit, which the front would keep as distinct."""
+        plant = NioptdPlant(K=1, L=0.5, T=2, alpha=0.5)
+        config = MooConfig(population=16, generations=2, seed=6)
+        front = run_nsga2(plant, method, config, Scenario(horizon=50.0, step_size=0.05))
+        X = np.array([e.vars.as_array() for e in front.entries])
+        for i in range(len(X)):
+            for j in range(i):
+                assert not np.allclose(X[i], X[j], rtol=1e-12, atol=0), (i, j)
 
     def test_front_csv_schema(self, tmp_path):
         front = run_nsga2(self.PLANT, DelayMethod.CAI, self.CFG, self.SCN)

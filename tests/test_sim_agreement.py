@@ -127,6 +127,28 @@ def test_tiny_setpoint_under_disturbance(solver):
 
 
 @pytest.mark.parametrize("solver", ["oustaloup", "gl"])
+def test_crossing_past_growth_boundary(solver):
+    # Newton resumes across the kernel lengths 128 and 1024 before the
+    # first crossing
+    controller = FopidController(kp=8.0, ki=0.5, kd=0.0, lam=1.0, mu=0.5)
+    res, ref = closed_loop_pair(OSCILLATORY_PLANT, controller, Scenario(horizon=40.0), solver)
+    assert_agree(res, ref)
+    assert res.diverged and res.t.size - 1 > 1024
+
+
+@pytest.mark.parametrize("solver", ["oustaloup", "gl"])
+def test_survivor_at_length_not_power_of_two(solver):
+    case = BY_NAME["osc_median"]
+    vars = LqrDesignVars(q1=case.q1, q2=case.q2, q3=case.q3, r=case.r,
+                         lam=case.lam, mu=case.mu)
+    controller = design_from_vars(case.plant, vars, case.method)
+    scenario = Scenario(horizon=25.0, disturbance_time=16.5, disturbance_magnitude=0.2)
+    res, ref = closed_loop_pair(case.plant, controller, scenario, solver)
+    assert_agree(res, ref)
+    assert not res.diverged and res.t.size == 2500
+
+
+@pytest.mark.parametrize("solver", ["oustaloup", "gl"])
 @pytest.mark.parametrize("K, L, alpha", [(1.0, 0.5, 0.5), (1.0, 0.5, 1.0), (1.0, 0.5, 1.5),
                                          (1.0, 0.0, 1.5), (2000.0, 0.5, 1.0)])
 def test_open_loop_steps(K, L, alpha, solver):
@@ -150,8 +172,8 @@ def test_split_sampling_matches_fused(h):
     for alpha in (0.5, 1.5):
         plant = NioptdPlant(K=1.0, L=0.5, T=2.0, alpha=alpha)
         for lam, mu in pairs:
-            _, series = _kernels(plant, h, "oustaloup", DEFAULT_BAND, (-lam, mu))
-            num, den, ops = series(n)
+            _, num, den, operators = _kernels(plant, h, "oustaloup", DEFAULT_BAND, n, (-lam, mu))
+            ops = operators(n)
             assert np.array_equal(den, [1.0])
             want = fused_oustaloup_markov(plant, h, (-lam, mu), n)
             for got, ref in zip([num] + ops, want):
