@@ -22,6 +22,7 @@ __all__ = [
     "analytic_power_differintegral",
     "oustaloup_approximation",
     "differintegrator_ss",
+    "differintegrator_modes",
 ]
 
 
@@ -109,6 +110,18 @@ class RationalFilter:
         resp = self.gain * num / den
         return complex(resp[0]) if scalar else resp
 
+    def residues(self) -> np.ndarray:
+        """Residues r_i at the poles: H(s) = gain + sum_i r_i / (s - p_i).
+
+        Each is gain times the product of (p_i - z_j) / (p_i - p_j) over j
+        (with p_i - z_i for j = i), ratios of neighbours that stay well
+        scaled however wide the band.  Needs as many zeros as poles.
+        """
+        p = self.poles
+        gap = p[:, None] - p[None, :]
+        gap.flat[::p.size + 1] = 1.0
+        return self.gain * np.multiply.reduce((p[:, None] - self.zeros[None, :]) / gap, axis=1)
+
 
 def oustaloup_approximation(
     gamma: float,
@@ -180,12 +193,34 @@ def _cascade_ss(zeros, poles, gain, integrators: int = 0):
     return A, B, C, D
 
 
+def _factors(gamma: float, band, order: int):
+    """s**gamma as :func:`differintegrator_ss` and
+    :func:`differintegrator_modes` build it: (filter, power, integrators),
+    an Oustaloup filter (None for 1) raised to ``power`` and followed by
+    ``integrators`` exact 1/s stages."""
+    if not (-2.0 <= gamma <= 2.0):
+        raise ValueError(f"exponent must lie in [-2, 2], got {gamma}")
+    # an exponent too small to move gamma + 1 off 1.0 is the identity; the
+    # anchored split below would leave a residual of exactly 1 otherwise
+    if gamma + 1.0 == 1.0:
+        return None, 0, 0
+    if gamma < 0.0:
+        if gamma == -2.0:
+            return None, 0, 2
+        residual = gamma + 1.0
+        if residual == 0.0:
+            return None, 0, 1
+        return oustaloup_approximation(residual, band, order), 1, 1
+    power = 2 if gamma < 2.0 else 3
+    return oustaloup_approximation(gamma / power, band, order), power, 0
+
+
 def differintegrator_ss(
     gamma: float,
     band: tuple[float, float] = (1e-3, 1e3),
     order: int = 5,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """State-space realization (A, B, C, D) of s**gamma for gamma in (-2, 2).
+    """State-space realization (A, B, C, D) of s**gamma for gamma in [-2, 2].
 
     Negative exponents are anchored on an exact integrator,
     ``s**gamma = s**-1 * s**(gamma+1)``, so integral action has a true pole
@@ -194,29 +229,57 @@ def differintegrator_ss(
     power, ``s**gamma = (s**(gamma/2))**2`` (cube for gamma = 2), which
     stays realizable across the whole (0, 2] range including gamma = 1.
     """
-    if not (-2.0 <= gamma <= 2.0):
-        raise ValueError(f"exponent must lie in [-2, 2], got {gamma}")
-    # an exponent too small to move gamma + 1 off 1.0 is the identity; the
-    # anchored split below would leave a residual of exactly 1 otherwise
-    if gamma + 1.0 == 1.0:
-        return (
-            np.zeros((0, 0)), np.zeros((0, 1)),
-            np.zeros((1, 0)), np.array([[1.0]]),
-        )
-    if gamma < 0.0:
-        if gamma == -2.0:
-            return _cascade_ss([], [], 1.0, integrators=2)
-        residual = gamma + 1.0
-        if residual == 0.0:
-            return _cascade_ss([], [], 1.0, integrators=1)
-        filt = oustaloup_approximation(residual, band, order)
-        return _cascade_ss(filt.zeros, filt.poles, filt.gain, integrators=1)
-    n_fold = 2 if gamma < 2.0 else 3
-    base = oustaloup_approximation(gamma / n_fold, band, order)
-    sys = _cascade_ss(base.zeros, base.poles, base.gain)
-    for _ in range(n_fold - 1):
-        sys = _series_ss(sys, _cascade_ss(base.zeros, base.poles, base.gain))
+    filt, power, integrators = _factors(gamma, band, order)
+    if filt is None:
+        return _cascade_ss([], [], 1.0, integrators)
+    sys = _cascade_ss(filt.zeros, filt.poles, filt.gain, integrators)
+    for _ in range(power - 1):
+        sys = _series_ss(sys, _cascade_ss(filt.zeros, filt.poles, filt.gain))
     return sys
+
+
+def differintegrator_modes(
+    gamma: float,
+    band: tuple[float, float] = (1e-3, 1e3),
+    order: int = 5,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """The impulse response of :func:`differintegrator_ss` in closed form.
+
+    Returns (d, poles, coeffs): the response to a unit impulse is
+    ``d delta(t) + sum_i sum_l coeffs[i, l] t**l exp(poles[i] t)`` for
+    t > 0.  The poles are the filter's own, each of multiplicity ``power``,
+    and 0 for the exact integrators; no state matrix is formed.
+    """
+    filt, power, integrators = _factors(gamma, band, order)
+    if filt is None:
+        if not integrators:
+            return 1.0, np.zeros(0), np.zeros((0, 1))
+        # 1 / s**i responds with t**(i - 1) / (i - 1)!
+        coeffs = np.zeros((1, integrators))
+        coeffs[0, -1] = 1.0 / math.factorial(integrators - 1)
+        return 0.0, np.zeros(1), coeffs
+    p, r, k = filt.poles, filt.residues(), filt.gain
+    if integrators:
+        # F(s) / s = F(0) / s + sum_i (r_i / p_i) / (s - p_i) - (r_i / p_i) / s
+        poles, coeffs = np.zeros(p.size + 1), np.empty((p.size + 1, 1))
+        poles[1:], coeffs[1:, 0] = p, r / p
+        coeffs[0, 0] = k * np.multiply.reduce(filt.zeros / p)
+        return 0.0, poles, coeffs
+    # near p_i, F = r_i / (s - p_i) + phi_i(s) with phi_i analytic there;
+    # the coefficients of (s - p_i)**-l in F**2 and F**3 follow from
+    # phi_i(p_i) = k + sum_(j != i) r_j / (p_i - p_j) and its derivative,
+    # and (s - p)**-l responds with t**(l - 1) exp(p t) / (l - 1)!
+    gap = p[:, None] - p[None, :]
+    gap.flat[::p.size + 1] = np.inf
+    near = k + np.add.reduce(r / gap, axis=1)
+    coeffs = np.empty((p.size, power))
+    if power == 2:
+        coeffs[:, 0], coeffs[:, 1] = 2.0 * r * near, r * r
+    else:
+        slope = -np.add.reduce(r / (gap * gap), axis=1)
+        coeffs[:, 0] = 3.0 * r * (near * near + r * slope)
+        coeffs[:, 1], coeffs[:, 2] = 3.0 * r * r * near, 0.5 * r ** 3
+    return k ** power, p, coeffs
 
 
 def _series_ss(first, second):

@@ -6,10 +6,13 @@ Two interchangeable numerical paths realize the fractional operators:
   the ideal operators, used as the accuracy reference.
 * ``solver="oustaloup"`` - the impulse responses of band-limited rational
   (Oustaloup) realizations, each ZOH-discretized on its own; the
-  closed-loop default.  The sampled parts are cached, the plant's impulse
-  response per (plant, step, band, length) and each operator's
-  realization per (exponent, step, band): a search samples its plant once
-  and a robustness sweep each operator once.
+  closed-loop default.  The plant's comes from its realization and one
+  matrix exponential, cached per (plant, step, band, length): a search
+  samples its plant once.  Each controller operator's comes in closed form
+  from the poles and residues of its filter, with no realization and no
+  matrix exponential, and grows in place as the engine asks for more
+  terms; the last controller's two are cached, so a robustness sweep
+  builds each once.
 
 Both loops are linear and causal, so one engine solves them on power
 series truncated to the N samples of a run: with the one-sample delay z,
@@ -32,6 +35,7 @@ Rounding the delay to the grid induces at most h/2 of delay error.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -43,7 +47,7 @@ from .design import (
     NioptdPlant,
     design_from_vars,
 )
-from .fracnum import differintegrator_ss, gl_coefficients
+from .fracnum import differintegrator_modes, differintegrator_ss, gl_coefficients
 from .matops import CareFailure, expm
 
 __all__ = [
@@ -68,6 +72,11 @@ DEFAULT_FILTER_ORDER = 5
 # below this many terms in a factor a direct product beats the FFT
 DIRECT_TERMS = 128
 MARKOV_BLOCK = 256
+# an operator kernel's exp(p h j) is exp(p h (j mod KERNEL_BLOCK)), computed
+# once, times exp(p h KERNEL_BLOCK (j div KERNEL_BLOCK)), once per block; it
+# grows by at most GROW_BLOCKS blocks per pass
+KERNEL_BLOCK = 128
+GROW_BLOCKS = 16
 MAX_SPREAD = 1e4
 RUN_GROWTH = 8
 
@@ -88,14 +97,18 @@ class Scenario:
     disturbance_magnitude: float = 0.0
 
     def __post_init__(self):
-        if self.step_size <= 0.0:
-            raise ValueError(f"step size must be positive, got {self.step_size}")
-        if self.horizon <= 0.0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if not 0.0 < self.step_size < math.inf:
+            raise ValueError(f"step size must be positive and finite, got {self.step_size}")
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         steps = self.horizon / self.step_size
         if abs(steps - round(steps)) > 1e-6 * max(1.0, steps):
             raise ValueError(
                 f"horizon {self.horizon} is not an integer number of steps of {self.step_size}"
+            )
+        if round(steps) < 1:
+            raise ValueError(
+                f"horizon {self.horizon} is shorter than one step of {self.step_size}"
             )
 
     @property
@@ -193,11 +206,9 @@ def _series_mul(a: np.ndarray, b: np.ndarray, lo: int, hi: int) -> np.ndarray:
 
 def _markov(A: np.ndarray, b: np.ndarray, c: np.ndarray, d: float, n: int) -> np.ndarray:
     """The first n terms d, c b, c A b, ... of the impulse response of
-    x' = A x + b u, y = c x + d u (fewer when A is empty: the rest are 0),
-    from blocks of MARKOV_BLOCK rows c A**j built by repeated squaring."""
+    x' = A x + b u, y = c x + d u, from blocks of MARKOV_BLOCK rows c A**j
+    built by repeated squaring."""
     terms = [np.array([d])]
-    if A.shape[0] == 0:
-        return terms[0]
     # a power of two of rows, so that ``power`` ends as A**len(rows)
     rows = np.empty((min(MARKOV_BLOCK, 1 << max(n - 2, 0).bit_length()), c.size))
     rows[0], power, filled = c, A, 1
@@ -212,15 +223,14 @@ def _markov(A: np.ndarray, b: np.ndarray, c: np.ndarray, d: float, n: int) -> np
 
 def _kernels(plant, h, solver, band, n, exponents=()):
     """Input delay d, the first n terms of the plant, y = (num / den) z**d
-    (plant input), and ``operators``: ``operators(m)`` is the first m terms
-    of the operators s**gamma for the given exponents."""
+    (plant input), and ``operators``: ``operators(m)`` is exactly the first
+    m terms of the operators s**gamma for the given exponents."""
     d = int(round(plant.L / h))
     if solver == "oustaloup":
         band = tuple(band)
-        # the blocks are decoupled, so each is held and sampled on its own
-        ops = [_sampled_operator(g, h, band) for g in exponents]
+        ops = [_operator_kernel(g, h, band) for g in exponents]
         return (d, _plant_markov(plant, h, band, n), np.ones(1),
-                lambda m: [_markov(*part, m) for part in ops])
+                lambda m: [op(m) for op in ops])
     if solver == "gl":
         den = plant.T * h ** (-plant.alpha) * gl_coefficients(plant.alpha, n)
         den[0] += 1.0
@@ -349,35 +359,105 @@ def _zoh(A: np.ndarray, B: np.ndarray, h: float):
     return E[:n, :n], E[:n, n:]
 
 
-def _sampled(system, h):
-    """ZOH-sampled (A, b, c, d) of a single-input, single-output realization;
-    read-only, as the caches below share it."""
-    A, B, C, D = system
-    Ad, Bd = _zoh(A, B, h)
-    part = (Ad, Bd[:, 0], C[0], float(np.ravel(D)[0]))
-    for a in part[:3]:
-        a.flags.writeable = False
-    return part
+_BLOCK_STEPS = np.arange(KERNEL_BLOCK)
+# Gauss-Legendre rule of 10 nodes on [0, 1], its weights times u**j, j < 3
+_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(10)
+_GAUSS_NODES = (_GAUSS_NODES + 1.0) / 2.0
+_GAUSS_MOMENTS = _GAUSS_WEIGHTS[:, None] / 2.0 * _GAUSS_NODES[:, None] ** np.arange(3)
+
+
+def _interval_moments(poles: np.ndarray, h: float, count: int) -> np.ndarray:
+    """The integrals of tau**j exp(p tau) over [0, h], j < count, one row per
+    pole p: h**(j + 1) J_j(p h) with J_j(x) the integral of u**j exp(x u)
+    over [0, 1].  J_0 = expm1(x) / x (1 at x = 0).  Past it the recurrence
+    J_j = (exp(x) - j J_(j-1)) / x, which cancels for small x; where
+    |x| < 1/2 the Gauss-Legendre rule instead, exact to rounding there (it
+    integrates the terms x**n u**(n + j) / n! exactly up to degree 19)."""
+    x = poles * h
+    out = np.empty((x.size, count))
+    out[:, 0] = np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0)
+    if count > 1:
+        small = np.abs(x) < 0.5
+        out[:, 1:] = (np.exp(np.multiply.outer(x * small, _GAUSS_NODES))
+                      @ _GAUSS_MOMENTS[:, 1:count])
+        x, moment = x[~small], out[~small, 0]
+        for j in range(1, count):
+            moment = (np.exp(x) - j * moment) / x
+            out[~small, j] = moment
+    return out * h ** np.arange(1, count + 1)
+
+
+class _OperatorKernel:
+    """The sampled kernel of s**gamma, in closed form from the poles and
+    residues of its filter, extended in place on demand.
+
+    ``kernel(m)`` is the first m terms (read-only): g[0] is the
+    feedthrough and g[k] the integral of the impulse response
+    sum_i sum_l c_il t**l exp(p_i t) over [(k - 1) h, k h], the ZOH Markov
+    parameter.  With s = (k - 1) h that is sum_i exp(p_i s) P_i(s), where
+    P_i has the coefficient sum_l c_il binom(l, j) I_ij of s**(l - j) and
+    I_ij is the integral of tau**j exp(p_i tau) over [0, h].  Terms are
+    built whole blocks at a time and each depends on its index alone, so
+    growing the kernel never changes the terms it already has.
+    """
+
+    def __init__(self, gamma: float, h: float, band: tuple[float, float]):
+        d, poles, coeffs = differintegrator_modes(gamma, band, DEFAULT_FILTER_ORDER)
+        moments = _interval_moments(poles, h, coeffs.shape[1])
+        self.poly = coeffs * moments[:, :1]  # columns: powers of s
+        for l in range(1, coeffs.shape[1]):
+            for j in range(1, l + 1):
+                self.poly[:, l - j] += coeffs[:, l] * math.comb(l, j) * moments[:, j]
+        self.poles, self.h = poles, h
+        self.ramp = np.exp(np.multiply.outer(poles * h, _BLOCK_STEPS))
+        self.terms = np.array([d])
+        self.terms.flags.writeable = False
+
+    def __call__(self, m: int) -> np.ndarray:
+        while self.terms.size < m:
+            # the blocks of the samples j = k - 1 from have - 1 to m - 2
+            have = self.terms.size
+            first = (have - 1) // KERNEL_BLOCK
+            blocks = np.arange(first, min((m - 2) // KERNEL_BLOCK + 1, first + GROW_BLOCKS))
+            modes = (np.exp(np.multiply.outer(self.poles * (KERNEL_BLOCK * self.h), blocks))
+                     [:, :, None] * self.ramp[:, None, :])
+            poly = self.poly[:, -1, None, None]
+            if self.poly.shape[1] > 1:
+                s = (blocks[:, None] * KERNEL_BLOCK + _BLOCK_STEPS) * self.h
+                for c in range(self.poly.shape[1] - 2, -1, -1):
+                    poly = poly * s + self.poly[:, c, None, None]
+            modes *= poly
+            # summed over the poles one after the other for whole blocks, so
+            # that a term's rounding does not depend on what is built with it
+            new = np.add.reduce(modes, axis=0).ravel()
+            lo = have - 1 - first * KERNEL_BLOCK
+            self.terms = np.concatenate([self.terms, new[lo:lo + m - have]])
+            self.terms.flags.writeable = False
+        return self.terms[:m]
 
 
 # The caches hold what one search or one sweep reuses: a single plant at
-# the one length of its runs, the two operators of one controller.  They
-# are kept too small to hold a whole search or sweep, which only a repeat
-# of the same job in one process would reuse.
+# the one length of its runs, the two operator kernels of one controller
+# (grown to the longest run asked of them).  They are kept too small to
+# hold a whole search or sweep, which only a repeat of the same job in one
+# process would reuse.
 @functools.lru_cache(maxsize=8)
 def _plant_markov(plant: NioptdPlant, h: float, band: tuple[float, float], n: int):
-    """The first n Markov parameters of the sampled plant (read-only): built
-    once per search, since plant, step, band and horizon stay fixed there."""
-    num = _markov(*_sampled(_plant_ss(plant, band, DEFAULT_FILTER_ORDER), h), n)
+    """The first n Markov parameters of the ZOH-sampled plant (read-only):
+    built once per search, since plant, step, band and horizon stay fixed
+    there."""
+    A, B, C, D = _plant_ss(plant, band, DEFAULT_FILTER_ORDER)
+    Ad, Bd = _zoh(A, B, h)
+    num = _markov(Ad, Bd[:, 0], C[0], float(D), n)
     num.flags.writeable = False
     return num
 
 
-@functools.lru_cache(maxsize=16)
-def _sampled_operator(gamma: float, h: float, band: tuple[float, float]):
-    """The sampled realization of s**gamma: built once per controller order,
-    for instance once across a robustness sweep."""
-    return _sampled(differintegrator_ss(gamma, band, DEFAULT_FILTER_ORDER), h)
+@functools.lru_cache(maxsize=2)
+def _operator_kernel(gamma: float, h: float, band: tuple[float, float]) -> _OperatorKernel:
+    """The kernel of s**gamma, kept across the runs of one controller, for
+    instance across a robustness sweep, where it is built once."""
+    return _OperatorKernel(gamma, h, band)
 
 
 def simulate_closed_loop(
@@ -404,7 +484,7 @@ def simulate_closed_loop(
 
     def H_of(t):
         kernels[:] = operators(t)
-        H = _padded(controller.ki * kernels[0], t) + _padded(controller.kd * kernels[1], t)
+        H = controller.ki * kernels[0] + controller.kd * kernels[1]
         H[0] += controller.kp
         return H
 

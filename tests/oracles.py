@@ -7,8 +7,9 @@ algorithm.  The per-sample simulation loops at the end share only the
 operator realizations with the package; they are the reference its
 power-series engine must agree with.  Likewise the constructions the
 package replaced are kept here as the references of their replacements:
-scipy's CARE solver, the fused ZOH of all loop blocks and the loop that
-built a cascade realization.
+scipy's CARE solver, the fused ZOH of all loop blocks, the loop that
+built a cascade realization and the sampling of each operator's
+realization by a matrix exponential.
 """
 from __future__ import annotations
 
@@ -143,6 +144,22 @@ def fused_oustaloup_markov(plant, h, exponents, n, band=(1e-3, 1e3), order=5):
             x = Ad[i:j, i:j] @ x
         series.append(np.array(out))
     return series
+
+
+def operator_markov(gamma, h, n, band=(1e-3, 1e3), order=5):
+    """The first n Markov parameters of the ZOH-sampled realization
+    ``differintegrator_ss(gamma)``: one matrix exponential, then the plain
+    recursion d, c b, c A b, ... (zeros past d when it has no states)."""
+    A, B, C, D = differintegrator_ss(gamma, band, order)
+    out = np.zeros(n)
+    out[0] = D[0, 0]
+    if A.shape[0]:
+        Ad, Bd = _zoh(A, B, h)
+        x = Bd[:, 0]
+        for k in range(1, n):
+            out[k] = C[0] @ x
+            x = Ad @ x
+    return out
 
 
 def brute_force_fronts(objectives: np.ndarray) -> list[list[int]]:

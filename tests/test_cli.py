@@ -197,6 +197,12 @@ class TestBadNumbers:
         ["step", "--bode", "--w-low", "0"],
         ["step", "--bode", "--w-low", "10", "--w-high", "1"],
         ["step", "--bode", "--n-freq", "0"],
+        ["step", "--horizon", "1e-9"],
+        ["step", "--horizon", "inf"],
+        ["step", "--h", "inf"],
+        ["sweep", "--Kp", "1", "--Ki", "1", "--Kd", "1", "--lam", "1", "--mu", "0.5",
+         "--horizon", "1e-9"],
+        ["design", "--horizon", "1e-9", "--pop", "4", "--gens", "1"],
     ])
     def test_exit_2_without_output(self, tmp_path, capsys, argv):
         code = main(argv + ["--out-dir", str(tmp_path)])

@@ -219,6 +219,11 @@ class TestClosedLoop:
             Scenario(horizon=10.0, step_size=0.0)
         with pytest.raises(ValueError):
             Scenario(horizon=10.05, step_size=0.1)
+        for horizon, step in [(1e-9, 0.01), (np.inf, 0.01), (np.nan, 0.01),
+                              (10.0, np.inf), (10.0, np.nan)]:
+            with pytest.raises(ValueError):
+                Scenario(horizon=horizon, step_size=step)
+        assert Scenario(horizon=0.01, step_size=0.01).n_steps == 1
 
 
 class TestEvaluateDesignObjectives:

@@ -1,8 +1,9 @@
 """The power-series engine of ``lqrfopid.sim`` against the per-sample loops
 it replaced (``oracles.*_loop``): the same divergence verdicts and
 truncation lengths, outputs within 1e-9 of the output scale, and indices
-within 1e-9 relative.  The Oustaloup kernels, sampled block by block and
-cached, against the single fused matrix exponential they replaced."""
+within 1e-9 relative.  The Oustaloup kernels against the single fused
+matrix exponential they replaced, and the closed-form operator kernels
+against the matrix exponential of each operator's realization."""
 import itertools
 
 import numpy as np
@@ -18,15 +19,17 @@ from lqrfopid import (
     simulate_closed_loop,
     simulate_open_loop_step,
 )
+from lqrfopid import sim
 from lqrfopid.matops import CareFailure
 from lqrfopid.nsga2 import DESIGN_BOUNDS
-from lqrfopid.sim import DEFAULT_BAND, _kernels
+from lqrfopid.sim import DEFAULT_BAND, _kernels, _OperatorKernel, evaluate_design_objectives
 
 from oracles import (
     closed_loop_gl_loop,
     closed_loop_oustaloup_loop,
     fused_oustaloup_markov,
     open_loop_step_loop,
+    operator_markov,
 )
 from reference_cases import BY_NAME, OSCILLATORY_PLANT
 
@@ -177,7 +180,7 @@ def test_split_sampling_matches_fused(h):
             assert np.array_equal(den, [1.0])
             want = fused_oustaloup_markov(plant, h, (-lam, mu), n)
             for got, ref in zip([num] + ops, want):
-                got = np.pad(got, (0, n - got.size))
+                assert got.size == n
                 assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref)), (alpha, lam, mu)
 
 
@@ -193,3 +196,71 @@ def test_cached_kernels_repeat_bit_for_bit():
             assert np.array_equal(getattr(res, name), getattr(runs[0], name)), name
         assert (res.itse, res.isdco, res.diverged) == (runs[0].itse, runs[0].isdco,
                                                        runs[0].diverged)
+
+
+KERNEL_TERMS = 10_000
+# within 1e-12 of each integer the realization switches construction
+NEAR_INTEGERS = tuple(g + dg for g in (-2.0, -1.0, 0.0, 1.0, 2.0) for dg in (-1e-12, 0.0, 1e-12)
+                      if -2.0 <= g + dg <= 2.0)
+
+
+@pytest.mark.parametrize("h", [0.01, 0.05])
+def test_closed_form_kernels_match_matrix_path(h):
+    """Operator kernels from poles and residues against the ZOH matrix
+    exponential of the realization and its Markov recursion, to 10**4 terms:
+    seeded exponents over [-2, 2], both signs of every edge order and the
+    exponents next to each integer."""
+    rng = np.random.default_rng(41)
+    exponents = list(rng.uniform(-2.0, 2.0, 24))
+    exponents += [sign * g for g in ORDER_EDGES for sign in (-1.0, 1.0)]
+    exponents += NEAR_INTEGERS
+    plant = NioptdPlant(K=1.0, L=0.5, T=2.0, alpha=1.5)
+    _, _, _, operators = _kernels(plant, h, "oustaloup", DEFAULT_BAND, 1, exponents)
+    for gamma, got in zip(exponents, operators(KERNEL_TERMS)):
+        ref = operator_markov(gamma, h, KERNEL_TERMS)
+        assert got.size == KERNEL_TERMS
+        assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref)), gamma
+
+
+@pytest.mark.parametrize("h", [0.01, 0.05])
+def test_grown_kernels_equal_one_build(h):
+    """A kernel grown in the lengths Newton asks for equals one built at the
+    full length bit for bit, and its first terms never change as it grows."""
+    rng = np.random.default_rng(43)
+    for gamma in list(rng.uniform(-2.0, 2.0, 12)) + [-2.0, -1.0, 0.0, 1.0, 2.0]:
+        whole = _OperatorKernel(gamma, h, DEFAULT_BAND)(KERNEL_TERMS)
+        grown = _OperatorKernel(gamma, h, DEFAULT_BAND)
+        before = np.zeros(0)
+        for m in (1, 2, 128, 129, 1024, 1000, 8192, KERNEL_TERMS):
+            now = grown(m)
+            assert now.size == m
+            common = min(m, before.size)
+            assert np.array_equal(now[:common], before[:common]), (gamma, m)
+            before = now.copy()
+        assert np.array_equal(before, whole), gamma
+
+
+def test_design_evaluations_build_no_matrix_exponential(monkeypatch):
+    """Once the plant's kernel is cached, evaluating designs on the
+    Oustaloup path realizes and exponentiates nothing."""
+    plant = NioptdPlant(K=1.0, L=0.5, T=2.0, alpha=0.5)
+    scenario = Scenario(horizon=50.0, step_size=0.05)
+    rng = np.random.default_rng(47)
+    lo, hi = np.array(DESIGN_BOUNDS).T
+    designs = [(rng.uniform(lo, hi), (DelayMethod.CAI, DelayMethod.HE)[int(rng.integers(2))])
+               for _ in range(50)]
+    evaluate_design_objectives(plant, designs[0][0], designs[0][1], scenario)
+    calls = {"expm": 0, "differintegrator_ss": 0}
+    for name in calls:
+        original = getattr(sim, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(sim, name, counted)
+    results = [evaluate_design_objectives(plant, x, method, scenario) for x, method in designs]
+    assert calls == {"expm": 0, "differintegrator_ss": 0}
+    # the seeded batch does reach the simulation, not only the penalties
+    # of the gain map
+    assert any(r != (sim.PENALTY_OBJECTIVE, sim.PENALTY_OBJECTIVE) for r in results)
