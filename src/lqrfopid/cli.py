@@ -8,11 +8,15 @@ Subcommands::
     rule     evaluate the polynomial tuning rules at one operating point
     sweep    robustness surfaces of a fixed controller over (L, T)
 
-All outputs are UTF-8 comma-delimited CSV files with a header row.  Exit
-codes: 0 success, 2 invalid input, 3 numerical failure.  The default
-output directory comes from ``LQRFOPID_OUTDIR`` (falling back to the
-current directory); ``--config FILE`` reads ``key=value`` lines that are
-overridden by explicit flags.
+All outputs are UTF-8 comma-delimited CSV files with a header row, each
+written by :func:`lqrfopid.sim.write_csv`.  Exit codes: 0 success, 2
+invalid input, 3 numerical failure.  Commands build the library's objects
+straight from their options and let the library check them: :func:`main`
+is the one place that turns a ``ValueError`` into an ``error:`` line and
+exit 2, and a ``CareFailure`` into exit 3.  Every check runs before the
+first file is written.  The default output directory comes from
+``LQRFOPID_OUTDIR`` (falling back to the current directory); ``--config
+FILE`` reads ``key=value`` lines that are overridden by explicit flags.
 """
 from __future__ import annotations
 
@@ -45,6 +49,7 @@ from .sim import (
     frequency_response,
     robustness_sweep,
     simulate_open_loop_step,
+    write_csv,
     write_sweep_csv,
     write_trajectory_csv,
 )
@@ -104,17 +109,11 @@ def _install_config_defaults(args: argparse.Namespace) -> None:
 
 
 def _plant_from_args(args) -> NioptdPlant:
-    try:
-        return NioptdPlant(K=args.K, L=args.L, T=args.T, alpha=args.alpha)
-    except ValueError as exc:
-        raise CliError(f"invalid plant: {exc}")
+    return NioptdPlant(K=args.K, L=args.L, T=args.T, alpha=args.alpha)
 
 
 def _scenario_from_args(args) -> Scenario:
-    try:
-        return Scenario(horizon=args.horizon, step_size=args.h)
-    except ValueError as exc:
-        raise CliError(f"invalid time grid: {exc}")
+    return Scenario(horizon=args.horizon, step_size=args.h)
 
 
 def _out_dir(args) -> Path:
@@ -176,11 +175,9 @@ def _cmd_step(args, parser) -> int:
         w = np.logspace(np.log10(args.w_low), np.log10(args.w_high), args.n_freq)
         H = frequency_response(plant, w)
         bode = out / "bode.csv"
-        with open(bode, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("omega,magnitude_db,phase_deg\n")
-            for wi, hi in zip(w, H):
-                fh.write(f"{wi:.10g},{20 * np.log10(abs(hi)):.10g},"
-                         f"{np.degrees(np.angle(hi)):.10g}\n")
+        write_csv(bode, ("omega", "magnitude_db", "phase_deg"),
+                  ((wi, 20 * np.log10(abs(hi)), np.degrees(np.angle(hi)))
+                   for wi, hi in zip(w, H)))
         print(f"wrote {bode}")
     _maybe_plot(args, out / "step.png", [result.t], [result.y], [""],
                 f"open-loop step (alpha={plant.alpha})")
@@ -189,47 +186,30 @@ def _cmd_step(args, parser) -> int:
 
 def _cmd_gains(args, parser) -> int:
     plant = _plant_from_args(args)
-    try:
-        vars = LqrDesignVars(q1=args.Q1, q2=args.Q2, q3=args.Q3, r=args.R,
-                             lam=args.lam, mu=args.mu)
-    except ValueError as exc:
-        raise CliError(f"invalid design variables: {exc}")
-    try:
-        method = DelayMethod(args.method)
-    except ValueError:
-        raise CliError(f"unknown method {args.method!r}; use delay_free, cai or he")
-    try:
-        controller = design_from_vars(plant, vars, method)
-    except CareFailure as exc:
-        raise CliError(f"Riccati design failed: {exc}", EXIT_NUMERICAL_FAILURE)
-    out = _out_dir(args)
-    path = out / "gains.csv"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("Kp,Ki,Kd,lambda,mu,method\n")
-        fh.write(f"{controller.kp:.10g},{controller.ki:.10g},{controller.kd:.10g},"
-                 f"{controller.lam:.10g},{controller.mu:.10g},{method.value}\n")
-    print(f"Kp={controller.kp:.6g} Ki={controller.ki:.6g} Kd={controller.kd:.6g} "
-          f"lambda={controller.lam:.6g} mu={controller.mu:.6g}")
-    print(f"wrote {path}")
+    vars = LqrDesignVars(q1=args.Q1, q2=args.Q2, q3=args.Q3, r=args.R,
+                         lam=args.lam, mu=args.mu)
+    method = DelayMethod(args.method)
+    controller = design_from_vars(plant, vars, method)
+    _write_controller(_out_dir(args) / "gains.csv", controller, method=method.value)
     return EXIT_OK
+
+
+def _write_controller(path: Path, c: FopidController, **extra) -> None:
+    """One-row CSV of the five knobs and then ``extra``; the knobs on stdout."""
+    write_csv(path, ("Kp", "Ki", "Kd", "lambda", "mu", *extra),
+              [(c.kp, c.ki, c.kd, c.lam, c.mu, *extra.values())])
+    print(f"Kp={c.kp:.6g} Ki={c.ki:.6g} Kd={c.kd:.6g} lambda={c.lam:.6g} mu={c.mu:.6g}")
+    print(f"wrote {path}")
 
 
 def _cmd_design(args, parser) -> int:
     plant = _plant_from_args(args)
-    methods = []
-    for name in args.methods.split(","):
-        name = name.strip()
-        try:
-            methods.append(DelayMethod(name))
-        except ValueError:
-            raise CliError(f"unknown method {name!r}; use delay_free, cai or he")
+    methods = [DelayMethod(name.strip()) for name in args.methods.split(",")]
     scenario = _scenario_from_args(args)
-    if args.restarts < 1:
-        raise CliError(f"restarts must be at least 1, got {args.restarts}")
-    try:
-        config = MooConfig(population=args.pop, generations=args.gens, seed=args.seed)
-    except ValueError as exc:
-        raise CliError(f"invalid search settings: {exc}")
+    for name in ("restarts", "workers"):
+        if getattr(args, name) < 1:
+            raise CliError(f"{name} must be at least 1, got {getattr(args, name)}")
+    config = MooConfig(population=args.pop, generations=args.gens, seed=args.seed)
     out = _out_dir(args)
     fronts = {}
     missing = False
@@ -275,46 +255,22 @@ def _front_coverage(front) -> float:
 
 
 def _cmd_rule(args, parser) -> int:
-    if args.K == 0:
-        raise CliError("process gain K must be nonzero")
     controller = eval_tuning_rule(args.LT, args.alpha, args.K)
-    out = _out_dir(args)
-    path = out / "rule.csv"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("Kp,Ki,Kd,lambda,mu,L_over_T,alpha,K\n")
-        fh.write(f"{controller.kp:.10g},{controller.ki:.10g},{controller.kd:.10g},"
-                 f"{controller.lam:.10g},{controller.mu:.10g},"
-                 f"{args.LT:.10g},{args.alpha:.10g},{args.K:.10g}\n")
-    print(f"Kp={controller.kp:.6g} Ki={controller.ki:.6g} Kd={controller.kd:.6g} "
-          f"lambda={controller.lam:.6g} mu={controller.mu:.6g}")
-    print(f"wrote {path}")
+    _write_controller(_out_dir(args) / "rule.csv", controller,
+                      L_over_T=args.LT, alpha=args.alpha, K=args.K)
     return EXIT_OK
 
 
-def _parse_grid(text: str, name: str) -> np.ndarray:
-    try:
-        values = np.array([float(v) for v in text.split(",") if v.strip() != ""])
-    except ValueError as exc:
-        raise CliError(f"invalid {name} grid {text!r}: {exc}")
-    if values.size == 0:
-        raise CliError(f"empty {name} grid")
-    if not np.all(np.isfinite(values)):
-        raise CliError(f"invalid {name} grid {text!r}: values must be finite")
-    return values
+def _grid(text: str | None, default: float) -> list[float]:
+    """A comma list of values, or ``default`` alone when there is none."""
+    return [float(v) for v in text.split(",") if v.strip()] if text else [default]
 
 
 def _cmd_sweep(args, parser) -> int:
     plant = _plant_from_args(args)
     scenario = _scenario_from_args(args)
-    try:
-        controller = FopidController(kp=args.Kp, ki=args.Ki, kd=args.Kd,
-                                     lam=args.lam, mu=args.mu)
-    except ValueError as exc:
-        raise CliError(f"invalid controller: {exc}")
-    L_grid = _parse_grid(args.L_grid, "L") if args.L_grid else np.array([plant.L])
-    T_grid = _parse_grid(args.T_grid, "T") if args.T_grid else np.array([plant.T])
-    if np.any(L_grid < 0) or np.any(T_grid <= 0):
-        raise CliError("grids must satisfy L >= 0 and T > 0")
+    controller = FopidController(kp=args.Kp, ki=args.Ki, kd=args.Kd, lam=args.lam, mu=args.mu)
+    L_grid, T_grid = _grid(args.L_grid, plant.L), _grid(args.T_grid, plant.T)
     sweep = robustness_sweep(plant, controller, L_grid, T_grid, scenario)
     out = _out_dir(args)
     path = out / "sweep.csv"
@@ -368,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_design.add_argument("--restarts", type=int, default=1,
                           help="independent runs; the best-covering front is kept")
     p_design.add_argument("--workers", type=int, default=1,
-                          help="parallel objective evaluations")
+                          help="parallel objective evaluations (at most the core count)")
     p_design.add_argument("--horizon", type=float, default=100.0)
     p_design.add_argument("--h", type=float, default=0.01)
     p_design.set_defaults(func=_cmd_design, subparser=p_design)
@@ -404,9 +360,9 @@ def main(argv=None) -> int:
             _install_config_defaults(args)
             args = parser.parse_args(argv)
         return args.func(args, parser)
-    except CliError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return getattr(exc, "code", EXIT_INVALID_INPUT)
     except CareFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE

@@ -72,11 +72,6 @@ class NioptdPlant:
     def is_oscillatory(self) -> bool:
         return self.alpha > 1.0
 
-    @property
-    def lag_ratio(self) -> float:
-        """Delay-to-lag ratio L/T used by the tuning rules."""
-        return self.L / self.T
-
 
 @dataclass(frozen=True)
 class FopidController:
@@ -91,7 +86,7 @@ class FopidController:
     def __post_init__(self):
         for name in ("kp", "ki", "kd"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (0.0 <= self.lam <= 2.0):
             raise ValueError(f"integral order must lie in [0, 2], got {self.lam}")
         if not (0.0 <= self.mu <= 2.0):

@@ -91,9 +91,6 @@ class RationalFilter:
     zeros: np.ndarray
     poles: np.ndarray
     gain: float
-    band: tuple[float, float]
-    approx_order: int
-    exponent: float
 
     def __post_init__(self):
         if np.any(np.asarray(self.poles) >= 0.0):
@@ -155,10 +152,7 @@ def oustaloup_approximation(
     zeros = -w_low * w_ratio ** ((k + n + 0.5 * (1.0 - gamma)) / (2 * n + 1))
     poles = -w_low * w_ratio ** ((k + n + 0.5 * (1.0 + gamma)) / (2 * n + 1))
     gain = w_high ** gamma
-    return RationalFilter(
-        zeros=zeros, poles=poles, gain=gain, band=(w_low, w_high),
-        approx_order=n, exponent=gamma,
-    )
+    return RationalFilter(zeros=zeros, poles=poles, gain=gain)
 
 
 def _cascade_ss(zeros, poles, gain, integrators: int = 0):

@@ -13,6 +13,7 @@ the strict form (< in every component) exposed as :func:`dominates`.
 from __future__ import annotations
 
 import contextlib
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -27,7 +28,7 @@ from .design import (
     design_from_vars,
 )
 from .matops import CareFailure
-from .sim import DEFAULT_BAND, PENALTY_OBJECTIVE, Scenario, evaluate_design_objectives
+from .sim import PENALTY_OBJECTIVE, Scenario, evaluate_design_objectives, write_csv
 
 __all__ = [
     "MooConfig",
@@ -73,9 +74,9 @@ class MooConfig:
 
     def __post_init__(self):
         if self.population < 4:
-            raise ValueError("population must be at least 4")
+            raise ValueError(f"population must be at least 4, got {self.population}")
         if self.generations < 1:
-            raise ValueError("generations must be at least 1")
+            raise ValueError(f"generations must be at least 1, got {self.generations}")
         if not (0.0 < self.pareto_fraction <= 1.0):
             raise ValueError("pareto fraction must lie in (0, 1]")
         if not (0.0 <= self.crossover_fraction <= 1.0):
@@ -243,12 +244,15 @@ def nsga2_minimize(
     for a fixed ``config.seed``; ``workers > 1`` evaluates populations in
     one process pool, kept for the whole run, without perturbing
     determinism (evaluation order does not influence the evolution path).
+    The pool is capped at the core count: with the ``fork`` start method
+    every worker asked for is started on the first task.
     """
     rng = np.random.default_rng(config.seed)
     nvar = len(config.bounds)
     low = np.array([b[0] for b in config.bounds])
     high = np.array([b[1] for b in config.bounds])
     pop = config.population
+    workers = min(workers, os.cpu_count() or 1)
 
     # one pool for the whole run, so its workers keep their caches warm
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1
@@ -315,8 +319,6 @@ def run_nsga2(
     method: DelayMethod,
     config: MooConfig | None = None,
     scenario: Scenario | None = None,
-    solver: str = "oustaloup",
-    band: tuple[float, float] = DEFAULT_BAND,
     workers: int = 1,
 ) -> ParetoFront:
     """Trade-off search over the LQR weights and controller orders.
@@ -327,8 +329,7 @@ def run_nsga2(
     config = config or MooConfig()
     scenario = scenario or Scenario()
     # a partial of a module-level function pickles for the process pool
-    objective = partial(evaluate_design_objectives, plant, method=method,
-                        scenario=scenario, solver=solver, band=band)
+    objective = partial(evaluate_design_objectives, plant, method=method, scenario=scenario)
     X, F = nsga2_minimize(objective, config, workers=workers)
     entries = []
     for x, f in zip(X, F):
@@ -377,11 +378,8 @@ def compare_fronts(front_cai: ParetoFront, front_he: ParetoFront) -> str:
 
 def write_front_csv(path, front: ParetoFront) -> None:
     """Front CSV: J1_itse,J2_isdco,Q1,Q2,Q3,R,lambda,mu,Kp,Ki,Kd,method."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("J1_itse,J2_isdco,Q1,Q2,Q3,R,lambda,mu,Kp,Ki,Kd,method\n")
-        for e in front.entries:
-            v, c = e.vars, e.controller
-            row = [e.objectives[0], e.objectives[1], v.q1, v.q2, v.q3, v.r,
-                   v.lam, v.mu, c.kp, c.ki, c.kd]
-            fh.write(",".join(format(x, ".10g") for x in row)
-                     + f",{front.method.value}\n")
+    write_csv(path, ("J1_itse", "J2_isdco", "Q1", "Q2", "Q3", "R", "lambda", "mu",
+                     "Kp", "Ki", "Kd", "method"),
+              ((*e.objectives, e.vars.q1, e.vars.q2, e.vars.q3, e.vars.r, e.vars.lam,
+                e.vars.mu, e.controller.kp, e.controller.ki, e.controller.kd,
+                front.method.value) for e in front.entries))

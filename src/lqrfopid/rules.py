@@ -138,6 +138,8 @@ def eval_tuning_rule(
     are clipped to the admissible [0, 2] box, which only matters when
     extrapolating.
     """
+    if not np.all(np.isfinite([l_over_t, alpha, K])):
+        raise ValueError(f"L/T, alpha and K must be finite, got {l_over_t}, {alpha} and {K}")
     if K == 0.0:
         raise ValueError("process gain K must be nonzero")
     xlo, xhi = FITTED_DOMAIN["L_over_T"]

@@ -507,7 +507,6 @@ def evaluate_design_objectives(
     vars,
     method: DelayMethod,
     scenario: Scenario | None = None,
-    solver: str = "oustaloup",
     band: tuple[float, float] = DEFAULT_BAND,
 ) -> tuple[float, float]:
     """(ITSE, ISDCO) of the closed loop designed from a decision vector.
@@ -526,7 +525,7 @@ def evaluate_design_objectives(
         controller = design_from_vars(plant, vars, method)
     except (CareFailure, ValueError):
         return penalty
-    result = simulate_closed_loop(plant, controller, scenario, solver=solver, band=band)
+    result = simulate_closed_loop(plant, controller, scenario, band=band)
     if result.diverged:
         return penalty
     return result.itse, result.isdco
@@ -538,8 +537,6 @@ def robustness_sweep(
     L_grid,
     T_grid,
     scenario: Scenario | None = None,
-    solver: str = "oustaloup",
-    band: tuple[float, float] = DEFAULT_BAND,
 ) -> SweepResult:
     """Re-simulate a fixed controller over a grid of perturbed (L, T).
 
@@ -548,15 +545,17 @@ def robustness_sweep(
     """
     L_grid = np.asarray(L_grid, dtype=float)
     T_grid = np.asarray(T_grid, dtype=float)
-    if np.any(L_grid < 0) or np.any(T_grid <= 0):
-        raise ValueError("grids must satisfy L >= 0 and T > 0")
+    if not (L_grid.size and T_grid.size and np.all((0.0 <= L_grid) & (L_grid < math.inf))
+            and np.all((0.0 < T_grid) & (T_grid < math.inf))):
+        raise ValueError(f"grids must be non-empty with 0 <= L < inf and 0 < T < inf, "
+                         f"got L {L_grid.tolist()} and T {T_grid.tolist()}")
     itse = np.empty((L_grid.size, T_grid.size))
     isdco = np.empty_like(itse)
     diverged = np.zeros(itse.shape, dtype=bool)
     for i, L in enumerate(L_grid):
         for j, T in enumerate(T_grid):
             perturbed = replace(plant_nominal, L=float(L), T=float(T))
-            res = simulate_closed_loop(perturbed, controller, scenario, solver=solver, band=band)
+            res = simulate_closed_loop(perturbed, controller, scenario)
             itse[i, j] = res.itse
             isdco[i, j] = res.isdco
             diverged[i, j] = res.diverged
@@ -564,22 +563,24 @@ def robustness_sweep(
                        diverged=diverged)
 
 
+def write_csv(path, header, rows) -> None:
+    """The one CSV writer: a header row, then one line per row, UTF-8 with
+    \\n line ends; numbers as .10g, strings verbatim."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(v if isinstance(v, str) else format(v, ".10g")
+                              for v in row) + "\n")
+
+
 def write_trajectory_csv(path, result: SimResult) -> None:
     """Trajectory CSV, one row per sample: t,y,u,x1,x2,x3."""
-    data = np.column_stack([result.t, result.y, result.u,
-                            result.x1, result.x2, result.x3])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,y,u,x1,x2,x3\n")
-        for row in data:
-            fh.write(",".join(format(v, ".10g") for v in row) + "\n")
+    write_csv(path, ("t", "y", "u", "x1", "x2", "x3"),
+              np.column_stack([result.t, result.y, result.u, result.x1, result.x2, result.x3]))
 
 
 def write_sweep_csv(path, sweep: SweepResult) -> None:
     """Sweep CSV, one row per grid cell: L,T,itse,isdco."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("L,T,itse,isdco\n")
-        for i, L in enumerate(sweep.L_grid):
-            for j, T in enumerate(sweep.T_grid):
-                fh.write(
-                    f"{L:.10g},{T:.10g},{sweep.itse[i, j]:.10g},{sweep.isdco[i, j]:.10g}\n"
-                )
+    write_csv(path, ("L", "T", "itse", "isdco"),
+              ((L, T, sweep.itse[i, j], sweep.isdco[i, j])
+               for i, L in enumerate(sweep.L_grid) for j, T in enumerate(sweep.T_grid)))

@@ -1,7 +1,9 @@
+import argparse
+
 import numpy as np
 import pytest
 
-from lqrfopid.cli import EXIT_INVALID_INPUT, EXIT_NUMERICAL_FAILURE, EXIT_OK, main
+from lqrfopid.cli import EXIT_INVALID_INPUT, EXIT_NUMERICAL_FAILURE, EXIT_OK, build_parser, main
 
 from oracles import power_step_response
 from reference_cases import BY_NAME, REFERENCE_FIT, RULE_SPOT_POINT
@@ -203,12 +205,64 @@ class TestBadNumbers:
         ["sweep", "--Kp", "1", "--Ki", "1", "--Kd", "1", "--lam", "1", "--mu", "0.5",
          "--horizon", "1e-9"],
         ["design", "--horizon", "1e-9", "--pop", "4", "--gens", "1"],
+        ["design", "--workers", "0", "--pop", "4", "--gens", "1", "--horizon", "1"],
+        ["design", "--workers", "-1", "--pop", "4", "--gens", "1", "--horizon", "1"],
     ])
     def test_exit_2_without_output(self, tmp_path, capsys, argv):
         code = main(argv + ["--out-dir", str(tmp_path)])
         assert code == EXIT_INVALID_INPUT
         assert capsys.readouterr().err.startswith("error: ")
         assert list(tmp_path.iterdir()) == []
+
+
+# the smallest valid argv of each subcommand; ``design`` runs a tiny search
+MINIMAL_ARGV = {
+    "step": ["step", "--horizon", "1"],
+    "gains": ["gains", "--Q1", "1", "--Q2", "1", "--Q3", "1", "--R", "1"],
+    "design": ["design", "--methods", "he", "--pop", "4", "--gens", "1",
+               "--horizon", "1", "--h", "0.1"],
+    "rule": ["rule", "--LT", "1", "--alpha", "1.2"],
+    "sweep": ["sweep", "--Kp", "1", "--Ki", "1", "--Kd", "1", "--lam", "1", "--mu", "0.5",
+              "--horizon", "1"],
+}
+
+
+def _float_options():
+    """(subcommand, option) for every float option of every subcommand."""
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [(name, max(action.option_strings, key=len))
+            for name, sub in subparsers.choices.items()
+            for action in sub._actions if action.type is float]
+
+
+FLOAT_OPTIONS = _float_options()
+
+
+class TestBoundaryTable:
+    """Every float option of every subcommand, set to each non-finite value,
+    is rejected before any file is written."""
+
+    def test_covers_every_subcommand(self):
+        assert {name for name, _ in FLOAT_OPTIONS} == set(MINIMAL_ARGV)
+        assert len(FLOAT_OPTIONS) == 38
+
+    @pytest.mark.parametrize("name", sorted(MINIMAL_ARGV))
+    def test_minimal_argv_is_valid(self, tmp_path, name):
+        assert main(MINIMAL_ARGV[name] + ["--out-dir", str(tmp_path)]) == EXIT_OK
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name, option", FLOAT_OPTIONS,
+                             ids=[f"{n} {o}" for n, o in FLOAT_OPTIONS])
+    def test_non_finite_exits_2_without_output(self, tmp_path, capsys, name, option, value):
+        out = tmp_path / "out"
+        # the = form: argparse reads a bare -inf as an option
+        argv = MINIMAL_ARGV[name] + [f"{option}={value}", "--out-dir", str(out)]
+        if option in ("--w-low", "--w-high"):
+            argv.append("--bode")
+        assert main(argv) == EXIT_INVALID_INPUT
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
 
 class TestConfigFile:

@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+import lqrfopid.nsga2
 from lqrfopid import (
     DelayMethod,
     FrontVerdict,
@@ -177,6 +180,46 @@ class TestMinimize:
             for j in range(F.shape[0]):
                 if i != j:
                     assert not weakly_dominates(F[i], F[j])
+
+    def test_workers_capped_at_core_count(self, monkeypatch):
+        asked = []
+
+        class SerialPool:
+            """Records the pool size asked for and maps in this process."""
+
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, xs):
+                return map(fn, xs)
+
+        monkeypatch.setattr(lqrfopid.nsga2, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cfg = MooConfig(population=12, generations=3, bounds=((-5.0, 5.0),), seed=4)
+        X1, F1 = nsga2_minimize(biquadratic, cfg, workers=64)
+        X2, F2 = nsga2_minimize(biquadratic, cfg)
+        assert asked == [2]
+        np.testing.assert_array_equal(X1, X2)
+        np.testing.assert_array_equal(F1, F2)
+
+
+class TestSurvival:
+    def test_capped_front_is_refilled_to_population(self):
+        # one front of 20 equal rows: the Pareto-fraction cap keeps 7 of it and
+        # the refill the other 3
+        cfg = MooConfig(population=10)
+        X = np.arange(40.0).reshape(20, 2)
+        F = np.ones((20, 2))
+        Xs, Fs, rank, _ = lqrfopid.nsga2._survival(X, F, cfg)
+        assert Xs.shape == (10, 2) and Fs.shape == (10, 2)
+        assert np.unique(Xs, axis=0).shape[0] == 10
+        assert np.all(rank == 0)
 
 
 

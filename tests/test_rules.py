@@ -51,6 +51,19 @@ class TestEvalRule:
         with pytest.raises(ValueError):
             eval_tuning_rule(1.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("args", [
+        (np.nan, 1.0, 1.0), (np.inf, 1.0, 1.0), (1.0, -np.inf, 1.0),
+        (1.0, 1.0, np.nan), (1.0, 1.0, np.inf), (1.0, 1.0, -np.inf),
+    ])
+    def test_rejects_non_finite_inputs(self, args):
+        with pytest.raises(ValueError, match="must be finite"):
+            eval_tuning_rule(*args)
+
+    def test_overflowing_inputs_give_no_controller(self):
+        with pytest.warns(UserWarning), np.errstate(all="ignore"):
+            with pytest.raises(ValueError):
+                eval_tuning_rule(1e200, 1.8, 1.0)
+
     def test_spot_check_near_dataset_row(self):
         p = RULE_SPOT_POINT
         c = eval_tuning_rule(p["l_over_t"], p["alpha"], p["K"])
