@@ -118,7 +118,10 @@ def _scenario_from_args(args) -> Scenario:
 
 def _out_dir(args) -> Path:
     out = Path(args.out_dir or os.environ.get("LQRFOPID_OUTDIR", "."))
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot use output directory {out}: {exc}") from exc
     return out
 
 

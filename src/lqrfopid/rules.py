@@ -150,11 +150,14 @@ def eval_tuning_rule(
             f"[{xlo}, {xhi}] x [{alo}, {ahi}]; extrapolating",
             stacklevel=2,
         )
-    kp = rules.kp.evaluate(l_over_t, alpha) / K
-    ki = rules.ki.evaluate(l_over_t, alpha) / K
-    kd = rules.kd.evaluate(l_over_t, alpha) / K
-    lam = float(np.clip(rules.lam.evaluate(l_over_t, alpha), 0.0, 2.0))
-    mu = float(np.clip(rules.mu.evaluate(l_over_t, alpha), 0.0, 2.0))
+    # inputs that overflow the polynomials give non-finite gains, which the
+    # controller rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        kp = rules.kp.evaluate(l_over_t, alpha) / K
+        ki = rules.ki.evaluate(l_over_t, alpha) / K
+        kd = rules.kd.evaluate(l_over_t, alpha) / K
+        lam = float(np.clip(rules.lam.evaluate(l_over_t, alpha), 0.0, 2.0))
+        mu = float(np.clip(rules.mu.evaluate(l_over_t, alpha), 0.0, 2.0))
     return FopidController(kp=kp, ki=ki, kd=kd, lam=lam, mu=mu)
 
 

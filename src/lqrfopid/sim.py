@@ -18,14 +18,16 @@ Both loops are linear and causal, so one engine solves them on power
 series truncated to the N samples of a run: with the one-sample delay z,
 plant num / den, controller H, delay d and set-point and disturbance
 steps r and w, the error is e = (r den - num w) / (den + z**d num H).
-Products are FFT convolutions and the reciprocal comes by Newton
-doubling: O(N log N) per run.  A run diverges at the first sample whose
-output is non-finite or exceeds DIVERGENCE_FACTOR * max(1, |setpoint|)
-in magnitude; the engine tests each block a doubling adds and stops
-there, so a diverging tail never meets earlier samples in an FFT.  Newton
-runs once, building the operator kernels only as far as it has reached,
-RUN_GROWTH-fold from DIRECT_TERMS terms: most diverging loops cross
-within a few hundred samples and never build those of the whole horizon.
+Products are FFT convolutions; the first DIRECT_TERMS terms of the
+reciprocal come by forward substitution, the rest by Newton doubling:
+O(N log N) per run.  A run diverges at the first sample whose output is
+non-finite or exceeds DIVERGENCE_FACTOR * max(1, |setpoint|) in
+magnitude; the engine tests each block a step adds and stops there, so a
+diverging tail never meets earlier samples in an FFT.  Newton runs once,
+building the operator kernels only as far as it has reached,
+RUN_GROWTH-fold from DIRECT_TERMS terms and then to N: most diverging
+loops cross within a few hundred samples and never build those of the
+whole horizon.
 
 Timing convention shared by both paths: the plant state reached at sample
 k has integrated the (zero-order-held, delayed) input up to sample
@@ -39,6 +41,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import solve_triangular, toeplitz
 
 from .design import (
     DelayMethod,
@@ -74,8 +77,8 @@ DIRECT_TERMS = 128
 MARKOV_BLOCK = 256
 # an operator kernel's exp(p h j) is exp(p h (j mod KERNEL_BLOCK)), computed
 # once, times exp(p h KERNEL_BLOCK (j div KERNEL_BLOCK)), once per block; it
-# grows by at most GROW_BLOCKS blocks per pass, whose temporaries stay in
-# cache (one pass over all the blocks of 10^4 terms is about 35% slower)
+# grows by chunks of 1, 1, 2, 4 and 8 blocks, then GROW_BLOCKS blocks, so an
+# early-diverging loop builds little and a long run few chunks
 KERNEL_BLOCK = 128
 GROW_BLOCKS = 16
 MAX_SPREAD = 1e4
@@ -192,17 +195,50 @@ def _padded(a: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _fft_size(need: int) -> int:
+    """The first 2**j, 3 * 2**j or 5 * 2**j that is at least need."""
+    return min(p << ((need - 1) // p).bit_length() for p in (1, 3, 5))
+
+
 def _series_mul(a: np.ndarray, b: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Coefficients lo, ..., hi - 1 of the product of the series a and b."""
-    a, b = a[:hi], b[:hi]
-    if min(a.size, b.size) <= DIRECT_TERMS:
-        return np.convolve(a, b)[lo:hi]
+    return _series_products(a, (b,), lo, hi)[0]
+
+
+def _series_products(a: np.ndarray, bs, lo: int, hi: int) -> list[np.ndarray]:
+    """Coefficients lo, ..., hi - 1 of the product of a with each series of
+    ``bs``, all of one length: a is transformed once."""
+    a, bs = a[:hi], [b[:hi] for b in bs]
+    if min(a.size, bs[0].size) <= DIRECT_TERMS:
+        return [np.convolve(a, b)[lo:hi] for b in bs]
     # a cyclic product of length >= hi folds only the terms of degree >=
-    # length, onto degrees below a.size + b.size - 1 - length <= lo; the
-    # length is the first 2**j, 3 * 2**j or 5 * 2**j that is long enough
-    need = max(hi, a.size + b.size - 1 - lo)
-    size = min(p << ((need - 1) // p).bit_length() for p in (1, 3, 5))
-    return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[lo:hi]
+    # length, onto degrees below a.size + b.size - 1 - length <= lo
+    size = _fft_size(max(hi, a.size + bs[0].size - 1 - lo))
+    spectrum = np.fft.rfft(a, size)
+    return [np.fft.irfft(spectrum * np.fft.rfft(b, size), size)[lo:hi] for b in bs]
+
+
+def _first_block(F: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The first F.size terms of 1 / F and of q / F, by one forward
+    substitution on the lower-triangular Toeplitz matrix of F (F[0] != 0):
+    each term is summed directly from the earlier ones."""
+    rhs = np.zeros((F.size, 2))
+    rhs[0, 0], rhs[:, 1] = 1.0, _padded(q, F.size)
+    return solve_triangular(toeplitz(F, np.zeros(F.size)), rhs, lower=True,
+                            check_finite=False).T
+
+
+def _newton_terms(F: np.ndarray, g: np.ndarray, m: int, t: int) -> np.ndarray:
+    """Terms m, ..., t - 1 of 1 / F from its first m terms g (t <= 2 m):
+    -g (F g)[m:t] by one Newton step.  On a whole doubling (t = 2 m) both
+    products share the transform of g; on a shorter step the second uses
+    g[:t - m] alone, whose later terms would only add their FFT rounding."""
+    if t != 2 * m or m <= DIRECT_TERMS:
+        return -_series_mul(g, _series_mul(F, g, m, t), 0, t - m)
+    size = _fft_size(t)
+    spectrum = np.fft.rfft(g, size)
+    Fg = np.fft.irfft(np.fft.rfft(F[:t], size) * spectrum, size)[m:t]
+    return -np.fft.irfft(spectrum * np.fft.rfft(Fg, size), size)[:m]
 
 
 def _markov(A: np.ndarray, b: np.ndarray, c: np.ndarray, d: float, n: int) -> np.ndarray:
@@ -245,34 +281,39 @@ def _error_series(F_of, q, r, threshold, n):
     whose output r - e[k] is non-finite or exceeds ``threshold`` in
     magnitude: returns (e[:k + 1], k) then, else (e, None).
 
-    1 / F comes by Newton doubling, each step extending a prefix whose
-    outputs all passed the test; ``F_of(t)`` gives the first t terms of F,
-    RUN_GROWTH times more whenever a step needs more.  An FFT product
-    spreads rounding errors of about sum|q| max|1 / F| over all its terms;
-    past MAX_SPREAD times the threshold a block is halved, and at
-    DIRECT_TERMS summed directly, which keeps each sample free of the later
-    ones.  Leading zeros of q are split off first: e is zero there whatever
-    1 / F does.
+    The first DIRECT_TERMS terms of 1 / F and q / F come directly, then
+    1 / F by Newton doubling, each step extending a prefix whose outputs
+    all passed the test.  ``F_of(t)`` gives the first t terms of F,
+    RUN_GROWTH times more whenever a step needs more, and all of them once
+    that would pass half of them.  An FFT product spreads rounding errors
+    of about sum|q| max|1 / F| over all its terms; past MAX_SPREAD times
+    the threshold a block is halved, and at DIRECT_TERMS summed directly,
+    which keeps each sample free of the later ones.  Leading zeros of q are
+    split off first: e is zero there whatever 1 / F does.
     """
     lead = np.flatnonzero(q[:n])
     s = int(lead[0]) if lead.size else n
     q, size = q[s:n], n - s
     F = g = e = np.zeros(0)
-    m, t = 0, min(1, size)
+    m, t = 0, min(DIRECT_TERMS, size)
     with np.errstate(over="ignore", invalid="ignore"):
         while m < size:
             if t > F.size:
-                F = F_of(min(size, max(t, RUN_GROWTH * F.size or DIRECT_TERMS)))
-            gt = np.array([1.0 / F[0]]) if m == 0 else np.concatenate(
-                [g, -_series_mul(g, _series_mul(F, g, m, t), 0, t - m)])
-            if min(q.size, t) > DIRECT_TERMS and not (
-                    np.abs(q[:t]).sum() * np.abs(gt).max() <= MAX_SPREAD * threshold):
-                if t - m > DIRECT_TERMS:
-                    t = m + (t - m) // 2
-                    continue
-                terms = np.convolve(np.concatenate([np.zeros(t - 1 - m), q[:t]]), gt, "valid")
+                grow = RUN_GROWTH * F.size or DIRECT_TERMS
+                F = F_of(size if 2 * grow > size else grow)
+            if m == 0:
+                gt, terms = _first_block(F[:t], q)
             else:
-                terms = _series_mul(q, gt, m, t)
+                gt = np.concatenate([g, _newton_terms(F, g, m, t)])
+                if min(q.size, t) > DIRECT_TERMS and not (
+                        np.abs(q[:t]).sum() * np.abs(gt).max() <= MAX_SPREAD * threshold):
+                    if t - m > DIRECT_TERMS:
+                        t = m + (t - m) // 2
+                        continue
+                    terms = np.convolve(np.concatenate([np.zeros(t - 1 - m), q[:t]]), gt,
+                                        "valid")
+                else:
+                    terms = _series_mul(q, gt, m, t)
             block = np.cumsum(terms) + (e[-1] if m else 0.0)
             bad = np.flatnonzero(~(np.abs(r - block) <= threshold))
             if bad.size:
@@ -397,42 +438,44 @@ class _OperatorKernel:
     sum_i sum_l c_il t**l exp(p_i t) over [(k - 1) h, k h], the ZOH Markov
     parameter.  With s = (k - 1) h that is sum_i exp(p_i s) P_i(s), where
     P_i has the coefficient sum_l c_il binom(l, j) I_ij of s**(l - j) and
-    I_ij is the integral of tau**j exp(p_i tau) over [0, h].  Terms are
-    built whole blocks at a time and each depends on its index alone, so
-    growing the kernel never changes the terms it already has.
+    I_ij is the integral of tau**j exp(p_i tau) over [0, h].
+
+    For the KERNEL_BLOCK samples s = (b KERNEL_BLOCK + j) h of block b that
+    is sum_l s**l (X_b R)[l, j], with X_b[i] = exp(p_i h KERNEL_BLOCK b) and
+    R[i, (l, j)] = (coefficient of s**l in P_i) exp(p_i h j) built once
+    (``basis``): a row of one small matrix product, then Horner in s.  The
+    blocks are built in chunks of fixed bounds, so each is always the same
+    row of a product of the same shape, and growing the kernel never
+    changes the terms it already has nor what it will build.
     """
 
     def __init__(self, gamma: float, h: float, band: tuple[float, float]):
         d, poles, coeffs = differintegrator_modes(gamma, band)
         moments = _interval_moments(poles, h, coeffs.shape[1])
-        self.poly = coeffs * moments[:, :1]  # columns: powers of s
+        poly = coeffs * moments[:, :1]  # columns: powers of s
         for l in range(1, coeffs.shape[1]):
             for j in range(1, l + 1):
-                self.poly[:, l - j] += coeffs[:, l] * math.comb(l, j) * moments[:, j]
-        self.poles, self.h = poles, h
-        self.ramp = np.exp(np.multiply.outer(poles * h, _BLOCK_STEPS))
+                poly[:, l - j] += coeffs[:, l] * math.comb(l, j) * moments[:, j]
+        self.powers, self.poles, self.h = poly.shape[1], poles, h
+        self.basis = (poly[:, :, None] * np.exp(np.multiply.outer(poles * h, _BLOCK_STEPS))
+                      [:, None, :]).reshape(poles.size, self.powers * KERNEL_BLOCK)
         self.terms = np.array([d])
         self.terms.flags.writeable = False
 
     def __call__(self, m: int) -> np.ndarray:
         while self.terms.size < m:
-            # the blocks of the samples j = k - 1 from have - 1 to m - 2
-            have = self.terms.size
-            first = (have - 1) // KERNEL_BLOCK
-            blocks = np.arange(first, min((m - 2) // KERNEL_BLOCK + 1, first + GROW_BLOCKS))
-            modes = (np.exp(np.multiply.outer(self.poles * (KERNEL_BLOCK * self.h), blocks))
-                     [:, :, None] * self.ramp[:, None, :])
-            poly = self.poly[:, -1, None, None]
-            if self.poly.shape[1] > 1:
+            # the chunk of blocks [first, 2 first) while that is under
+            # GROW_BLOCKS blocks, [first, first + GROW_BLOCKS) past it
+            first = (self.terms.size - 1) // KERNEL_BLOCK
+            blocks = np.arange(first, first + min(max(first, 1), GROW_BLOCKS))
+            modes = np.exp(np.multiply.outer(blocks, self.poles * (KERNEL_BLOCK * self.h)))
+            rows = (modes @ self.basis).reshape(blocks.size, self.powers, KERNEL_BLOCK)
+            new = rows[:, -1]
+            if self.powers > 1:
                 s = (blocks[:, None] * KERNEL_BLOCK + _BLOCK_STEPS) * self.h
-                for c in range(self.poly.shape[1] - 2, -1, -1):
-                    poly = poly * s + self.poly[:, c, None, None]
-            modes *= poly
-            # summed over the poles one after the other for whole blocks, so
-            # that a term's rounding does not depend on what is built with it
-            new = np.add.reduce(modes, axis=0).ravel()
-            lo = have - 1 - first * KERNEL_BLOCK
-            self.terms = np.concatenate([self.terms, new[lo:lo + m - have]])
+                for l in range(self.powers - 2, -1, -1):
+                    new = new * s + rows[:, l]
+            self.terms = np.concatenate([self.terms, new.ravel()])
             self.terms.flags.writeable = False
         return self.terms[:m]
 
@@ -494,7 +537,7 @@ def simulate_closed_loop(
     e = r - y
     if k is not None:
         e[k] = 0.0
-    x1, x3 = (_series_mul(kernel, e, 0, y.size) for kernel in kernels)
+    x1, x3 = _series_products(e, kernels, 0, y.size)
     if k is not None:
         x1[k] = x3[k] = 0.0
     u = controller.kp * e + controller.ki * x1 + controller.kd * x3

@@ -1,4 +1,5 @@
 import argparse
+import warnings
 
 import numpy as np
 import pytest
@@ -91,6 +92,17 @@ class TestRule:
         code = main(["rule", "--LT", "1", "--alpha", "1.2", "--K", "0",
                      "--out-dir", str(tmp_path)])
         assert code == EXIT_INVALID_INPUT
+
+    def test_overflow_exit_2_without_runtime_warnings(self, tmp_path, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["rule", "--LT", "1e200", "--alpha", "1.8", "--out-dir", str(tmp_path)])
+        assert code == EXIT_INVALID_INPUT
+        assert capsys.readouterr().err.startswith("error: ")
+        # the fitted-domain warning stays; NumPy's arithmetic warnings do not
+        # reach the user
+        assert [w.category for w in caught] == [UserWarning]
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSweep:
@@ -207,9 +219,12 @@ class TestBadNumbers:
         ["design", "--horizon", "1e-9", "--pop", "4", "--gens", "1"],
         ["design", "--workers", "0", "--pop", "4", "--gens", "1", "--horizon", "1"],
         ["design", "--workers", "-1", "--pop", "4", "--gens", "1", "--horizon", "1"],
+        # an output directory that is an existing regular file
+        ["rule", "--LT", "1", "--alpha", "1.2", "--out-dir", __file__],
     ])
     def test_exit_2_without_output(self, tmp_path, capsys, argv):
-        code = main(argv + ["--out-dir", str(tmp_path)])
+        # an --out-dir of the argv itself comes later and wins
+        code = main(argv[:1] + ["--out-dir", str(tmp_path)] + argv[1:])
         assert code == EXIT_INVALID_INPUT
         assert capsys.readouterr().err.startswith("error: ")
         assert list(tmp_path.iterdir()) == []

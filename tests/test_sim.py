@@ -22,6 +22,7 @@ from lqrfopid import (
     write_sweep_csv,
     write_trajectory_csv,
 )
+from lqrfopid import sim
 from lqrfopid.nsga2 import DESIGN_BOUNDS
 
 from oracles import power_step_response
@@ -282,13 +283,20 @@ class TestObjectiveFuzz:
 
 class TestRobustnessSweep:
     def test_nominal_cell_matches_single_run(self):
+        """Bit for bit, also when a longer run first grew the cached operator
+        kernels past 10**4 terms: results do not depend on the cache's
+        history."""
         case, controller = reference_controller("osc_median")
         scn = Scenario(horizon=40.0, step_size=0.01)
-        sweep = robustness_sweep(case.plant, controller, [case.plant.L],
-                                 [case.plant.T], scn)
-        single = simulate_closed_loop(case.plant, controller, scn)
-        assert sweep.itse[0, 0] == single.itse
-        assert sweep.isdco[0, 0] == single.isdco
+        for history in (None, Scenario(horizon=100.0, step_size=0.01)):
+            if history:
+                simulate_closed_loop(case.plant, controller, history)
+            sweep = robustness_sweep(case.plant, controller, [case.plant.L],
+                                     [case.plant.T], scn)
+            sim._operator_kernel.cache_clear()
+            single = simulate_closed_loop(case.plant, controller, scn)
+            assert sweep.itse[0, 0] == single.itse
+            assert sweep.isdco[0, 0] == single.isdco
 
     def test_moderate_perturbations_stay_finite(self):
         case, controller = reference_controller("osc_median")

@@ -145,10 +145,15 @@ def test_survivor_at_length_not_power_of_two(solver):
     vars = LqrDesignVars(q1=case.q1, q2=case.q2, q3=case.q3, r=case.r,
                          lam=case.lam, mu=case.mu)
     controller = design_from_vars(case.plant, vars, case.method)
-    scenario = Scenario(horizon=25.0, disturbance_time=16.5, disturbance_magnitude=0.2)
-    res, ref = closed_loop_pair(case.plant, controller, scenario, solver)
-    assert_agree(res, ref)
-    assert not res.diverged and res.t.size == 2500
+    # N = 1537 = 12 * 128 + 1: the loop denominator grows from 128 terms
+    # straight to N, the last Newton step is short of doubling, and the
+    # operator kernels end inside a chunk of blocks
+    for n, horizon, disturbance_time in ((2500, 25.0, 16.5), (1537, 15.37, 10.0)):
+        scenario = Scenario(horizon=horizon, disturbance_time=disturbance_time,
+                            disturbance_magnitude=0.2)
+        res, ref = closed_loop_pair(case.plant, controller, scenario, solver)
+        assert_agree(res, ref)
+        assert not res.diverged and res.t.size == n
 
 
 @pytest.mark.parametrize("solver", ["oustaloup", "gl"])
@@ -231,7 +236,7 @@ def test_grown_kernels_equal_one_build(h):
         whole = _OperatorKernel(gamma, h, DEFAULT_BAND)(KERNEL_TERMS)
         grown = _OperatorKernel(gamma, h, DEFAULT_BAND)
         before = np.zeros(0)
-        for m in (1, 2, 128, 129, 1024, 1000, 8192, KERNEL_TERMS):
+        for m in (1, 2, 128, 129, 257, 513, 1024, 1000, 2049, 2050, 4097, 8192, KERNEL_TERMS):
             now = grown(m)
             assert now.size == m
             common = min(m, before.size)
