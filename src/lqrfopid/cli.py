@@ -135,8 +135,6 @@ def _add_plant_args(p: argparse.ArgumentParser) -> None:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-dir", default=None, help="output directory (default: $LQRFOPID_OUTDIR or .)")
     p.add_argument("--config", default=None, help="key=value config file; flags override")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
-    p.add_argument("--plot", action="store_true", help="also write PNG plots (needs matplotlib)")
 
 
 def _maybe_plot(args, fig_path: Path, xs, ys, labels, title) -> None:
@@ -160,7 +158,7 @@ def _maybe_plot(args, fig_path: Path, xs, ys, labels, title) -> None:
     plt.close(fig)
 
 
-def _cmd_step(args, parser) -> int:
+def _cmd_step(args) -> int:
     plant = _plant_from_args(args)
     scenario = _scenario_from_args(args)
     if args.bode and not (0.0 < args.w_low < args.w_high < np.inf and args.n_freq >= 1):
@@ -187,7 +185,7 @@ def _cmd_step(args, parser) -> int:
     return EXIT_OK
 
 
-def _cmd_gains(args, parser) -> int:
+def _cmd_gains(args) -> int:
     plant = _plant_from_args(args)
     vars = LqrDesignVars(q1=args.Q1, q2=args.Q2, q3=args.Q3, r=args.R,
                          lam=args.lam, mu=args.mu)
@@ -205,7 +203,7 @@ def _write_controller(path: Path, c: FopidController, **extra) -> None:
     print(f"wrote {path}")
 
 
-def _cmd_design(args, parser) -> int:
+def _cmd_design(args) -> int:
     plant = _plant_from_args(args)
     methods = [DelayMethod(name.strip()) for name in args.methods.split(",")]
     scenario = _scenario_from_args(args)
@@ -257,7 +255,7 @@ def _front_coverage(front) -> float:
     return -float(obj[:, 0].min() + obj[:, 1].min()) + 1e-3 * len(front)
 
 
-def _cmd_rule(args, parser) -> int:
+def _cmd_rule(args) -> int:
     controller = eval_tuning_rule(args.LT, args.alpha, args.K)
     _write_controller(_out_dir(args) / "rule.csv", controller,
                       L_over_T=args.LT, alpha=args.alpha, K=args.K)
@@ -269,7 +267,7 @@ def _grid(text: str | None, default: float) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip()] if text else [default]
 
 
-def _cmd_sweep(args, parser) -> int:
+def _cmd_sweep(args) -> int:
     plant = _plant_from_args(args)
     scenario = _scenario_from_args(args)
     controller = FopidController(kp=args.Kp, ki=args.Ki, kd=args.Kd, lam=args.lam, mu=args.mu)
@@ -295,6 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_step = sub.add_parser("step", help="open-loop step response")
     _add_plant_args(p_step)
     _add_common(p_step)
+    p_step.add_argument("--plot", action="store_true", help="also write a PNG (needs matplotlib)")
     p_step.add_argument("--horizon", type=float, default=100.0)
     p_step.add_argument("--h", type=float, default=0.01, help="step size [s]")
     p_step.add_argument("--solver", choices=("gl", "oustaloup"), default="gl")
@@ -320,6 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_design = sub.add_parser("design", help="multi-objective weight selection")
     _add_plant_args(p_design)
     _add_common(p_design)
+    p_design.add_argument("--plot", action="store_true", help="also write a PNG (needs matplotlib)")
+    p_design.add_argument("--seed", type=int, default=0, help="random seed")
     p_design.add_argument("--methods", default="cai,he",
                           help="comma list of delay methods (default cai,he)")
     p_design.add_argument("--pop", type=int, default=100, help="population size")
@@ -362,7 +363,7 @@ def main(argv=None) -> int:
         if getattr(args, "config", None):
             _install_config_defaults(args)
             args = parser.parse_args(argv)
-        return args.func(args, parser)
+        return args.func(args)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "code", EXIT_INVALID_INPUT)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -35,6 +35,7 @@ __all__ = [
     "FopidController",
     "LqrDesignVars",
     "DelayMethod",
+    "DESIGN_BOUNDS",
     "GainTriple",
     "build_state_space",
     "gains_from_row",
@@ -93,10 +94,22 @@ class FopidController:
             raise ValueError(f"derivative order must lie in [0, 2], got {self.mu}")
 
 
+# the box of the fields of LqrDesignVars; r is open at 0, as R must be > 0
+DESIGN_BOUNDS = (
+    (0.0, 100.0),  # q1
+    (0.0, 100.0),  # q2
+    (0.0, 100.0),  # q3
+    (0.0, 100.0),  # r
+    (0.0, 2.0),    # lam
+    (0.0, 2.0),    # mu
+)
+
+
 @dataclass(frozen=True)
 class LqrDesignVars:
     """Decision vector of the weight-selection search: diagonal LQR weights
-    (q1, q2, q3), control weight r, and the controller orders (lam, mu)."""
+    (q1, q2, q3), control weight r, and the controller orders (lam, mu),
+    each within its interval of DESIGN_BOUNDS."""
 
     q1: float
     q2: float
@@ -106,16 +119,11 @@ class LqrDesignVars:
     mu: float
 
     def __post_init__(self):
-        for name in ("q1", "q2", "q3"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 100.0):
-                raise ValueError(f"{name} must lie in [0, 100], got {v}")
-        if not (0.0 < self.r <= 100.0):
-            raise ValueError(f"r must lie in (0, 100], got {self.r}")
-        if not (0.0 <= self.lam <= 2.0):
-            raise ValueError(f"lam must lie in [0, 2], got {self.lam}")
-        if not (0.0 <= self.mu <= 2.0):
-            raise ValueError(f"mu must lie in [0, 2], got {self.mu}")
+        for field, (lo, hi) in zip(fields(self), DESIGN_BOUNDS):
+            v, open_lo = getattr(self, field.name), field.name == "r"
+            if not ((lo < v if open_lo else lo <= v) and v <= hi):
+                raise ValueError(f"{field.name} must lie in {'(' if open_lo else '['}"
+                                 f"{lo:g}, {hi:g}], got {v}")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.q1, self.q2, self.q3, self.r, self.lam, self.mu])

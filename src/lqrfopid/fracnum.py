@@ -24,6 +24,10 @@ __all__ = [
     "differintegrator_ss",
 ]
 
+# the default band [rad/s] of the Oustaloup filters, and the order of each
+DEFAULT_BAND = (1e-3, 1e3)
+OUSTALOUP_ORDER = 5
+
 
 def gl_coefficients(gamma: float, n: int) -> np.ndarray:
     """First ``n`` GL convolution weights for differintegration order ``gamma``.
@@ -121,8 +125,8 @@ class RationalFilter:
 
 def oustaloup_approximation(
     gamma: float,
-    band: tuple[float, float] = (1e-3, 1e3),
-    order: int = 5,
+    band: tuple[float, float] = DEFAULT_BAND,
+    order: int = OUSTALOUP_ORDER,
 ) -> RationalFilter:
     """Oustaloup recursive approximation of s**gamma, gamma in (-1, 1) \\ {0}.
 
@@ -210,8 +214,8 @@ def _factors(gamma: float, band, order: int):
 
 def differintegrator_ss(
     gamma: float,
-    band: tuple[float, float] = (1e-3, 1e3),
-    order: int = 5,
+    band: tuple[float, float] = DEFAULT_BAND,
+    order: int = OUSTALOUP_ORDER,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """State-space realization (A, B, C, D) of s**gamma for gamma in [-2, 2].
 
@@ -235,14 +239,14 @@ def differintegrator_modes(
     gamma: float, band: tuple[float, float],
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """The impulse response of :func:`differintegrator_ss` (at its default
-    order 5) in closed form.
+    order ``OUSTALOUP_ORDER``) in closed form.
 
     Returns (d, poles, coeffs): the response to a unit impulse is
     ``d delta(t) + sum_i sum_l coeffs[i, l] t**l exp(poles[i] t)`` for
     t > 0.  The poles are the filter's own, each of multiplicity ``power``,
     and 0 for the exact integrators; no state matrix is formed.
     """
-    filt, power, integrators = _factors(gamma, band, 5)
+    filt, power, integrators = _factors(gamma, band, OUSTALOUP_ORDER)
     if filt is None:
         if not integrators:
             return 1.0, np.zeros(0), np.zeros((0, 1))

@@ -36,6 +36,7 @@ __all__ = [
 CARE_RESIDUAL_RTOL = 1e-8
 SYMMETRY_RTOL = 1e-10
 PSD_ATOL_FACTOR = 1e-8
+STABILIZABILITY_RTOL = 1e-10
 
 
 class CareFailure(Exception):
@@ -63,12 +64,12 @@ def spectral_abscissa(M: np.ndarray) -> float:
     return float(np.max(np.linalg.eigvals(M).real))
 
 
-def is_stabilizable(A: np.ndarray, B: np.ndarray, rtol: float = 1e-10) -> bool:
+def is_stabilizable(A: np.ndarray, B: np.ndarray) -> bool:
     """PBH test: every eigenvalue of A with Re >= 0 must be controllable.
 
-    The rank threshold is relative (``rtol * norm``) because the plant
-    family used here has an exact zero eigenvalue that loose absolute
-    thresholds would misclassify.
+    The rank threshold is relative (``STABILIZABILITY_RTOL * norm``)
+    because the plant family used here has an exact zero eigenvalue that
+    loose absolute thresholds would misclassify.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -79,7 +80,7 @@ def is_stabilizable(A: np.ndarray, B: np.ndarray, rtol: float = 1e-10) -> bool:
             continue
         pencil = np.hstack([A - lam * np.eye(n), B])
         s = np.linalg.svd(pencil, compute_uv=False)
-        if s[-1] <= rtol * scale:
+        if s[-1] <= STABILIZABILITY_RTOL * scale:
             return False
     return True
 

@@ -21,6 +21,7 @@ from functools import partial
 import numpy as np
 
 from .design import (
+    DESIGN_BOUNDS,
     DelayMethod,
     FopidController,
     LqrDesignVars,
@@ -47,15 +48,6 @@ __all__ = [
     "compare_fronts",
     "write_front_csv",
 ]
-
-DESIGN_BOUNDS = (
-    (0.0, 100.0),  # q1
-    (0.0, 100.0),  # q2
-    (0.0, 100.0),  # q3
-    (0.0, 100.0),  # r  (r <= 0 is penalized by the objective)
-    (0.0, 2.0),    # lam
-    (0.0, 2.0),    # mu
-)
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,7 @@ __all__ = [
 N_TERMS = 12
 N_PREDICTORS = N_TERMS - 1  # intercept excluded
 FITTED_DOMAIN = {"L_over_T": (0.25, 4.0), "alpha": (0.2, 1.8)}
+OUTLIER_FACTOR = 3.0  # residual RMS past which a point is an outlier
 
 COEFF_NAMES = ("p00", "p10", "p01", "p20", "p11", "p02",
                "p21", "p12", "p03", "p22", "p13", "p04")
@@ -98,7 +99,6 @@ class FitDiagnostics:
     adjusted_r2: float
     rmse: float
     n: int
-    outliers_removed: int = 0
 
 
 DEFAULT_TUNING_RULES = TuningRuleSet(
@@ -129,9 +129,8 @@ def eval_tuning_rule(
     l_over_t: float,
     alpha: float,
     K: float,
-    rules: TuningRuleSet = DEFAULT_TUNING_RULES,
 ) -> FopidController:
-    """Controller from the polynomial rules at one (L/T, alpha) point.
+    """Controller from the bundled polynomial rules at one (L/T, alpha) point.
 
     Warns (does not reject) outside the fitted domain x in [0.25, 4],
     alpha in [0.2, 1.8]: extrapolation is the caller's risk.  The orders
@@ -153,11 +152,11 @@ def eval_tuning_rule(
     # inputs that overflow the polynomials give non-finite gains, which the
     # controller rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        kp = rules.kp.evaluate(l_over_t, alpha) / K
-        ki = rules.ki.evaluate(l_over_t, alpha) / K
-        kd = rules.kd.evaluate(l_over_t, alpha) / K
-        lam = float(np.clip(rules.lam.evaluate(l_over_t, alpha), 0.0, 2.0))
-        mu = float(np.clip(rules.mu.evaluate(l_over_t, alpha), 0.0, 2.0))
+        kp = DEFAULT_TUNING_RULES.kp.evaluate(l_over_t, alpha) / K
+        ki = DEFAULT_TUNING_RULES.ki.evaluate(l_over_t, alpha) / K
+        kd = DEFAULT_TUNING_RULES.kd.evaluate(l_over_t, alpha) / K
+        lam = float(np.clip(DEFAULT_TUNING_RULES.lam.evaluate(l_over_t, alpha), 0.0, 2.0))
+        mu = float(np.clip(DEFAULT_TUNING_RULES.mu.evaluate(l_over_t, alpha), 0.0, 2.0))
     return FopidController(kp=kp, ki=ki, kd=kd, lam=lam, mu=mu)
 
 
@@ -199,19 +198,17 @@ def fit_polynomial_surface(points) -> tuple[TuningRuleCoefficients, FitDiagnosti
 
 def detect_outliers(
     points,
-    coefficients: TuningRuleCoefficients | None = None,
-    k: float = 3.0,
     iterative: bool = False,
     max_outliers: int = 1,
 ) -> list[int]:
-    """Indices of points whose residual exceeds k times the residual RMS.
+    """Indices of points whose residual exceeds OUTLIER_FACTOR times the
+    residual RMS of the least-squares fit to all of them.
 
     The threshold uses the raw residual root-mean-square sqrt(SSE/n) (the
     dof-corrected RMSE of :class:`FitDiagnostics` is too forgiving for
-    screening).  With ``coefficients=None`` a preliminary all-points fit
-    provides the reference surface.  ``iterative=True`` removes the single
-    worst offender, refits, and repeats up to ``max_outliers`` times,
-    mirroring one-at-a-time outlier screening.
+    screening).  ``iterative=True`` removes the single worst offender,
+    refits, and repeats up to ``max_outliers`` times, mirroring
+    one-at-a-time outlier screening.
     """
     pts = _as_points(points)
     scale = max(1.0, float(np.max(np.abs(pts[:, 2]))))
@@ -221,12 +218,11 @@ def detect_outliers(
         return np.abs(res), float(np.sqrt(np.mean(res ** 2)))
 
     if not iterative:
-        if coefficients is None:
-            coefficients, _ = fit_polynomial_surface(pts)
+        coefficients, _ = fit_polynomial_surface(pts)
         residuals, rms = residual_rms(pts, coefficients)
         if rms <= 1e-12 * scale:  # exact fit: nothing can be an outlier
             return []
-        return np.flatnonzero(residuals > k * rms).tolist()
+        return np.flatnonzero(residuals > OUTLIER_FACTOR * rms).tolist()
 
     flagged: list[int] = []
     active = np.arange(pts.shape[0])
@@ -237,7 +233,7 @@ def detect_outliers(
         if rms <= 1e-12 * scale:
             break
         worst = int(np.argmax(residuals))
-        if residuals[worst] <= k * rms:
+        if residuals[worst] <= OUTLIER_FACTOR * rms:
             break
         flagged.append(int(active[worst]))
         mask = np.ones(work.shape[0], dtype=bool)

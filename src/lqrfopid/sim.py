@@ -7,12 +7,12 @@ Two interchangeable numerical paths realize the fractional operators:
 * ``solver="oustaloup"`` - the impulse responses of band-limited rational
   (Oustaloup) realizations, each ZOH-discretized on its own; the
   closed-loop default.  The plant's comes from its realization and one
-  matrix exponential, cached per (plant, step, band, length): a search
-  samples its plant once.  Each controller operator's comes in closed form
-  from the poles and residues of its filter, with no realization and no
-  matrix exponential, and grows in place as the engine asks for more
-  terms; the last controller's two are cached, so a robustness sweep
-  builds each once.
+  matrix exponential, cached per (K, T, alpha, step, band, length): a
+  search samples its plant once, a sweep once per lag.  Each controller
+  operator's comes in closed form from the poles and residues of its
+  filter, with no realization and no matrix exponential, and grows in
+  place as the engine asks for more terms; the last controller's two are
+  cached, so a robustness sweep builds each once.
 
 Both loops are linear and causal, so one engine solves them on power
 series truncated to the N samples of a run: with the one-sample delay z,
@@ -22,12 +22,12 @@ Products are FFT convolutions; the first DIRECT_TERMS terms of the
 reciprocal come by forward substitution, the rest by Newton doubling:
 O(N log N) per run.  A run diverges at the first sample whose output is
 non-finite or exceeds DIVERGENCE_FACTOR * max(1, |setpoint|) in
-magnitude; the engine tests each block a step adds and stops there, so a
-diverging tail never meets earlier samples in an FFT.  Newton runs once,
-building the operator kernels only as far as it has reached,
-RUN_GROWTH-fold from DIRECT_TERMS terms and then to N: most diverging
-loops cross within a few hundred samples and never build those of the
-whole horizon.
+magnitude (max(1, |K|) for an open-loop step); the engine tests each
+block a step adds and stops there, so a diverging tail never meets
+earlier samples in an FFT.  Newton runs once, building the operator
+kernels only as far as it has reached, RUN_GROWTH-fold from DIRECT_TERMS
+terms and then to N: most diverging loops cross within a few hundred
+samples and never build those of the whole horizon.
 
 Timing convention shared by both paths: the plant state reached at sample
 k has integrated the (zero-order-held, delayed) input up to sample
@@ -50,7 +50,8 @@ from .design import (
     NioptdPlant,
     design_from_vars,
 )
-from .fracnum import differintegrator_modes, differintegrator_ss, gl_coefficients
+from .fracnum import (DEFAULT_BAND, OUSTALOUP_ORDER, differintegrator_modes,
+                      differintegrator_ss, gl_coefficients)
 from .matops import CareFailure, expm
 
 __all__ = [
@@ -70,8 +71,6 @@ __all__ = [
 
 PENALTY_OBJECTIVE = 1e6
 DIVERGENCE_FACTOR = 1e3
-DEFAULT_BAND = (1e-3, 1e3)
-DEFAULT_FILTER_ORDER = 5
 # below this many terms in a factor a direct product beats the FFT
 DIRECT_TERMS = 128
 MARKOV_BLOCK = 256
@@ -155,19 +154,16 @@ def performance_indices(
     u: np.ndarray,
     u_ss: float,
     h: float,
-    horizon: float | None = None,
 ) -> tuple[float, float]:
     """Time-weighted squared error and squared control deviation integrals.
 
     Left-rectangular quadrature on the simulation grid (bit-reproducible):
-    ``itse = h * sum t_k e_k**2`` and ``isdco = h * sum (u_k - u_ss)**2``,
-    truncated at ``horizon`` when given.
+    ``itse = h * sum t_k e_k**2`` and ``isdco = h * sum (u_k - u_ss)**2``
+    over the samples both signals have.
     """
     e = np.asarray(e, dtype=float)
     u = np.asarray(u, dtype=float)
     n = min(e.shape[0], u.shape[0])
-    if horizon is not None:
-        n = min(n, int(round(horizon / h)))
     t = np.arange(n) * h
     itse = float(h * np.sum(t * e[:n] ** 2))
     isdco = float(h * np.sum((u[:n] - u_ss) ** 2))
@@ -266,7 +262,7 @@ def _kernels(plant, h, solver, band, n, exponents=()):
     if solver == "oustaloup":
         band = tuple(band)
         ops = [_operator_kernel(g, h, band) for g in exponents]
-        return (d, _plant_markov(plant, h, band, n), np.ones(1),
+        return (d, _plant_markov(replace(plant, L=0.0), h, band, n), np.ones(1),
                 lambda m: [op(m) for op in ops])
     if solver == "gl":
         den = plant.T * h ** (-plant.alpha) * gl_coefficients(plant.alpha, n)
@@ -323,9 +319,9 @@ def _error_series(F_of, q, r, threshold, n):
     return np.concatenate([np.zeros(s), e]), None
 
 
-def _loop_output(num, den, delay, H_of, r, w_start, w_mag, n):
+def _loop_output(num, den, delay, H_of, r, w_start, w_mag, threshold, n):
     """Output of y = (num / den) (z**delay H (r - y) + w) to n samples, and
-    the sample at which it diverges (None if it does not).
+    its first sample non-finite or past ``threshold`` (None if there is none).
 
     The set-point r and the input disturbance w (w_mag from sample w_start
     on) are steps, so the error e = r - y solves
@@ -342,13 +338,13 @@ def _loop_output(num, den, delay, H_of, r, w_start, w_mag, n):
     if w_mag != 0.0 and w_start < n:
         q = _padded(q, n)
         q[w_start:] -= w_mag * _padded(num, n - w_start)
-    e, k = _error_series(F_of, q, r, DIVERGENCE_FACTOR * max(1.0, abs(r)), n)
+    e, k = _error_series(F_of, q, r, threshold, n)
     return r - e, k
 
 
-def _finish(y, u, x1, x2, x3, h, u_ss, horizon, diverged):
+def _finish(y, u, x1, x2, x3, h, u_ss, diverged):
     itse, isdco = ((PENALTY_OBJECTIVE, PENALTY_OBJECTIVE) if diverged
-                   else performance_indices(x2, u, u_ss, h, horizon))
+                   else performance_indices(x2, u, u_ss, h))
     return SimResult(t=np.arange(y.size) * h, y=y, u=u, x1=x1, x2=x2, x3=x3,
                      itse=itse, isdco=isdco, diverged=diverged)
 
@@ -358,22 +354,23 @@ def simulate_open_loop_step(
     horizon: float = 100.0,
     h: float = 0.01,
     solver: str = "gl",
-    band: tuple[float, float] = DEFAULT_BAND,
 ) -> SimResult:
     """Unit-step response of the plant alone.
 
     Solves T D**alpha y + y = K u(t - L) with u the unit step and zero
     initial conditions; the horizon must be a whole number of steps h, as
     in :class:`Scenario`.  x2 is filled with 1 - y; x1 and x3 stay zero.
+    It diverges where y is non-finite or past DIVERGENCE_FACTOR max(1, |K|).
     """
     n = Scenario(horizon=horizon, step_size=h).n_steps
-    delay, num, den, _ = _kernels(plant, h, solver, band, n)
+    delay, num, den, _ = _kernels(plant, h, solver, DEFAULT_BAND, n)
     # the step reaches the plant input at sample ``delay``: feed it there as
     # a disturbance of an open loop (H = 0) with zero set-point
-    y, k = _loop_output(num, den, delay, lambda t: np.zeros(1), 0.0, delay, 1.0, n)
+    y, k = _loop_output(num, den, delay, lambda t: np.zeros(1), 0.0, delay, 1.0,
+                        DIVERGENCE_FACTOR * max(1.0, abs(plant.K)), n)
     zeros = np.zeros(y.size)
     return _finish(y, np.ones(y.size), zeros, 1.0 - y, zeros.copy(), h,
-                   u_ss=1.0, horizon=horizon, diverged=k is not None)
+                   u_ss=1.0, diverged=k is not None)
 
 
 def _plant_ss(plant: NioptdPlant, band, order):
@@ -480,17 +477,17 @@ class _OperatorKernel:
         return self.terms[:m]
 
 
-# The caches hold what one search or one sweep reuses: a single plant at
-# the one length of its runs, the two operator kernels of one controller
-# (grown to the longest run asked of them).  They are kept too small to
-# hold a whole search or sweep, which only a repeat of the same job in one
-# process would reuse.
+# The caches hold what one search or one sweep reuses: the plant kernel
+# of each (K, T, alpha) at the one length of its runs, shared by all
+# delays, and the two operator kernels of one controller (grown to the
+# longest run asked of them).  They are not sized to keep kernels for a
+# later job, which only a repeat of the same job in one process would reuse.
 @functools.lru_cache(maxsize=8)
 def _plant_markov(plant: NioptdPlant, h: float, band: tuple[float, float], n: int):
-    """The first n Markov parameters of the ZOH-sampled plant (read-only):
-    built once per search, since plant, step, band and horizon stay fixed
-    there."""
-    A, B, C, D = _plant_ss(plant, band, DEFAULT_FILTER_ORDER)
+    """The first n Markov parameters of the ZOH-sampled plant (read-only).
+    The delay is no part of them, so callers pass the plant at L = 0: built
+    once per search, and once per lag of a sweep."""
+    A, B, C, D = _plant_ss(plant, band, OUSTALOUP_ORDER)
     Ad, Bd = _zoh(A, B, h)
     num = _markov(Ad, Bd[:, 0], C[0], float(D), n)
     num.flags.writeable = False
@@ -532,8 +529,8 @@ def simulate_closed_loop(
         H[0] += controller.kp
         return H
 
-    y, k = _loop_output(num, den, delay, H_of, r, w_start,
-                        scenario.disturbance_magnitude, n)
+    y, k = _loop_output(num, den, delay, H_of, r, w_start, scenario.disturbance_magnitude,
+                        DIVERGENCE_FACTOR * max(1.0, abs(r)), n)
     e = r - y
     if k is not None:
         e[k] = 0.0
@@ -542,7 +539,7 @@ def simulate_closed_loop(
         x1[k] = x3[k] = 0.0
     u = controller.kp * e + controller.ki * x1 + controller.kd * x3
     u_ss = r / plant.K if controller.lam > 0 else float(u[-1])
-    return _finish(y, u, x1, e, x3, h, u_ss, scenario.horizon, diverged=k is not None)
+    return _finish(y, u, x1, e, x3, h, u_ss, diverged=k is not None)
 
 
 def evaluate_design_objectives(

@@ -224,14 +224,14 @@ def _rev_window(arr: np.ndarray, k: int, width: int) -> np.ndarray:
     return arr[k::-1] if stop < 0 else arr[k:stop:-1]
 
 
-def _loop_result(y, u, x1, x2, x3, k, h, u_ss, horizon, diverged):
+def _loop_result(y, u, x1, x2, x3, k, h, u_ss, diverged):
     t = np.arange(y.size) * h
     if diverged:
         sl = slice(0, k + 1)
         t, y, u, x1, x2, x3 = (a[sl] for a in (t, y, u, x1, x2, x3))
         itse = isdco = PENALTY_OBJECTIVE
     else:
-        itse, isdco = performance_indices(x2, u, u_ss, h, horizon)
+        itse, isdco = performance_indices(x2, u, u_ss, h)
     return SimResult(t=t, y=y, u=u, x1=x1, x2=x2, x3=x3,
                      itse=itse, isdco=isdco, diverged=diverged)
 
@@ -242,6 +242,7 @@ def open_loop_step_loop(plant, horizon, h, solver, band=(1e-3, 1e3), order=5):
     n = int(round(horizon / h))
     d = int(round(plant.L / h))
     y = np.zeros(n)
+    threshold = DIVERGENCE_FACTOR * max(1.0, abs(plant.K))
     diverged = False
     k = 0
     if solver == "gl":
@@ -251,7 +252,7 @@ def open_loop_step_loop(plant, horizon, h, solver, band=(1e-3, 1e3), order=5):
             uin = 1.0 if k >= d + 1 else 0.0
             s = float(np.dot(ca[1:k + 1], _rev_window(y, k - 1, k))) if k > 0 else 0.0
             y[k] = (plant.K * uin - Th * s) / (Th + 1.0)
-            if not math.isfinite(y[k]) or abs(y[k]) > DIVERGENCE_FACTOR:
+            if not math.isfinite(y[k]) or abs(y[k]) > threshold:
                 diverged = True
                 break
     else:
@@ -260,13 +261,12 @@ def open_loop_step_loop(plant, horizon, h, solver, band=(1e-3, 1e3), order=5):
         z = np.zeros(Ap.shape[0])
         for k in range(n):
             y[k] = float(Cp[0] @ z)
-            if not math.isfinite(y[k]) or abs(y[k]) > DIVERGENCE_FACTOR:
+            if not math.isfinite(y[k]) or abs(y[k]) > threshold:
                 diverged = True
                 break
             z = Ad @ z + Bd[:, 0] * (1.0 if k >= d else 0.0)
     zeros = np.zeros(n)
-    return _loop_result(y, np.ones(n), zeros, 1.0 - y, zeros.copy(), k, h, 1.0,
-                        horizon, diverged)
+    return _loop_result(y, np.ones(n), zeros, 1.0 - y, zeros.copy(), k, h, 1.0, diverged)
 
 
 def closed_loop_gl_loop(plant, controller, scenario):
@@ -300,7 +300,7 @@ def closed_loop_gl_loop(plant, controller, scenario):
         x3[k] = hd * float(np.dot(cd[:k + 1], win))
         u[k] = controller.kp * e[k] + controller.ki * x1[k] + controller.kd * x3[k]
     u_ss = r / plant.K if controller.lam > 0 else float(u[-1])
-    return _loop_result(y, u, x1, e, x3, k, h, u_ss, scenario.horizon, diverged)
+    return _loop_result(y, u, x1, e, x3, k, h, u_ss, diverged)
 
 
 def closed_loop_oustaloup_loop(plant, controller, scenario, band=(1e-3, 1e3), order=5):
@@ -352,4 +352,4 @@ def closed_loop_oustaloup_loop(plant, controller, scenario, band=(1e-3, 1e3), or
             uin += scenario.disturbance_magnitude
         z = Adisc @ z + be * ek + bu * uin
     u_ss = r / plant.K if controller.lam > 0 else float(u[-1])
-    return _loop_result(y, u, x1, e, x3, k, h, u_ss, scenario.horizon, diverged)
+    return _loop_result(y, u, x1, e, x3, k, h, u_ss, diverged)

@@ -3,6 +3,7 @@ attribute, by import and by command line.  These checks fail when a change
 to the package breaks one of those entry points; ``bench/`` is only read."""
 import ast
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -53,3 +54,49 @@ def test_imported_names_resolve():
                 module = importlib.import_module(node.module)
                 for alias in node.names:
                     assert hasattr(module, alias.name), f"{path.name}: {node.module}.{alias.name}"
+
+
+def _bench_target(func, imported):
+    """The package object a call in ``bench/`` names: a name imported from
+    ``lqrfopid`` or an attribute chain ``lqrfopid.<module>.<name>``; None
+    for any other call."""
+    if isinstance(func, ast.Name):
+        return imported.get(func.id)
+    chain = []
+    while isinstance(func, ast.Attribute):
+        chain.append(func.attr)
+        func = func.value
+    if not (isinstance(func, ast.Name) and func.id == "lqrfopid" and len(chain) >= 2):
+        return None
+    target = importlib.import_module(f"lqrfopid.{chain.pop()}")
+    while chain:
+        target = getattr(target, chain.pop())
+    return target
+
+
+def test_calls_bind_to_signatures():
+    """Every call ``bench/`` makes into the package, with the positional and
+    keyword arguments it passes, binds to the callee's signature; calls
+    with star arguments are skipped."""
+    bound, problems = 0, []
+    for path in sorted(BENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "lqrfopid":
+                module = importlib.import_module(node.module)
+                imported.update((a.asname or a.name, getattr(module, a.name)) for a in node.names)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            target = _bench_target(node.func, imported)
+            if target is None or any(isinstance(a, ast.Starred) for a in node.args) \
+                    or any(k.arg is None for k in node.keywords):
+                continue
+            try:
+                inspect.signature(target).bind(*node.args, **{k.arg: k for k in node.keywords})
+            except TypeError as exc:
+                problems.append(f"{path.name}:{node.lineno} {ast.unparse(node.func)}: {exc}")
+            bound += 1
+    assert problems == []
+    assert bound > 0

@@ -280,6 +280,45 @@ class TestBoundaryTable:
         assert not out.exists()
 
 
+class _ReadRecorder(argparse.Namespace):
+    """A namespace that records which of its attributes are read."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.read = set()
+
+    def __getattribute__(self, name):
+        if name in object.__getattribute__(self, "__dict__"):
+            object.__getattribute__(self, "read").add(name)
+        return object.__getattribute__(self, name)
+
+
+@pytest.mark.parametrize("name", sorted(MINIMAL_ARGV))
+def test_every_option_is_read(tmp_path, monkeypatch, name):
+    """Each option a subcommand parses is read by its run: none is
+    accepted and then ignored."""
+    namespaces = []
+
+    def recording_parser():
+        parser = build_parser()
+        parse = parser.parse_args
+
+        def parse_args(argv=None):
+            namespaces.append(_ReadRecorder(**vars(parse(argv))))
+            return namespaces[-1]
+
+        parser.parse_args = parse_args
+        return parser
+
+    monkeypatch.setattr("lqrfopid.cli.build_parser", recording_parser)
+    argv = MINIMAL_ARGV[name] + (["--bode"] if name == "step" else [])
+    assert main(argv + ["--out-dir", str(tmp_path)]) == EXIT_OK
+    args, = namespaces
+    options = {action.dest for action in args.subparser._actions
+               if action.option_strings and action.dest != "help"}
+    assert options - args.read == set()
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_flags_override(self, tmp_path, monkeypatch):
         cfg = tmp_path / "exp.cfg"
@@ -301,6 +340,13 @@ class TestConfigFile:
         cfg.write_text("bogus_key=1\n", encoding="utf-8")
         code = main(["step", "--config", str(cfg), "--out-dir", str(tmp_path)])
         assert code == EXIT_INVALID_INPUT
+
+    def test_seed_is_no_step_key(self, tmp_path, capsys):
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text("seed=3\n", encoding="utf-8")
+        code = main(["step", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_INVALID_INPUT
+        assert "unknown config key 'seed'" in capsys.readouterr().err
 
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LQRFOPID_OUTDIR", str(tmp_path / "envout"))

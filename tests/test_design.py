@@ -18,6 +18,7 @@ from lqrfopid import (
     gains_from_row,
     gains_he,
 )
+from lqrfopid.design import DESIGN_BOUNDS
 
 from oracles import care_hamiltonian
 from reference_cases import BY_NAME, OSCILLATORY_PLANT, REFERENCE_DESIGNS, SLUGGISH_PLANT
@@ -50,10 +51,15 @@ class TestPlantAndTypes:
             FopidController(kp=1, ki=1, kd=1, lam=1.0, mu=-0.1)
 
     def test_design_vars_bounds(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^q1 must lie in \[0, 100\], got -1$"):
             LqrDesignVars(q1=-1, q2=0, q3=0, r=1, lam=1, mu=0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^r must lie in \(0, 100\], got 0.0$"):
             LqrDesignVars(q1=1, q2=1, q3=1, r=0.0, lam=1, mu=0.5)
+        with pytest.raises(ValueError, match=r"^mu must lie in \[0, 2\], got 2.5$"):
+            LqrDesignVars(q1=1, q2=1, q3=1, r=1, lam=1, mu=2.5)
+        # the closed ends of DESIGN_BOUNDS are inside
+        LqrDesignVars(*(hi for _, hi in DESIGN_BOUNDS))
+        LqrDesignVars(0.0, 0.0, 0.0, 1e-300, 0.0, 0.0)
         v = LqrDesignVars(q1=1, q2=2, q3=3, r=4, lam=1.5, mu=0.5)
         np.testing.assert_array_equal(v.as_array(), [1, 2, 3, 4, 1.5, 0.5])
         assert LqrDesignVars.from_array(v.as_array()) == v

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -75,6 +76,21 @@ class TestOpenLoop:
         res = simulate_open_loop_step(OSCILLATORY_PLANT, horizon=5.0, h=0.01)
         before = res.y[res.t < 0.5]
         assert np.allclose(before, 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("solver", ["gl", "oustaloup"])
+    def test_divergence_bound_scales_with_gain(self, solver):
+        """The step overshoots to about 1.3 K, past 1e3 for K = 2000, and
+        still runs to the horizon; a non-finite output still diverges."""
+        def step(K):
+            return simulate_open_loop_step(replace(OSCILLATORY_PLANT, K=K), horizon=20.0,
+                                           h=0.01, solver=solver)
+
+        unit, large = step(1.0), step(2000.0)
+        assert not large.diverged and large.y.size == 2000
+        np.testing.assert_allclose(large.y, 2000.0 * unit.y, rtol=1e-12, atol=0.0)
+        with np.errstate(all="ignore"):
+            huge = step(1e308)
+        assert huge.diverged and not np.isfinite(huge.y[-1])
 
 
 class TestFrequencyResponse:
@@ -297,6 +313,18 @@ class TestRobustnessSweep:
             single = simulate_closed_loop(case.plant, controller, scn)
             assert sweep.itse[0, 0] == single.itse
             assert sweep.isdco[0, 0] == single.isdco
+
+    def test_delays_share_one_plant_kernel(self, monkeypatch):
+        """The delay only shifts the plant's kernel, so a sweep over three
+        delays at one lag samples the plant once."""
+        case, controller = reference_controller("osc_median")
+        built = []
+        plant_ss = sim._plant_ss
+        monkeypatch.setattr(sim, "_plant_ss", lambda *args: built.append(args) or plant_ss(*args))
+        sim._plant_markov.cache_clear()
+        robustness_sweep(case.plant, controller, [0.4, 0.5, 0.6], [case.plant.T],
+                         Scenario(horizon=10.0, step_size=0.01))
+        assert len(built) == 1
 
     def test_moderate_perturbations_stay_finite(self):
         case, controller = reference_controller("osc_median")

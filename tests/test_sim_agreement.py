@@ -163,7 +163,8 @@ def test_open_loop_steps(K, L, alpha, solver):
     plant = NioptdPlant(K=K, L=L, T=2.0, alpha=alpha)
     res = simulate_open_loop_step(plant, horizon=20.0, h=0.01, solver=solver)
     assert_agree(res, open_loop_step_loop(plant, 20.0, 0.01, solver))
-    assert res.diverged == (K > 1e3)
+    # the divergence bound scales with |K|: a stable plant runs to the end
+    assert not res.diverged
 
 
 ORDER_EDGES = (0.0, 1e-300, 1.0, 2.0)
