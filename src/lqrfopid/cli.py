@@ -45,6 +45,7 @@ from .nsga2 import (
 )
 from .rules import eval_tuning_rule
 from .sim import (
+    DIVERGENCE_FACTOR,
     Scenario,
     frequency_response,
     robustness_sweep,
@@ -164,6 +165,10 @@ def _cmd_step(args) -> int:
     if args.bode and not (0.0 < args.w_low < args.w_high < np.inf and args.n_freq >= 1):
         raise CliError(f"Bode band needs 0 < w-low < w-high and n-freq >= 1, got "
                        f"{args.w_low}, {args.w_high} and {args.n_freq}")
+    # past this gain the bound that tells a diverging step is not finite
+    if not abs(plant.K) * DIVERGENCE_FACTOR < np.inf:
+        raise CliError(f"K={plant.K} is too large for a step response: its divergence "
+                       f"bound {DIVERGENCE_FACTOR:g} |K| overflows")
     out = _out_dir(args)
     result = simulate_open_loop_step(plant, horizon=scenario.horizon, h=scenario.step_size,
                                      solver=args.solver)

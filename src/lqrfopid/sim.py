@@ -6,9 +6,11 @@ Two interchangeable numerical paths realize the fractional operators:
   the ideal operators, used as the accuracy reference.
 * ``solver="oustaloup"`` - the impulse responses of band-limited rational
   (Oustaloup) realizations, each ZOH-discretized on its own; the
-  closed-loop default.  The plant's comes from its realization and one
-  matrix exponential, cached per (K, T, alpha, step, band, length): a
-  search samples its plant once, a sweep once per lag.  Each controller
+  closed-loop default.  The plant's comes from the realization of the
+  unit-gain plant and one matrix exponential, times K, cached per
+  (K, T, alpha, step, band, length): a search samples its plant once, a
+  sweep once per lag, and so with its transform at the size of a run's
+  last product.  Each controller
   operator's comes in closed form from the poles and residues of its
   filter, with no realization and no matrix exponential, and grows in
   place as the engine asks for more terms; the last controller's two are
@@ -28,6 +30,13 @@ earlier samples in an FFT.  Newton runs once, building the operator
 kernels only as far as it has reached, RUN_GROWTH-fold from DIRECT_TERMS
 terms and then to N: most diverging loops cross within a few hundred
 samples and never build those of the whole horizon.
+
+A closed loop forms only what its caller reads.  The last step of the
+loop denominator transforms H at a size that also fits H e, so a run that
+reaches the horizon gets u = H e from that transform with one more
+forward and one inverse FFT, and its indices from e and u.  The states
+x1 and x3 are formed on the first read of either, and so is the u of a
+diverged run, whose indices are the penalty.
 
 Timing convention shared by both paths: the plant state reached at sample
 k has integrated the (zero-order-held, delayed) input up to sample
@@ -119,23 +128,46 @@ class Scenario:
         return int(round(self.horizon / self.step_size))
 
 
-@dataclass(eq=False)
 class SimResult:
     """Sampled trajectories plus the two performance indices.
 
     x1, x2, x3 are the controller-side states (I**lam[e], e, D**mu[e]);
-    x2 equals setpoint - y at every sample by construction.
+    x2 equals setpoint - y at every sample by construction.  A closed loop
+    forms only what its indices read: u = H e where the run reached the
+    horizon, and x1, x3 (and the u of a diverged run) when first read.
     """
 
-    t: np.ndarray
-    y: np.ndarray
-    u: np.ndarray
-    x1: np.ndarray
-    x2: np.ndarray
-    x3: np.ndarray
-    itse: float
-    isdco: float
-    diverged: bool = False
+    def __init__(self, t, y, u, x1, x2, x3, itse, isdco, diverged=False):
+        self.t, self.y, self.x2 = t, y, x2
+        self.itse, self.isdco, self.diverged = itse, isdco, diverged
+        self._u, self._states = u, (x1, x3)
+
+    @classmethod
+    def _deferred(cls, t, y, u, x2, states, itse, isdco, diverged):
+        """A result whose (x1, x3) is ``states()``, called on the first read
+        of either; u is an array, or ``u(x1, x3)`` called on its first read."""
+        result = cls(t, y, None, None, x2, None, itse, isdco, diverged)
+        result._u, result._states = u, states
+        return result
+
+    @property
+    def u(self) -> np.ndarray:
+        if callable(self._u):
+            self._u = self._u(self.x1, self.x3)
+        return self._u
+
+    @property
+    def x1(self) -> np.ndarray:
+        return self._controller_states()[0]
+
+    @property
+    def x3(self) -> np.ndarray:
+        return self._controller_states()[1]
+
+    def _controller_states(self):
+        if callable(self._states):
+            self._states = self._states()
+        return self._states
 
 
 @dataclass(eq=False)
@@ -159,14 +191,16 @@ def performance_indices(
 
     Left-rectangular quadrature on the simulation grid (bit-reproducible):
     ``itse = h * sum t_k e_k**2`` and ``isdco = h * sum (u_k - u_ss)**2``
-    over the samples both signals have.
+    over the samples both signals have.  An index past the float range is
+    inf.
     """
     e = np.asarray(e, dtype=float)
     u = np.asarray(u, dtype=float)
     n = min(e.shape[0], u.shape[0])
     t = np.arange(n) * h
-    itse = float(h * np.sum(t * e[:n] ** 2))
-    isdco = float(h * np.sum((u[:n] - u_ss) ** 2))
+    with np.errstate(over="ignore"):
+        itse = float(h * np.sum(t * e[:n] ** 2))
+        isdco = float(h * np.sum((u[:n] - u_ss) ** 2))
     return itse, isdco
 
 
@@ -256,18 +290,21 @@ def _markov(A: np.ndarray, b: np.ndarray, c: np.ndarray, d: float, n: int) -> np
 
 def _kernels(plant, h, solver, band, n, exponents=()):
     """Input delay d, the first n terms of the plant, y = (num / den) z**d
-    (plant input), and ``operators``: ``operators(m)`` is exactly the first
+    (plant input), ``num_fft`` and ``operators``.  ``num_fft()`` is the
+    transform of num at _fft_size(2 n - 1), kept across runs (None on the
+    GL path, whose num is one term); ``operators(m)`` is exactly the first
     m terms of the operators s**gamma for the given exponents."""
     d = int(round(plant.L / h))
     if solver == "oustaloup":
         band = tuple(band)
         ops = [_operator_kernel(g, h, band) for g in exponents]
-        return (d, _plant_markov(replace(plant, L=0.0), h, band, n), np.ones(1),
-                lambda m: [op(m) for op in ops])
+        at_rest = (replace(plant, L=0.0), h, band, n)
+        return (d, _plant_markov(*at_rest), functools.partial(_plant_spectrum, *at_rest),
+                np.ones(1), lambda m: [op(m) for op in ops])
     if solver == "gl":
         den = plant.T * h ** (-plant.alpha) * gl_coefficients(plant.alpha, n)
         den[0] += 1.0
-        return (d + 1, np.array([plant.K]), den,
+        return (d + 1, np.array([plant.K]), None, den,
                 lambda m: [h ** -g * gl_coefficients(g, m) for g in exponents])
     raise ValueError(f"unknown solver {solver!r}")
 
@@ -319,19 +356,30 @@ def _error_series(F_of, q, r, threshold, n):
     return np.concatenate([np.zeros(s), e]), None
 
 
-def _loop_output(num, den, delay, H_of, r, w_start, w_mag, threshold, n):
-    """Output of y = (num / den) (z**delay H (r - y) + w) to n samples, and
-    its first sample non-finite or past ``threshold`` (None if there is none).
+def _loop_output(num, num_fft, den, delay, H_of, r, w_start, w_mag, threshold, n):
+    """Output of y = (num / den) (z**delay H (r - y) + w) to n samples, its
+    first sample non-finite or past ``threshold`` (None if there is none),
+    and the transform of the first n terms of H at _fft_size(2 n - 1), which
+    fits H e, if F was built to n terms with ``num_fft`` (else None).
 
     The set-point r and the input disturbance w (w_mag from sample w_start
     on) are steps, so the error e = r - y solves
     e F = (r den - w_mag z**w_start num) / (1 - z) with
-    F = den + z**delay num H, where ``H_of(t)`` is the first t terms of H.
+    F = den + z**delay num H, where ``H_of(t)`` is the first t terms of H
+    and ``num_fft`` as from :func:`_kernels`.
     """
+    H_spectrum = None
+
     def F_of(t):
-        F, H = _padded(den, t), H_of(t)
-        if delay < t:
-            F[delay:] += _series_mul(num, H, 0, t - delay)
+        nonlocal H_spectrum
+        F, H, hi = _padded(den, t), H_of(t), t - delay
+        if t == n and num_fft is not None and hi > DIRECT_TERMS:
+            # num H at a size that fits H e too; no term of degree < n folds
+            size = _fft_size(2 * n - 1)
+            H_spectrum = np.fft.rfft(H, size)
+            F[delay:] += np.fft.irfft(num_fft() * H_spectrum, size)[:hi]
+        elif hi > 0:
+            F[delay:] += _series_mul(num, H, 0, hi)
         return F
 
     q = r * den
@@ -339,14 +387,7 @@ def _loop_output(num, den, delay, H_of, r, w_start, w_mag, threshold, n):
         q = _padded(q, n)
         q[w_start:] -= w_mag * _padded(num, n - w_start)
     e, k = _error_series(F_of, q, r, threshold, n)
-    return r - e, k
-
-
-def _finish(y, u, x1, x2, x3, h, u_ss, diverged):
-    itse, isdco = ((PENALTY_OBJECTIVE, PENALTY_OBJECTIVE) if diverged
-                   else performance_indices(x2, u, u_ss, h))
-    return SimResult(t=np.arange(y.size) * h, y=y, u=u, x1=x1, x2=x2, x3=x3,
-                     itse=itse, isdco=isdco, diverged=diverged)
+    return r - e, k, H_spectrum
 
 
 def simulate_open_loop_step(
@@ -363,14 +404,17 @@ def simulate_open_loop_step(
     It diverges where y is non-finite or past DIVERGENCE_FACTOR max(1, |K|).
     """
     n = Scenario(horizon=horizon, step_size=h).n_steps
-    delay, num, den, _ = _kernels(plant, h, solver, DEFAULT_BAND, n)
+    delay, num, _, den, _ = _kernels(plant, h, solver, DEFAULT_BAND, n)
     # the step reaches the plant input at sample ``delay``: feed it there as
     # a disturbance of an open loop (H = 0) with zero set-point
-    y, k = _loop_output(num, den, delay, lambda t: np.zeros(1), 0.0, delay, 1.0,
-                        DIVERGENCE_FACTOR * max(1.0, abs(plant.K)), n)
+    y, k, _ = _loop_output(num, None, den, delay, lambda t: np.zeros(1), 0.0, delay, 1.0,
+                           DIVERGENCE_FACTOR * max(1.0, abs(plant.K)), n)
+    u, x2 = np.ones(y.size), 1.0 - y
+    itse, isdco = ((PENALTY_OBJECTIVE, PENALTY_OBJECTIVE) if k is not None
+                   else performance_indices(x2, u, 1.0, h))
     zeros = np.zeros(y.size)
-    return _finish(y, np.ones(y.size), zeros, 1.0 - y, zeros.copy(), h,
-                   u_ss=1.0, diverged=k is not None)
+    return SimResult(t=np.arange(y.size) * h, y=y, u=u, x1=zeros, x2=x2, x3=zeros.copy(),
+                     itse=itse, isdco=isdco, diverged=k is not None)
 
 
 def _plant_ss(plant: NioptdPlant, band, order):
@@ -478,20 +522,32 @@ class _OperatorKernel:
 
 
 # The caches hold what one search or one sweep reuses: the plant kernel
-# of each (K, T, alpha) at the one length of its runs, shared by all
-# delays, and the two operator kernels of one controller (grown to the
-# longest run asked of them).  They are not sized to keep kernels for a
-# later job, which only a repeat of the same job in one process would reuse.
+# of each (K, T, alpha) at the one length of its runs and its transform,
+# shared by all delays, and the two operator kernels of one controller
+# (grown to the longest run asked of them).  They are not sized to keep
+# kernels for a later job, which only a repeat of the same job in one
+# process would reuse.
 @functools.lru_cache(maxsize=8)
 def _plant_markov(plant: NioptdPlant, h: float, band: tuple[float, float], n: int):
     """The first n Markov parameters of the ZOH-sampled plant (read-only).
     The delay is no part of them, so callers pass the plant at L = 0: built
-    once per search, and once per lag of a sweep."""
-    A, B, C, D = _plant_ss(plant, band, OUSTALOUP_ORDER)
+    once per search, and once per lag of a sweep.  They are those of the
+    unit-gain plant times K, so no finite K overflows the realization."""
+    A, B, C, D = _plant_ss(replace(plant, K=1.0), band, OUSTALOUP_ORDER)
     Ad, Bd = _zoh(A, B, h)
-    num = _markov(Ad, Bd[:, 0], C[0], float(D), n)
+    num = plant.K * _markov(Ad, Bd[:, 0], C[0], float(D), n)
     num.flags.writeable = False
     return num
+
+
+@functools.lru_cache(maxsize=8)
+def _plant_spectrum(plant: NioptdPlant, h: float, band: tuple[float, float], n: int):
+    """The transform of :func:`_plant_markov` at _fft_size(2 n - 1), the size
+    of a run's last product with H (read-only): taken once per search, and
+    once per lag of a sweep."""
+    spectrum = np.fft.rfft(_plant_markov(plant, h, band, n), _fft_size(2 * n - 1))
+    spectrum.flags.writeable = False
+    return spectrum
 
 
 @functools.lru_cache(maxsize=2)
@@ -515,31 +571,50 @@ def simulate_closed_loop(
     divergence the trajectories are truncated after the first diverging
     sample, which keeps its output y while e, u, x1 and x3 are 0 there, and
     both indices are set to the penalty value.
+
+    u = H e comes from the transform of H that built the loop denominator
+    at the last length where there is one, and is formed only for a run
+    that reached the horizon; x1 and x3 are formed on first read.
     """
     scenario = scenario or Scenario()
     h, r, n = scenario.step_size, scenario.setpoint, scenario.n_steps
-    delay, num, den, operators = _kernels(plant, h, solver, band, n,
-                                          (-controller.lam, controller.mu))
+    delay, num, num_fft, den, operators = _kernels(plant, h, solver, band, n,
+                                                   (-controller.lam, controller.mu))
     w_start = int(np.searchsorted(np.arange(n) * h, scenario.disturbance_time))
-    kernels = [np.zeros(1)] * 2  # the last built: they cover e past its leading zeros
+    # the last built: they cover e past its leading zeros
+    kernels, H = [np.zeros(1)] * 2, np.zeros(1)
 
     def H_of(t):
-        kernels[:] = operators(t)
+        nonlocal kernels, H
+        kernels = operators(t)
         H = controller.ki * kernels[0] + controller.kd * kernels[1]
         H[0] += controller.kp
         return H
 
-    y, k = _loop_output(num, den, delay, H_of, r, w_start, scenario.disturbance_magnitude,
-                        DIVERGENCE_FACTOR * max(1.0, abs(r)), n)
-    e = r - y
+    y, k, H_spectrum = _loop_output(num, num_fft, den, delay, H_of, r, w_start,
+                                    scenario.disturbance_magnitude,
+                                    DIVERGENCE_FACTOR * max(1.0, abs(r)), n)
+    e, t = r - y, np.arange(y.size) * h
+
+    def states():
+        x1, x3 = _series_products(e, kernels, 0, y.size)
+        if k is not None:
+            x1[k] = x3[k] = 0.0
+        return x1, x3
+
     if k is not None:
         e[k] = 0.0
-    x1, x3 = _series_products(e, kernels, 0, y.size)
-    if k is not None:
-        x1[k] = x3[k] = 0.0
-    u = controller.kp * e + controller.ki * x1 + controller.kd * x3
+        return SimResult._deferred(
+            t, y, lambda x1, x3: controller.kp * e + controller.ki * x1 + controller.kd * x3,
+            e, states, PENALTY_OBJECTIVE, PENALTY_OBJECTIVE, diverged=True)
+    if H_spectrum is None:
+        u = _series_mul(e, H, 0, n)
+    else:
+        size = _fft_size(2 * n - 1)
+        u = np.fft.irfft(H_spectrum * np.fft.rfft(e, size), size)[:n]
     u_ss = r / plant.K if controller.lam > 0 else float(u[-1])
-    return _finish(y, u, x1, e, x3, h, u_ss, diverged=k is not None)
+    itse, isdco = performance_indices(e, u, u_ss, h)
+    return SimResult._deferred(t, y, u, e, states, itse, isdco, diverged=False)
 
 
 def evaluate_design_objectives(

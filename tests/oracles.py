@@ -9,7 +9,9 @@ power-series engine must agree with.  Likewise the constructions the
 package replaced are kept here as the references of their replacements:
 scipy's CARE solver, the fused ZOH of all loop blocks, the loop that
 built a cascade realization and the sampling of each operator's
-realization by a matrix exponential.
+realization by a matrix exponential.  The closed-loop matrix Phi of the
+sampled Oustaloup loop and its spectral radius are the reference of what
+"stable" means for a design.
 """
 from __future__ import annotations
 
@@ -160,6 +162,56 @@ def operator_markov(gamma, h, n, band=(1e-3, 1e3), order=5):
             out[k] = C[0] @ x
             x = Ad @ x
     return out
+
+
+def closed_loop_matrix(plant, controller, h, band=(1e-3, 1e3), order=5):
+    """The sampled Oustaloup loop as one linear recursion
+    X[k + 1] = Phi X[k] + gamma r, y[k] = c X[k]: returns (Phi, gamma, c).
+
+    X holds the states of the integral and derivative operators and of the
+    plant, each block ZOH-sampled from its own realization, then a buffer
+    of the last d controls u[k - 1], ..., u[k - d], d = round(L/h), so the
+    plant input at sample k is u[k - d].  The loop is stable exactly when
+    rho(Phi) < 1.
+    """
+    d = int(round(plant.L / h))
+    realizations = [differintegrator_ss(g, band, order) for g in (-controller.lam, controller.mu)]
+    realizations.append(_plant_ss(plant, band, order))
+    edges = np.cumsum([0] + [A.shape[0] for A, _, _, _ in realizations])
+    blocks = [slice(i, j) for i, j in zip(edges, edges[1:])]
+    buffer = edges[-1]
+    Phi, gamma, c = (np.zeros((buffer + d, buffer + d)), np.zeros(buffer + d),
+                     np.zeros(buffer + d))
+    c[blocks[2]] = realizations[2][2][0]
+    # with e[k] = r - c X[k], the control is u[k] = U X[k] + D r
+    gains = (controller.ki, controller.kd)
+    D = controller.kp + sum(g * float(r[3][0, 0]) for g, r in zip(gains, realizations))
+    U = -D * c
+    for gain, block, (_, _, C, _) in zip(gains, blocks, realizations):
+        U[block] += gain * C[0]
+    for block, (A, B, _, _) in zip(blocks[:2], realizations):
+        # the operators read e[k]
+        Ad, Bd = _zoh(A, B, h)
+        Phi[block, block] = Ad
+        Phi[block] -= np.outer(Bd[:, 0], c)
+        gamma[block] = Bd[:, 0]
+    Ad, Bd = _zoh(*realizations[2][:2], h)
+    Phi[blocks[2], blocks[2]] = Ad
+    plant_input = Bd[:, 0]
+    if d == 0:
+        Phi[blocks[2]] += np.outer(plant_input, U)
+        gamma[blocks[2]] = plant_input * D
+    else:
+        Phi[blocks[2], buffer + d - 1] = plant_input
+        Phi[buffer] = U
+        gamma[buffer] = D
+        Phi[buffer + 1:, buffer:buffer + d - 1] += np.eye(d - 1)
+    return Phi, gamma, c
+
+
+def spectral_radius(Phi: np.ndarray) -> float:
+    """rho(Phi): the largest eigenvalue magnitude."""
+    return float(np.max(np.abs(np.linalg.eigvals(Phi))))
 
 
 def brute_force_fronts(objectives: np.ndarray) -> list[list[int]]:

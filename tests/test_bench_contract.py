@@ -7,8 +7,11 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from lqrfopid import (FopidController, NioptdPlant, Scenario, robustness_sweep,
+                      simulate_closed_loop, simulate_open_loop_step)
 from lqrfopid.cli import build_parser
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -100,3 +103,36 @@ def test_calls_bind_to_signatures():
             bound += 1
     assert problems == []
     assert bound > 0
+
+
+# what bench/ reads off results: spans._sim_attrs (t, diverged), the
+# workload checks and digests (y, u, x2, itse, isdco), the sweep surfaces
+# and, through write_sweep_csv, the grids
+RESULT_ATTRIBUTES = ("t", "y", "u", "x2", "itse", "isdco", "diverged")
+SWEEP_ATTRIBUTES = ("L_grid", "T_grid", "itse", "isdco", "diverged")
+
+
+def _assert_readable(result, names):
+    for name in names:
+        value = getattr(result, name)
+        if name == "diverged" and not isinstance(value, np.ndarray):
+            assert isinstance(value, bool), name
+        else:
+            assert isinstance(value, (np.ndarray, float)), (name, type(value))
+
+
+@pytest.mark.parametrize("solver", ["oustaloup", "gl"])
+def test_result_attributes_bench_reads(solver):
+    """Open loops, a surviving and a diverging closed loop, and a sweep give
+    every attribute bench/ reads as an ndarray or a float (a bool flag)."""
+    plant = NioptdPlant(K=1.0, L=0.5, T=2.0, alpha=1.5)
+    scenario = Scenario(horizon=20.0, disturbance_time=10.0, disturbance_magnitude=0.1)
+    controllers = (FopidController(kp=0.7, ki=0.5, kd=1.8, lam=1.1, mu=0.45),
+                   FopidController(kp=8.0, ki=0.5, kd=0.0, lam=1.0, mu=0.5))
+    results = [simulate_open_loop_step(plant, horizon=20.0, solver=solver)]
+    results += [simulate_closed_loop(plant, c, scenario, solver=solver) for c in controllers]
+    assert [r.diverged for r in results] == [False, False, True]
+    for result in results:
+        _assert_readable(result, RESULT_ATTRIBUTES)
+    sweep = robustness_sweep(plant, controllers[0], [0.4, 0.6], [2.0], scenario)
+    _assert_readable(sweep, SWEEP_ATTRIBUTES)

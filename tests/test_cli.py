@@ -46,6 +46,23 @@ class TestStep:
         code = main(["step", "--alpha", "2.5", "--out-dir", str(tmp_path)])
         assert code == EXIT_INVALID_INPUT
 
+    @pytest.mark.parametrize("solver", ["oustaloup", "gl"])
+    def test_huge_gain_without_runtime_warnings(self, tmp_path, capsys, solver):
+        """A gain whose step still has a finite divergence bound finishes;
+        past it the command exits 2 naming K.  NumPy warns of nothing."""
+        plant = ["--alpha", "0.5", "--h", "0.1", "--horizon", "20", "--solver", solver]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["step", "--K", "1e300", *plant, "--out-dir", str(tmp_path / "ok")])
+            assert code == EXIT_OK
+            _, rows = read_csv(tmp_path / "ok" / "step.csv")
+            assert all(np.isfinite(float(v)) for row in rows for v in row)
+            capsys.readouterr()
+            code = main(["step", "--K", "1e308", *plant, "--out-dir", str(tmp_path / "no")])
+        assert code == EXIT_INVALID_INPUT
+        assert capsys.readouterr().err.startswith("error: K=1e+308 ")
+        assert not (tmp_path / "no").exists()
+
 
 class TestGains:
     def test_reference_design(self, tmp_path, capsys):

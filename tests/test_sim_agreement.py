@@ -26,15 +26,20 @@ from lqrfopid.sim import DEFAULT_BAND, _kernels, _OperatorKernel, evaluate_desig
 
 from oracles import (
     closed_loop_gl_loop,
+    closed_loop_matrix,
     closed_loop_oustaloup_loop,
     fused_oustaloup_markov,
     open_loop_step_loop,
     operator_markov,
+    spectral_radius,
 )
 from reference_cases import BY_NAME, OSCILLATORY_PLANT
 
 REFERENCE_LOOPS = {"oustaloup": closed_loop_oustaloup_loop, "gl": closed_loop_gl_loop}
 DISTURBED = Scenario(disturbance_time=40.0, disturbance_magnitude=0.1)
+# e is zero up to the disturbance, so the loop denominator never reaches N
+# terms and u = H e takes the product without a transform at hand
+AT_REST = Scenario(setpoint=0.0, disturbance_time=40.0, disturbance_magnitude=0.1)
 
 
 def assert_agree(res, ref):
@@ -55,7 +60,8 @@ def closed_loop_pair(plant, controller, scenario, solver):
 
 
 @pytest.mark.parametrize("solver", ["oustaloup", "gl"])
-@pytest.mark.parametrize("scenario", [Scenario(), DISTURBED], ids=["step", "disturbed"])
+@pytest.mark.parametrize("scenario", [Scenario(), DISTURBED, AT_REST],
+                         ids=["step", "disturbed", "at_rest"])
 @pytest.mark.parametrize("name", sorted(BY_NAME))
 def test_reference_designs(name, scenario, solver):
     case = BY_NAME[name]
@@ -181,7 +187,8 @@ def test_split_sampling_matches_fused(h):
     for alpha in (0.5, 1.5):
         plant = NioptdPlant(K=1.0, L=0.5, T=2.0, alpha=alpha)
         for lam, mu in pairs:
-            _, num, den, operators = _kernels(plant, h, "oustaloup", DEFAULT_BAND, n, (-lam, mu))
+            _, num, _, den, operators = _kernels(plant, h, "oustaloup", DEFAULT_BAND, n,
+                                                 (-lam, mu))
             ops = operators(n)
             assert np.array_equal(den, [1.0])
             want = fused_oustaloup_markov(plant, h, (-lam, mu), n)
@@ -221,7 +228,7 @@ def test_closed_form_kernels_match_matrix_path(h):
     exponents += [sign * g for g in ORDER_EDGES for sign in (-1.0, 1.0)]
     exponents += NEAR_INTEGERS
     plant = NioptdPlant(K=1.0, L=0.5, T=2.0, alpha=1.5)
-    _, _, _, operators = _kernels(plant, h, "oustaloup", DEFAULT_BAND, 1, exponents)
+    *_, operators = _kernels(plant, h, "oustaloup", DEFAULT_BAND, 1, exponents)
     for gamma, got in zip(exponents, operators(KERNEL_TERMS)):
         ref = operator_markov(gamma, h, KERNEL_TERMS)
         assert got.size == KERNEL_TERMS
@@ -270,3 +277,170 @@ def test_design_evaluations_build_no_matrix_exponential(monkeypatch):
     # the seeded batch does reach the simulation, not only the penalties
     # of the gain map
     assert any(r != (sim.PENALTY_OBJECTIVE, sim.PENALTY_OBJECTIVE) for r in results)
+
+
+def reference_loop(name):
+    case = BY_NAME[name]
+    vars = LqrDesignVars(q1=case.q1, q2=case.q2, q3=case.q3, r=case.r,
+                         lam=case.lam, mu=case.mu)
+    return case.plant, design_from_vars(case.plant, vars, case.method)
+
+
+def eager_states(res, plant, controller, scenario, solver):
+    """x1 and x3 as simulate_closed_loop formed them before it deferred
+    them: one product of e with both operator kernels, zero at a crossing."""
+    h, n = scenario.step_size, res.t.size
+    *_, operators = _kernels(plant, h, solver, DEFAULT_BAND, scenario.n_steps,
+                             (-controller.lam, controller.mu))
+    x1, x3 = sim._series_products(res.x2, operators(n), 0, n)
+    if res.diverged:
+        x1[-1] = x3[-1] = 0.0
+    return x1, x3
+
+
+# a loop that crosses the divergence bound after a few thousand samples
+DIVERGING = (OSCILLATORY_PLANT, FopidController(kp=8.0, ki=0.5, kd=0.0, lam=1.0, mu=0.5))
+
+
+@pytest.mark.parametrize("solver", ["oustaloup", "gl"])
+@pytest.mark.parametrize("scenario", [Scenario(), DISTURBED], ids=["step", "disturbed"])
+@pytest.mark.parametrize("name", sorted(BY_NAME) + ["diverging"])
+def test_states_on_first_read_equal_eager(name, scenario, solver):
+    """x1 and x3 read after the run equal the eager product bit for bit,
+    and u = H e equals kp e + ki x1 + kd x3 within 1e-12 of its scale."""
+    plant, controller = DIVERGING if name == "diverging" else reference_loop(name)
+    res = simulate_closed_loop(plant, controller, scenario, solver=solver)
+    assert res.diverged == (name == "diverging")
+    x1, x3 = eager_states(res, plant, controller, scenario, solver)
+    assert np.array_equal(res.x1, x1) and np.array_equal(res.x3, x3)
+    assert res.x1 is res.x1
+    want = controller.kp * res.x2 + controller.ki * x1 + controller.kd * x3
+    assert np.max(np.abs(res.u - want)) <= 1e-12 * np.max(np.abs(want))
+    if res.diverged:
+        # the crossing sample keeps its output; e, u, x1 and x3 are 0 there
+        assert abs(res.y[-1]) > sim.DIVERGENCE_FACTOR
+        assert res.x2[-1] == res.u[-1] == res.x1[-1] == res.x3[-1] == 0.0
+
+
+def test_diverged_run_reads_u_first():
+    """u of a diverged run, read before x1 and x3, is the one formed from them."""
+    res = simulate_closed_loop(*DIVERGING, Scenario(horizon=40.0))
+    assert res.diverged
+    u = res.u
+    assert np.array_equal(u, DIVERGING[1].kp * res.x2 + DIVERGING[1].ki * res.x1
+                          + DIVERGING[1].kd * res.x3)
+    assert u[-1] == 0.0
+
+
+def test_objective_forms_no_controller_states(monkeypatch):
+    """One objective evaluation, on a survivor and on a diverging design,
+    makes no product with an operator kernel: x1 and x3 are never formed."""
+    scenario = Scenario()
+    case = BY_NAME["osc_median"]
+    survivor = LqrDesignVars(q1=case.q1, q2=case.q2, q3=case.q3, r=case.r,
+                             lam=case.lam, mu=case.mu)
+    rng = np.random.default_rng(53)
+    lo, hi = np.array(DESIGN_BOUNDS).T
+    designs = [(survivor, case.method)] + [
+        (LqrDesignVars.from_array(rng.uniform(lo, hi)), DelayMethod.HE) for _ in range(40)]
+    results, products = [], []
+    simulate, multiply = sim.simulate_closed_loop, sim._series_products
+
+    def kept(*args, **kwargs):
+        results.append(simulate(*args, **kwargs))
+        return results[-1]
+
+    def spied(a, bs, lo, hi):
+        products.append([a, *bs])
+        return multiply(a, bs, lo, hi)
+
+    monkeypatch.setattr(sim, "simulate_closed_loop", kept)
+    monkeypatch.setattr(sim, "_series_products", spied)
+
+    def kernel_products(controller):
+        kernels = [sim._operator_kernel(g, scenario.step_size, DEFAULT_BAND).terms
+                   for g in (-controller.lam, controller.mu)]
+        return sum(any(np.shares_memory(f, k) for f in factors for k in kernels)
+                   for factors in products)
+
+    seen = set()
+    for vars, method in designs:
+        products.clear()
+        results.clear()
+        objectives = evaluate_design_objectives(case.plant, vars, method, scenario)
+        if not results or results[0].diverged in seen:
+            continue
+        res, controller = results[0], design_from_vars(case.plant, vars, method)
+        seen.add(res.diverged)
+        assert (objectives[0] == sim.PENALTY_OBJECTIVE) == res.diverged
+        assert kernel_products(controller) == 0
+        # the spy does see the product once x1 is read
+        res.x1
+        assert kernel_products(controller) == 1
+    assert seen == {False, True}
+
+
+def test_zero_integral_order_uses_final_control():
+    """With lam = 0 the control deviation is taken from u[-1] = (H e)[-1]: the
+    indices agree within 1e-9 with those of kp e + ki x1 + kd x3, the
+    control the engine formed before, and with the per-sample loop."""
+    case = BY_NAME["osc_median"]
+    vars = LqrDesignVars(q1=case.q1, q2=case.q2, q3=case.q3, r=case.r, lam=0.0, mu=case.mu)
+    controller = design_from_vars(case.plant, vars, case.method)
+    scenario = Scenario(horizon=40.0)
+    res, ref = closed_loop_pair(case.plant, controller, scenario, "oustaloup")
+    assert not res.diverged
+    assert_agree(res, ref)
+    before = controller.kp * res.x2 + controller.ki * res.x1 + controller.kd * res.x3
+    itse, isdco = sim.performance_indices(res.x2, before, float(before[-1]),
+                                          scenario.step_size)
+    assert res.itse == pytest.approx(itse, rel=1e-9, abs=0)
+    assert res.isdco == pytest.approx(isdco, rel=1e-9, abs=0)
+
+
+def test_survivor_transform_count(monkeypatch):
+    """A warm surviving loop at N = 10**4 makes at most 38 FFTs, at most 4
+    of them at the largest size, 2 N rounded up to a fast length."""
+    plant, controller = reference_loop("osc_median")
+    scenario = Scenario()
+    simulate_closed_loop(plant, controller, scenario)
+    sizes = []
+    for name in ("rfft", "irfft"):
+        transform = getattr(np.fft, name)
+
+        def counted(a, n=None, *args, _transform=transform, **kwargs):
+            sizes.append(n)
+            return _transform(a, n, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    res = simulate_closed_loop(plant, controller, scenario)
+    res.itse, res.isdco
+    largest = sim._fft_size(2 * scenario.n_steps - 1)
+    assert not res.diverged and max(sizes) == largest
+    assert len(sizes) <= 38
+    assert sizes.count(largest) <= 4
+
+
+@pytest.mark.parametrize("name", sorted(BY_NAME) + ["zero_delay"])
+def test_closed_loop_matrix_oracle(name):
+    """The step response of the closed-loop matrix Phi equals the engine's
+    output within 1e-9, and every reference design has rho(Phi) < 1 (by
+    only about 2e-5: the Oustaloup band starts at 1e-3 rad/s)."""
+    if name == "zero_delay":
+        plant = NioptdPlant(K=1, L=0.0, T=2, alpha=1.5)
+        controller = design_from_vars(plant, LqrDesignVars(
+            q1=0.6, q2=0.03, q3=0.06, r=0.35, lam=1.1, mu=0.45), DelayMethod.DELAY_FREE)
+        scenario = Scenario(horizon=20.0)
+    else:
+        plant, controller = reference_loop(name)
+        scenario = Scenario()
+    res = simulate_closed_loop(plant, controller, scenario)
+    Phi, gamma, c = closed_loop_matrix(plant, controller, scenario.step_size)
+    X, y = np.zeros(gamma.size), np.empty(scenario.n_steps)
+    for k in range(y.size):
+        y[k] = c @ X
+        X = Phi @ X + gamma * scenario.setpoint
+    assert not res.diverged
+    assert np.max(np.abs(res.y - y)) <= 1e-9 * max(1.0, np.max(np.abs(y)))
+    if name != "zero_delay":
+        assert spectral_radius(Phi) < 1.0
