@@ -97,7 +97,7 @@ class RationalFilter:
     gain: float
 
     def __post_init__(self):
-        if np.any(np.asarray(self.poles) >= 0.0):
+        if (np.asarray(self.poles) >= 0.0).any():
             raise ValueError("filter has a non-negative pole")
 
     def freq_response(self, w) -> complex | np.ndarray:
@@ -151,10 +151,10 @@ def oustaloup_approximation(
     if order < 1:
         raise ValueError(f"approximation order must be >= 1, got {order}")
     n = int(order)
-    k = np.arange(-n, n + 1)
-    w_ratio = w_high / w_low
-    zeros = -w_low * w_ratio ** ((k + n + 0.5 * (1.0 - gamma)) / (2 * n + 1))
-    poles = -w_low * w_ratio ** ((k + n + 0.5 * (1.0 + gamma)) / (2 * n + 1))
+    # zero k and pole k, k = 0, ..., 2 n, sit at these fractions of the
+    # band's decades, in one array operation for both
+    shift = 0.5 * np.array([[1.0 - gamma], [1.0 + gamma]])
+    zeros, poles = -w_low * (w_high / w_low) ** ((np.arange(2 * n + 1.0) + shift) / (2 * n + 1))
     gain = w_high ** gamma
     return RationalFilter(zeros=zeros, poles=poles, gain=gain)
 

@@ -7,7 +7,11 @@ The CARE is solved by Laub's ordered-Schur method (IEEE TAC 24, 1979):
 the stable invariant subspace of the Hamiltonian matrix
 ``[[A, -B R^-1 B'], [-Q, -A']]``, spanned by the first n Schur vectors
 once the open-left-half-plane eigenvalues are ordered first, gives
-``P = Z21 Z11^-1``.  Every solution is then certified before it is
+``P = Z21 Z11^-1``.  The ordered Schur form comes from one call of
+LAPACK ``dgees`` on the Hamiltonian, which must be finite, with the
+workspace size LAPACK asks for at that order: the same T, Z and count
+as ``scipy.linalg.schur(H, sort="lhp")``, without its second (query)
+call and its wrapper.  Every solution is then certified before it is
 returned: finite, symmetric, a Hurwitz closed loop, a residual within
 ``CARE_RESIDUAL_RTOL`` (after at most five Newton-Kleinman steps) and
 positive semidefinite.  A violated contract raises :class:`CareFailure`
@@ -18,10 +22,12 @@ stabilizing solution exists and the solver says so.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
+from scipy.linalg.lapack import dgees
 
 __all__ = [
     "CareFailure",
@@ -51,7 +57,7 @@ def expm(M: np.ndarray) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise ValueError("matrix has non-finite entries")
     return linalg.expm(M)
 
@@ -59,9 +65,9 @@ def expm(M: np.ndarray) -> np.ndarray:
 def spectral_abscissa(M: np.ndarray) -> float:
     """Largest real part over the eigenvalues of M."""
     M = np.asarray(M, dtype=float)
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise ValueError("matrix has non-finite entries")
-    return float(np.max(np.linalg.eigvals(M).real))
+    return float(np.linalg.eigvals(M).real.max())
 
 
 def is_stabilizable(A: np.ndarray, B: np.ndarray) -> bool:
@@ -108,7 +114,7 @@ class CareProblem:
         if Q.shape != (n, n) or R.shape != (m, m):
             raise ValueError(f"inconsistent Q/R shapes: {Q.shape}, {R.shape}")
         for name, M in (("A", A), ("B", B), ("Q", Q), ("R", R)):
-            if not np.all(np.isfinite(M)):
+            if not np.isfinite(M).all():
                 raise ValueError(f"{name} has non-finite entries")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
@@ -136,18 +142,41 @@ def solve_care(prob: CareProblem) -> CareSolution:
     """
     A, B, Q, R = prob.A, prob.B, prob.Q, prob.R
     n = A.shape[0]
+    # Fortran order, so that LAPACK overwrites it in place; an overflow of
+    # B R^-1 B' (r near 0) is caught as a non-finite entry below
+    H = np.empty((2 * n, 2 * n), order="F")
     try:
-        H = np.empty((2 * n, 2 * n))
-        H[:n, :n], H[:n, n:] = A, -B @ np.linalg.solve(R, B.T)
+        with np.errstate(over="ignore", invalid="ignore"):
+            H[:n, :n], H[:n, n:] = A, -B @ np.linalg.solve(R, B.T)
         H[n:, :n], H[n:, n:] = -Q, -A.T
-        _, Z, k = linalg.schur(H, sort="lhp")
-        if k != n:
-            raise CareFailure(
-                f"Hamiltonian has {k} open-left-half-plane eigenvalues, need {n}")
+    except np.linalg.LinAlgError as exc:
+        raise CareFailure(f"Riccati solver failed: {exc}") from exc
+    if not np.isfinite(H).all():
+        raise CareFailure("Riccati solver failed: Hamiltonian has non-finite entries")
+    _, k, _, _, Z, _, info = dgees(_open_left, H, lwork=_gees_workspace(2 * n),
+                                   overwrite_a=1, sort_t=1)
+    if info != 0:
+        raise CareFailure(f"Riccati solver failed: LAPACK dgees reports info = {info}")
+    if k != n:
+        raise CareFailure(f"Hamiltonian has {k} open-left-half-plane eigenvalues, need {n}")
+    try:
         P = np.linalg.solve(Z[:n, :n].T, Z[n:, :n].T).T
-    except (np.linalg.LinAlgError, ValueError) as exc:
+    except np.linalg.LinAlgError as exc:
         raise CareFailure(f"Riccati solver failed: {exc}") from exc
     return _certify(prob, P)
+
+
+def _open_left(re: float, im: float) -> bool:
+    """dgees's selector: the eigenvalue re + i im lies in the open left
+    half plane."""
+    return re < 0.0
+
+
+@functools.lru_cache(maxsize=8)
+def _gees_workspace(order: int) -> int:
+    """The workspace size dgees asks for at this order; it depends on the
+    order alone, so it is queried once per order."""
+    return int(dgees(_open_left, np.zeros((order, order)), lwork=-1)[-2][0])
 
 
 def _certify(prob: CareProblem, P: np.ndarray) -> CareSolution:
@@ -155,7 +184,7 @@ def _certify(prob: CareProblem, P: np.ndarray) -> CareSolution:
     it by Newton-Kleinman steps when only the residual falls short, and
     return it with its gain; raises :class:`CareFailure` otherwise."""
     A, B, Q, R = prob.A, prob.B, prob.Q, prob.R
-    if not np.all(np.isfinite(P)):
+    if not np.isfinite(P).all():
         raise CareFailure("Riccati solver returned non-finite entries")
 
     sym_err = np.linalg.norm(P - P.T)

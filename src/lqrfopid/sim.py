@@ -13,15 +13,17 @@ Two interchangeable numerical paths realize the fractional operators:
   last product.  Each controller
   operator's comes in closed form from the poles and residues of its
   filter, with no realization and no matrix exponential, and grows in
-  place as the engine asks for more terms; the last controller's two are
-  cached, so a robustness sweep builds each once.
+  place as the engine asks for more terms.  One kernel object serves all
+  the operators of a run, in one pass over their poles; the last
+  controller's is cached, so a robustness sweep builds it once.
 
 Both loops are linear and causal, so one engine solves them on power
 series truncated to the N samples of a run: with the one-sample delay z,
 plant num / den, controller H, delay d and set-point and disturbance
 steps r and w, the error is e = (r den - num w) / (den + z**d num H).
 Products are FFT convolutions; the first DIRECT_TERMS terms of the
-reciprocal come by forward substitution, the rest by Newton doubling:
+reciprocal come by forward substitution (one LAPACK dtrtrs solve on the
+Toeplitz matrix of the denominator), the rest by Newton doubling:
 O(N log N) per run.  A run diverges at the first sample whose output is
 non-finite or exceeds DIVERGENCE_FACTOR * max(1, |setpoint|) in
 magnitude (max(1, |K|) for an open-loop step); the engine tests each
@@ -50,7 +52,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_triangular, toeplitz
+from scipy.linalg.lapack import dtrtrs
 
 from .design import (
     DelayMethod,
@@ -99,7 +101,8 @@ class Scenario:
 
     The disturbance is an input-additive step at the plant input; its
     default magnitude is zero so that tracking experiments measure the
-    set-point response alone.
+    set-point response alone.  Every field must be finite, and the horizon
+    a whole number of positive steps.
     """
 
     setpoint: float = 1.0
@@ -109,6 +112,9 @@ class Scenario:
     disturbance_magnitude: float = 0.0
 
     def __post_init__(self):
+        for name in ("setpoint", "disturbance_time", "disturbance_magnitude"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 < self.step_size < math.inf:
             raise ValueError(f"step size must be positive and finite, got {self.step_size}")
         if not 0.0 < self.horizon < math.inf:
@@ -251,11 +257,21 @@ def _series_products(a: np.ndarray, bs, lo: int, hi: int) -> list[np.ndarray]:
 def _first_block(F: np.ndarray, q: np.ndarray) -> np.ndarray:
     """The first F.size terms of 1 / F and of q / F, by one forward
     substitution on the lower-triangular Toeplitz matrix of F (F[0] != 0):
-    each term is summed directly from the earlier ones."""
-    rhs = np.zeros((F.size, 2))
-    rhs[0, 0], rhs[:, 1] = 1.0, _padded(q, F.size)
-    return solve_triangular(toeplitz(F, np.zeros(F.size)), rhs, lower=True,
-                            check_finite=False).T
+    each term is summed directly from the earlier ones.  Row i of that
+    matrix, F[i], ..., F[0], 0, ..., 0, is a window of F reversed and
+    zero-padded, so the matrix is a view of that copy; LAPACK dtrtrs solves
+    with its transpose (upper triangular, in Fortran order)."""
+    n = F.size
+    padded = np.zeros(2 * n)
+    padded[:n] = F[::-1]
+    lower = np.ndarray((n, n), buffer=padded, offset=(n - 1) * padded.itemsize,
+                       strides=(-padded.itemsize, padded.itemsize))
+    rhs = np.zeros((n, 2), order="F")
+    rhs[0, 0], rhs[:, 1] = 1.0, _padded(q, n)
+    x, info = dtrtrs(lower.T, rhs, lower=0, trans=1, overwrite_b=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK dtrtrs reports info = {info}")
+    return x.T
 
 
 def _newton_terms(F: np.ndarray, g: np.ndarray, m: int, t: int) -> np.ndarray:
@@ -297,10 +313,10 @@ def _kernels(plant, h, solver, band, n, exponents=()):
     d = int(round(plant.L / h))
     if solver == "oustaloup":
         band = tuple(band)
-        ops = [_operator_kernel(g, h, band) for g in exponents]
+        kernels = _operator_kernels(tuple(exponents), h, band) if exponents else lambda m: []
         at_rest = (replace(plant, L=0.0), h, band, n)
         return (d, _plant_markov(*at_rest), functools.partial(_plant_spectrum, *at_rest),
-                np.ones(1), lambda m: [op(m) for op in ops])
+                np.ones(1), kernels)
     if solver == "gl":
         den = plant.T * h ** (-plant.alpha) * gl_coefficients(plant.alpha, n)
         den[0] += 1.0
@@ -449,20 +465,27 @@ _GAUSS_NODES = (_GAUSS_NODES + 1.0) / 2.0
 _GAUSS_MOMENTS = _GAUSS_WEIGHTS[:, None] / 2.0 * _GAUSS_NODES[:, None] ** np.arange(3)
 
 
-def _interval_moments(poles: np.ndarray, h: float, count: int) -> np.ndarray:
-    """The integrals of tau**j exp(p tau) over [0, h], j < count, one row per
-    pole p: h**(j + 1) J_j(p h) with J_j(x) the integral of u**j exp(x u)
-    over [0, 1].  J_0 = expm1(x) / x (1 at x = 0).  Past it the recurrence
-    J_j = (exp(x) - j J_(j-1)) / x, which cancels for small x; where
-    |x| < 1/2 the Gauss-Legendre rule instead, exact to rounding there (it
-    integrates the terms x**n u**(n + j) / n! exactly up to degree 19)."""
+def _interval_moments(poles: np.ndarray, h: float, spans) -> np.ndarray:
+    """The integrals of tau**j exp(p tau) over [0, h], j < count, for the
+    poles[lo:hi] of each (lo, hi, count) of ``spans``, one row per pole
+    (zero past its span's count): h**(j + 1) J_j(p h) with J_j(x) the
+    integral of u**j exp(x u) over [0, 1].  J_0 = expm1(x) / x (1 at
+    x = 0).  Past it the recurrence J_j = (exp(x) - j J_(j-1)) / x, which
+    cancels for small x; where |x| < 1/2 the Gauss-Legendre rule instead,
+    exact to rounding there (it integrates the terms x**n u**(n + j) / n!
+    exactly up to degree 19).  Each span's rule is a matrix product of the
+    shape it has for those poles alone, so a span's moments do not depend
+    on the others."""
+    count = max(c for _, _, c in spans)
     x = poles * h
-    out = np.empty((x.size, count))
+    out = np.zeros((x.size, count))
     out[:, 0] = np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0)
     if count > 1:
         small = np.abs(x) < 0.5
-        out[:, 1:] = (np.exp(np.multiply.outer(x * small, _GAUSS_NODES))
-                      @ _GAUSS_MOMENTS[:, 1:count])
+        nodes = np.exp(np.multiply.outer(x * small, _GAUSS_NODES))
+        for lo, hi, c in spans:
+            if c > 1:
+                out[lo:hi, 1:c] = nodes[lo:hi] @ _GAUSS_MOMENTS[:, 1:c]
         x, moment = x[~small], out[~small, 0]
         for j in range(1, count):
             moment = (np.exp(x) - j * moment) / x
@@ -470,11 +493,12 @@ def _interval_moments(poles: np.ndarray, h: float, count: int) -> np.ndarray:
     return out * h ** np.arange(1, count + 1)
 
 
-class _OperatorKernel:
-    """The sampled kernel of s**gamma, in closed form from the poles and
-    residues of its filter, extended in place on demand.
+class _OperatorKernels:
+    """The sampled kernels of s**gamma for each exponent of a run, in closed
+    form from the poles and residues of their filters, extended in place on
+    demand.
 
-    ``kernel(m)`` is the first m terms (read-only): g[0] is the
+    ``kernels(m)`` is the first m terms of each (read-only): g[0] is the
     feedthrough and g[k] the integral of the impulse response
     sum_i sum_l c_il t**l exp(p_i t) over [(k - 1) h, k h], the ZOH Markov
     parameter.  With s = (k - 1) h that is sum_i exp(p_i s) P_i(s), where
@@ -484,47 +508,62 @@ class _OperatorKernel:
     For the KERNEL_BLOCK samples s = (b KERNEL_BLOCK + j) h of block b that
     is sum_l s**l (X_b R)[l, j], with X_b[i] = exp(p_i h KERNEL_BLOCK b) and
     R[i, (l, j)] = (coefficient of s**l in P_i) exp(p_i h j) built once
-    (``basis``): a row of one small matrix product, then Horner in s.  The
+    (``bases``): a row of one small matrix product, then Horner in s.  The
     blocks are built in chunks of fixed bounds, so each is always the same
-    row of a product of the same shape, and growing the kernel never
-    changes the terms it already has nor what it will build.
+    row of a product of the same shape, and growing the kernels never
+    changes the terms they already have nor what they will build.
+
+    The operators share one pass over their poles: one table of the
+    moments I_ij, one of exp(p h j) and one exp(p h KERNEL_BLOCK b) per
+    chunk; each keeps its own block product and Horner step, so each
+    kernel is the one it would be alone, bit for bit.
     """
 
-    def __init__(self, gamma: float, h: float, band: tuple[float, float]):
-        d, poles, coeffs = differintegrator_modes(gamma, band)
-        moments = _interval_moments(poles, h, coeffs.shape[1])
-        poly = coeffs * moments[:, :1]  # columns: powers of s
-        for l in range(1, coeffs.shape[1]):
-            for j in range(1, l + 1):
-                poly[:, l - j] += coeffs[:, l] * math.comb(l, j) * moments[:, j]
-        self.powers, self.poles, self.h = poly.shape[1], poles, h
-        self.basis = (poly[:, :, None] * np.exp(np.multiply.outer(poles * h, _BLOCK_STEPS))
-                      [:, None, :]).reshape(poles.size, self.powers * KERNEL_BLOCK)
-        self.terms = np.array([d])
-        self.terms.flags.writeable = False
+    def __init__(self, exponents, h: float, band: tuple[float, float]):
+        modes = [differintegrator_modes(g, band) for g in exponents]
+        poles = np.concatenate([p for _, p, _ in modes])
+        # operator i has the poles poles[lo:hi] and coeffs.shape[1] powers
+        self.spans, hi = [], 0
+        for _, p, coeffs in modes:
+            self.spans.append((hi, hi + p.size, coeffs.shape[1]))
+            hi += p.size
+        moments = _interval_moments(poles, h, self.spans)
+        steps = np.exp(np.multiply.outer(poles * h, _BLOCK_STEPS))
+        self.bases = []
+        for (_, _, coeffs), (lo, hi, _) in zip(modes, self.spans):
+            poly = coeffs * moments[lo:hi, :1]  # columns: powers of s
+            for l in range(1, coeffs.shape[1]):
+                for j in range(1, l + 1):
+                    poly[:, l - j] += coeffs[:, l] * math.comb(l, j) * moments[lo:hi, j]
+            self.bases.append((poly[:, :, None] * steps[lo:hi, None, :])
+                              .reshape(hi - lo, poly.shape[1] * KERNEL_BLOCK))
+        self.rates, self.h = poles * (KERNEL_BLOCK * h), h
+        self.terms = [np.array([d]) for d, _, _ in modes]
+        for terms in self.terms:
+            terms.flags.writeable = False
 
-    def __call__(self, m: int) -> np.ndarray:
-        while self.terms.size < m:
+    def __call__(self, m: int) -> list[np.ndarray]:
+        while self.terms[0].size < m:
             # the chunk of blocks [first, 2 first) while that is under
             # GROW_BLOCKS blocks, [first, first + GROW_BLOCKS) past it
-            first = (self.terms.size - 1) // KERNEL_BLOCK
+            first = (self.terms[0].size - 1) // KERNEL_BLOCK
             blocks = np.arange(first, first + min(max(first, 1), GROW_BLOCKS))
-            modes = np.exp(np.multiply.outer(blocks, self.poles * (KERNEL_BLOCK * self.h)))
-            rows = (modes @ self.basis).reshape(blocks.size, self.powers, KERNEL_BLOCK)
-            new = rows[:, -1]
-            if self.powers > 1:
-                s = (blocks[:, None] * KERNEL_BLOCK + _BLOCK_STEPS) * self.h
-                for l in range(self.powers - 2, -1, -1):
+            modes = np.exp(np.multiply.outer(blocks, self.rates))
+            s = (blocks[:, None] * KERNEL_BLOCK + _BLOCK_STEPS) * self.h
+            for i, ((lo, hi, powers), basis) in enumerate(zip(self.spans, self.bases)):
+                rows = (modes[:, lo:hi] @ basis).reshape(blocks.size, powers, KERNEL_BLOCK)
+                new = rows[:, -1]
+                for l in range(powers - 2, -1, -1):
                     new = new * s + rows[:, l]
-            self.terms = np.concatenate([self.terms, new.ravel()])
-            self.terms.flags.writeable = False
-        return self.terms[:m]
+                self.terms[i] = np.concatenate([self.terms[i], new.ravel()])
+                self.terms[i].flags.writeable = False
+        return [terms[:m] for terms in self.terms]
 
 
 # The caches hold what one search or one sweep reuses: the plant kernel
 # of each (K, T, alpha) at the one length of its runs and its transform,
-# shared by all delays, and the two operator kernels of one controller
-# (grown to the longest run asked of them).  They are not sized to keep
+# shared by all delays, and the operator kernels of one controller (grown
+# to the longest run asked of them).  They are not sized to keep
 # kernels for a later job, which only a repeat of the same job in one
 # process would reuse.
 @functools.lru_cache(maxsize=8)
@@ -550,11 +589,17 @@ def _plant_spectrum(plant: NioptdPlant, h: float, band: tuple[float, float], n: 
     return spectrum
 
 
-@functools.lru_cache(maxsize=2)
-def _operator_kernel(gamma: float, h: float, band: tuple[float, float]) -> _OperatorKernel:
-    """The kernel of s**gamma, kept across the runs of one controller, for
-    instance across a robustness sweep, where it is built once."""
-    return _OperatorKernel(gamma, h, band)
+@functools.lru_cache(maxsize=1)
+def _operator_kernels(exponents: tuple, h: float, band: tuple[float, float]) -> _OperatorKernels:
+    """The kernels of one controller's operators, kept across its runs, for
+    instance across a robustness sweep, where they are built once."""
+    return _OperatorKernels(exponents, h, band)
+
+
+@functools.lru_cache(maxsize=8)
+def _first_sample_at(n: int, h: float, t: float) -> int:
+    """The first of the n samples k h that is at or after t (n if none)."""
+    return int(np.searchsorted(np.arange(n) * h, t))
 
 
 def simulate_closed_loop(
@@ -580,7 +625,7 @@ def simulate_closed_loop(
     h, r, n = scenario.step_size, scenario.setpoint, scenario.n_steps
     delay, num, num_fft, den, operators = _kernels(plant, h, solver, band, n,
                                                    (-controller.lam, controller.mu))
-    w_start = int(np.searchsorted(np.arange(n) * h, scenario.disturbance_time))
+    w_start = _first_sample_at(n, h, scenario.disturbance_time)
     # the last built: they cover e past its leading zeros
     kernels, H = [np.zeros(1)] * 2, np.zeros(1)
 

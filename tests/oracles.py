@@ -7,7 +7,8 @@ algorithm.  The per-sample simulation loops at the end share only the
 operator realizations with the package; they are the reference its
 power-series engine must agree with.  Likewise the constructions the
 package replaced are kept here as the references of their replacements:
-scipy's CARE solver, the fused ZOH of all loop blocks, the loop that
+scipy's CARE solver and its ordered Schur form, scipy's triangular solve
+on a Toeplitz matrix, the fused ZOH of all loop blocks, the loop that
 built a cascade realization and the sampling of each operator's
 realization by a matrix exponential.  The closed-loop matrix Phi of the
 sampled Oustaloup loop and its spectral radius are the reference of what
@@ -101,6 +102,39 @@ def care_scipy(prob):
     except Exception as exc:  # scipy raises LinAlgError or ValueError
         raise CareFailure(f"Riccati solver failed: {exc}") from exc
     return _certify(prob, P)
+
+
+def care_schur_scipy(prob):
+    """The ordered-Schur CARE as the package solved it through
+    ``scipy.linalg.schur(H, sort="lhp")`` before it called LAPACK dgees
+    directly, followed by the package's own certification: the reference
+    of that replacement, to the last bit."""
+    A, B, Q, R = prob.A, prob.B, prob.Q, prob.R
+    n = A.shape[0]
+    try:
+        H = np.empty((2 * n, 2 * n))
+        with np.errstate(over="ignore", invalid="ignore"):
+            H[:n, :n], H[:n, n:] = A, -B @ np.linalg.solve(R, B.T)
+        H[n:, :n], H[n:, n:] = -Q, -A.T
+        _, Z, k = linalg.schur(H, sort="lhp")
+        if k != n:
+            raise CareFailure(
+                f"Hamiltonian has {k} open-left-half-plane eigenvalues, need {n}")
+        P = np.linalg.solve(Z[:n, :n].T, Z[n:, :n].T).T
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise CareFailure(f"Riccati solver failed: {exc}") from exc
+    return _certify(prob, P)
+
+
+def first_block_toeplitz(F: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The first F.size terms of 1 / F and q / F as the package solved them
+    before it called LAPACK dtrtrs directly: scipy's triangular solve on
+    the lower-triangular Toeplitz matrix of F."""
+    rhs = np.zeros((F.size, 2))
+    rhs[0, 0] = 1.0
+    rhs[:min(q.size, F.size), 1] = q[:F.size]
+    return linalg.solve_triangular(linalg.toeplitz(F, np.zeros(F.size)), rhs, lower=True,
+                                   check_finite=False).T
 
 
 def cascade_ss_loop(zeros, poles, gain, integrators: int = 0):

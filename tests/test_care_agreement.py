@@ -8,6 +8,10 @@ With q1 > 0 the two verdicts agree and the gain rows agree within 1e-9
 relative.  With q1 = 0 the integrator mode of A is undetectable, so no
 stabilizing solution exists; the Schur solver must always say so (scipy
 used to certify some of these problems on rounding alone).
+
+The direct LAPACK dgees call of ``solve_care`` equals the
+``scipy.linalg.schur`` construction it replaced (``oracles.care_schur_scipy``)
+bit for bit, verdicts included.
 """
 import numpy as np
 import pytest
@@ -15,7 +19,7 @@ import pytest
 from lqrfopid import CareFailure, CareProblem, NioptdPlant, build_state_space, expm, solve_care
 from lqrfopid.nsga2 import DESIGN_BOUNDS
 
-from oracles import care_scipy
+from oracles import care_schur_scipy, care_scipy
 from reference_cases import REFERENCE_DESIGNS
 
 
@@ -78,3 +82,37 @@ def test_no_solution_without_integral_weight(alpha, seed):
     for prob in problems(plant, weights):
         with pytest.raises(CareFailure):
             solve_care(prob)
+
+
+def solution_or_failure(solver, prob):
+    try:
+        sol = solver(prob)
+    except CareFailure:
+        return None
+    return sol.P, sol.gain, sol.residual_norm
+
+
+@pytest.mark.parametrize("alpha, seed, q1_zero",
+                         [(0.5, 21, False), (1.5, 22, False), (0.5, 23, True), (1.5, 24, True)])
+def test_direct_schur_equals_scipy_schur(alpha, seed, q1_zero):
+    """P, gain and residual bit for bit, and the same CareFailure verdicts,
+    on the seeded problems above; with q1 = 0 both always fail."""
+    plant = NioptdPlant(K=1.0, L=0.5, T=2.0, alpha=alpha)
+    weights = seeded_weights(seed, 60 if q1_zero else 300, q1_zero=q1_zero)
+    for prob in problems(plant, weights):
+        got, want = solution_or_failure(solve_care, prob), solution_or_failure(
+            care_schur_scipy, prob)
+        assert (got is None) == (want is None), (prob.B.ravel(), np.diag(prob.Q), prob.R)
+        assert got is None or not q1_zero
+        if want is not None:
+            P, gain, residual = got
+            assert np.array_equal(P, want[0]) and np.array_equal(gain, want[1])
+            assert residual == want[2]
+
+
+@pytest.mark.parametrize("case", REFERENCE_DESIGNS, ids=lambda c: c.name)
+def test_direct_schur_equals_scipy_schur_on_references(case):
+    for prob in problems(case.plant, [(case.q1, case.q2, case.q3, case.r)]):
+        got, want = solve_care(prob), care_schur_scipy(prob)
+        assert np.array_equal(got.P, want.P) and np.array_equal(got.gain, want.gain)
+        assert got.residual_norm == want.residual_norm

@@ -1,16 +1,23 @@
 import time
+import warnings
 
 import numpy as np
 import pytest
 
 from lqrfopid import (
+    PENALTY_OBJECTIVE,
     CareFailure,
     CareProblem,
+    DelayMethod,
+    NioptdPlant,
+    build_state_space,
+    evaluate_design_objectives,
     expm,
     is_stabilizable,
     solve_care,
     spectral_abscissa,
 )
+from lqrfopid import matops
 
 from oracles import care_hamiltonian, care_newton, expm_series, random_stabilizable
 
@@ -156,3 +163,65 @@ class TestStabilizable:
         A = np.diag([-1.0, -2.0])
         B = np.zeros((2, 1))
         assert is_stabilizable(A, B)
+
+
+class TestDirectLapackFailures:
+    """solve_care calls LAPACK dgees itself: a Hamiltonian with a non-finite
+    entry never reaches it, and any failure it reports is a CareFailure,
+    which the objective turns into the penalty pair."""
+
+    PLANT = NioptdPlant(K=1.0, L=0.5, T=2.0, alpha=0.5)
+
+    @pytest.fixture
+    def lapack_calls(self, monkeypatch):
+        calls = []
+        gees = matops.dgees
+        monkeypatch.setattr(matops, "dgees",
+                            lambda *args, **kwargs: calls.append(args) or gees(*args, **kwargs))
+        return calls
+
+    def assert_failure_and_penalty(self, plant, prob, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(CareFailure):
+                solve_care(prob)
+            for method in (DelayMethod.CAI, DelayMethod.HE):
+                assert evaluate_design_objectives(plant, x, method) == (PENALTY_OBJECTIVE,
+                                                                        PENALTY_OBJECTIVE)
+
+    def test_overflowing_input_weight_fails_before_lapack(self, lapack_calls):
+        # B R^-1 B' overflows at the smallest positive r
+        A, B = build_state_space(self.PLANT)
+        prob = CareProblem(A=A, B=B, Q=np.eye(3), R=[[5e-324]])
+        self.assert_failure_and_penalty(self.PLANT, prob, [1.0, 1.0, 1.0, 5e-324, 0.5, 0.5])
+        assert lapack_calls == []
+
+    def test_non_finite_hamiltonian_fails_before_lapack(self, lapack_calls):
+        # a finite plant whose input matrix squares past the float range
+        plant = NioptdPlant(K=1e300, L=0.5, T=2.0, alpha=0.5)
+        A, B = build_state_space(plant)
+        prob = CareProblem(A=A, B=B, Q=np.eye(3), R=[[1.0]])
+        self.assert_failure_and_penalty(plant, prob, [1.0, 1.0, 1.0, 1.0, 0.5, 0.5])
+        assert lapack_calls == []
+
+    def test_reported_reordering_failure(self, monkeypatch):
+        # info = order + 1: the eigenvalues could not be reordered
+        gees = matops.dgees
+
+        def failing(*args, **kwargs):
+            *out, _ = gees(*args, **kwargs)
+            return (*out, args[1].shape[0] + 1)
+
+        monkeypatch.setattr(matops, "dgees", failing)
+        A, B = build_state_space(self.PLANT)
+        prob = CareProblem(A=A, B=B, Q=np.eye(3), R=[[1.0]])
+        with pytest.raises(CareFailure, match="info = 7"):
+            solve_care(prob)
+        assert evaluate_design_objectives(self.PLANT, [1.0, 1.0, 1.0, 1.0, 0.5, 0.5],
+                                          DelayMethod.HE) == (PENALTY_OBJECTIVE,
+                                                              PENALTY_OBJECTIVE)
+
+    def test_healthy_problem_reaches_lapack_once(self, lapack_calls):
+        A, B = build_state_space(self.PLANT)
+        solve_care(CareProblem(A=A, B=B, Q=np.eye(3), R=[[1.0]]))
+        assert len(lapack_calls) == 1

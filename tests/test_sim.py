@@ -242,6 +242,24 @@ class TestClosedLoop:
                 Scenario(horizon=horizon, step_size=step)
         assert Scenario(horizon=0.01, step_size=0.01).n_steps == 1
 
+    @pytest.mark.parametrize("field, value", [
+        ("disturbance_time", np.nan), ("disturbance_magnitude", np.nan),
+        ("disturbance_magnitude", np.inf), ("setpoint", np.nan),
+        ("setpoint", -np.inf), ("disturbance_time", np.inf)])
+    def test_scenario_rejects_non_finite_steps(self, field, value):
+        """A NaN disturbance time used to run with no disturbance at all, a
+        NaN magnitude or set-point to read as divergence, an infinite
+        magnitude to warn: each is now an error naming its field."""
+        with pytest.raises(ValueError, match=field):
+            Scenario(horizon=100.0, **{field: value})
+        # the same scenario with finite steps runs a stable loop to the end
+        controller = FopidController(kp=1.0, ki=0.5, kd=0.2, lam=0.9, mu=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = simulate_closed_loop(OSCILLATORY_PLANT, controller, Scenario(
+                horizon=100.0, **{field: 1.0 if field == "setpoint" else 60.0}))
+        assert not res.diverged
+
 
 class TestEvaluateDesignObjectives:
     def test_reference_case_under_reproduction_settings(self):
@@ -309,7 +327,7 @@ class TestRobustnessSweep:
                 simulate_closed_loop(case.plant, controller, history)
             sweep = robustness_sweep(case.plant, controller, [case.plant.L],
                                      [case.plant.T], scn)
-            sim._operator_kernel.cache_clear()
+            sim._operator_kernels.cache_clear()
             single = simulate_closed_loop(case.plant, controller, scn)
             assert sweep.itse[0, 0] == single.itse
             assert sweep.isdco[0, 0] == single.isdco

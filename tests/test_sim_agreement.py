@@ -3,8 +3,11 @@ it replaced (``oracles.*_loop``): the same divergence verdicts and
 truncation lengths, outputs within 1e-9 of the output scale, and indices
 within 1e-9 relative.  The Oustaloup kernels against the single fused
 matrix exponential they replaced, and the closed-form operator kernels
-against the matrix exponential of each operator's realization."""
+against the matrix exponential of each operator's realization.  The
+direct LAPACK first block against scipy's triangular Toeplitz solve it
+replaced, bit for bit."""
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -20,14 +23,16 @@ from lqrfopid import (
     simulate_open_loop_step,
 )
 from lqrfopid import sim
-from lqrfopid.matops import CareFailure
+from lqrfopid.matops import CareFailure, CareProblem
 from lqrfopid.nsga2 import DESIGN_BOUNDS
-from lqrfopid.sim import DEFAULT_BAND, _kernels, _OperatorKernel, evaluate_design_objectives
+from lqrfopid.sim import DEFAULT_BAND, _kernels, _OperatorKernels, evaluate_design_objectives
 
 from oracles import (
+    care_schur_scipy,
     closed_loop_gl_loop,
     closed_loop_matrix,
     closed_loop_oustaloup_loop,
+    first_block_toeplitz,
     fused_oustaloup_markov,
     open_loop_step_loop,
     operator_markov,
@@ -235,22 +240,113 @@ def test_closed_form_kernels_match_matrix_path(h):
         assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref)), gamma
 
 
+GROWN_LENGTHS = (1, 2, 128, 129, 257, 513, 1024, 1000, 2049, 2050, 4097, 8192, KERNEL_TERMS)
+
+
 @pytest.mark.parametrize("h", [0.01, 0.05])
 def test_grown_kernels_equal_one_build(h):
     """A kernel grown in the lengths Newton asks for equals one built at the
     full length bit for bit, and its first terms never change as it grows."""
     rng = np.random.default_rng(43)
     for gamma in list(rng.uniform(-2.0, 2.0, 12)) + [-2.0, -1.0, 0.0, 1.0, 2.0]:
-        whole = _OperatorKernel(gamma, h, DEFAULT_BAND)(KERNEL_TERMS)
-        grown = _OperatorKernel(gamma, h, DEFAULT_BAND)
+        [whole] = _OperatorKernels((gamma,), h, DEFAULT_BAND)(KERNEL_TERMS)
+        grown = _OperatorKernels((gamma,), h, DEFAULT_BAND)
         before = np.zeros(0)
-        for m in (1, 2, 128, 129, 257, 513, 1024, 1000, 2049, 2050, 4097, 8192, KERNEL_TERMS):
-            now = grown(m)
+        for m in GROWN_LENGTHS:
+            [now] = grown(m)
             assert now.size == m
             common = min(m, before.size)
             assert np.array_equal(now[:common], before[:common]), (gamma, m)
             before = now.copy()
         assert np.array_equal(before, whole), gamma
+
+
+@pytest.mark.parametrize("h", [0.01, 0.05])
+def test_shared_kernel_pass_equals_per_exponent_builds(h):
+    """The kernels of one shared pass over both operators equal those built
+    one exponent at a time bit for bit, at every length they grow through:
+    seeded (-lam, mu) pairs of the design box and every pair of the orders
+    0, 1 and 2 (2 is a cube of three powers, next to operators of fewer)."""
+    rng = np.random.default_rng(61)
+    lo, hi = np.array(DESIGN_BOUNDS[4:]).T
+    pairs = [tuple(rng.uniform(lo, hi)) for _ in range(12)]
+    pairs += list(itertools.product((0.0, 1.0, 2.0), repeat=2))
+    for lam, mu in pairs:
+        shared = _OperatorKernels((-lam, mu), h, DEFAULT_BAND)
+        alone = [_OperatorKernels((g,), h, DEFAULT_BAND) for g in (-lam, mu)]
+        for m in GROWN_LENGTHS:
+            got = shared(m)
+            assert len(got) == 2
+            for kernel, single in zip(got, alone):
+                assert np.array_equal(kernel, single(m)[0]), (lam, mu, m)
+
+
+def gl_denominator(alpha, T, h, n):
+    den = T * h ** -alpha * sim.gl_coefficients(alpha, n)
+    den[0] += 1.0
+    return den
+
+
+@pytest.mark.parametrize("n", [1, 5, 128])
+def test_first_block_equals_toeplitz_solve(n):
+    """The direct dtrtrs solve equals scipy's triangular solve on the
+    Toeplitz matrix bit for bit: F[0] = 1 (the Oustaloup loop), F[0] != 1
+    (the GL denominator), and q as long as F, shorter, or one term."""
+    rng = np.random.default_rng(67)
+    unit = rng.normal(size=n)
+    unit[0] = 1.0
+    for F in (unit, gl_denominator(0.5, 2.0, 0.05, n), gl_denominator(1.5, 2.0, 0.01, n)):
+        for q in (rng.normal(size=n), rng.normal(size=max(n // 2, 1)), np.ones(1),
+                  rng.normal(size=n + 3)):
+            assert np.array_equal(sim._first_block(F, q), first_block_toeplitz(F, q)), (n, q.size)
+
+
+def test_first_block_raises_where_lapack_reports_failure(monkeypatch):
+    """A singular Toeplitz matrix (F[0] = 0), or any dtrtrs that reports
+    info > 0, raises instead of returning the solver's output."""
+    singular = np.zeros(5)
+    singular[1] = 1.0
+    with pytest.raises(np.linalg.LinAlgError):
+        sim._first_block(singular, np.ones(1))
+    solve = sim.dtrtrs
+    monkeypatch.setattr(sim, "dtrtrs", lambda *args, **kwargs: (solve(*args, **kwargs)[0], 2))
+    with pytest.raises(np.linalg.LinAlgError):
+        sim._first_block(np.ones(5), np.ones(1))
+
+
+def test_evaluation_reaches_lapack_directly():
+    """One Oustaloup-path evaluation calls neither scipy.linalg.schur nor
+    solve_triangular nor toeplitz, and builds one kernel object for both
+    controller operators."""
+    case = BY_NAME["osc_median"]
+    vars = LqrDesignVars(q1=case.q1, q2=case.q2, q3=case.q3, r=case.r,
+                         lam=case.lam, mu=case.mu)
+    wrappers = {"schur", "solve_triangular", "toeplitz"}
+    calls = []
+
+    def spy(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and (code is _OperatorKernels.__init__.__code__ or (
+                code.co_name in wrappers and "scipy" in code.co_filename)):
+            calls.append(code.co_name)
+
+    def spied(run):
+        calls.clear()
+        sys.setprofile(spy)
+        try:
+            return run()
+        finally:
+            sys.setprofile(None)
+
+    # the spy does see the replaced constructions
+    prob = CareProblem(A=np.diag([-1.0, -2.0]), B=[[1.0], [1.0]], Q=np.eye(2), R=[[1.0]])
+    spied(lambda: (care_schur_scipy(prob), first_block_toeplitz(np.ones(3), np.ones(1))))
+    assert sorted(calls) == ["schur", "solve_triangular", "toeplitz"]
+
+    sim._operator_kernels.cache_clear()
+    objectives = spied(lambda: evaluate_design_objectives(case.plant, vars, case.method))
+    assert calls == ["__init__"]
+    assert objectives != (sim.PENALTY_OBJECTIVE, sim.PENALTY_OBJECTIVE)
 
 
 def test_design_evaluations_build_no_matrix_exponential(monkeypatch):
@@ -358,8 +454,8 @@ def test_objective_forms_no_controller_states(monkeypatch):
     monkeypatch.setattr(sim, "_series_products", spied)
 
     def kernel_products(controller):
-        kernels = [sim._operator_kernel(g, scenario.step_size, DEFAULT_BAND).terms
-                   for g in (-controller.lam, controller.mu)]
+        kernels = sim._operator_kernels((-controller.lam, controller.mu), scenario.step_size,
+                                        DEFAULT_BAND).terms
         return sum(any(np.shares_memory(f, k) for f in factors for k in kernels)
                    for factors in products)
 
