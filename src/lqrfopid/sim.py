@@ -40,6 +40,15 @@ forward and one inverse FFT, and its indices from e and u.  The states
 x1 and x3 are formed on the first read of either, and so is the u of a
 diverged run, whose indices are the penalty.
 
+On the Oustaloup path den is one term.  There the right-hand side of a
+disturbed loop with r != 0 stays split: each block multiplies r den by
+1 / F directly, and num by 1 / F only from the disturbance's sample on,
+so blocks before it make no FFT product for it.  Past the first block,
+num H is formed to the t terms of each growth length t whatever the delay,
+which only shifts it; H's transform and num H per plant at rest are kept
+for the last controller, so a robustness sweep transforms H once and
+forms num H once per lag, not once per cell.
+
 Timing convention shared by both paths: the plant state reached at sample
 k has integrated the (zero-order-held, delayed) input up to sample
 k - 1 - round(L/h), so there is never an algebraic loop, even at L = 0.
@@ -306,17 +315,16 @@ def _markov(A: np.ndarray, b: np.ndarray, c: np.ndarray, d: float, n: int) -> np
 
 def _kernels(plant, h, solver, band, n, exponents=()):
     """Input delay d, the first n terms of the plant, y = (num / den) z**d
-    (plant input), ``num_fft`` and ``operators``.  ``num_fft()`` is the
-    transform of num at _fft_size(2 n - 1), kept across runs (None on the
-    GL path, whose num is one term); ``operators(m)`` is exactly the first
-    m terms of the operators s**gamma for the given exponents."""
+    (plant input), ``at_rest`` and ``operators``.  ``at_rest`` is the key of
+    the plant's cached series, which the delay is no part of (None on the GL
+    path, whose num is one term); ``operators(m)`` is exactly the first m
+    terms of the operators s**gamma for the given exponents."""
     d = int(round(plant.L / h))
     if solver == "oustaloup":
         band = tuple(band)
         kernels = _operator_kernels(tuple(exponents), h, band) if exponents else lambda m: []
         at_rest = (replace(plant, L=0.0), h, band, n)
-        return (d, _plant_markov(*at_rest), functools.partial(_plant_spectrum, *at_rest),
-                np.ones(1), kernels)
+        return d, _plant_markov(*at_rest), at_rest, np.ones(1), kernels
     if solver == "gl":
         den = plant.T * h ** (-plant.alpha) * gl_coefficients(plant.alpha, n)
         den[0] += 1.0
@@ -325,7 +333,18 @@ def _kernels(plant, h, solver, band, n, exponents=()):
     raise ValueError(f"unknown solver {solver!r}")
 
 
-def _error_series(F_of, q, r, threshold, n):
+def _split_terms(split, g, m, t):
+    """Terms m, ..., t - 1 of q g for q = a + z**w b, ``split`` = (a, w, b)
+    with a short: a g, direct while a is, plus b g from sample w on."""
+    a, w, b = split
+    terms = _series_mul(a, g, m, t)
+    if t > w:
+        lo = max(m, w)
+        terms[lo - m:] += _series_mul(b, g, lo - w, t - w)
+    return terms
+
+
+def _error_series(F_of, q, r, threshold, n, split=None):
     """The first n terms of e = (q / F) / (1 - z), cut at the first sample k
     whose output r - e[k] is non-finite or exceeds ``threshold`` in
     magnitude: returns (e[:k + 1], k) then, else (e, None).
@@ -338,7 +357,10 @@ def _error_series(F_of, q, r, threshold, n):
     of about sum|q| max|1 / F| over all its terms; past MAX_SPREAD times
     the threshold a block is halved, and at DIRECT_TERMS summed directly,
     which keeps each sample free of the later ones.  Leading zeros of q are
-    split off first: e is zero there whatever 1 / F does.
+    split off first: e is zero there whatever 1 / F does.  Where q[0] != 0
+    and ``split`` = (a, w, b) gives q = a + z**w b with a short, a block
+    that passes that test takes q (1 / F) from :func:`_split_terms`, so it
+    multiplies by b only from sample w on.
     """
     lead = np.flatnonzero(q[:n])
     s = int(lead[0]) if lead.size else n
@@ -361,6 +383,8 @@ def _error_series(F_of, q, r, threshold, n):
                         continue
                     terms = np.convolve(np.concatenate([np.zeros(t - 1 - m), q[:t]]), gt,
                                         "valid")
+                elif split is not None:
+                    terms = _split_terms(split, gt, m, t)
                 else:
                     terms = _series_mul(q, gt, m, t)
             block = np.cumsum(terms) + (e[-1] if m else 0.0)
@@ -372,37 +396,46 @@ def _error_series(F_of, q, r, threshold, n):
     return np.concatenate([np.zeros(s), e]), None
 
 
-def _loop_output(num, num_fft, den, delay, H_of, r, w_start, w_mag, threshold, n):
+def _loop_output(num, den, delay, H_of, r, w_start, w_mag, threshold, n, shared=None):
     """Output of y = (num / den) (z**delay H (r - y) + w) to n samples, its
     first sample non-finite or past ``threshold`` (None if there is none),
     and the transform of the first n terms of H at _fft_size(2 n - 1), which
-    fits H e, if F was built to n terms with ``num_fft`` (else None).
+    fits H e, if F was built to n terms with ``shared`` (else None).
 
     The set-point r and the input disturbance w (w_mag from sample w_start
     on) are steps, so the error e = r - y solves
     e F = (r den - w_mag z**w_start num) / (1 - z) with
-    F = den + z**delay num H, where ``H_of(t)`` is the first t terms of H
-    and ``num_fft`` as from :func:`_kernels`.
+    F = den + z**delay num H, where ``H_of(t)`` is the first t terms of H.
+    On the Oustaloup path ``shared`` is (products, at_rest): the
+    :class:`_SharedProducts` of the controller and the plant's key from
+    :func:`_kernels`, which give num H to t > DIRECT_TERMS terms for every
+    delay.  There
+    den is one term, so with r != 0 the right-hand side stays split: r den
+    times 1 / F directly, and num times 1 / F only from sample w_start on.
     """
     H_spectrum = None
 
     def F_of(t):
         nonlocal H_spectrum
         F, H, hi = _padded(den, t), H_of(t), t - delay
-        if t == n and num_fft is not None and hi > DIRECT_TERMS:
-            # num H at a size that fits H e too; no term of degree < n folds
-            size = _fft_size(2 * n - 1)
-            H_spectrum = np.fft.rfft(H, size)
-            F[delay:] += np.fft.irfft(num_fft() * H_spectrum, size)[:hi]
+        if shared is not None and t > DIRECT_TERMS:
+            products, at_rest = shared
+            if hi > 0:
+                F[delay:] += products.num_H(at_rest, num, t, H)[:hi]
+            if t == n:
+                H_spectrum = products.H_spectrum(H)
         elif hi > 0:
             F[delay:] += _series_mul(num, H, 0, hi)
         return F
 
-    q = r * den
+    q, split = r * den, None
     if w_mag != 0.0 and w_start < n:
+        w = -w_mag * num[:n - w_start]
+        if shared is not None and r != 0.0:
+            split = (q, w_start, w)
         q = _padded(q, n)
-        q[w_start:] -= w_mag * _padded(num, n - w_start)
-    e, k = _error_series(F_of, q, r, threshold, n)
+        q[w_start:] += _padded(w, n - w_start)
+    e, k = _error_series(F_of, q, r, threshold, n, split)
     return r - e, k, H_spectrum
 
 
@@ -417,14 +450,25 @@ def simulate_open_loop_step(
     Solves T D**alpha y + y = K u(t - L) with u the unit step and zero
     initial conditions; the horizon must be a whole number of steps h, as
     in :class:`Scenario`.  x2 is filled with 1 - y; x1 and x3 stay zero.
-    It diverges where y is non-finite or past DIVERGENCE_FACTOR max(1, |K|).
+    It diverges where y is non-finite or past DIVERGENCE_FACTOR max(1, |K|):
+    where the unit-gain response passes DIVERGENCE_FACTOR max(1, |K|) / |K|,
+    or K times it leaves the float range.
     """
     n = Scenario(horizon=horizon, step_size=h).n_steps
-    delay, num, _, den, _ = _kernels(plant, h, solver, DEFAULT_BAND, n)
+    K = plant.K
+    delay, num, _, den, _ = _kernels(replace(plant, K=1.0), h, solver, DEFAULT_BAND, n)
     # the step reaches the plant input at sample ``delay``: feed it there as
-    # a disturbance of an open loop (H = 0) with zero set-point
-    y, k, _ = _loop_output(num, None, den, delay, lambda t: np.zeros(1), 0.0, delay, 1.0,
-                           DIVERGENCE_FACTOR * max(1.0, abs(plant.K)), n)
+    # a disturbance of an open loop (H = 0) with zero set-point.  The loop
+    # runs at unit gain, y is that response times K, so no finite K
+    # overflows a product of the engine.
+    y, k, _ = _loop_output(num, den, delay, lambda t: np.zeros(1), 0.0, delay, 1.0,
+                           max(DIVERGENCE_FACTOR, DIVERGENCE_FACTOR / abs(K)), n)
+    with np.errstate(over="ignore"):
+        y = K * y
+    overflow = np.flatnonzero(~np.isfinite(y))
+    if overflow.size:
+        k = int(overflow[0])
+        y = y[:k + 1]
     u, x2 = np.ones(y.size), 1.0 - y
     itse, isdco = ((PENALTY_OBJECTIVE, PENALTY_OBJECTIVE) if k is not None
                    else performance_indices(x2, u, 1.0, h))
@@ -562,10 +606,13 @@ class _OperatorKernels:
 
 # The caches hold what one search or one sweep reuses: the plant kernel
 # of each (K, T, alpha) at the one length of its runs and its transform,
-# shared by all delays, and the operator kernels of one controller (grown
-# to the longest run asked of them).  They are not sized to keep
-# kernels for a later job, which only a repeat of the same job in one
-# process would reuse.
+# shared by all delays; the operator kernels of one controller (grown to
+# the longest run asked of them); and that controller's products at one
+# length, H's transform and num H per plant at rest, shared by all delays.
+# A search makes a new controller at every evaluation, so it looks those
+# up once and builds them; a sweep builds H's transform once and num H once
+# per lag.  They are not sized to keep series for a later job, which only
+# a repeat of the same job in one process would reuse.
 @functools.lru_cache(maxsize=8)
 def _plant_markov(plant: NioptdPlant, h: float, band: tuple[float, float], n: int):
     """The first n Markov parameters of the ZOH-sampled plant (read-only).
@@ -596,6 +643,61 @@ def _operator_kernels(exponents: tuple, h: float, band: tuple[float, float]) -> 
     return _OperatorKernels(exponents, h, band)
 
 
+class _SharedProducts:
+    """The products that the Oustaloup-path runs of one controller at one
+    length n share, whatever the plant's delay d (read-only): H's transform
+    at _fft_size(2 n - 1), taken on first use, and num H to t terms for each
+    plant at rest and growth length t past DIRECT_TERMS, of which
+    F = 1 + z**d num H takes the first t - d (a shorter product is direct,
+    cheaper than keeping it).  ``num`` and ``H`` are the plant's kernel and
+    the first t terms of the controller's H, the same in every run of it;
+    ``runs`` counts the runs of the controller.
+
+    num H to all n terms is kept only from the controller's second run on:
+    a search runs each controller once, and an n-term product kept past its
+    run made the heap grow again, page by page, in the next evaluation.
+    """
+
+    # num H of at most this many (plant, length) pairs, the oldest dropped
+    # first: a few growth lengths for each of _plant_markov's plants
+    KEPT = 32
+
+    def __init__(self, n: int):
+        self.n, self.runs, self.spectrum, self.products = n, 0, None, {}
+
+    def H_spectrum(self, H: np.ndarray) -> np.ndarray:
+        if self.spectrum is None:
+            self.spectrum = np.fft.rfft(H, _fft_size(2 * self.n - 1))
+            self.spectrum.flags.writeable = False
+        return self.spectrum
+
+    def num_H(self, at_rest, num: np.ndarray, t: int, H: np.ndarray) -> np.ndarray:
+        key = at_rest, t
+        product = self.products.get(key)
+        if product is None:
+            if t == self.n:
+                # at a size that fits H e too; no term of degree < n folds
+                spectrum = self.H_spectrum(H)
+                product = np.fft.irfft(_plant_spectrum(*at_rest) * spectrum,
+                                       _fft_size(2 * t - 1))[:t]
+            else:
+                product = _series_mul(num, H, 0, t)
+            if t < self.n or self.runs > 1:
+                product.flags.writeable = False
+                if len(self.products) == self.KEPT:
+                    del self.products[next(iter(self.products))]
+                self.products[key] = product
+        return product
+
+
+@functools.lru_cache(maxsize=1)
+def _shared_products(controller: FopidController, h: float, band: tuple[float, float],
+                     n: int) -> _SharedProducts:
+    """The shared products of one controller's runs of n samples, kept
+    across them, for instance across a robustness sweep."""
+    return _SharedProducts(n)
+
+
 @functools.lru_cache(maxsize=8)
 def _first_sample_at(n: int, h: float, t: float) -> int:
     """The first of the n samples k h that is at or after t (n if none)."""
@@ -623,8 +725,13 @@ def simulate_closed_loop(
     """
     scenario = scenario or Scenario()
     h, r, n = scenario.step_size, scenario.setpoint, scenario.n_steps
-    delay, num, num_fft, den, operators = _kernels(plant, h, solver, band, n,
+    delay, num, at_rest, den, operators = _kernels(plant, h, solver, band, n,
                                                    (-controller.lam, controller.mu))
+    shared = None
+    if at_rest is not None:
+        products = _shared_products(controller, h, at_rest[2], n)
+        products.runs += 1
+        shared = products, at_rest
     w_start = _first_sample_at(n, h, scenario.disturbance_time)
     # the last built: they cover e past its leading zeros
     kernels, H = [np.zeros(1)] * 2, np.zeros(1)
@@ -636,9 +743,9 @@ def simulate_closed_loop(
         H[0] += controller.kp
         return H
 
-    y, k, H_spectrum = _loop_output(num, num_fft, den, delay, H_of, r, w_start,
+    y, k, H_spectrum = _loop_output(num, den, delay, H_of, r, w_start,
                                     scenario.disturbance_magnitude,
-                                    DIVERGENCE_FACTOR * max(1.0, abs(r)), n)
+                                    DIVERGENCE_FACTOR * max(1.0, abs(r)), n, shared)
     e, t = r - y, np.arange(y.size) * h
 
     def states():

@@ -80,17 +80,27 @@ class TestOpenLoop:
     @pytest.mark.parametrize("solver", ["gl", "oustaloup"])
     def test_divergence_bound_scales_with_gain(self, solver):
         """The step overshoots to about 1.3 K, past 1e3 for K = 2000, and
-        still runs to the horizon; a non-finite output still diverges."""
+        still runs to the horizon, up to K = 1e308, whose peak is still a
+        float; past the float range (K = 1.5e308) the run diverges at its
+        first non-finite sample."""
         def step(K):
             return simulate_open_loop_step(replace(OSCILLATORY_PLANT, K=K), horizon=20.0,
                                            h=0.01, solver=solver)
 
-        unit, large = step(1.0), step(2000.0)
-        assert not large.diverged and large.y.size == 2000
-        np.testing.assert_allclose(large.y, 2000.0 * unit.y, rtol=1e-12, atol=0.0)
-        with np.errstate(all="ignore"):
-            huge = step(1e308)
-        assert huge.diverged and not np.isfinite(huge.y[-1])
+        unit = step(1.0)
+        for K in (2000.0, 1e308):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                large = step(K)
+            assert not large.diverged and large.y.size == 2000
+            np.testing.assert_allclose(large.y, K * unit.y, rtol=1e-12, atol=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            huge = step(1.5e308)
+        with np.errstate(over="ignore"):
+            first = int(np.flatnonzero(~np.isfinite(1.5e308 * unit.y))[0])
+        assert huge.diverged and huge.y.size == first + 1
+        assert np.all(np.isfinite(huge.y[:-1])) and not np.isfinite(huge.y[-1])
 
 
 class TestFrequencyResponse:
@@ -318,8 +328,8 @@ class TestObjectiveFuzz:
 class TestRobustnessSweep:
     def test_nominal_cell_matches_single_run(self):
         """Bit for bit, also when a longer run first grew the cached operator
-        kernels past 10**4 terms: results do not depend on the cache's
-        history."""
+        kernels past 10**4 terms, or other cells filled the controller's
+        shared products: results do not depend on the caches' history."""
         case, controller = reference_controller("osc_median")
         scn = Scenario(horizon=40.0, step_size=0.01)
         for history in (None, Scenario(horizon=100.0, step_size=0.01)):
@@ -331,6 +341,22 @@ class TestRobustnessSweep:
             single = simulate_closed_loop(case.plant, controller, scn)
             assert sweep.itse[0, 0] == single.itse
             assert sweep.isdco[0, 0] == single.isdco
+        # a disturbed 3x3 sweep: the nominal cell equals a single run after
+        # the other cells filled the controller's shared products, and after
+        # every cache was cleared
+        disturbed = Scenario(horizon=25.0, step_size=0.01, disturbance_time=16.5,
+                             disturbance_magnitude=0.2)
+        grid = np.array([0.9, 1.0, 1.1])
+        sweep = robustness_sweep(case.plant, controller, case.plant.L * grid,
+                                 case.plant.T * grid, disturbed)
+        warm = simulate_closed_loop(case.plant, controller, disturbed)
+        for cache in (sim._shared_products, sim._operator_kernels, sim._plant_markov,
+                      sim._plant_spectrum):
+            cache.cache_clear()
+        cold = simulate_closed_loop(case.plant, controller, disturbed)
+        for single in (warm, cold):
+            assert not single.diverged
+            assert (sweep.itse[1, 1], sweep.isdco[1, 1]) == (single.itse, single.isdco)
 
     def test_delays_share_one_plant_kernel(self, monkeypatch):
         """The delay only shifts the plant's kernel, so a sweep over three

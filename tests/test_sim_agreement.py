@@ -39,6 +39,7 @@ from oracles import (
     spectral_radius,
 )
 from reference_cases import BY_NAME, OSCILLATORY_PLANT
+from transforms import count_transforms
 
 REFERENCE_LOOPS = {"oustaloup": closed_loop_oustaloup_loop, "gl": closed_loop_gl_loop}
 DISTURBED = Scenario(disturbance_time=40.0, disturbance_magnitude=0.1)
@@ -136,6 +137,30 @@ def test_tiny_setpoint_under_disturbance(solver):
     scenario = Scenario(setpoint=1e-100, horizon=30.0, disturbance_time=29.0,
                         disturbance_magnitude=1e-3)
     res, ref = closed_loop_pair(OSCILLATORY_PLANT, controller, scenario, solver)
+    assert_agree(res, ref)
+    assert not res.diverged
+
+
+# (set-point, disturbance time, magnitude, first disturbed sample) on the
+# 0.01 s grid of a 20 s run: before and at the start, mid-run, at the block
+# edges 128 and 1024, past the horizon, a negative magnitude, and zero and
+# negative set-points
+PLACEMENTS = [(1.0, -5.0, 0.2, 0), (1.0, 0.0, 0.2, 0), (1.0, 13.37, 0.2, 1337),
+              (1.0, 1.28, 0.2, 128), (1.0, 10.24, 0.2, 1024), (1.0, 30.0, 0.2, 2000),
+              (1.0, 13.37, -0.3, 1337), (0.0, 13.37, 0.2, 1337), (0.0, 1.28, -0.2, 128),
+              (-0.5, 10.24, 0.2, 1024)]
+
+
+@pytest.mark.parametrize("solver", ["oustaloup", "gl"])
+@pytest.mark.parametrize("setpoint, time, magnitude, w_start", PLACEMENTS)
+def test_disturbance_placements(setpoint, time, magnitude, w_start, solver):
+    """Wherever the disturbance starts relative to the Newton blocks, the
+    split right-hand side gives the per-sample loop's outputs."""
+    plant, controller = reference_loop("osc_median")
+    scenario = Scenario(setpoint=setpoint, horizon=20.0, disturbance_time=time,
+                        disturbance_magnitude=magnitude)
+    assert sim._first_sample_at(scenario.n_steps, scenario.step_size, time) == w_start
+    res, ref = closed_loop_pair(plant, controller, scenario, solver)
     assert_agree(res, ref)
     assert not res.diverged
 
@@ -495,26 +520,53 @@ def test_zero_integral_order_uses_final_control():
 
 
 def test_survivor_transform_count(monkeypatch):
-    """A warm surviving loop at N = 10**4 makes at most 38 FFTs, at most 4
-    of them at the largest size, 2 N rounded up to a fast length."""
+    """A surviving loop at N = 10**4, its plant's kernel cached and its
+    controller new to the shared products as in a search, makes at most 38
+    FFTs, at most 4 of them at the largest size, 2 N rounded up to a fast
+    length."""
     plant, controller = reference_loop("osc_median")
     scenario = Scenario()
     simulate_closed_loop(plant, controller, scenario)
-    sizes = []
-    for name in ("rfft", "irfft"):
-        transform = getattr(np.fft, name)
-
-        def counted(a, n=None, *args, _transform=transform, **kwargs):
-            sizes.append(n)
-            return _transform(a, n, *args, **kwargs)
-
-        monkeypatch.setattr(np.fft, name, counted)
+    sim._shared_products.cache_clear()
+    records = count_transforms(monkeypatch)
     res = simulate_closed_loop(plant, controller, scenario)
     res.itse, res.isdco
+    sizes = [r.size for r in records]
     largest = sim._fft_size(2 * scenario.n_steps - 1)
     assert not res.diverged and max(sizes) == largest
     assert len(sizes) <= 38
     assert sizes.count(largest) <= 4
+
+
+# what a sweep shares: H's transform, and num H and the plant's transform
+# per lag
+SHARED_PRODUCTS = frozenset({"H_spectrum", "num_H", "_plant_spectrum"})
+
+
+def test_disturbed_sweep_transform_count(monkeypatch):
+    """A disturbed 5x5 sweep at N = 2,500 (disturbance at sample 1,650)
+    makes at most 29 FFTs per cell on average besides the shared products:
+    one H transform at the largest size for the whole sweep, and at most
+    five FFTs per lag for num H and the plant, plus one where the first
+    lag's full num H is formed again.  No block that ends at or before the
+    disturbance multiplies the right-hand side by FFT."""
+    plant, controller = reference_loop("osc_median")
+    scenario = Scenario(horizon=25.0, disturbance_time=16.5, disturbance_magnitude=0.2)
+    w_start = sim._first_sample_at(scenario.n_steps, scenario.step_size, 16.5)
+    grid = np.array([0.8, 0.9, 1.0, 1.1, 1.2])
+    for cache in (sim._shared_products, sim._plant_markov, sim._plant_spectrum):
+        cache.cache_clear()
+    records = count_transforms(monkeypatch)
+    sweep = sim.robustness_sweep(plant, controller, plant.L * grid, plant.T * grid, scenario)
+    cells, lags = sweep.itse.size, grid.size
+    assert w_start == 1650 and not sweep.diverged.any()
+    own = [r for r in records if r.caller not in SHARED_PRODUCTS]
+    assert len(own) <= 29 * cells
+    largest = sim._fft_size(2 * scenario.n_steps - 1)
+    assert [r.size for r in records if r.caller == "H_spectrum"] == [largest]
+    assert len(records) - len(own) <= 1 + 5 * lags + 1
+    rhs = [r.block for r in records if r.caller in ("_error_series", "_split_terms")]
+    assert rhs and all(t > w_start for _, t in rhs)
 
 
 @pytest.mark.parametrize("name", sorted(BY_NAME) + ["zero_delay"])
