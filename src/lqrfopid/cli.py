@@ -83,6 +83,13 @@ def _read_config(path: str) -> dict[str, str]:
     return values
 
 
+def _config_bool(raw: str) -> bool:
+    value = raw.lower()
+    if value not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError(f"expected 1/true/yes/on or 0/false/no/off, got {raw!r}")
+    return value in ("1", "true", "yes", "on")
+
+
 def _install_config_defaults(args: argparse.Namespace) -> None:
     """Install config-file values as the subcommand's argparse defaults.
 
@@ -97,7 +104,7 @@ def _install_config_defaults(args: argparse.Namespace) -> None:
         template = sub.get_default(key)
         try:
             if isinstance(template, bool):
-                converted[key] = raw.lower() in ("1", "true", "yes", "on")
+                converted[key] = _config_bool(raw)
             elif isinstance(template, int) and not isinstance(template, bool):
                 converted[key] = int(raw)
             elif isinstance(template, float):

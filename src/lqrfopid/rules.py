@@ -141,6 +141,9 @@ def eval_tuning_rule(
         raise ValueError(f"L/T, alpha and K must be finite, got {l_over_t}, {alpha} and {K}")
     if K == 0.0:
         raise ValueError("process gain K must be nonzero")
+    # no plant has L < 0 or T <= 0
+    if l_over_t < 0.0:
+        raise ValueError(f"L/T must be non-negative, got {l_over_t}")
     xlo, xhi = FITTED_DOMAIN["L_over_T"]
     alo, ahi = FITTED_DOMAIN["alpha"]
     if not (xlo <= l_over_t <= xhi) or not (alo <= alpha <= ahi):

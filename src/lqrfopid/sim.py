@@ -7,15 +7,11 @@ Two interchangeable numerical paths realize the fractional operators:
 * ``solver="oustaloup"`` - the impulse responses of band-limited rational
   (Oustaloup) realizations, each ZOH-discretized on its own; the
   closed-loop default.  The plant's comes from the realization of the
-  unit-gain plant and one matrix exponential, times K, cached per
-  (K, T, alpha, step, band, length): a search samples its plant once, a
-  sweep once per lag, and so with its transform at the size of a run's
-  last product.  Each controller
+  unit-gain plant and one matrix exponential, times K.  Each controller
   operator's comes in closed form from the poles and residues of its
   filter, with no realization and no matrix exponential, and grows in
   place as the engine asks for more terms.  One kernel object serves all
-  the operators of a run, in one pass over their poles; the last
-  controller's is cached, so a robustness sweep builds it once.
+  the operators of a run, in one pass over their poles.
 
 Both loops are linear and causal, so one engine solves them on power
 series truncated to the N samples of a run: with the one-sample delay z,
@@ -45,9 +41,16 @@ disturbed loop with r != 0 stays split: each block multiplies r den by
 1 / F directly, and num by 1 / F only from the disturbance's sample on,
 so blocks before it make no FFT product for it.  Past the first block,
 num H is formed to the t terms of each growth length t whatever the delay,
-which only shifts it; H's transform and num H per plant at rest are kept
-for the last controller, so a robustness sweep transforms H once and
-forms num H once per lag, not once per cell.
+which only shifts it.
+
+Two caches hold what runs reuse.  One entry per plant at rest (K, T,
+alpha, step, band, length) holds its kernel and that kernel's transform
+at the size of a run's last product: a search samples its plant once, a
+sweep once per lag.  One entry per controller (controller, step, solver,
+band, length) holds its operator kernels, H as last grown, H's transform
+and num H for the current plant at rest.  A robustness sweep walks its
+grid lag by lag, so it builds the kernels and transforms H once and forms
+num H once per lag, not once per cell.
 
 Timing convention shared by both paths: the plant state reached at sample
 k has integrated the (zero-order-held, delayed) input up to sample
@@ -240,6 +243,11 @@ def _padded(a: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def _fft_size(need: int) -> int:
     """The first 2**j, 3 * 2**j or 5 * 2**j that is at least need."""
     return min(p << ((need - 1) // p).bit_length() for p in (1, 3, 5))
@@ -313,23 +321,19 @@ def _markov(A: np.ndarray, b: np.ndarray, c: np.ndarray, d: float, n: int) -> np
     return np.concatenate(terms)[:n]
 
 
-def _kernels(plant, h, solver, band, n, exponents=()):
+def _kernels(plant, h, solver, band, n):
     """Input delay d, the first n terms of the plant, y = (num / den) z**d
-    (plant input), ``at_rest`` and ``operators``.  ``at_rest`` is the key of
-    the plant's cached series, which the delay is no part of (None on the GL
-    path, whose num is one term); ``operators(m)`` is exactly the first m
-    terms of the operators s**gamma for the given exponents."""
+    (plant input), and ``at_rest``: the plant's cache entry
+    :class:`_PlantAtRest`, which the delay is no part of (None on the GL
+    path, whose num is one term)."""
     d = int(round(plant.L / h))
     if solver == "oustaloup":
-        band = tuple(band)
-        kernels = _operator_kernels(tuple(exponents), h, band) if exponents else lambda m: []
-        at_rest = (replace(plant, L=0.0), h, band, n)
-        return d, _plant_markov(*at_rest), at_rest, np.ones(1), kernels
+        at_rest = _PlantAtRest(replace(plant, L=0.0), h, tuple(band), n)
+        return d, at_rest.num, at_rest, np.ones(1)
     if solver == "gl":
         den = plant.T * h ** (-plant.alpha) * gl_coefficients(plant.alpha, n)
         den[0] += 1.0
-        return (d + 1, np.array([plant.K]), None, den,
-                lambda m: [h ** -g * gl_coefficients(g, m) for g in exponents])
+        return d + 1, np.array([plant.K]), None, den
     raise ValueError(f"unknown solver {solver!r}")
 
 
@@ -396,47 +400,38 @@ def _error_series(F_of, q, r, threshold, n, split=None):
     return np.concatenate([np.zeros(s), e]), None
 
 
-def _loop_output(num, den, delay, H_of, r, w_start, w_mag, threshold, n, shared=None):
+def _loop_output(num, den, delay, runs, r, w_start, w_mag, threshold, n):
     """Output of y = (num / den) (z**delay H (r - y) + w) to n samples, its
     first sample non-finite or past ``threshold`` (None if there is none),
-    and the transform of the first n terms of H at _fft_size(2 n - 1), which
-    fits H e, if F was built to n terms with ``shared`` (else None).
+    and the number of terms the loop denominator was built to (0 if none).
 
     The set-point r and the input disturbance w (w_mag from sample w_start
     on) are steps, so the error e = r - y solves
     e F = (r den - w_mag z**w_start num) / (1 - z) with
-    F = den + z**delay num H, where ``H_of(t)`` is the first t terms of H.
-    On the Oustaloup path ``shared`` is (products, at_rest): the
-    :class:`_SharedProducts` of the controller and the plant's key from
-    :func:`_kernels`, which give num H to t > DIRECT_TERMS terms for every
-    delay.  There
-    den is one term, so with r != 0 the right-hand side stays split: r den
-    times 1 / F directly, and num times 1 / F only from sample w_start on.
+    F = den + z**delay num H, where H is that of ``runs``, the
+    :class:`_ControllerRuns` of the controller (H = 0 where it is None).
+    On the Oustaloup path den is one term, so with r != 0 the right-hand
+    side stays split: r den times 1 / F directly, and num times 1 / F only
+    from sample w_start on.
     """
-    H_spectrum = None
+    built = 0
 
     def F_of(t):
-        nonlocal H_spectrum
-        F, H, hi = _padded(den, t), H_of(t), t - delay
-        if shared is not None and t > DIRECT_TERMS:
-            products, at_rest = shared
-            if hi > 0:
-                F[delay:] += products.num_H(at_rest, num, t, H)[:hi]
-            if t == n:
-                H_spectrum = products.H_spectrum(H)
-        elif hi > 0:
-            F[delay:] += _series_mul(num, H, 0, hi)
+        nonlocal built
+        F, hi, built = _padded(den, t), t - delay, t
+        if runs is not None and hi > 0:
+            F[delay:] += runs.num_H(num, t, hi)
         return F
 
     q, split = r * den, None
     if w_mag != 0.0 and w_start < n:
         w = -w_mag * num[:n - w_start]
-        if shared is not None and r != 0.0:
+        if runs is not None and runs.plant is not None and r != 0.0:
             split = (q, w_start, w)
         q = _padded(q, n)
         q[w_start:] += _padded(w, n - w_start)
     e, k = _error_series(F_of, q, r, threshold, n, split)
-    return r - e, k, H_spectrum
+    return r - e, k, built
 
 
 def simulate_open_loop_step(
@@ -456,12 +451,12 @@ def simulate_open_loop_step(
     """
     n = Scenario(horizon=horizon, step_size=h).n_steps
     K = plant.K
-    delay, num, _, den, _ = _kernels(replace(plant, K=1.0), h, solver, DEFAULT_BAND, n)
+    delay, num, _, den = _kernels(replace(plant, K=1.0), h, solver, DEFAULT_BAND, n)
     # the step reaches the plant input at sample ``delay``: feed it there as
     # a disturbance of an open loop (H = 0) with zero set-point.  The loop
     # runs at unit gain, y is that response times K, so no finite K
     # overflows a product of the engine.
-    y, k, _ = _loop_output(num, den, delay, lambda t: np.zeros(1), 0.0, delay, 1.0,
+    y, k, _ = _loop_output(num, den, delay, None, 0.0, delay, 1.0,
                            max(DIVERGENCE_FACTOR, DIVERGENCE_FACTOR / abs(K)), n)
     with np.errstate(over="ignore"):
         y = K * y
@@ -582,9 +577,7 @@ class _OperatorKernels:
             self.bases.append((poly[:, :, None] * steps[lo:hi, None, :])
                               .reshape(hi - lo, poly.shape[1] * KERNEL_BLOCK))
         self.rates, self.h = poles * (KERNEL_BLOCK * h), h
-        self.terms = [np.array([d]) for d, _, _ in modes]
-        for terms in self.terms:
-            terms.flags.writeable = False
+        self.terms = [_read_only(np.array([d])) for d, _, _ in modes]
 
     def __call__(self, m: int) -> list[np.ndarray]:
         while self.terms[0].size < m:
@@ -599,103 +592,97 @@ class _OperatorKernels:
                 new = rows[:, -1]
                 for l in range(powers - 2, -1, -1):
                     new = new * s + rows[:, l]
-                self.terms[i] = np.concatenate([self.terms[i], new.ravel()])
-                self.terms[i].flags.writeable = False
+                self.terms[i] = _read_only(np.concatenate([self.terms[i], new.ravel()]))
         return [terms[:m] for terms in self.terms]
 
 
-# The caches hold what one search or one sweep reuses: the plant kernel
-# of each (K, T, alpha) at the one length of its runs and its transform,
-# shared by all delays; the operator kernels of one controller (grown to
-# the longest run asked of them); and that controller's products at one
-# length, H's transform and num H per plant at rest, shared by all delays.
-# A search makes a new controller at every evaluation, so it looks those
-# up once and builds them; a sweep builds H's transform once and num H once
-# per lag.  They are not sized to keep series for a later job, which only
-# a repeat of the same job in one process would reuse.
+# What one search or one sweep reuses, in two caches, each a cached class
+# (calling it returns the one instance of its key): the plant at rest,
+# shared by all delays, and the last controller.  A search makes a new
+# controller at every evaluation and builds its entry; a sweep walks its grid
+# lag by lag, so the controller keeps num H for one plant at rest at a time.
+# They are not sized to keep series for a later job, which only a repeat of
+# the same job in one process would reuse.
 @functools.lru_cache(maxsize=8)
-def _plant_markov(plant: NioptdPlant, h: float, band: tuple[float, float], n: int):
-    """The first n Markov parameters of the ZOH-sampled plant (read-only).
-    The delay is no part of them, so callers pass the plant at L = 0: built
-    once per search, and once per lag of a sweep.  They are those of the
-    unit-gain plant times K, so no finite K overflows the realization."""
-    A, B, C, D = _plant_ss(replace(plant, K=1.0), band, OUSTALOUP_ORDER)
-    Ad, Bd = _zoh(A, B, h)
-    num = plant.K * _markov(Ad, Bd[:, 0], C[0], float(D), n)
-    num.flags.writeable = False
-    return num
+class _PlantAtRest:
+    """The first n Markov parameters ``num`` of the ZOH-sampled plant and
+    their transform ``spectrum`` at _fft_size(2 n - 1), the size of a run's
+    last product with H, taken on first use (read-only).  The delay is no
+    part of them, so callers pass the plant at L = 0: built once per search,
+    and once per lag of a sweep.  They are those of the unit-gain plant
+    times K, so no finite K overflows the realization."""
 
+    def __init__(self, plant: NioptdPlant, h: float, band: tuple[float, float], n: int):
+        A, B, C, D = _plant_ss(replace(plant, K=1.0), band, OUSTALOUP_ORDER)
+        Ad, Bd = _zoh(A, B, h)
+        self.num = _read_only(plant.K * _markov(Ad, Bd[:, 0], C[0], float(D), n))
 
-@functools.lru_cache(maxsize=8)
-def _plant_spectrum(plant: NioptdPlant, h: float, band: tuple[float, float], n: int):
-    """The transform of :func:`_plant_markov` at _fft_size(2 n - 1), the size
-    of a run's last product with H (read-only): taken once per search, and
-    once per lag of a sweep."""
-    spectrum = np.fft.rfft(_plant_markov(plant, h, band, n), _fft_size(2 * n - 1))
-    spectrum.flags.writeable = False
-    return spectrum
+    @functools.cached_property
+    def spectrum(self) -> np.ndarray:
+        return _read_only(np.fft.rfft(self.num, _fft_size(2 * self.num.size - 1)))
 
 
 @functools.lru_cache(maxsize=1)
-def _operator_kernels(exponents: tuple, h: float, band: tuple[float, float]) -> _OperatorKernels:
-    """The kernels of one controller's operators, kept across its runs, for
-    instance across a robustness sweep, where they are built once."""
-    return _OperatorKernels(exponents, h, band)
-
-
-class _SharedProducts:
-    """The products that the Oustaloup-path runs of one controller at one
-    length n share, whatever the plant's delay d (read-only): H's transform
-    at _fft_size(2 n - 1), taken on first use, and num H to t terms for each
-    plant at rest and growth length t past DIRECT_TERMS, of which
-    F = 1 + z**d num H takes the first t - d (a shorter product is direct,
-    cheaper than keeping it).  ``num`` and ``H`` are the plant's kernel and
-    the first t terms of the controller's H, the same in every run of it;
-    ``runs`` counts the runs of the controller.
+class _ControllerRuns:
+    """What the runs of one controller at one step, solver, band and length
+    n share, whatever the plant (read-only arrays): the operator kernels,
+    H = kp + ki s**-lam + kd s**mu and its kernels as last grown, and on the
+    Oustaloup path H's transform at _fft_size(2 n - 1), taken on first use,
+    and num H to t terms for each growth length t past DIRECT_TERMS for the
+    current plant at rest, of which F = 1 + z**d num H takes the first
+    t - d (a shorter product is direct, cheaper than keeping it).  ``count``
+    counts the runs of the controller.
 
     num H to all n terms is kept only from the controller's second run on:
     a search runs each controller once, and an n-term product kept past its
     run made the heap grow again, page by page, in the next evaluation.
     """
 
-    # num H of at most this many (plant, length) pairs, the oldest dropped
-    # first: a few growth lengths for each of _plant_markov's plants
-    KEPT = 32
+    def __init__(self, controller: FopidController, h: float, solver: str,
+                 band: tuple[float, float], n: int):
+        exponents = (-controller.lam, controller.mu)
+        self.operators = (_OperatorKernels(exponents, h, band) if solver == "oustaloup" else
+                          lambda m: [h ** -g * gl_coefficients(g, m) for g in exponents])
+        self.gains, self.n, self.count = (controller.kp, controller.ki, controller.kd), n, 0
+        self.H, self.kernels, self.plant, self.products = np.zeros(0), [], None, {}
 
-    def __init__(self, n: int):
-        self.n, self.runs, self.spectrum, self.products = n, 0, None, {}
+    def start(self, plant) -> None:
+        """Count a run on ``plant``, the plant entry from :func:`_kernels`
+        (None on the GL path); a new plant drops the products of the last."""
+        if plant is not self.plant:
+            self.plant, self.products = plant, {}
+        self.count += 1
 
-    def H_spectrum(self, H: np.ndarray) -> np.ndarray:
-        if self.spectrum is None:
-            self.spectrum = np.fft.rfft(H, _fft_size(2 * self.n - 1))
-            self.spectrum.flags.writeable = False
-        return self.spectrum
+    def grown(self, t: int):
+        """The first t terms of H and of the operator kernels."""
+        if self.H.size < t:
+            kp, ki, kd = self.gains
+            self.kernels = self.operators(t)
+            self.H = ki * self.kernels[0] + kd * self.kernels[1]
+            self.H[0] += kp
+            _read_only(self.H)
+        return self.H[:t], [kernel[:t] for kernel in self.kernels]
 
-    def num_H(self, at_rest, num: np.ndarray, t: int, H: np.ndarray) -> np.ndarray:
-        key = at_rest, t
-        product = self.products.get(key)
+    @functools.cached_property
+    def H_spectrum(self) -> np.ndarray:
+        return _read_only(np.fft.rfft(self.grown(self.n)[0], _fft_size(2 * self.n - 1)))
+
+    def num_H(self, num: np.ndarray, t: int, hi: int) -> np.ndarray:
+        """The first hi terms of num H, past DIRECT_TERMS on the Oustaloup
+        path those of num H to t terms, kept for the current plant."""
+        if self.plant is None or t <= DIRECT_TERMS:
+            return _series_mul(num, self.grown(t)[0], 0, hi)
+        product = self.products.get(t)
         if product is None:
             if t == self.n:
                 # at a size that fits H e too; no term of degree < n folds
-                spectrum = self.H_spectrum(H)
-                product = np.fft.irfft(_plant_spectrum(*at_rest) * spectrum,
-                                       _fft_size(2 * t - 1))[:t]
+                spectrum = self.H_spectrum
+                product = np.fft.irfft(self.plant.spectrum * spectrum, _fft_size(2 * t - 1))[:t]
             else:
-                product = _series_mul(num, H, 0, t)
-            if t < self.n or self.runs > 1:
-                product.flags.writeable = False
-                if len(self.products) == self.KEPT:
-                    del self.products[next(iter(self.products))]
-                self.products[key] = product
-        return product
-
-
-@functools.lru_cache(maxsize=1)
-def _shared_products(controller: FopidController, h: float, band: tuple[float, float],
-                     n: int) -> _SharedProducts:
-    """The shared products of one controller's runs of n samples, kept
-    across them, for instance across a robustness sweep."""
-    return _SharedProducts(n)
+                product = _series_mul(num, self.grown(t)[0], 0, t)
+            if t < self.n or self.count > 1:
+                self.products[t] = _read_only(product)
+        return product[:hi]
 
 
 @functools.lru_cache(maxsize=8)
@@ -725,28 +712,16 @@ def simulate_closed_loop(
     """
     scenario = scenario or Scenario()
     h, r, n = scenario.step_size, scenario.setpoint, scenario.n_steps
-    delay, num, at_rest, den, operators = _kernels(plant, h, solver, band, n,
-                                                   (-controller.lam, controller.mu))
-    shared = None
-    if at_rest is not None:
-        products = _shared_products(controller, h, at_rest[2], n)
-        products.runs += 1
-        shared = products, at_rest
+    delay, num, at_rest, den = _kernels(plant, h, solver, band, n)
+    runs = _ControllerRuns(controller, h, solver, tuple(band), n)
+    runs.start(at_rest)
     w_start = _first_sample_at(n, h, scenario.disturbance_time)
-    # the last built: they cover e past its leading zeros
-    kernels, H = [np.zeros(1)] * 2, np.zeros(1)
-
-    def H_of(t):
-        nonlocal kernels, H
-        kernels = operators(t)
-        H = controller.ki * kernels[0] + controller.kd * kernels[1]
-        H[0] += controller.kp
-        return H
-
-    y, k, H_spectrum = _loop_output(num, den, delay, H_of, r, w_start,
-                                    scenario.disturbance_magnitude,
-                                    DIVERGENCE_FACTOR * max(1.0, abs(r)), n, shared)
+    y, k, built = _loop_output(num, den, delay, runs, r, w_start,
+                               scenario.disturbance_magnitude,
+                               DIVERGENCE_FACTOR * max(1.0, abs(r)), n)
     e, t = r - y, np.arange(y.size) * h
+    # as the run last built them: they cover e past its leading zeros
+    H, kernels = runs.grown(built) if built else (np.zeros(1), [np.zeros(1)] * 2)
 
     def states():
         x1, x3 = _series_products(e, kernels, 0, y.size)
@@ -759,11 +734,11 @@ def simulate_closed_loop(
         return SimResult._deferred(
             t, y, lambda x1, x3: controller.kp * e + controller.ki * x1 + controller.kd * x3,
             e, states, PENALTY_OBJECTIVE, PENALTY_OBJECTIVE, diverged=True)
-    if H_spectrum is None:
-        u = _series_mul(e, H, 0, n)
-    else:
+    if at_rest is not None and built == n > DIRECT_TERMS:
         size = _fft_size(2 * n - 1)
-        u = np.fft.irfft(H_spectrum * np.fft.rfft(e, size), size)[:n]
+        u = np.fft.irfft(runs.H_spectrum * np.fft.rfft(e, size), size)[:n]
+    else:
+        u = _series_mul(e, H, 0, n)
     u_ss = r / plant.K if controller.lam > 0 else float(u[-1])
     itse, isdco = performance_indices(e, u, u_ss, h)
     return SimResult._deferred(t, y, u, e, states, itse, isdco, diverged=False)
@@ -808,7 +783,9 @@ def robustness_sweep(
     """Re-simulate a fixed controller over a grid of perturbed (L, T).
 
     Divergent cells are recorded (penalty indices, diverged mask) and the
-    sweep continues.
+    sweep continues.  The cells run lag by lag, T outer and L inner: the
+    delay only shifts the plant's kernel, so one lag's cells share it and
+    the controller's num H.
     """
     L_grid = np.asarray(L_grid, dtype=float)
     T_grid = np.asarray(T_grid, dtype=float)
@@ -819,8 +796,8 @@ def robustness_sweep(
     itse = np.empty((L_grid.size, T_grid.size))
     isdco = np.empty_like(itse)
     diverged = np.zeros(itse.shape, dtype=bool)
-    for i, L in enumerate(L_grid):
-        for j, T in enumerate(T_grid):
+    for j, T in enumerate(T_grid):
+        for i, L in enumerate(L_grid):
             perturbed = replace(plant_nominal, L=float(L), T=float(T))
             res = simulate_closed_loop(perturbed, controller, scenario)
             itse[i, j] = res.itse

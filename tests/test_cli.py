@@ -238,6 +238,8 @@ class TestBadNumbers:
         ["design", "--workers", "-1", "--pop", "4", "--gens", "1", "--horizon", "1"],
         # an output directory that is an existing regular file
         ["rule", "--LT", "1", "--alpha", "1.2", "--out-dir", __file__],
+        # no plant has L/T < 0
+        ["rule", "--LT", "-1", "--alpha", "3"],
     ])
     def test_exit_2_without_output(self, tmp_path, capsys, argv):
         # an --out-dir of the argv itself comes later and wins
@@ -351,6 +353,25 @@ class TestConfigFile:
         assert code == EXIT_OK
         _, rows = read_csv(out2 / "step.csv")
         assert len(rows) == 1000
+
+    @pytest.mark.parametrize("value, bode", [("1", True), ("TRUE", True), ("Yes", True),
+                                              ("on", True), ("0", False), ("False", False),
+                                              ("NO", False), ("off", False)])
+    def test_boolean_spellings(self, tmp_path, value, bode):
+        cfg = tmp_path / "bool.cfg"
+        cfg.write_text(f"bode = {value}\nhorizon = 1\n", encoding="utf-8")
+        code = main(["step", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_OK
+        assert (tmp_path / "out" / "bode.csv").exists() == bode
+
+    def test_unrecognized_boolean_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("bode = treu\n", encoding="utf-8")
+        code = main(["step", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_INVALID_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: config key 'bode'") and "'treu'" in err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_key_exit_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

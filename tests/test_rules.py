@@ -51,6 +51,10 @@ class TestEvalRule:
         with pytest.raises(ValueError):
             eval_tuning_rule(1.0, 1.0, 0.0)
 
+    def test_rejects_negative_delay_ratio(self):
+        with pytest.raises(ValueError, match="L/T must be non-negative"):
+            eval_tuning_rule(-1.0, 3.0, 1.0)
+
     @pytest.mark.parametrize("args", [
         (np.nan, 1.0, 1.0), (np.inf, 1.0, 1.0), (1.0, -np.inf, 1.0),
         (1.0, 1.0, np.nan), (1.0, 1.0, np.inf), (1.0, 1.0, -np.inf),

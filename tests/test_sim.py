@@ -42,6 +42,19 @@ def reference_controller(name):
     return case, design_from_vars(case.plant, vars, case.method)
 
 
+def cold_run(plant, controller, scenario, solver="oustaloup"):
+    """A run on cache entries built afresh for it."""
+    for cache in (sim._ControllerRuns, sim._PlantAtRest):
+        cache.cache_clear()
+    return simulate_closed_loop(plant, controller, scenario, solver=solver)
+
+
+def assert_same_run(got, want):
+    for name in ("t", "y", "u", "x1", "x2", "x3"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert (got.itse, got.isdco, got.diverged) == (want.itse, want.isdco, want.diverged)
+
+
 class TestOpenLoop:
     def test_integer_order_closed_form_gl(self):
         plant = NioptdPlant(K=1, L=0.5, T=2, alpha=1.0)
@@ -327,9 +340,9 @@ class TestObjectiveFuzz:
 
 class TestRobustnessSweep:
     def test_nominal_cell_matches_single_run(self):
-        """Bit for bit, also when a longer run first grew the cached operator
-        kernels past 10**4 terms, or other cells filled the controller's
-        shared products: results do not depend on the caches' history."""
+        """Bit for bit, also after a longer run of the controller (10**4
+        terms, an entry of its own), and after other cells filled the
+        controller's entry: results do not depend on the caches' history."""
         case, controller = reference_controller("osc_median")
         scn = Scenario(horizon=40.0, step_size=0.01)
         for history in (None, Scenario(horizon=100.0, step_size=0.01)):
@@ -337,7 +350,7 @@ class TestRobustnessSweep:
                 simulate_closed_loop(case.plant, controller, history)
             sweep = robustness_sweep(case.plant, controller, [case.plant.L],
                                      [case.plant.T], scn)
-            sim._operator_kernels.cache_clear()
+            sim._ControllerRuns.cache_clear()
             single = simulate_closed_loop(case.plant, controller, scn)
             assert sweep.itse[0, 0] == single.itse
             assert sweep.isdco[0, 0] == single.isdco
@@ -350,13 +363,16 @@ class TestRobustnessSweep:
         sweep = robustness_sweep(case.plant, controller, case.plant.L * grid,
                                  case.plant.T * grid, disturbed)
         warm = simulate_closed_loop(case.plant, controller, disturbed)
-        for cache in (sim._shared_products, sim._operator_kernels, sim._plant_markov,
-                      sim._plant_spectrum):
-            cache.cache_clear()
-        cold = simulate_closed_loop(case.plant, controller, disturbed)
+        cold = cold_run(case.plant, controller, disturbed)
         for single in (warm, cold):
             assert not single.diverged
             assert (sweep.itse[1, 1], sweep.isdco[1, 1]) == (single.itse, single.isdco)
+        # and every cell equals a cold single run on its plant
+        for i, L in enumerate(case.plant.L * grid):
+            for j, T in enumerate(case.plant.T * grid):
+                cell = cold_run(replace(case.plant, L=float(L), T=float(T)), controller, disturbed)
+                assert (sweep.itse[i, j], sweep.isdco[i, j], sweep.diverged[i, j]) == (
+                    cell.itse, cell.isdco, cell.diverged), (i, j)
 
     def test_delays_share_one_plant_kernel(self, monkeypatch):
         """The delay only shifts the plant's kernel, so a sweep over three
@@ -365,7 +381,7 @@ class TestRobustnessSweep:
         built = []
         plant_ss = sim._plant_ss
         monkeypatch.setattr(sim, "_plant_ss", lambda *args: built.append(args) or plant_ss(*args))
-        sim._plant_markov.cache_clear()
+        sim._PlantAtRest.cache_clear()
         robustness_sweep(case.plant, controller, [0.4, 0.5, 0.6], [case.plant.T],
                          Scenario(horizon=10.0, step_size=0.01))
         assert len(built) == 1
@@ -399,6 +415,36 @@ class TestRobustnessSweep:
             robustness_sweep(case.plant, controller, [-0.1], [2.0])
         with pytest.raises(ValueError):
             robustness_sweep(case.plant, controller, [0.5], [0.0])
+
+
+class TestControllerEntry:
+    """Runs that share a cached controller entry, or part of its key
+    (controller, step, solver, band, length), equal cold runs bit for bit."""
+
+    DISTURBED = Scenario(horizon=25.0, step_size=0.01, disturbance_time=16.5,
+                         disturbance_magnitude=0.2)
+
+    def test_equal_orders_different_gains_alternate(self):
+        case, controller = reference_controller("osc_median")
+        other = replace(controller, kp=0.8 * controller.kp, ki=1.2 * controller.ki)
+        cold = {c: cold_run(case.plant, c, self.DISTURBED) for c in (controller, other)}
+        for c in (controller, other, other, controller, controller, other):
+            assert_same_run(simulate_closed_loop(case.plant, c, self.DISTURBED), cold[c])
+
+    def test_one_controller_on_both_solvers(self):
+        case, controller = reference_controller("osc_median")
+        cold = {solver: cold_run(case.plant, controller, self.DISTURBED, solver)
+                for solver in ("oustaloup", "gl")}
+        for solver in ("oustaloup", "gl", "gl", "oustaloup", "oustaloup", "gl"):
+            res = simulate_closed_loop(case.plant, controller, self.DISTURBED, solver=solver)
+            assert_same_run(res, cold[solver])
+
+    def test_one_controller_at_two_horizons(self):
+        case, controller = reference_controller("osc_median")
+        short = replace(self.DISTURBED, horizon=20.0)
+        cold = {s: cold_run(case.plant, controller, s) for s in (self.DISTURBED, short)}
+        for scenario in (self.DISTURBED, short, short, self.DISTURBED, self.DISTURBED, short):
+            assert_same_run(simulate_closed_loop(case.plant, controller, scenario), cold[scenario])
 
 
 class TestCsvWriters:

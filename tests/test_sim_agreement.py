@@ -217,9 +217,8 @@ def test_split_sampling_matches_fused(h):
     for alpha in (0.5, 1.5):
         plant = NioptdPlant(K=1.0, L=0.5, T=2.0, alpha=alpha)
         for lam, mu in pairs:
-            _, num, _, den, operators = _kernels(plant, h, "oustaloup", DEFAULT_BAND, n,
-                                                 (-lam, mu))
-            ops = operators(n)
+            _, num, _, den = _kernels(plant, h, "oustaloup", DEFAULT_BAND, n)
+            ops = _OperatorKernels((-lam, mu), h, DEFAULT_BAND)(n)
             assert np.array_equal(den, [1.0])
             want = fused_oustaloup_markov(plant, h, (-lam, mu), n)
             for got, ref in zip([num] + ops, want):
@@ -257,8 +256,7 @@ def test_closed_form_kernels_match_matrix_path(h):
     exponents = list(rng.uniform(-2.0, 2.0, 24))
     exponents += [sign * g for g in ORDER_EDGES for sign in (-1.0, 1.0)]
     exponents += NEAR_INTEGERS
-    plant = NioptdPlant(K=1.0, L=0.5, T=2.0, alpha=1.5)
-    *_, operators = _kernels(plant, h, "oustaloup", DEFAULT_BAND, 1, exponents)
+    operators = _OperatorKernels(exponents, h, DEFAULT_BAND)
     for gamma, got in zip(exponents, operators(KERNEL_TERMS)):
         ref = operator_markov(gamma, h, KERNEL_TERMS)
         assert got.size == KERNEL_TERMS
@@ -368,7 +366,7 @@ def test_evaluation_reaches_lapack_directly():
     spied(lambda: (care_schur_scipy(prob), first_block_toeplitz(np.ones(3), np.ones(1))))
     assert sorted(calls) == ["schur", "solve_triangular", "toeplitz"]
 
-    sim._operator_kernels.cache_clear()
+    sim._ControllerRuns.cache_clear()
     objectives = spied(lambda: evaluate_design_objectives(case.plant, vars, case.method))
     assert calls == ["__init__"]
     assert objectives != (sim.PENALTY_OBJECTIVE, sim.PENALTY_OBJECTIVE)
@@ -411,9 +409,9 @@ def eager_states(res, plant, controller, scenario, solver):
     """x1 and x3 as simulate_closed_loop formed them before it deferred
     them: one product of e with both operator kernels, zero at a crossing."""
     h, n = scenario.step_size, res.t.size
-    *_, operators = _kernels(plant, h, solver, DEFAULT_BAND, scenario.n_steps,
-                             (-controller.lam, controller.mu))
-    x1, x3 = sim._series_products(res.x2, operators(n), 0, n)
+    # a fresh entry, not the cached one the run used
+    runs = sim._ControllerRuns.__wrapped__(controller, h, solver, DEFAULT_BAND, scenario.n_steps)
+    x1, x3 = sim._series_products(res.x2, runs.grown(n)[1], 0, n)
     if res.diverged:
         x1[-1] = x3[-1] = 0.0
     return x1, x3
@@ -479,8 +477,8 @@ def test_objective_forms_no_controller_states(monkeypatch):
     monkeypatch.setattr(sim, "_series_products", spied)
 
     def kernel_products(controller):
-        kernels = sim._operator_kernels((-controller.lam, controller.mu), scenario.step_size,
-                                        DEFAULT_BAND).terms
+        kernels = sim._ControllerRuns(controller, scenario.step_size, "oustaloup", DEFAULT_BAND,
+                                      scenario.n_steps).operators.terms
         return sum(any(np.shares_memory(f, k) for f in factors for k in kernels)
                    for factors in products)
 
@@ -521,13 +519,13 @@ def test_zero_integral_order_uses_final_control():
 
 def test_survivor_transform_count(monkeypatch):
     """A surviving loop at N = 10**4, its plant's kernel cached and its
-    controller new to the shared products as in a search, makes at most 38
+    controller new to the controller cache as in a search, makes at most 38
     FFTs, at most 4 of them at the largest size, 2 N rounded up to a fast
     length."""
     plant, controller = reference_loop("osc_median")
     scenario = Scenario()
     simulate_closed_loop(plant, controller, scenario)
-    sim._shared_products.cache_clear()
+    sim._ControllerRuns.cache_clear()
     records = count_transforms(monkeypatch)
     res = simulate_closed_loop(plant, controller, scenario)
     res.itse, res.isdco
@@ -540,7 +538,7 @@ def test_survivor_transform_count(monkeypatch):
 
 # what a sweep shares: H's transform, and num H and the plant's transform
 # per lag
-SHARED_PRODUCTS = frozenset({"H_spectrum", "num_H", "_plant_spectrum"})
+SHARED_PRODUCTS = frozenset({"H_spectrum", "num_H", "spectrum"})
 
 
 def test_disturbed_sweep_transform_count(monkeypatch):
@@ -554,7 +552,7 @@ def test_disturbed_sweep_transform_count(monkeypatch):
     scenario = Scenario(horizon=25.0, disturbance_time=16.5, disturbance_magnitude=0.2)
     w_start = sim._first_sample_at(scenario.n_steps, scenario.step_size, 16.5)
     grid = np.array([0.8, 0.9, 1.0, 1.1, 1.2])
-    for cache in (sim._shared_products, sim._plant_markov, sim._plant_spectrum):
+    for cache in (sim._ControllerRuns, sim._PlantAtRest):
         cache.cache_clear()
     records = count_transforms(monkeypatch)
     sweep = sim.robustness_sweep(plant, controller, plant.L * grid, plant.T * grid, scenario)
