@@ -17,6 +17,7 @@ Both loops are linear and causal, so one engine solves them on power
 series truncated to the N samples of a run: with the one-sample delay z,
 plant num / den, controller H, delay d and set-point and disturbance
 steps r and w, the error is e = (r den - num w) / (den + z**d num H).
+The engine branches on the lengths of these series, never on the path.
 Products are FFT convolutions; the first DIRECT_TERMS terms of the
 reciprocal come by forward substitution (one LAPACK dtrtrs solve on the
 Toeplitz matrix of the denominator), the rest by Newton doubling:
@@ -36,26 +37,28 @@ forward and one inverse FFT, and its indices from e and u.  The states
 x1 and x3 are formed on the first read of either, and so is the u of a
 diverged run, whose indices are the penalty.
 
-On the Oustaloup path den is one term.  There the right-hand side of a
+Where den is one term (the Oustaloup path) the right-hand side of a
 disturbed loop with r != 0 stays split: each block multiplies r den by
 1 / F directly, and num by 1 / F only from the disturbance's sample on,
-so blocks before it make no FFT product for it.  Past the first block,
-num H is formed to the t terms of each growth length t whatever the delay,
-which only shifts it.
+so blocks before it make no FFT product for it.  Where num has more than
+DIRECT_TERMS terms, num H is formed to the t terms of each growth length t
+past the first block whatever the delay, which only shifts it.
 
-Two caches hold what runs reuse.  One entry per plant at rest (K, T,
-alpha, step, band, length) holds its kernel and that kernel's transform
-at the size of a run's last product: a search samples its plant once, a
-sweep once per lag.  One entry per controller (controller, step, solver,
-band, length) holds its operator kernels, H as last grown, H's transform
-and num H for the current plant at rest.  A robustness sweep walks its
-grid lag by lag, so it builds the kernels and transforms H once and forms
-num H once per lag, not once per cell.
+Two caches hold what runs reuse; only their constructors know the solver.
+One entry per plant at rest (K, T, alpha, step, solver, band, length)
+samples the plant: num, den and num's transform at the size of a run's
+last product; a search builds it once, a sweep once per lag.  One entry
+per controller (controller, step, solver, band, length) holds its
+operator kernels, H as last grown, H's transform and num H for the
+current plant at rest.  A robustness sweep walks its grid lag by lag, so
+it builds the kernels and transforms H once and forms num H once per lag,
+not once per cell.
 
-Timing convention shared by both paths: the plant state reached at sample
-k has integrated the (zero-order-held, delayed) input up to sample
-k - 1 - round(L/h), so there is never an algebraic loop, even at L = 0.
-Rounding the delay to the grid induces at most h/2 of delay error.
+Timing convention shared by both paths: num[0] = 0, so the plant state at
+sample k has integrated the (zero-order-held, delayed) input, control and
+disturbance alike, up to sample k - 1 - round(L/h): there is never an
+algebraic loop, even at L = 0.  Rounding the delay to the grid induces at
+most h/2 of delay error.
 """
 from __future__ import annotations
 
@@ -321,22 +324,6 @@ def _markov(A: np.ndarray, b: np.ndarray, c: np.ndarray, d: float, n: int) -> np
     return np.concatenate(terms)[:n]
 
 
-def _kernels(plant, h, solver, band, n):
-    """Input delay d, the first n terms of the plant, y = (num / den) z**d
-    (plant input), and ``at_rest``: the plant's cache entry
-    :class:`_PlantAtRest`, which the delay is no part of (None on the GL
-    path, whose num is one term)."""
-    d = int(round(plant.L / h))
-    if solver == "oustaloup":
-        at_rest = _PlantAtRest(replace(plant, L=0.0), h, tuple(band), n)
-        return d, at_rest.num, at_rest, np.ones(1)
-    if solver == "gl":
-        den = plant.T * h ** (-plant.alpha) * gl_coefficients(plant.alpha, n)
-        den[0] += 1.0
-        return d + 1, np.array([plant.K]), None, den
-    raise ValueError(f"unknown solver {solver!r}")
-
-
 def _split_terms(split, g, m, t):
     """Terms m, ..., t - 1 of q g for q = a + z**w b, ``split`` = (a, w, b)
     with a short: a g, direct while a is, plus b g from sample w on."""
@@ -351,7 +338,8 @@ def _split_terms(split, g, m, t):
 def _error_series(F_of, q, r, threshold, n, split=None):
     """The first n terms of e = (q / F) / (1 - z), cut at the first sample k
     whose output r - e[k] is non-finite or exceeds ``threshold`` in
-    magnitude: returns (e[:k + 1], k) then, else (e, None).
+    magnitude: returns (e[:k + 1], k, b) then, else (e, None, b), with b the
+    number of terms F was built to (0 if none).
 
     The first DIRECT_TERMS terms of 1 / F and q / F come directly, then
     1 / F by Newton doubling, each step extending a prefix whose outputs
@@ -395,42 +383,42 @@ def _error_series(F_of, q, r, threshold, n, split=None):
             bad = np.flatnonzero(~(np.abs(r - block) <= threshold))
             if bad.size:
                 k = int(bad[0])
-                return np.concatenate([np.zeros(s), e, block[:k + 1]]), s + m + k
+                return np.concatenate([np.zeros(s), e, block[:k + 1]]), s + m + k, F.size
             g, e, m, t = gt, np.concatenate([e, block]), t, min(2 * t, size)
-    return np.concatenate([np.zeros(s), e]), None
+    return np.concatenate([np.zeros(s), e]), None, F.size
 
 
-def _loop_output(num, den, delay, runs, r, w_start, w_mag, threshold, n):
-    """Output of y = (num / den) (z**delay H (r - y) + w) to n samples, its
-    first sample non-finite or past ``threshold`` (None if there is none),
-    and the number of terms the loop denominator was built to (0 if none).
+def _loop_output(at_rest, delay, runs, r, w_start, w_mag, threshold, n):
+    """Output of y = (num / den) (z**delay H (r - y) + w) to n samples for
+    the num and den of ``at_rest``, a :class:`_PlantAtRest`, its first sample
+    non-finite or past ``threshold`` (None if there is none), and the number
+    of terms the loop denominator was built to (0 if none).
 
     The set-point r and the input disturbance w (w_mag from sample w_start
     on) are steps, so the error e = r - y solves
     e F = (r den - w_mag z**w_start num) / (1 - z) with
     F = den + z**delay num H, where H is that of ``runs``, the
     :class:`_ControllerRuns` of the controller (H = 0 where it is None).
-    On the Oustaloup path den is one term, so with r != 0 the right-hand
-    side stays split: r den times 1 / F directly, and num times 1 / F only
-    from sample w_start on.
+    Where den is one term and r != 0 the right-hand side stays split:
+    r den times 1 / F directly, and num times 1 / F only from sample w_start
+    on.
     """
-    built = 0
+    num, den = at_rest.num, at_rest.den
 
     def F_of(t):
-        nonlocal built
-        F, hi, built = _padded(den, t), t - delay, t
+        F, hi = _padded(den, t), t - delay
         if runs is not None and hi > 0:
-            F[delay:] += runs.num_H(num, t, hi)
+            F[delay:] += runs.num_H(t, hi)
         return F
 
     q, split = r * den, None
     if w_mag != 0.0 and w_start < n:
         w = -w_mag * num[:n - w_start]
-        if runs is not None and runs.plant is not None and r != 0.0:
+        if den.size == 1 and r != 0.0:
             split = (q, w_start, w)
         q = _padded(q, n)
         q[w_start:] += _padded(w, n - w_start)
-    e, k = _error_series(F_of, q, r, threshold, n, split)
+    e, k, built = _error_series(F_of, q, r, threshold, n, split)
     return r - e, k, built
 
 
@@ -450,13 +438,13 @@ def simulate_open_loop_step(
     or K times it leaves the float range.
     """
     n = Scenario(horizon=horizon, step_size=h).n_steps
-    K = plant.K
-    delay, num, _, den = _kernels(replace(plant, K=1.0), h, solver, DEFAULT_BAND, n)
+    K, delay = plant.K, int(round(plant.L / h))
+    at_rest = _PlantAtRest(replace(plant, K=1.0, L=0.0), h, solver, DEFAULT_BAND, n)
     # the step reaches the plant input at sample ``delay``: feed it there as
     # a disturbance of an open loop (H = 0) with zero set-point.  The loop
     # runs at unit gain, y is that response times K, so no finite K
     # overflows a product of the engine.
-    y, k, _ = _loop_output(num, den, delay, None, 0.0, delay, 1.0,
+    y, k, _ = _loop_output(at_rest, delay, None, 0.0, delay, 1.0,
                            max(DIVERGENCE_FACTOR, DIVERGENCE_FACTOR / abs(K)), n)
     with np.errstate(over="ignore"):
         y = K * y
@@ -597,25 +585,37 @@ class _OperatorKernels:
 
 
 # What one search or one sweep reuses, in two caches, each a cached class
-# (calling it returns the one instance of its key): the plant at rest,
-# shared by all delays, and the last controller.  A search makes a new
-# controller at every evaluation and builds its entry; a sweep walks its grid
-# lag by lag, so the controller keeps num H for one plant at rest at a time.
-# They are not sized to keep series for a later job, which only a repeat of
-# the same job in one process would reuse.
+# (calling it returns the one instance of its key) and the only code that
+# knows the solver: the plant at rest, shared by all delays, and the last
+# controller.  A search makes a new controller at every evaluation and
+# builds its entry; a sweep walks its grid lag by lag, so the controller
+# keeps num H for one plant at rest at a time.  They are not sized to keep
+# series for a later job, which only a repeat of the same job in one
+# process would reuse.
 @functools.lru_cache(maxsize=8)
 class _PlantAtRest:
-    """The first n Markov parameters ``num`` of the ZOH-sampled plant and
-    their transform ``spectrum`` at _fft_size(2 n - 1), the size of a run's
-    last product with H, taken on first use (read-only).  The delay is no
-    part of them, so callers pass the plant at L = 0: built once per search,
-    and once per lag of a sweep.  They are those of the unit-gain plant
+    """The plant sampled at step h, y = (num / den) u to n terms, num[0] = 0,
+    and num's transform ``spectrum`` at _fft_size(2 n - 1), the size of a
+    run's last product with H, taken on first use (read-only).  The delay is
+    no part of them, so callers pass the plant at L = 0: built once per
+    search, and once per lag of a sweep.  GL: den = 1 + T h**-alpha times
+    the Grunwald-Letnikov weights, num = (0, K).  Oustaloup: den = 1, num the
+    Markov parameters of the ZOH-sampled realization of the unit-gain plant
     times K, so no finite K overflows the realization."""
 
-    def __init__(self, plant: NioptdPlant, h: float, band: tuple[float, float], n: int):
-        A, B, C, D = _plant_ss(replace(plant, K=1.0), band, OUSTALOUP_ORDER)
-        Ad, Bd = _zoh(A, B, h)
-        self.num = _read_only(plant.K * _markov(Ad, Bd[:, 0], C[0], float(D), n))
+    def __init__(self, plant: NioptdPlant, h: float, solver: str,
+                 band: tuple[float, float], n: int):
+        if solver == "oustaloup":
+            A, B, C, D = _plant_ss(replace(plant, K=1.0), band, OUSTALOUP_ORDER)
+            Ad, Bd = _zoh(A, B, h)
+            num, den = plant.K * _markov(Ad, Bd[:, 0], C[0], float(D), n), np.ones(1)
+        elif solver == "gl":
+            num = np.array([0.0, plant.K])
+            den = plant.T * h ** (-plant.alpha) * gl_coefficients(plant.alpha, n)
+            den[0] += 1.0
+        else:
+            raise ValueError(f"unknown solver {solver!r}")
+        self.num, self.den = _read_only(num), _read_only(den)
 
     @functools.cached_property
     def spectrum(self) -> np.ndarray:
@@ -626,12 +626,12 @@ class _PlantAtRest:
 class _ControllerRuns:
     """What the runs of one controller at one step, solver, band and length
     n share, whatever the plant (read-only arrays): the operator kernels,
-    H = kp + ki s**-lam + kd s**mu and its kernels as last grown, and on the
-    Oustaloup path H's transform at _fft_size(2 n - 1), taken on first use,
-    and num H to t terms for each growth length t past DIRECT_TERMS for the
-    current plant at rest, of which F = 1 + z**d num H takes the first
-    t - d (a shorter product is direct, cheaper than keeping it).  ``count``
-    counts the runs of the controller.
+    H = kp + ki s**-lam + kd s**mu and its kernels as last grown, H's
+    transform at _fft_size(2 n - 1), taken on first use, and num H to t
+    terms for each growth length t past DIRECT_TERMS for the current plant
+    at rest where num is longer than that, of which F = den + z**d num H
+    takes the first t - d (a shorter product is direct, cheaper than keeping
+    it).  ``count`` counts the runs of the controller.
 
     num H to all n terms is kept only from the controller's second run on:
     a search runs each controller once, and an n-term product kept past its
@@ -646,9 +646,9 @@ class _ControllerRuns:
         self.gains, self.n, self.count = (controller.kp, controller.ki, controller.kd), n, 0
         self.H, self.kernels, self.plant, self.products = np.zeros(0), [], None, {}
 
-    def start(self, plant) -> None:
-        """Count a run on ``plant``, the plant entry from :func:`_kernels`
-        (None on the GL path); a new plant drops the products of the last."""
+    def start(self, plant: _PlantAtRest) -> None:
+        """Count a run on the plant entry ``plant``; a new plant drops the
+        products of the last."""
         if plant is not self.plant:
             self.plant, self.products = plant, {}
         self.count += 1
@@ -667,10 +667,11 @@ class _ControllerRuns:
     def H_spectrum(self) -> np.ndarray:
         return _read_only(np.fft.rfft(self.grown(self.n)[0], _fft_size(2 * self.n - 1)))
 
-    def num_H(self, num: np.ndarray, t: int, hi: int) -> np.ndarray:
-        """The first hi terms of num H, past DIRECT_TERMS on the Oustaloup
-        path those of num H to t terms, kept for the current plant."""
-        if self.plant is None or t <= DIRECT_TERMS:
+    def num_H(self, t: int, hi: int) -> np.ndarray:
+        """The first hi terms of num H for the current plant; past
+        DIRECT_TERMS terms of both factors, those of num H to t terms, kept."""
+        num = self.plant.num
+        if min(num.size, t) <= DIRECT_TERMS:
             return _series_mul(num, self.grown(t)[0], 0, hi)
         product = self.products.get(t)
         if product is None:
@@ -706,17 +707,17 @@ def simulate_closed_loop(
     sample, which keeps its output y while e, u, x1 and x3 are 0 there, and
     both indices are set to the penalty value.
 
-    u = H e comes from the transform of H that built the loop denominator
-    at the last length where there is one, and is formed only for a run
-    that reached the horizon; x1 and x3 are formed on first read.
+    u = H e comes from H's transform at _fft_size(2 n - 1) where the loop
+    denominator reached n terms, and is formed only for a run that reached
+    the horizon; x1 and x3 are formed on first read.
     """
     scenario = scenario or Scenario()
     h, r, n = scenario.step_size, scenario.setpoint, scenario.n_steps
-    delay, num, at_rest, den = _kernels(plant, h, solver, band, n)
+    at_rest = _PlantAtRest(replace(plant, L=0.0), h, solver, tuple(band), n)
     runs = _ControllerRuns(controller, h, solver, tuple(band), n)
     runs.start(at_rest)
     w_start = _first_sample_at(n, h, scenario.disturbance_time)
-    y, k, built = _loop_output(num, den, delay, runs, r, w_start,
+    y, k, built = _loop_output(at_rest, int(round(plant.L / h)), runs, r, w_start,
                                scenario.disturbance_magnitude,
                                DIVERGENCE_FACTOR * max(1.0, abs(r)), n)
     e, t = r - y, np.arange(y.size) * h
@@ -734,7 +735,7 @@ def simulate_closed_loop(
         return SimResult._deferred(
             t, y, lambda x1, x3: controller.kp * e + controller.ki * x1 + controller.kd * x3,
             e, states, PENALTY_OBJECTIVE, PENALTY_OBJECTIVE, diverged=True)
-    if at_rest is not None and built == n > DIRECT_TERMS:
+    if built == n > DIRECT_TERMS:
         size = _fft_size(2 * n - 1)
         u = np.fft.irfft(runs.H_spectrum * np.fft.rfft(e, size), size)[:n]
     else:
@@ -749,7 +750,6 @@ def evaluate_design_objectives(
     vars,
     method: DelayMethod,
     scenario: Scenario | None = None,
-    band: tuple[float, float] = DEFAULT_BAND,
 ) -> tuple[float, float]:
     """(ITSE, ISDCO) of the closed loop designed from a decision vector.
 
@@ -767,7 +767,7 @@ def evaluate_design_objectives(
         controller = design_from_vars(plant, vars, method)
     except (CareFailure, ValueError):
         return penalty
-    result = simulate_closed_loop(plant, controller, scenario, band=band)
+    result = simulate_closed_loop(plant, controller, scenario)
     if result.diverged:
         return penalty
     return result.itse, result.isdco

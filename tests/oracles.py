@@ -356,7 +356,9 @@ def open_loop_step_loop(plant, horizon, h, solver, band=(1e-3, 1e3), order=5):
 
 
 def closed_loop_gl_loop(plant, controller, scenario):
-    """GL closed loop, one sample at a time, full convolution memory."""
+    """GL closed loop, one sample at a time, full convolution memory.  Like
+    the control input, the disturbance reaches y one sample after it
+    arrives: y[k] sees it from t[k - 1] on."""
     h, r, n = scenario.step_size, scenario.setpoint, scenario.n_steps
     d = int(round(plant.L / h))
     ca = gl_coefficients(plant.alpha, n)
@@ -373,7 +375,7 @@ def closed_loop_gl_loop(plant, controller, scenario):
     for k in range(n):
         j = k - 1 - d
         uin = u[j] if j >= 0 else 0.0
-        if t[k] >= scenario.disturbance_time:
+        if k > 0 and t[k - 1] >= scenario.disturbance_time:
             uin += scenario.disturbance_magnitude
         s = float(np.dot(ca[1:k + 1], _rev_window(y, k - 1, k))) if k > 0 else 0.0
         y[k] = (plant.K * uin - Th * s) / (Th + 1.0)

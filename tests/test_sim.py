@@ -1,5 +1,7 @@
+import ast
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -231,6 +233,24 @@ class TestClosedLoop:
         )
         assert abs(res.y[-1] - 1.0) <= 0.02  # integral action recovers
 
+    @pytest.mark.parametrize("solver", ["oustaloup", "gl"])
+    @pytest.mark.parametrize("plant", [SLUGGISH_PLANT, OSCILLATORY_PLANT],
+                             ids=["alpha_0.5", "alpha_1.5"])
+    def test_disturbance_reaches_output_one_sample_late(self, plant, solver):
+        """With zero gains the loop is open: y stays zero through the
+        disturbance's sample w_start, and from there it is the step response
+        of the plant at L = 0, as the control input would reach y."""
+        scn = Scenario(setpoint=0.0, horizon=20.0, step_size=0.01, disturbance_time=7.0,
+                       disturbance_magnitude=1.0)
+        zero = FopidController(kp=0.0, ki=0.0, kd=0.0, lam=1.0, mu=0.5)
+        res = simulate_closed_loop(plant, zero, scn, solver=solver)
+        step = simulate_open_loop_step(replace(plant, L=0.0), horizon=scn.horizon,
+                                       h=scn.step_size, solver=solver)
+        w_start = int(np.searchsorted(res.t, scn.disturbance_time))
+        assert not res.diverged and np.all(res.y[:w_start + 1] == 0.0)
+        gap = np.max(np.abs(res.y[w_start:] - step.y[:scn.n_steps - w_start]))
+        assert gap <= 1e-12 * np.max(np.abs(res.y))
+
     def test_zero_delay_loop_runs(self):
         plant = NioptdPlant(K=1, L=0.0, T=2, alpha=1.5)
         vars = LqrDesignVars(q1=0.6, q2=0.03, q3=0.06, r=0.35, lam=1.1, mu=0.45)
@@ -285,14 +305,14 @@ class TestClosedLoop:
 
 
 class TestEvaluateDesignObjectives:
-    def test_reference_case_under_reproduction_settings(self):
-        case = BY_NAME["osc_median"]
+    def test_reference_case_objective_is_its_closed_loop_indices(self):
+        case, controller = reference_controller("osc_median")
         vars = LqrDesignVars(q1=case.q1, q2=case.q2, q3=case.q3, r=case.r,
                              lam=case.lam, mu=case.mu)
-        j1, j2 = evaluate_design_objectives(case.plant, vars, case.method,
-                                            Scenario(), band=INDEX_BAND)
-        assert j1 == pytest.approx(case.itse, rel=0.20)
-        assert j2 == pytest.approx(case.isdco, rel=0.20)
+        res = simulate_closed_loop(case.plant, controller, Scenario())
+        assert not res.diverged
+        assert evaluate_design_objectives(case.plant, vars, case.method,
+                                          Scenario()) == (res.itse, res.isdco)
 
     def test_invalid_r_is_penalized(self):
         j1, j2 = evaluate_design_objectives(
@@ -439,12 +459,55 @@ class TestControllerEntry:
             res = simulate_closed_loop(case.plant, controller, self.DISTURBED, solver=solver)
             assert_same_run(res, cold[solver])
 
+    def test_one_controller_on_two_plants_and_both_solvers(self):
+        """The plant entry's key (plant at rest, step, solver, band, length)
+        tells the plants and the solvers apart."""
+        case, controller = reference_controller("osc_median")
+        keys = [(plant, solver) for plant in (OSCILLATORY_PLANT, SLUGGISH_PLANT)
+                for solver in ("oustaloup", "gl")]
+        cold = {key: cold_run(key[0], controller, self.DISTURBED, key[1]) for key in keys}
+        for plant, solver in keys[::2] + keys[1::2] + keys[::-1]:
+            res = simulate_closed_loop(plant, controller, self.DISTURBED, solver=solver)
+            assert_same_run(res, cold[plant, solver])
+
     def test_one_controller_at_two_horizons(self):
         case, controller = reference_controller("osc_median")
         short = replace(self.DISTURBED, horizon=20.0)
         cold = {s: cold_run(case.plant, controller, s) for s in (self.DISTURBED, short)}
         for scenario in (self.DISTURBED, short, short, self.DISTURBED, self.DISTURBED, short):
             assert_same_run(simulate_closed_loop(case.plant, controller, scenario), cold[scenario])
+
+
+class TestSolvers:
+    def test_unknown_solver_raises_and_builds_no_plant_entry(self):
+        case, controller = reference_controller("osc_median")
+        sim._PlantAtRest.cache_clear()
+        simulate_closed_loop(case.plant, controller, Scenario(horizon=5.0))
+        size = sim._PlantAtRest.cache_info().currsize
+        with pytest.raises(ValueError, match="unknown solver 'euler'"):
+            simulate_closed_loop(case.plant, controller, Scenario(horizon=5.0), solver="euler")
+        with pytest.raises(ValueError, match="unknown solver 'euler'"):
+            simulate_open_loop_step(case.plant, horizon=5.0, solver="euler")
+        assert sim._PlantAtRest.cache_info().currsize == size == 1
+
+    def test_only_the_cache_constructors_name_a_solver(self):
+        """Structural guard: the engine branches on series lengths, so "gl"
+        and "oustaloup" are compared only where a cache entry is built."""
+        found = []
+
+        def visit(node, scope):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                scope = scope + (node.name,)
+            if isinstance(node, (ast.Compare, ast.MatchValue)) and any(
+                    isinstance(c, ast.Constant) and c.value in ("gl", "oustaloup")
+                    for c in ast.walk(node)):
+                found.append((".".join(scope), node.lineno))
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope)
+
+        visit(ast.parse(Path(sim.__file__).read_text(encoding="utf-8")), ())
+        allowed = {"_PlantAtRest.__init__", "_ControllerRuns.__init__"}
+        assert found and {scope for scope, _ in found} <= allowed, found
 
 
 class TestCsvWriters:

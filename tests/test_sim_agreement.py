@@ -8,6 +8,7 @@ direct LAPACK first block against scipy's triangular Toeplitz solve it
 replaced, bit for bit."""
 import itertools
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from lqrfopid import (
 from lqrfopid import sim
 from lqrfopid.matops import CareFailure, CareProblem
 from lqrfopid.nsga2 import DESIGN_BOUNDS
-from lqrfopid.sim import DEFAULT_BAND, _kernels, _OperatorKernels, evaluate_design_objectives
+from lqrfopid.sim import DEFAULT_BAND, _OperatorKernels, _PlantAtRest, evaluate_design_objectives
 
 from oracles import (
     care_schur_scipy,
@@ -217,9 +218,10 @@ def test_split_sampling_matches_fused(h):
     for alpha in (0.5, 1.5):
         plant = NioptdPlant(K=1.0, L=0.5, T=2.0, alpha=alpha)
         for lam, mu in pairs:
-            _, num, _, den = _kernels(plant, h, "oustaloup", DEFAULT_BAND, n)
+            at_rest = _PlantAtRest(replace(plant, L=0.0), h, "oustaloup", DEFAULT_BAND, n)
+            num, den = at_rest.num, at_rest.den
             ops = _OperatorKernels((-lam, mu), h, DEFAULT_BAND)(n)
-            assert np.array_equal(den, [1.0])
+            assert np.array_equal(den, [1.0]) and num[0] == 0.0
             want = fused_oustaloup_markov(plant, h, (-lam, mu), n)
             for got, ref in zip([num] + ops, want):
                 assert got.size == n
