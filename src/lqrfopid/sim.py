@@ -4,14 +4,14 @@ Two interchangeable numerical paths realize the fractional operators:
 
 * ``solver="gl"`` - Grunwald-Letnikov weights, full memory; closest to
   the ideal operators, used as the accuracy reference.
-* ``solver="oustaloup"`` - the impulse responses of band-limited rational
-  (Oustaloup) realizations, each ZOH-discretized on its own; the
-  closed-loop default.  The plant's comes from the realization of the
-  unit-gain plant and one matrix exponential, times K.  Each controller
-  operator's comes in closed form from the poles and residues of its
-  filter, with no realization and no matrix exponential, and grows in
-  place as the engine asks for more terms.  One kernel object serves all
-  the operators of a run, in one pass over their poles.
+* ``solver="oustaloup"`` - the ZOH-sampled impulse responses of
+  band-limited rational (Oustaloup) approximations, each block on its
+  own; the closed-loop default.  Each block's comes in closed form from
+  its poles and residues, with no realization and no matrix exponential:
+  each controller operator's from its filter, grown in place on demand,
+  the plant's from the modes of the unit-gain plant F / (T + F), F the
+  filter of s**-alpha, times K.  One kernel object serves all the
+  operators of a run, in one pass over their poles.
 
 Both loops are linear and causal, so one engine solves them on power
 series truncated to the N samples of a run: with the one-sample delay z,
@@ -46,13 +46,13 @@ past the first block whatever the delay, which only shifts it.
 
 Two caches hold what runs reuse; only their constructors know the solver.
 One entry per plant at rest (K, T, alpha, step, solver, band, length)
-samples the plant: num, den and num's transform at the size of a run's
-last product; a search builds it once, a sweep once per lag.  One entry
-per controller (controller, step, solver, band, length) holds its
-operator kernels, H as last grown, H's transform and num H for the
-current plant at rest.  A robustness sweep walks its grid lag by lag, so
-it builds the kernels and transforms H once and forms num H once per lag,
-not once per cell.
+samples the plant, from its modes or its GL weights: num, den and num's
+transform at the size of a run's last product; a search builds it once, a
+sweep once per lag.  One entry per controller (controller, step, solver,
+band, length) holds its operator kernels, H as last grown, H's transform
+and num H for the current plant at rest.  A robustness sweep walks its
+grid lag by lag, so it builds the kernels and transforms H once and forms
+num H once per lag, not once per cell.
 
 Timing convention shared by both paths: num[0] = 0, so the plant state at
 sample k has integrated the (zero-order-held, delayed) input, control and
@@ -76,8 +76,7 @@ from .design import (
     NioptdPlant,
     design_from_vars,
 )
-from .fracnum import (DEFAULT_BAND, OUSTALOUP_ORDER, differintegrator_modes,
-                      differintegrator_ss, gl_coefficients)
+from .fracnum import DEFAULT_BAND, differintegrator_modes, differintegrator_ss, gl_coefficients
 from .matops import CareFailure, expm
 
 __all__ = [
@@ -99,9 +98,8 @@ PENALTY_OBJECTIVE = 1e6
 DIVERGENCE_FACTOR = 1e3
 # below this many terms in a factor a direct product beats the FFT
 DIRECT_TERMS = 128
-MARKOV_BLOCK = 256
-# an operator kernel's exp(p h j) is exp(p h (j mod KERNEL_BLOCK)), computed
-# once, times exp(p h KERNEL_BLOCK (j div KERNEL_BLOCK)), once per block; it
+# a kernel's exp(p h j) is exp(p h (j mod KERNEL_BLOCK)), computed once,
+# times exp(p h KERNEL_BLOCK (j div KERNEL_BLOCK)), once per block; it
 # grows by chunks of 1, 1, 2, 4 and 8 blocks, then GROW_BLOCKS blocks, so an
 # early-diverging loop builds little and a long run few chunks
 KERNEL_BLOCK = 128
@@ -307,23 +305,6 @@ def _newton_terms(F: np.ndarray, g: np.ndarray, m: int, t: int) -> np.ndarray:
     return -np.fft.irfft(spectrum * np.fft.rfft(Fg, size), size)[:m]
 
 
-def _markov(A: np.ndarray, b: np.ndarray, c: np.ndarray, d: float, n: int) -> np.ndarray:
-    """The first n terms d, c b, c A b, ... of the impulse response of
-    x' = A x + b u, y = c x + d u, from blocks of MARKOV_BLOCK rows c A**j
-    built by repeated squaring."""
-    terms = [np.array([d])]
-    # a power of two of rows, so that ``power`` ends as A**len(rows)
-    rows = np.empty((min(MARKOV_BLOCK, 1 << max(n - 2, 0).bit_length()), c.size))
-    rows[0], power, filled = c, A, 1
-    while filled < rows.shape[0]:
-        rows[filled:2 * filled] = rows[:filled] @ power
-        power, filled = power @ power, 2 * filled
-    for _ in range(-(-(n - 1) // rows.shape[0])):
-        terms.append(rows @ b)
-        rows = rows @ power
-    return np.concatenate(terms)[:n]
-
-
 def _split_terms(split, g, m, t):
     """Terms m, ..., t - 1 of q g for q = a + z**w b, ``split`` = (a, w, b)
     with a short: a g, direct while a is, plus b g from sample w on."""
@@ -460,6 +441,7 @@ def simulate_open_loop_step(
                      itse=itse, isdco=isdco, diverged=k is not None)
 
 
+# reference only, for tests/oracles.py and bench/: no pipeline path calls it
 def _plant_ss(plant: NioptdPlant, band, order):
     """Continuous realization of y = K u / (T s**alpha + 1) via the anchored
     fractional integrator: y = s**-alpha (K u - y) / T, algebraic loop
@@ -475,6 +457,7 @@ def _plant_ss(plant: NioptdPlant, band, order):
     return Ap, Bp, Cp, Dp
 
 
+# reference only, for tests/oracles.py and bench/: no pipeline path calls it
 def _zoh(A: np.ndarray, B: np.ndarray, h: float):
     """Zero-order-hold discretization via one block matrix exponential."""
     n, m = A.shape[0], B.shape[1]
@@ -495,17 +478,17 @@ _GAUSS_MOMENTS = _GAUSS_WEIGHTS[:, None] / 2.0 * _GAUSS_NODES[:, None] ** np.ara
 def _interval_moments(poles: np.ndarray, h: float, spans) -> np.ndarray:
     """The integrals of tau**j exp(p tau) over [0, h], j < count, for the
     poles[lo:hi] of each (lo, hi, count) of ``spans``, one row per pole
-    (zero past its span's count): h**(j + 1) J_j(p h) with J_j(x) the
-    integral of u**j exp(x u) over [0, 1].  J_0 = expm1(x) / x (1 at
-    x = 0).  Past it the recurrence J_j = (exp(x) - j J_(j-1)) / x, which
-    cancels for small x; where |x| < 1/2 the Gauss-Legendre rule instead,
-    exact to rounding there (it integrates the terms x**n u**(n + j) / n!
-    exactly up to degree 19).  Each span's rule is a matrix product of the
-    shape it has for those poles alone, so a span's moments do not depend
-    on the others."""
+    (zero past its span's count), of the poles' dtype: h**(j + 1) J_j(p h)
+    with J_j(x) the integral of u**j exp(x u) over [0, 1].
+    J_0 = expm1(x) / x (1 at x = 0).  Past it the recurrence
+    J_j = (exp(x) - j J_(j-1)) / x, which cancels for small x; where
+    |x| < 1/2 the Gauss-Legendre rule instead, exact to rounding there (it
+    integrates the terms x**n u**(n + j) / n! exactly up to degree 19).
+    Each span's rule is a matrix product of the shape it has for those
+    poles alone, so a span's moments do not depend on the others."""
     count = max(c for _, _, c in spans)
     x = poles * h
-    out = np.zeros((x.size, count))
+    out = np.zeros((x.size, count), dtype=x.dtype)
     out[:, 0] = np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0)
     if count > 1:
         small = np.abs(x) < 0.5
@@ -521,16 +504,17 @@ def _interval_moments(poles: np.ndarray, h: float, spans) -> np.ndarray:
 
 
 class _OperatorKernels:
-    """The sampled kernels of s**gamma for each exponent of a run, in closed
-    form from the poles and residues of their filters, extended in place on
-    demand.
+    """The sampled kernels of the blocks of a run, in closed form from their
+    modes, each a (d, poles, coeffs) of :func:`differintegrator_modes` or
+    :func:`_plant_modes`, extended in place on demand.
 
     ``kernels(m)`` is the first m terms of each (read-only): g[0] is the
-    feedthrough and g[k] the integral of the impulse response
+    feedthrough d and g[k] the integral of the impulse response
     sum_i sum_l c_il t**l exp(p_i t) over [(k - 1) h, k h], the ZOH Markov
-    parameter.  With s = (k - 1) h that is sum_i exp(p_i s) P_i(s), where
-    P_i has the coefficient sum_l c_il binom(l, j) I_ij of s**(l - j) and
-    I_ij is the integral of tau**j exp(p_i tau) over [0, h].
+    parameter (its real part, where poles come in conjugate pairs).  With
+    s = (k - 1) h that is sum_i exp(p_i s) P_i(s), where P_i has the
+    coefficient sum_l c_il binom(l, j) I_ij of s**(l - j) and I_ij is the
+    integral of tau**j exp(p_i tau) over [0, h].
 
     For the KERNEL_BLOCK samples s = (b KERNEL_BLOCK + j) h of block b that
     is sum_l s**l (X_b R)[l, j], with X_b[i] = exp(p_i h KERNEL_BLOCK b) and
@@ -546,10 +530,9 @@ class _OperatorKernels:
     kernel is the one it would be alone, bit for bit.
     """
 
-    def __init__(self, exponents, h: float, band: tuple[float, float]):
-        modes = [differintegrator_modes(g, band) for g in exponents]
+    def __init__(self, modes, h: float):
         poles = np.concatenate([p for _, p, _ in modes])
-        # operator i has the poles poles[lo:hi] and coeffs.shape[1] powers
+        # block i has the poles poles[lo:hi] and coeffs.shape[1] powers
         self.spans, hi = [], 0
         for _, p, coeffs in modes:
             self.spans.append((hi, hi + p.size, coeffs.shape[1]))
@@ -580,8 +563,24 @@ class _OperatorKernels:
                 new = rows[:, -1]
                 for l in range(powers - 2, -1, -1):
                     new = new * s + rows[:, l]
-                self.terms[i] = _read_only(np.concatenate([self.terms[i], new.ravel()]))
+                self.terms[i] = _read_only(np.concatenate([self.terms[i], new.real.ravel()]))
         return [terms[:m] for terms in self.terms]
+
+
+def _plant_modes(plant: NioptdPlant, band) -> tuple[float, np.ndarray, np.ndarray]:
+    """The modes (d, poles, coeffs) of the unit-gain plant F / (T + F), with
+    F = d_F + sum_i c_i / (s - p_i) those of s**-alpha (simple poles): poles
+    at the zeros of T + F, the eigenvalues of diag(p) - c 1' / (T + d_F)
+    polished by two Newton steps, real or in conjugate pairs; residues
+    T / sum_i c_i / (pole - p_i)**2; feedthrough d_F / (T + d_F)."""
+    d, p, c = differintegrator_modes(-plant.alpha, band)
+    c, T = c[:, 0], plant.T
+    poles = np.linalg.eigvals(np.diag(p) - c[:, None] / (T + d))
+    for _ in range(2):
+        inverse = 1.0 / (poles[:, None] - p)
+        poles = poles + (T + d + inverse @ c) / (inverse * inverse @ c)
+    inverse = 1.0 / (poles[:, None] - p)
+    return d / (T + d), poles, (T / (inverse * inverse @ c))[:, None]
 
 
 # What one search or one sweep reuses, in two caches, each a cached class
@@ -599,16 +598,14 @@ class _PlantAtRest:
     run's last product with H, taken on first use (read-only).  The delay is
     no part of them, so callers pass the plant at L = 0: built once per
     search, and once per lag of a sweep.  GL: den = 1 + T h**-alpha times
-    the Grunwald-Letnikov weights, num = (0, K).  Oustaloup: den = 1, num the
-    Markov parameters of the ZOH-sampled realization of the unit-gain plant
-    times K, so no finite K overflows the realization."""
+    the Grunwald-Letnikov weights, num = (0, K).  Oustaloup: den = 1, num
+    the kernel of the unit-gain plant's modes (:func:`_plant_modes`) times
+    K, so no finite K overflows the kernel."""
 
     def __init__(self, plant: NioptdPlant, h: float, solver: str,
                  band: tuple[float, float], n: int):
         if solver == "oustaloup":
-            A, B, C, D = _plant_ss(replace(plant, K=1.0), band, OUSTALOUP_ORDER)
-            Ad, Bd = _zoh(A, B, h)
-            num, den = plant.K * _markov(Ad, Bd[:, 0], C[0], float(D), n), np.ones(1)
+            num, den = plant.K * _OperatorKernels([_plant_modes(plant, band)], h)(n)[0], np.ones(1)
         elif solver == "gl":
             num = np.array([0.0, plant.K])
             den = plant.T * h ** (-plant.alpha) * gl_coefficients(plant.alpha, n)
@@ -641,7 +638,8 @@ class _ControllerRuns:
     def __init__(self, controller: FopidController, h: float, solver: str,
                  band: tuple[float, float], n: int):
         exponents = (-controller.lam, controller.mu)
-        self.operators = (_OperatorKernels(exponents, h, band) if solver == "oustaloup" else
+        self.operators = (_OperatorKernels([differintegrator_modes(g, band) for g in exponents], h)
+                          if solver == "oustaloup" else
                           lambda m: [h ** -g * gl_coefficients(g, m) for g in exponents])
         self.gains, self.n, self.count = (controller.kp, controller.ki, controller.kd), n, 0
         self.H, self.kernels, self.plant, self.products = np.zeros(0), [], None, {}

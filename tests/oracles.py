@@ -9,10 +9,11 @@ power-series engine must agree with.  Likewise the constructions the
 package replaced are kept here as the references of their replacements:
 scipy's CARE solver and its ordered Schur form, scipy's triangular solve
 on a Toeplitz matrix, the fused ZOH of all loop blocks, the loop that
-built a cascade realization and the sampling of each operator's
-realization by a matrix exponential.  The closed-loop matrix Phi of the
-sampled Oustaloup loop and its spectral radius are the reference of what
-"stable" means for a design.
+built a cascade realization and the sampling of each operator's and of
+the plant's realization by a matrix exponential, then the plain Markov
+recursion.  The closed-loop matrix Phi of the sampled Oustaloup loop and
+its spectral radius are the reference of what "stable" means for a
+design.
 """
 from __future__ import annotations
 
@@ -195,6 +196,26 @@ def operator_markov(gamma, h, n, band=(1e-3, 1e3), order=5):
         for k in range(1, n):
             out[k] = C[0] @ x
             x = Ad @ x
+    return out
+
+
+def plant_markov(plants, h, n, band=(1e-3, 1e3), order=5):
+    """The first n Markov parameters of each ZOH-sampled plant realization
+    ``_plant_ss``, one row per plant: one matrix exponential each, then the
+    plain recursion d, c b, c A b, ..., stepped for all the plants at once
+    (each realization zero-padded to the largest state count)."""
+    systems = [_plant_ss(plant, band, order) for plant in plants]
+    size = max(A.shape[0] for A, _, _, _ in systems)
+    Ad, x, C = (np.zeros((len(plants), size, size)), np.zeros((len(plants), size)),
+                np.zeros((len(plants), size)))
+    out = np.zeros((len(plants), n))
+    for i, (A, B, c, D) in enumerate(systems):
+        m = A.shape[0]
+        Ad[i, :m, :m], Bd = _zoh(A, B, h)
+        x[i, :m], C[i, :m], out[i, 0] = Bd[:, 0], c[0], np.ravel(D)[0]
+    for k in range(1, n):
+        out[:, k] = np.einsum("pi,pi->p", C, x)
+        x = np.einsum("pij,pj->pi", Ad, x)
     return out
 
 

@@ -1,4 +1,5 @@
 import argparse
+import sys
 import warnings
 
 import numpy as np
@@ -386,8 +387,62 @@ class TestConfigFile:
         assert code == EXIT_INVALID_INPUT
         assert "unknown config key 'seed'" in capsys.readouterr().err
 
+    def test_unreadable_file_exit_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing.cfg"
+        code = main(["step", "--config", str(missing), "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_INVALID_INPUT
+        assert capsys.readouterr().err.startswith(f"error: cannot read config file {missing}")
+        assert not (tmp_path / "out").exists()
+
+    def test_line_without_equals_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "noeq.cfg"
+        cfg.write_text("horizon = 1\nbode\n", encoding="utf-8")
+        code = main(["step", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_INVALID_INPUT
+        assert f"{cfg}:2: expected key=value, got 'bode'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_int_and_str_keys_equal_their_flags(self, tmp_path):
+        cfg = tmp_path / "typed.cfg"
+        cfg.write_text("n-freq = 3\nsolver = oustaloup\nbode = on\nhorizon = 1\n",
+                       encoding="utf-8")
+        from_cfg, from_flags, gl = tmp_path / "cfg", tmp_path / "flags", tmp_path / "gl"
+        assert main(["step", "--config", str(cfg), "--out-dir", str(from_cfg)]) == EXIT_OK
+        assert main(["step", "--n-freq", "3", "--solver", "oustaloup", "--bode", "--horizon", "1",
+                     "--out-dir", str(from_flags)]) == EXIT_OK
+        for name in ("step.csv", "bode.csv"):
+            assert (from_cfg / name).read_bytes() == (from_flags / name).read_bytes()
+        assert len(read_csv(from_cfg / "bode.csv")[1]) == 3
+        # the solver key took effect: the default solver gives another step
+        assert main(["step", "--bode", "--horizon", "1", "--out-dir", str(gl)]) == EXIT_OK
+        assert (gl / "step.csv").read_bytes() != (from_cfg / "step.csv").read_bytes()
+
+    def test_bad_int_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "int.cfg"
+        cfg.write_text("n_freq = 2.5\n", encoding="utf-8")
+        code = main(["step", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_INVALID_INPUT
+        assert capsys.readouterr().err.startswith("error: config key 'n_freq'")
+
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LQRFOPID_OUTDIR", str(tmp_path / "envout"))
         code = main(["step", "--horizon", "5"])
         assert code == EXIT_OK
         assert (tmp_path / "envout" / "step.csv").exists()
+
+
+class TestPlotWithoutMatplotlib:
+    @pytest.mark.parametrize("argv, written", [
+        (["step", "--horizon", "1"], ["step.csv"]),
+        (TestDesign.ARGS, ["front_cai.csv", "front_he.csv"]),
+    ])
+    def test_notice_and_csvs(self, tmp_path, monkeypatch, capsys, argv, written):
+        """--plot where matplotlib cannot be imported prints a notice, still
+        writes the CSVs and exits 0."""
+        monkeypatch.setitem(sys.modules, "matplotlib", None)
+        code = main(argv + ["--plot", "--out-dir", str(tmp_path)])
+        assert code == EXIT_OK
+        assert "matplotlib not available; skipping plot" in capsys.readouterr().err
+        for name in written:
+            assert len(read_csv(tmp_path / name)[1]) >= 1
+        assert not list(tmp_path.glob("*.png"))

@@ -115,6 +115,20 @@ class TestAnalyticOracle:
         with pytest.raises(ValueError):
             analytic_power_differintegral(0.0, 1.5, 1.0)
 
+    def test_value_at_time_zero(self):
+        """At t = 0, t**(p - gamma) is 0, 1 or unbounded as p - gamma is
+        positive, zero or negative."""
+        assert analytic_power_differintegral(1.0, 0.5, 0.0) == 0.0
+        assert analytic_power_differintegral(1.0, 1.0, 0.0) == 1.0
+        assert analytic_power_differintegral(2.0, 2.0, 0.0) == 2.0
+        assert analytic_power_differintegral(0.0, 0.5, 0.0) == math.inf
+
+    def test_rejects_negative_power_or_time(self):
+        with pytest.raises(ValueError, match="power must be nonnegative"):
+            analytic_power_differintegral(-0.5, 0.0, 1.0)
+        with pytest.raises(ValueError, match="time must be nonnegative"):
+            analytic_power_differintegral(1.0, 0.5, -1.0)
+
 
 class TestOustaloup:
     def test_half_order_at_band_center(self):
@@ -136,6 +150,19 @@ class TestOustaloup:
         for gamma in (0.0, 1.0, -1.0, 1.5):
             with pytest.raises(ValueError):
                 oustaloup_approximation(gamma)
+
+    def test_rejects_bad_band_and_order(self):
+        for band in ((0.0, 1e3), (1e3, 1e-3), (1.0, 1.0)):
+            with pytest.raises(ValueError, match="w_low < w_high"):
+                oustaloup_approximation(0.5, band=band)
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            oustaloup_approximation(0.5, order=0)
+
+    def test_filter_rejects_non_negative_pole(self):
+        for pole in (0.0, 2.0):
+            with pytest.raises(ValueError, match="non-negative pole"):
+                fracnum.RationalFilter(zeros=np.array([-1.0]), poles=np.array([-3.0, pole]),
+                                       gain=1.0)
 
     def test_poles_stable_and_interlaced(self):
         filt = oustaloup_approximation(0.5, band=(1e-3, 1e3), order=5)

@@ -58,6 +58,8 @@ class TestExpm:
             expm(np.array([[np.inf, 0.0], [0.0, 0.0]]))
         with pytest.raises(ValueError):
             expm(np.ones((2, 3)))
+        with pytest.raises(ValueError, match="non-finite"):
+            expm(np.array([[0.0, np.nan], [0.0, 0.0]]))
 
 
 class TestSpectralAbscissa:
@@ -66,6 +68,10 @@ class TestSpectralAbscissa:
 
     def test_rotation(self):
         assert spectral_abscissa(np.array([[0.0, 1.0], [-1.0, 0.0]])) == pytest.approx(0.0, abs=1e-12)
+
+    def test_rejects_nonfinite(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            spectral_abscissa(np.array([[np.nan, 0.0], [0.0, -1.0]]))
 
     def test_error_state_matrix_is_marginal(self):
         # eigenvalues 0 and +-j/sqrt(2) for T = 2
@@ -151,6 +157,20 @@ class TestSolveCare:
             CareProblem(A=np.eye(2), B=np.ones((3, 1)), Q=np.eye(2), R=[[1.0]])
         with pytest.raises(ValueError):
             CareProblem(A=np.eye(2), B=np.ones((2, 1)), Q=np.eye(3), R=[[1.0]])
+
+    def test_one_dimensional_input_is_a_column(self):
+        prob = CareProblem(A=-np.eye(2), B=[1.0, 2.0], Q=np.eye(2), R=[[1.0]])
+        assert prob.B.shape == (2, 1) and np.array_equal(prob.B[:, 0], [1.0, 2.0])
+        column = CareProblem(A=-np.eye(2), B=[[1.0], [2.0]], Q=np.eye(2), R=[[1.0]])
+        assert np.array_equal(solve_care(prob).P, solve_care(column).P)
+
+    @pytest.mark.parametrize("name", ["A", "B", "Q", "R"])
+    def test_rejects_nonfinite_entries(self, name):
+        data = {"A": -np.eye(2), "B": np.ones((2, 1)), "Q": np.eye(2), "R": np.eye(1)}
+        data[name] = data[name].copy()
+        data[name][0, 0] = np.nan
+        with pytest.raises(ValueError, match=f"{name} has non-finite entries"):
+            CareProblem(**data)
 
 
 class TestStabilizable:

@@ -44,6 +44,9 @@ class TestConfigDefaults:
             MooConfig(pareto_fraction=0.0)
         with pytest.raises(ValueError):
             MooConfig(bounds=((1.0, 1.0),))
+        for fraction in (1.5, -0.1):
+            with pytest.raises(ValueError, match="crossover fraction"):
+                MooConfig(crossover_fraction=fraction)
 
 
 class TestDominance:
@@ -59,6 +62,8 @@ class TestDominance:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             dominates((1, 2), (1, 2, 3))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            weakly_dominates((1, 2), (1, 2, 3))
 
 
 class TestSorting:
@@ -83,6 +88,10 @@ class TestSorting:
             want = [sorted(f) for f in brute_force_fronts(objs)]
             assert got == want
 
+    def test_empty_population_rejected(self):
+        with pytest.raises(ValueError, match="population is empty"):
+            fast_nondominated_sort(np.zeros((0, 2)))
+
     def test_every_index_exactly_once(self):
         rng = np.random.default_rng(3)
         objs = rng.random((40, 2))
@@ -100,6 +109,10 @@ class TestCrowding:
         d = crowding_distance(np.array([[0.0, 2.0], [1.0, 1.0], [2.0, 0.0]]))
         assert np.isinf(d[0]) and np.isinf(d[2])
         assert d[1] == pytest.approx(2.0)
+
+    def test_empty_front_rejected(self):
+        with pytest.raises(ValueError, match="front is empty"):
+            crowding_distance(np.zeros((0, 2)))
 
     def test_zero_range_objective_contributes_nothing(self):
         objs = np.array([[0.0, 5.0], [1.0, 5.0], [2.0, 5.0]])
@@ -262,6 +275,17 @@ class TestFrontOperations:
         a = _tiny_front([(1, 2), (2, 1)])
         b = _tiny_front([(1, 2), (2, 1)], DelayMethod.HE)
         assert compare_fronts(a, b) == FrontVerdict.WEAK
+
+    def test_compare_he_dominant(self):
+        a = _tiny_front([(2, 3), (3, 2)])
+        b = _tiny_front([(1, 2), (2, 1)], DelayMethod.HE)
+        assert compare_fronts(a, b) == FrontVerdict.HE_DOMINANT
+
+    def test_compare_empty_rejected(self):
+        plant = NioptdPlant(K=1, L=0.5, T=2, alpha=0.5)
+        empty = ParetoFront(entries=(), method=DelayMethod.HE, plant=plant)
+        with pytest.raises(ValueError, match="non-empty"):
+            compare_fronts(_tiny_front([(1, 1)]), empty)
 
     def test_compare_crossing_is_weak(self):
         a = _tiny_front([(1, 3), (3, 1)])

@@ -396,11 +396,12 @@ class TestRobustnessSweep:
 
     def test_delays_share_one_plant_kernel(self, monkeypatch):
         """The delay only shifts the plant's kernel, so a sweep over three
-        delays at one lag samples the plant once."""
+        delays at one lag samples the plant once: one build of its modes."""
         case, controller = reference_controller("osc_median")
         built = []
-        plant_ss = sim._plant_ss
-        monkeypatch.setattr(sim, "_plant_ss", lambda *args: built.append(args) or plant_ss(*args))
+        plant_modes = sim._plant_modes
+        monkeypatch.setattr(sim, "_plant_modes",
+                            lambda *args: built.append(args) or plant_modes(*args))
         sim._PlantAtRest.cache_clear()
         robustness_sweep(case.plant, controller, [0.4, 0.5, 0.6], [case.plant.T],
                          Scenario(horizon=10.0, step_size=0.01))
@@ -508,6 +509,29 @@ class TestSolvers:
         visit(ast.parse(Path(sim.__file__).read_text(encoding="utf-8")), ())
         allowed = {"_PlantAtRest.__init__", "_ControllerRuns.__init__"}
         assert found and {scope for scope, _ in found} <= allowed, found
+
+    def test_only_the_reference_path_names_a_realization(self):
+        """Structural guard: every Oustaloup block is sampled from its modes,
+        so in sim.py only _plant_ss and _zoh, kept as the reference of the
+        plant's kernel, name expm or differintegrator_ss, and no code names
+        _plant_ss or _zoh."""
+        named = {}
+
+        def visit(node, scope):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                scope = scope + (node.name,)
+            if isinstance(node, ast.Name):
+                named.setdefault(node.id, set()).add(".".join(scope))
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope)
+
+        tree = ast.parse(Path(sim.__file__).read_text(encoding="utf-8"))
+        visit(tree, ())
+        defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        assert {"_plant_ss", "_zoh"} <= defined
+        assert named["expm"] == {"_zoh"}
+        assert named["differintegrator_ss"] == {"_plant_ss"}
+        assert "_plant_ss" not in named and "_zoh" not in named
 
 
 class TestCsvWriters:

@@ -2,12 +2,14 @@
 it replaced (``oracles.*_loop``): the same divergence verdicts and
 truncation lengths, outputs within 1e-9 of the output scale, and indices
 within 1e-9 relative.  The Oustaloup kernels against the single fused
-matrix exponential they replaced, and the closed-form operator kernels
-against the matrix exponential of each operator's realization.  The
+matrix exponential they replaced, and the closed-form kernels of the
+operators and of the plant against the matrix exponential of each block's
+realization.  The
 direct LAPACK first block against scipy's triangular Toeplitz solve it
 replaced, bit for bit."""
 import itertools
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +26,7 @@ from lqrfopid import (
     simulate_open_loop_step,
 )
 from lqrfopid import sim
+from lqrfopid.fracnum import differintegrator_modes
 from lqrfopid.matops import CareFailure, CareProblem
 from lqrfopid.nsga2 import DESIGN_BOUNDS
 from lqrfopid.sim import DEFAULT_BAND, _OperatorKernels, _PlantAtRest, evaluate_design_objectives
@@ -37,6 +40,7 @@ from oracles import (
     fused_oustaloup_markov,
     open_loop_step_loop,
     operator_markov,
+    plant_markov,
     spectral_radius,
 )
 from reference_cases import BY_NAME, OSCILLATORY_PLANT
@@ -47,6 +51,11 @@ DISTURBED = Scenario(disturbance_time=40.0, disturbance_magnitude=0.1)
 # e is zero up to the disturbance, so the loop denominator never reaches N
 # terms and u = H e takes the product without a transform at hand
 AT_REST = Scenario(setpoint=0.0, disturbance_time=40.0, disturbance_magnitude=0.1)
+
+
+def operator_kernels(exponents, h):
+    """The closed-form kernels of the operators s**gamma, one per exponent."""
+    return _OperatorKernels([differintegrator_modes(g, DEFAULT_BAND) for g in exponents], h)
 
 
 def assert_agree(res, ref):
@@ -220,7 +229,7 @@ def test_split_sampling_matches_fused(h):
         for lam, mu in pairs:
             at_rest = _PlantAtRest(replace(plant, L=0.0), h, "oustaloup", DEFAULT_BAND, n)
             num, den = at_rest.num, at_rest.den
-            ops = _OperatorKernels((-lam, mu), h, DEFAULT_BAND)(n)
+            ops = operator_kernels((-lam, mu), h)(n)
             assert np.array_equal(den, [1.0]) and num[0] == 0.0
             want = fused_oustaloup_markov(plant, h, (-lam, mu), n)
             for got, ref in zip([num] + ops, want):
@@ -258,11 +267,50 @@ def test_closed_form_kernels_match_matrix_path(h):
     exponents = list(rng.uniform(-2.0, 2.0, 24))
     exponents += [sign * g for g in ORDER_EDGES for sign in (-1.0, 1.0)]
     exponents += NEAR_INTEGERS
-    operators = _OperatorKernels(exponents, h, DEFAULT_BAND)
+    operators = operator_kernels(exponents, h)
     for gamma, got in zip(exponents, operators(KERNEL_TERMS)):
         ref = operator_markov(gamma, h, KERNEL_TERMS)
         assert got.size == KERNEL_TERMS
         assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref)), gamma
+
+
+# a dense grid of orders over (0, 2), with the pure integrator, the edge
+# next to 2 and an order too small to move 1 - alpha off 1 (the identity)
+PLANT_ORDERS = tuple(np.linspace(0.02, 1.98, 50)) + (1.0, 1.999, 1e-300)
+PLANT_LAGS = tuple(np.logspace(-3.0, 3.0, 7))
+
+
+@pytest.mark.parametrize("h", [0.001, 0.01, 0.1])
+def test_modal_plant_kernel_matches_realization(h):
+    """The plant's kernel from its modes against the ZOH matrix exponential
+    of its realization and the plain Markov recursion, to 10**4 terms, over
+    orders in (0, 2) and lags from 1e-3 to 1e3.  At the identity edge the
+    plant has no poles and a feedthrough K / (T + 1)."""
+    plants = [NioptdPlant(K=1.0, L=0.0, T=float(T), alpha=float(alpha))
+              for alpha in PLANT_ORDERS for T in PLANT_LAGS]
+    for plant, ref in zip(plants, plant_markov(plants, h, KERNEL_TERMS)):
+        got = _PlantAtRest(plant, h, "oustaloup", DEFAULT_BAND, KERNEL_TERMS).num
+        assert got.size == KERNEL_TERMS
+        assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref)), (plant.alpha, plant.T)
+    for T in PLANT_LAGS:
+        plant = NioptdPlant(K=3.0, L=0.0, T=float(T), alpha=1e-300)
+        assert sim._plant_modes(plant, DEFAULT_BAND)[1].size == 0
+        num = _PlantAtRest(plant, h, "oustaloup", DEFAULT_BAND, 300).num
+        assert num[0] == pytest.approx(3.0 / (T + 1.0), rel=1e-15) and not num[1:].any()
+
+
+def test_huge_gain_scales_the_unit_plant_kernel():
+    """K = 1e308 multiplies the unit-gain kernel after it is built: finite,
+    no warning, and exactly K times the unit-gain kernel."""
+    for alpha in (0.5, 1.0, 1.5):
+        unit = NioptdPlant(K=1.0, L=0.0, T=2.0, alpha=alpha)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            huge = _PlantAtRest(replace(unit, K=1e308), 0.01, "oustaloup", DEFAULT_BAND,
+                                KERNEL_TERMS).num
+        assert np.isfinite(huge).all()
+        unit_num = _PlantAtRest(unit, 0.01, "oustaloup", DEFAULT_BAND, KERNEL_TERMS).num
+        assert np.array_equal(huge, 1e308 * unit_num), alpha
 
 
 GROWN_LENGTHS = (1, 2, 128, 129, 257, 513, 1024, 1000, 2049, 2050, 4097, 8192, KERNEL_TERMS)
@@ -274,8 +322,8 @@ def test_grown_kernels_equal_one_build(h):
     full length bit for bit, and its first terms never change as it grows."""
     rng = np.random.default_rng(43)
     for gamma in list(rng.uniform(-2.0, 2.0, 12)) + [-2.0, -1.0, 0.0, 1.0, 2.0]:
-        [whole] = _OperatorKernels((gamma,), h, DEFAULT_BAND)(KERNEL_TERMS)
-        grown = _OperatorKernels((gamma,), h, DEFAULT_BAND)
+        [whole] = operator_kernels((gamma,), h)(KERNEL_TERMS)
+        grown = operator_kernels((gamma,), h)
         before = np.zeros(0)
         for m in GROWN_LENGTHS:
             [now] = grown(m)
@@ -297,8 +345,8 @@ def test_shared_kernel_pass_equals_per_exponent_builds(h):
     pairs = [tuple(rng.uniform(lo, hi)) for _ in range(12)]
     pairs += list(itertools.product((0.0, 1.0, 2.0), repeat=2))
     for lam, mu in pairs:
-        shared = _OperatorKernels((-lam, mu), h, DEFAULT_BAND)
-        alone = [_OperatorKernels((g,), h, DEFAULT_BAND) for g in (-lam, mu)]
+        shared = operator_kernels((-lam, mu), h)
+        alone = [operator_kernels((g,), h) for g in (-lam, mu)]
         for m in GROWN_LENGTHS:
             got = shared(m)
             assert len(got) == 2
@@ -341,8 +389,8 @@ def test_first_block_raises_where_lapack_reports_failure(monkeypatch):
 
 def test_evaluation_reaches_lapack_directly():
     """One Oustaloup-path evaluation calls neither scipy.linalg.schur nor
-    solve_triangular nor toeplitz, and builds one kernel object for both
-    controller operators."""
+    solve_triangular nor toeplitz, and builds one kernel object for the
+    plant and one for both controller operators."""
     case = BY_NAME["osc_median"]
     vars = LqrDesignVars(q1=case.q1, q2=case.q2, q3=case.q3, r=case.r,
                          lam=case.lam, mu=case.mu)
@@ -351,8 +399,9 @@ def test_evaluation_reaches_lapack_directly():
 
     def spy(frame, event, arg):
         code = frame.f_code
-        if event == "call" and (code is _OperatorKernels.__init__.__code__ or (
-                code.co_name in wrappers and "scipy" in code.co_filename)):
+        if event == "call" and code is _OperatorKernels.__init__.__code__:
+            calls.append(f"kernels of {len(frame.f_locals['modes'])}")
+        elif event == "call" and code.co_name in wrappers and "scipy" in code.co_filename:
             calls.append(code.co_name)
 
     def spied(run):
@@ -368,22 +417,23 @@ def test_evaluation_reaches_lapack_directly():
     spied(lambda: (care_schur_scipy(prob), first_block_toeplitz(np.ones(3), np.ones(1))))
     assert sorted(calls) == ["schur", "solve_triangular", "toeplitz"]
 
-    sim._ControllerRuns.cache_clear()
+    for cache in (sim._ControllerRuns, sim._PlantAtRest):
+        cache.cache_clear()
     objectives = spied(lambda: evaluate_design_objectives(case.plant, vars, case.method))
-    assert calls == ["__init__"]
+    assert calls == ["kernels of 1", "kernels of 2"]
     assert objectives != (sim.PENALTY_OBJECTIVE, sim.PENALTY_OBJECTIVE)
 
 
 def test_design_evaluations_build_no_matrix_exponential(monkeypatch):
-    """Once the plant's kernel is cached, evaluating designs on the
-    Oustaloup path realizes and exponentiates nothing."""
+    """Evaluating designs on the Oustaloup path realizes and exponentiates
+    nothing, the first evaluation, which samples the plant, included."""
     plant = NioptdPlant(K=1.0, L=0.5, T=2.0, alpha=0.5)
     scenario = Scenario(horizon=50.0, step_size=0.05)
     rng = np.random.default_rng(47)
     lo, hi = np.array(DESIGN_BOUNDS).T
     designs = [(rng.uniform(lo, hi), (DelayMethod.CAI, DelayMethod.HE)[int(rng.integers(2))])
                for _ in range(50)]
-    evaluate_design_objectives(plant, designs[0][0], designs[0][1], scenario)
+    sim._PlantAtRest.cache_clear()
     calls = {"expm": 0, "differintegrator_ss": 0}
     for name in calls:
         original = getattr(sim, name)
