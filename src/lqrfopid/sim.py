@@ -25,10 +25,11 @@ O(N log N) per run.  A run diverges at the first sample whose output is
 non-finite or exceeds DIVERGENCE_FACTOR * max(1, |setpoint|) in
 magnitude (max(1, |K|) for an open-loop step); the engine tests each
 block a step adds and stops there, so a diverging tail never meets
-earlier samples in an FFT.  Newton runs once, building the operator
-kernels only as far as it has reached, RUN_GROWTH-fold from DIRECT_TERMS
-terms and then to N: most diverging loops cross within a few hundred
-samples and never build those of the whole horizon.
+earlier samples in an FFT.  Newton runs once, building F and the operator
+kernels only as far as it has reached, in the one schedule of stages of
+:func:`_next_stage`, from DIRECT_TERMS terms to N: most diverging loops
+cross within a few hundred samples and never build those of the whole
+horizon.
 
 A closed loop forms only what its caller reads.  The last step of the
 loop denominator transforms H at a size that also fits H e, so a run that
@@ -99,11 +100,10 @@ DIVERGENCE_FACTOR = 1e3
 # below this many terms in a factor a direct product beats the FFT
 DIRECT_TERMS = 128
 # a kernel's exp(p h j) is exp(p h (j mod KERNEL_BLOCK)), computed once,
-# times exp(p h KERNEL_BLOCK (j div KERNEL_BLOCK)), once per block; it
-# grows by chunks of 1, 1, 2, 4 and 8 blocks, then GROW_BLOCKS blocks, so an
-# early-diverging loop builds little and a long run few chunks
+# times exp(p h KERNEL_BLOCK (j div KERNEL_BLOCK)), once per block; its
+# blocks are built in chunks that end at the stages of _next_stage, so an
+# early-diverging loop builds few blocks and a run to the horizon few chunks
 KERNEL_BLOCK = 128
-GROW_BLOCKS = 16
 MAX_SPREAD = 1e4
 RUN_GROWTH = 8
 
@@ -227,11 +227,11 @@ def frequency_response(plant: NioptdPlant, w) -> complex | np.ndarray:
     """Exact frequency response K e^{-jwL} / (T (jw)**alpha + 1).
 
     Uses the principal branch (jw)**alpha = w**alpha exp(j alpha pi/2);
-    ``w`` is a positive scalar or array in rad/s.
+    ``w`` is a positive finite scalar or array in rad/s.
     """
     w_arr = np.atleast_1d(np.asarray(w, dtype=float))
-    if np.any(w_arr <= 0.0):
-        raise ValueError("frequencies must be positive")
+    if not np.all((0.0 < w_arr) & (w_arr < np.inf)):
+        raise ValueError("frequencies must be positive and finite")
     jw_alpha = w_arr ** plant.alpha * np.exp(1j * plant.alpha * np.pi / 2.0)
     resp = plant.K * np.exp(-1j * w_arr * plant.L) / (plant.T * jw_alpha + 1.0)
     return resp if np.ndim(w) else complex(resp[0])
@@ -252,6 +252,14 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 def _fft_size(need: int) -> int:
     """The first 2**j, 3 * 2**j or 5 * 2**j that is at least need."""
     return min(p << ((need - 1) // p).bit_length() for p in (1, 3, 5))
+
+
+def _next_stage(t: int, n: int) -> int:
+    """The length a series of n terms grows to from t terms: DIRECT_TERMS
+    first, then RUN_GROWTH times t, and all n once that would pass half of
+    them.  The loop denominator and the kernels grow at these stages only."""
+    grow = RUN_GROWTH * t or DIRECT_TERMS
+    return n if 2 * grow > n else grow
 
 
 def _series_mul(a: np.ndarray, b: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -324,12 +332,12 @@ def _error_series(F_of, q, r, threshold, n, split=None):
 
     The first DIRECT_TERMS terms of 1 / F and q / F come directly, then
     1 / F by Newton doubling, each step extending a prefix whose outputs
-    all passed the test.  ``F_of(t)`` gives the first t terms of F,
-    RUN_GROWTH times more whenever a step needs more, and all of them once
-    that would pass half of them.  An FFT product spreads rounding errors
-    of about sum|q| max|1 / F| over all its terms; past MAX_SPREAD times
-    the threshold a block is halved, and at DIRECT_TERMS summed directly,
-    which keeps each sample free of the later ones.  Leading zeros of q are
+    all passed the test.  ``F_of(t)`` gives the first t terms of F, asked
+    for at the next stage of :func:`_next_stage` whenever a step needs more
+    terms.  An FFT product spreads rounding errors of about
+    sum|q| max|1 / F| over all its terms; past MAX_SPREAD times the
+    threshold a block is halved, and at DIRECT_TERMS summed directly, which
+    keeps each sample free of the later ones.  Leading zeros of q are
     split off first: e is zero there whatever 1 / F does.  Where q[0] != 0
     and ``split`` = (a, w, b) gives q = a + z**w b with a short, a block
     that passes that test takes q (1 / F) from :func:`_split_terms`, so it
@@ -343,8 +351,7 @@ def _error_series(F_of, q, r, threshold, n, split=None):
     with np.errstate(over="ignore", invalid="ignore"):
         while m < size:
             if t > F.size:
-                grow = RUN_GROWTH * F.size or DIRECT_TERMS
-                F = F_of(size if 2 * grow > size else grow)
+                F = F_of(_next_stage(F.size, size))
             if m == 0:
                 gt, terms = _first_block(F[:t], q)
             else:
@@ -520,9 +527,13 @@ class _OperatorKernels:
     is sum_l s**l (X_b R)[l, j], with X_b[i] = exp(p_i h KERNEL_BLOCK b) and
     R[i, (l, j)] = (coefficient of s**l in P_i) exp(p_i h j) built once
     (``bases``): a row of one small matrix product, then Horner in s.  The
-    blocks are built in chunks of fixed bounds, so each is always the same
-    row of a product of the same shape, and growing the kernels never
-    changes the terms they already have nor what they will build.
+    kernels hold at most the n terms given at construction (asking for more
+    raises ValueError), and their blocks are built in chunks that end at
+    the stages of :func:`_next_stage` for n, whatever lengths are asked
+    for.  So each block is always the same row of a product of the same
+    shape, and growing the kernels never changes the terms they already
+    have nor what they will build: kernels grown on demand equal those
+    built to n at once, bit for bit.
 
     The operators share one pass over their poles: one table of the
     moments I_ij, one of exp(p h j) and one exp(p h KERNEL_BLOCK b) per
@@ -530,7 +541,7 @@ class _OperatorKernels:
     kernel is the one it would be alone, bit for bit.
     """
 
-    def __init__(self, modes, h: float):
+    def __init__(self, modes, h: float, n: int):
         poles = np.concatenate([p for _, p, _ in modes])
         # block i has the poles poles[lo:hi] and coeffs.shape[1] powers
         self.spans, hi = [], 0
@@ -547,24 +558,30 @@ class _OperatorKernels:
                     poly[:, l - j] += coeffs[:, l] * math.comb(l, j) * moments[lo:hi, j]
             self.bases.append((poly[:, :, None] * steps[lo:hi, None, :])
                               .reshape(hi - lo, poly.shape[1] * KERNEL_BLOCK))
-        self.rates, self.h = poles * (KERNEL_BLOCK * h), h
+        self.rates, self.h, self.n, self.stage = poles * (KERNEL_BLOCK * h), h, n, 0
         self.terms = [_read_only(np.array([d])) for d, _, _ in modes]
 
     def __call__(self, m: int) -> list[np.ndarray]:
+        if m > self.n:
+            raise ValueError(f"the kernels have {self.n} terms, not {m}")
         while self.terms[0].size < m:
-            # the chunk of blocks [first, 2 first) while that is under
-            # GROW_BLOCKS blocks, [first, first + GROW_BLOCKS) past it
-            first = (self.terms[0].size - 1) // KERNEL_BLOCK
-            blocks = np.arange(first, first + min(max(first, 1), GROW_BLOCKS))
-            modes = np.exp(np.multiply.outer(blocks, self.rates))
-            s = (blocks[:, None] * KERNEL_BLOCK + _BLOCK_STEPS) * self.h
-            for i, ((lo, hi, powers), basis) in enumerate(zip(self.spans, self.bases)):
-                rows = (modes[:, lo:hi] @ basis).reshape(blocks.size, powers, KERNEL_BLOCK)
-                new = rows[:, -1]
-                for l in range(powers - 2, -1, -1):
-                    new = new * s + rows[:, l]
-                self.terms[i] = _read_only(np.concatenate([self.terms[i], new.real.ravel()]))
+            # up to the block of term stage - 1: the block of term k > 0 is
+            # (k - 1) // KERNEL_BLOCK
+            self.stage = _next_stage(self.stage, self.n)
+            self._extend(np.arange((self.terms[0].size - 1) // KERNEL_BLOCK,
+                                   (self.stage - 2) // KERNEL_BLOCK + 1))
         return [terms[:m] for terms in self.terms]
+
+    def _extend(self, blocks: np.ndarray) -> None:
+        """Append the consecutive blocks ``blocks`` to every kernel."""
+        modes = np.exp(np.multiply.outer(blocks, self.rates))
+        s = (blocks[:, None] * KERNEL_BLOCK + _BLOCK_STEPS) * self.h
+        for i, ((lo, hi, powers), basis) in enumerate(zip(self.spans, self.bases)):
+            rows = (modes[:, lo:hi] @ basis).reshape(blocks.size, powers, KERNEL_BLOCK)
+            new = rows[:, -1]
+            for l in range(powers - 2, -1, -1):
+                new = new * s + rows[:, l]
+            self.terms[i] = _read_only(np.concatenate([self.terms[i], new.real.ravel()]))
 
 
 def _plant_modes(plant: NioptdPlant, band) -> tuple[float, np.ndarray, np.ndarray]:
@@ -605,7 +622,8 @@ class _PlantAtRest:
     def __init__(self, plant: NioptdPlant, h: float, solver: str,
                  band: tuple[float, float], n: int):
         if solver == "oustaloup":
-            num, den = plant.K * _OperatorKernels([_plant_modes(plant, band)], h)(n)[0], np.ones(1)
+            num = plant.K * _OperatorKernels([_plant_modes(plant, band)], h, n)(n)[0]
+            den = np.ones(1)
         elif solver == "gl":
             num = np.array([0.0, plant.K])
             den = plant.T * h ** (-plant.alpha) * gl_coefficients(plant.alpha, n)
@@ -638,8 +656,8 @@ class _ControllerRuns:
     def __init__(self, controller: FopidController, h: float, solver: str,
                  band: tuple[float, float], n: int):
         exponents = (-controller.lam, controller.mu)
-        self.operators = (_OperatorKernels([differintegrator_modes(g, band) for g in exponents], h)
-                          if solver == "oustaloup" else
+        self.operators = (_OperatorKernels([differintegrator_modes(g, band) for g in exponents],
+                                           h, n) if solver == "oustaloup" else
                           lambda m: [h ** -g * gl_coefficients(g, m) for g in exponents])
         self.gains, self.n, self.count = (controller.kp, controller.ki, controller.kd), n, 0
         self.H, self.kernels, self.plant, self.products = np.zeros(0), [], None, {}

@@ -133,8 +133,10 @@ class TestFrequencyResponse:
         assert mags.max() > 1.0
 
     def test_rejects_nonpositive_frequency(self):
-        with pytest.raises(ValueError):
-            frequency_response(SLUGGISH_PLANT, 0.0)
+        # non-finite frequencies too, which would give NaN
+        for w in (0.0, -1.0, np.nan, np.inf, [1.0, np.nan], [1.0, np.inf]):
+            with pytest.raises(ValueError):
+                frequency_response(SLUGGISH_PLANT, w)
 
 
 class TestPerformanceIndices:

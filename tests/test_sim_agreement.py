@@ -53,9 +53,10 @@ DISTURBED = Scenario(disturbance_time=40.0, disturbance_magnitude=0.1)
 AT_REST = Scenario(setpoint=0.0, disturbance_time=40.0, disturbance_magnitude=0.1)
 
 
-def operator_kernels(exponents, h):
-    """The closed-form kernels of the operators s**gamma, one per exponent."""
-    return _OperatorKernels([differintegrator_modes(g, DEFAULT_BAND) for g in exponents], h)
+def operator_kernels(exponents, h, n):
+    """The closed-form kernels of the operators s**gamma to n terms, one per
+    exponent."""
+    return _OperatorKernels([differintegrator_modes(g, DEFAULT_BAND) for g in exponents], h, n)
 
 
 def assert_agree(res, ref):
@@ -229,7 +230,7 @@ def test_split_sampling_matches_fused(h):
         for lam, mu in pairs:
             at_rest = _PlantAtRest(replace(plant, L=0.0), h, "oustaloup", DEFAULT_BAND, n)
             num, den = at_rest.num, at_rest.den
-            ops = operator_kernels((-lam, mu), h)(n)
+            ops = operator_kernels((-lam, mu), h, n)(n)
             assert np.array_equal(den, [1.0]) and num[0] == 0.0
             want = fused_oustaloup_markov(plant, h, (-lam, mu), n)
             for got, ref in zip([num] + ops, want):
@@ -267,7 +268,7 @@ def test_closed_form_kernels_match_matrix_path(h):
     exponents = list(rng.uniform(-2.0, 2.0, 24))
     exponents += [sign * g for g in ORDER_EDGES for sign in (-1.0, 1.0)]
     exponents += NEAR_INTEGERS
-    operators = operator_kernels(exponents, h)
+    operators = operator_kernels(exponents, h, KERNEL_TERMS)
     for gamma, got in zip(exponents, operators(KERNEL_TERMS)):
         ref = operator_markov(gamma, h, KERNEL_TERMS)
         assert got.size == KERNEL_TERMS
@@ -316,22 +317,106 @@ def test_huge_gain_scales_the_unit_plant_kernel():
 GROWN_LENGTHS = (1, 2, 128, 129, 257, 513, 1024, 1000, 2049, 2050, 4097, 8192, KERNEL_TERMS)
 
 
+def stage_lengths(n):
+    """The lengths the engine grows a series of n terms through."""
+    stages = [sim._next_stage(0, n)]
+    while stages[-1] < n:
+        stages.append(sim._next_stage(stages[-1], n))
+    return stages
+
+
+@pytest.mark.parametrize("n", [1000, 2500, KERNEL_TERMS])
 @pytest.mark.parametrize("h", [0.01, 0.05])
-def test_grown_kernels_equal_one_build(h):
-    """A kernel grown in the lengths Newton asks for equals one built at the
-    full length bit for bit, and its first terms never change as it grows."""
+def test_grown_kernels_equal_one_build(h, n):
+    """A kernel of n terms grown through the stage lengths of n and other
+    lengths up to n equals one built at the full length bit for bit, and its
+    first terms never change as it grows."""
     rng = np.random.default_rng(43)
+    lengths = sorted({m for m in GROWN_LENGTHS if m <= n} | set(stage_lengths(n)))
     for gamma in list(rng.uniform(-2.0, 2.0, 12)) + [-2.0, -1.0, 0.0, 1.0, 2.0]:
-        [whole] = operator_kernels((gamma,), h)(KERNEL_TERMS)
-        grown = operator_kernels((gamma,), h)
+        [whole] = operator_kernels((gamma,), h, n)(n)
+        grown = operator_kernels((gamma,), h, n)
         before = np.zeros(0)
-        for m in GROWN_LENGTHS:
+        for m in lengths:
             [now] = grown(m)
             assert now.size == m
             common = min(m, before.size)
             assert np.array_equal(now[:common], before[:common]), (gamma, m)
             before = now.copy()
         assert np.array_equal(before, whole), gamma
+
+
+# on the plant of osc_median, a loop that crosses at sample 787
+EARLY_DIVERGING = FopidController(kp=16.0, ki=0.5, kd=0.0, lam=1.0, mu=0.5)
+
+
+@pytest.fixture
+def counted_kernels(monkeypatch):
+    """Every kernel object built while the fixture is active, with the
+    blocks of each chunk product it made in ``chunks``; both caches cleared
+    before and after."""
+    built = []
+
+    class CountedKernels(_OperatorKernels):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.chunks = []
+            built.append(self)
+
+        def _extend(self, blocks):
+            self.chunks.append(blocks.tolist())
+            super()._extend(blocks)
+
+    monkeypatch.setattr(sim, "_OperatorKernels", CountedKernels)
+    for cache in (sim._ControllerRuns, sim._PlantAtRest):
+        cache.cache_clear()
+    yield built
+    for cache in (sim._ControllerRuns, sim._PlantAtRest):
+        cache.cache_clear()
+
+
+def test_kernels_grow_in_few_chunk_products(counted_kernels):
+    """A cold plant entry builds its kernel in 3 chunk products at N = 2,500
+    and 10**4, through block ceil((n - 1) / 128) - 1 and no further; a
+    surviving evaluation at N = 10**4 builds its controller kernels in 3, a
+    loop that diverges before sample 1,024 in 2."""
+    for n in (2500, KERNEL_TERMS):
+        _PlantAtRest(NioptdPlant(K=1.0, L=0.0, T=2.0, alpha=1.5), 0.01, "oustaloup",
+                     DEFAULT_BAND, n)
+        [plant] = counted_kernels
+        assert len(plant.chunks) == 3, n
+        blocks = sum(plant.chunks, [])
+        assert blocks == list(range(-(-(n - 1) // sim.KERNEL_BLOCK))), n
+        counted_kernels.clear()
+
+    case = BY_NAME["osc_median"]
+    vars = LqrDesignVars(q1=case.q1, q2=case.q2, q3=case.q3, r=case.r,
+                         lam=case.lam, mu=case.mu)
+    objectives = evaluate_design_objectives(case.plant, vars, case.method)
+    assert objectives != (sim.PENALTY_OBJECTIVE, sim.PENALTY_OBJECTIVE)
+    assert Scenario().n_steps == KERNEL_TERMS
+    # the plant entry was built above
+    [operators] = counted_kernels
+    assert len(operators.spans) == 2 and len(operators.chunks) == 3
+
+    counted_kernels.clear()
+    res = simulate_closed_loop(case.plant, EARLY_DIVERGING, Scenario())
+    assert res.diverged and sim.DIRECT_TERMS < res.t.size <= 1024
+    [operators] = counted_kernels
+    assert len(operators.chunks) == 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 129, 1000])
+def test_kernels_refuse_terms_past_their_length(n):
+    """A request past the n terms given at construction raises ValueError,
+    before and after the kernels reached n, and builds nothing."""
+    kernels = operator_kernels((-0.5, 0.7), 0.01, n)
+    with pytest.raises(ValueError):
+        kernels(n + 1)
+    assert kernels.terms[0].size == 1
+    assert [k.size for k in kernels(n)] == [n, n]
+    with pytest.raises(ValueError):
+        kernels(n + 1)
 
 
 @pytest.mark.parametrize("h", [0.01, 0.05])
@@ -345,8 +430,8 @@ def test_shared_kernel_pass_equals_per_exponent_builds(h):
     pairs = [tuple(rng.uniform(lo, hi)) for _ in range(12)]
     pairs += list(itertools.product((0.0, 1.0, 2.0), repeat=2))
     for lam, mu in pairs:
-        shared = operator_kernels((-lam, mu), h)
-        alone = [operator_kernels((g,), h) for g in (-lam, mu)]
+        shared = operator_kernels((-lam, mu), h, KERNEL_TERMS)
+        alone = [operator_kernels((g,), h, KERNEL_TERMS) for g in (-lam, mu)]
         for m in GROWN_LENGTHS:
             got = shared(m)
             assert len(got) == 2
