@@ -26,8 +26,6 @@ from lqrfopid import (
     LqrDesignVars,
     NioptdPlant,
     design_from_vars,
-    gains_from_row,
-    gains_he,
 )
 
 plant = NioptdPlant(K=1.0, L=0.5, T=2.0, alpha=1.5)
@@ -47,7 +45,7 @@ print(f"\nsqrt(Q1/R) = {math.sqrt(vars.q1 / vars.r):.4f}"
 # the He correction shrinks toward zero as the delay grows
 print("\nHe-corrected gain row norm vs delay (fixed weights):")
 for L in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0):
-    row, _ = gains_he(NioptdPlant(K=1.0, L=L, T=2.0, alpha=1.5), vars.Q, vars.R)
-    g = gains_from_row(row)
+    g = design_from_vars(NioptdPlant(K=1.0, L=L, T=2.0, alpha=1.5), vars, DelayMethod.HE)
+    row = -np.array([g.ki, g.kp, g.kd])
     print(f"  L={L:4.1f}: |row|={np.linalg.norm(row):7.4f}  "
           f"(kp={g.kp:6.3f}, ki={g.ki:6.3f}, kd={g.kd:6.3f})")

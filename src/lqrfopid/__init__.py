@@ -10,15 +10,10 @@ robustness sweeps, and polynomial tuning rules.
 from .design import (
     DelayMethod,
     FopidController,
-    GainTriple,
     LqrDesignVars,
     NioptdPlant,
     build_state_space,
     design_from_vars,
-    gains_cai,
-    gains_delay_free,
-    gains_from_row,
-    gains_he,
 )
 from .fracnum import (
     RationalFilter,

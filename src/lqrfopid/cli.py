@@ -218,6 +218,8 @@ def _write_controller(path: Path, c: FopidController, **extra) -> None:
 def _cmd_design(args) -> int:
     plant = _plant_from_args(args)
     methods = [DelayMethod(name.strip()) for name in args.methods.split(",")]
+    if len(set(methods)) < len(methods):
+        raise CliError(f"--methods names a delay method twice: {args.methods}")
     scenario = _scenario_from_args(args)
     for name in ("restarts", "workers"):
         if getattr(args, name) < 1:

@@ -16,7 +16,9 @@ formulations:
   exponential of the closed loop, G = F exp((A - B F) L).
 
 Both yield a constant steady-state gain row; the time-varying transient
-segment for t < L is intentionally not modeled.
+segment for t < L is intentionally not modeled.  ``design_from_vars`` is
+the one gain map: it makes this choice, solves the one CARE and maps the
+row to (kp, ki, kd).
 """
 from __future__ import annotations
 
@@ -24,11 +26,10 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, fields
-from typing import NamedTuple
 
 import numpy as np
 
-from .matops import CareProblem, CareSolution, expm, solve_care
+from .matops import CareProblem, expm, solve_care
 
 __all__ = [
     "NioptdPlant",
@@ -36,12 +37,7 @@ __all__ = [
     "LqrDesignVars",
     "DelayMethod",
     "DESIGN_BOUNDS",
-    "GainTriple",
     "build_state_space",
-    "gains_from_row",
-    "gains_delay_free",
-    "gains_cai",
-    "gains_he",
     "design_from_vars",
 ]
 
@@ -150,12 +146,6 @@ class DelayMethod(enum.Enum):
     HE = "he"
 
 
-class GainTriple(NamedTuple):
-    kp: float
-    ki: float
-    kd: float
-
-
 def build_state_space(plant: NioptdPlant) -> tuple[np.ndarray, np.ndarray]:
     """State matrices of the error-state realization.
 
@@ -172,38 +162,6 @@ def build_state_space(plant: NioptdPlant) -> tuple[np.ndarray, np.ndarray]:
     return A, B
 
 
-def gains_from_row(row: np.ndarray) -> GainTriple:
-    """Map a 1x3 state-feedback row to (kp, ki, kd).
-
-    The feedback law u = -row @ x acts on x = (I**lam[e], e, D**mu[e]), so
-    row = (-ki, -kp, -kd) componentwise.
-    """
-    row = np.asarray(row, dtype=float).reshape(3)
-    return GainTriple(kp=float(-row[1]), ki=float(-row[0]), kd=float(-row[2]))
-
-
-def gains_delay_free(
-    plant: NioptdPlant, Q: np.ndarray, R: np.ndarray
-) -> tuple[GainTriple, CareSolution]:
-    """FOPID gains from the plain CARE, ignoring any process delay."""
-    A, B = build_state_space(plant)
-    sol = solve_care(CareProblem(A=A, B=B, Q=Q, R=R))
-    return gains_from_row(sol.gain[0]), sol
-
-
-def gains_cai(
-    plant: NioptdPlant, Q: np.ndarray, R: np.ndarray
-) -> tuple[np.ndarray, CareSolution]:
-    """Steady-state gain row with the delay folded into the input matrix.
-
-    Solves the CARE for (A, exp(-A L) B) and returns the effective row
-    F = R^-1 (exp(-A L) B)' P together with the Riccati solution.
-    """
-    A, _ = build_state_space(plant)
-    sol = solve_care(CareProblem(A=A, B=_cai_input_matrix(plant), Q=Q, R=R))
-    return sol.gain[0].copy(), sol
-
-
 @functools.lru_cache(maxsize=8)
 def _cai_input_matrix(plant: NioptdPlant) -> np.ndarray:
     """Cai's input matrix exp(-A L) B; it depends on K, T and L only, so a
@@ -214,40 +172,27 @@ def _cai_input_matrix(plant: NioptdPlant) -> np.ndarray:
     return B_mod
 
 
-def gains_he(
-    plant: NioptdPlant, Q: np.ndarray, R: np.ndarray
-) -> tuple[np.ndarray, CareSolution]:
-    """Steady-state gain row from the delay-free CARE with the exponential
-    closed-loop correction G = F exp((A - B F) L)."""
-    A, B = build_state_space(plant)
-    sol = solve_care(CareProblem(A=A, B=B, Q=Q, R=R))
-    F = sol.gain
-    closed = A - B @ F
-    G = F @ expm(closed * plant.L)
-    return G[0].copy(), sol
-
-
 def design_from_vars(
     plant: NioptdPlant, vars: LqrDesignVars, method: DelayMethod
 ) -> FopidController:
     """Full design step: weights -> CARE (per delay method) -> controller.
 
+    The one gain map of the package.  Cai's method solves the CARE for
+    (A, exp(-A L) B); the other two solve it for (A, B), and He's method
+    then corrects the row to F exp((A - B F) L).  The feedback law
+    u = -F x acts on x = (I**lam[e], e, D**mu[e]), so
+    (ki, kp, kd) = -F componentwise.
+
     Propagates :class:`~lqrfopid.matops.CareFailure` for weights that do
     not admit a stabilizing solution; optimization layers turn that into a
     penalty.
     """
-    Q, R = vars.Q, vars.R
-    if method is DelayMethod.DELAY_FREE:
-        triple, _ = gains_delay_free(plant, Q, R)
-    elif method is DelayMethod.CAI:
-        row, _ = gains_cai(plant, Q, R)
-        triple = gains_from_row(row)
-    elif method is DelayMethod.HE:
-        row, _ = gains_he(plant, Q, R)
-        triple = gains_from_row(row)
-    else:
+    if not isinstance(method, DelayMethod):
         raise ValueError(f"unknown delay method: {method!r}")
-    return FopidController(
-        kp=triple.kp, ki=triple.ki, kd=triple.kd, lam=vars.lam, mu=vars.mu
-    )
-
+    A, B = build_state_space(plant)
+    B_care = _cai_input_matrix(plant) if method is DelayMethod.CAI else B
+    F = solve_care(CareProblem(A=A, B=B_care, Q=vars.Q, R=vars.R)).gain
+    if method is DelayMethod.HE:
+        F = F @ expm((A - B @ F) * plant.L)
+    ki, kp, kd = (float(-g) for g in F[0])
+    return FopidController(kp=kp, ki=ki, kd=kd, lam=vars.lam, mu=vars.mu)

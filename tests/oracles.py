@@ -11,9 +11,10 @@ scipy's CARE solver and its ordered Schur form, scipy's triangular solve
 on a Toeplitz matrix, the fused ZOH of all loop blocks, the loop that
 built a cascade realization and the sampling of each operator's and of
 the plant's realization by a matrix exponential, then the plain Markov
-recursion.  The closed-loop matrix Phi of the sampled Oustaloup loop and
-its spectral radius are the reference of what "stable" means for a
-design.
+recursion, and the three gain helpers, one per delay method, that
+``design_from_vars`` replaced.  The closed-loop matrix Phi of the sampled
+Oustaloup loop and its spectral radius are the reference of what
+"stable" means for a design.
 """
 from __future__ import annotations
 
@@ -22,8 +23,9 @@ import math
 import numpy as np
 from scipy import linalg
 
+from lqrfopid.design import DelayMethod, build_state_space
 from lqrfopid.fracnum import differintegrator_ss, gl_coefficients
-from lqrfopid.matops import CareFailure, _certify
+from lqrfopid.matops import CareFailure, CareProblem, _certify, expm, solve_care
 from lqrfopid.sim import (
     DIVERGENCE_FACTOR,
     PENALTY_OBJECTIVE,
@@ -125,6 +127,25 @@ def care_schur_scipy(prob):
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise CareFailure(f"Riccati solver failed: {exc}") from exc
     return _certify(prob, P)
+
+
+def gains_by_delay_method(plant, Q, R, method) -> tuple[float, float, float]:
+    """(kp, ki, kd) as the package's three gain helpers computed them before
+    ``design_from_vars`` held the gain map: the CARE on (A, B), or on
+    (A, exp(-A L) B) for Cai's method; for He's method the delay-free row F
+    times exp((A - B F) L); then the row (-ki, -kp, -kd) mapped to the
+    gains.  Raises CareFailure where the CARE does."""
+    A, B = build_state_space(plant)
+    if method is DelayMethod.CAI:
+        row = solve_care(CareProblem(A=A, B=expm(-A * plant.L) @ B, Q=Q, R=R)).gain[0].copy()
+    else:
+        F = solve_care(CareProblem(A=A, B=B, Q=Q, R=R)).gain
+        if method is DelayMethod.HE:
+            closed = A - B @ F
+            F = F @ expm(closed * plant.L)
+        row = F[0].copy()
+    row = np.asarray(row, dtype=float).reshape(3)
+    return float(-row[1]), float(-row[0]), float(-row[2])
 
 
 def first_block_toeplitz(F: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -22,9 +22,6 @@ from lqrfopid import (
     Scenario,
     design_from_vars,
     expm,
-    gains_cai,
-    gains_delay_free,
-    gains_he,
     gl_differintegral,
     is_stabilizable,
     nsga2_minimize,
@@ -268,12 +265,13 @@ def test_criterion_9_property_suite():
         assert performance_indices(np.zeros(10), np.ones(10), 1.0, 0.1) == (0.0, 0.0)
         # zero-delay method equivalence to 1e-9
         plant0 = NioptdPlant(K=1, L=0.0, T=2, alpha=1.5)
-        Q = np.diag([0.6, 0.03, 0.06])
-        R = np.array([[0.35]])
-        triple, _ = gains_delay_free(plant0, Q, R)
+        vars0 = LqrDesignVars(q1=0.6, q2=0.03, q3=0.06, r=0.35, lam=1.0, mu=0.5)
+        triple = design_from_vars(plant0, vars0, DelayMethod.DELAY_FREE)
         base = np.array([-triple.ki, -triple.kp, -triple.kd])
-        row_cai, _ = gains_cai(plant0, Q, R)
-        row_he, _ = gains_he(plant0, Q, R)
+        cai = design_from_vars(plant0, vars0, DelayMethod.CAI)
+        he = design_from_vars(plant0, vars0, DelayMethod.HE)
+        row_cai = np.array([-cai.ki, -cai.kp, -cai.kd])
+        row_he = np.array([-he.ki, -he.kp, -he.kd])
         np.testing.assert_allclose(row_cai, base, rtol=0, atol=1e-9)
         np.testing.assert_allclose(row_he, base, rtol=0, atol=1e-9)
         # determinism under a fixed seed

@@ -241,6 +241,8 @@ class TestBadNumbers:
         ["rule", "--LT", "1", "--alpha", "1.2", "--out-dir", __file__],
         # no plant has L/T < 0
         ["rule", "--LT", "-1", "--alpha", "3"],
+        # a repeated method would run its search twice
+        ["design", "--methods", "he,he", "--pop", "4", "--gens", "1", "--horizon", "1"],
     ])
     def test_exit_2_without_output(self, tmp_path, capsys, argv):
         # an --out-dir of the argv itself comes later and wins

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lqrfopid import (
+    CareFailure,
     DelayMethod,
     FopidController,
     LqrDesignVars,
@@ -13,17 +14,25 @@ from lqrfopid import (
     build_state_space,
     design_from_vars,
     expm,
-    gains_cai,
-    gains_delay_free,
-    gains_from_row,
-    gains_he,
 )
 from lqrfopid.design import DESIGN_BOUNDS
 
-from oracles import care_hamiltonian
+from oracles import care_hamiltonian, gains_by_delay_method
 from reference_cases import BY_NAME, OSCILLATORY_PLANT, REFERENCE_DESIGNS, SLUGGISH_PLANT
 
 GAIN_ATOL = 2e-4  # reference gains are quoted to four decimals
+
+
+def weights(Q, R):
+    """Diagonal Q and 1x1 R as design variables; the orders do not enter
+    the gains."""
+    q1, q2, q3 = np.diag(Q)
+    return LqrDesignVars(q1=q1, q2=q2, q3=q3, r=R[0, 0], lam=1.0, mu=0.5)
+
+
+def gain_row(controller):
+    """The state-feedback row (-ki, -kp, -kd) of a designed controller."""
+    return -np.array([controller.ki, controller.kp, controller.kd])
 
 
 class TestPlantAndTypes:
@@ -90,17 +99,19 @@ class TestDelayFreeGains:
     def test_matches_independent_care_oracle(self):
         plant = NioptdPlant(K=1, L=0.0, T=1, alpha=1.0)
         A, B = build_state_space(plant)
-        triple, sol = gains_delay_free(plant, np.eye(3), np.array([[1.0]]))
+        triple = design_from_vars(plant, weights(np.eye(3), np.array([[1.0]])),
+                                  DelayMethod.DELAY_FREE)
         P = care_hamiltonian(A, B, np.eye(3), np.array([[1.0]]))
         row = np.linalg.solve(np.array([[1.0]]), B.T @ P)[0]
-        expected = gains_from_row(row)
+        expected = FopidController(kp=-row[1], ki=-row[0], kd=-row[2], lam=1.0, mu=0.5)
         assert triple.kp == pytest.approx(expected.kp, rel=1e-8)
         assert triple.ki == pytest.approx(expected.ki, rel=1e-8)
         assert triple.kd == pytest.approx(expected.kd, rel=1e-8)
 
     def test_kd_nonnegative_on_q3_boundary(self):
         plant = NioptdPlant(K=1, L=0.0, T=2, alpha=1.5)
-        triple, _ = gains_delay_free(plant, np.diag([1.0, 0.5, 0.0]), np.array([[1.0]]))
+        triple = design_from_vars(plant, weights(np.diag([1.0, 0.5, 0.0]), np.array([[1.0]])),
+                                  DelayMethod.DELAY_FREE)
         assert triple.kd >= 0.0
 
     def test_integral_gain_identity(self):
@@ -113,17 +124,16 @@ class TestDelayFreeGains:
             r = float(rng.uniform(0.1, 3.0))
             Q = np.diag([q1, q2, q3])
             R = np.array([[r]])
-            triple, _ = gains_delay_free(plant, Q, R)
-            row_cai, _ = gains_cai(plant, Q, R)
+            triple = design_from_vars(plant, weights(Q, R), DelayMethod.DELAY_FREE)
+            row_cai = gain_row(design_from_vars(plant, weights(Q, R), DelayMethod.CAI))
             assert triple.ki == pytest.approx(math.sqrt(q1 / r), rel=1e-7)
             assert -row_cai[0] == pytest.approx(math.sqrt(q1 / r), rel=1e-7)
 
     def test_differs_from_delay_corrected_for_nonzero_delay(self):
         case = BY_NAME["osc_low_isdco"]
         Q, R = np.diag([case.q1, case.q2, case.q3]), np.array([[case.r]])
-        triple, _ = gains_delay_free(case.plant, Q, R)
-        row, _ = gains_he(case.plant, Q, R)
-        corrected = gains_from_row(row)
+        triple = design_from_vars(case.plant, weights(Q, R), DelayMethod.DELAY_FREE)
+        corrected = design_from_vars(case.plant, weights(Q, R), DelayMethod.HE)
         assert abs(triple.kp - corrected.kp) > 0.05
 
     @given(
@@ -135,7 +145,8 @@ class TestDelayFreeGains:
     @settings(max_examples=25, deadline=None, derandomize=True)
     def test_positive_weights_give_positive_gains(self, q1, q2, q3, r):
         plant = NioptdPlant(K=1.0, L=0.0, T=2.0, alpha=1.5)
-        triple, _ = gains_delay_free(plant, np.diag([q1, q2, q3]), np.array([[r]]))
+        triple = design_from_vars(plant, weights(np.diag([q1, q2, q3]), np.array([[r]])),
+                                  DelayMethod.DELAY_FREE)
         assert triple.kp > 0 and triple.ki > 0 and triple.kd > 0
 
 
@@ -144,9 +155,9 @@ class TestDelayMethods:
         plant = NioptdPlant(K=1, L=0.0, T=2, alpha=1.5)
         Q = np.diag([0.6, 0.03, 0.06])
         R = np.array([[0.3]])
-        triple, _ = gains_delay_free(plant, Q, R)
-        row_cai, _ = gains_cai(plant, Q, R)
-        row_he, _ = gains_he(plant, Q, R)
+        triple = design_from_vars(plant, weights(Q, R), DelayMethod.DELAY_FREE)
+        row_cai = gain_row(design_from_vars(plant, weights(Q, R), DelayMethod.CAI))
+        row_he = gain_row(design_from_vars(plant, weights(Q, R), DelayMethod.HE))
         base = np.array([-triple.ki, -triple.kp, -triple.kd])
         np.testing.assert_allclose(row_cai, base, rtol=0, atol=1e-9)
         np.testing.assert_allclose(row_he, base, rtol=0, atol=1e-9)
@@ -163,7 +174,8 @@ class TestDelayMethods:
         R = np.array([[0.2]])
         norms = []
         for L in (0.0, 2.0, 4.0, 8.0, 16.0):
-            row, _ = gains_he(NioptdPlant(K=1, L=L, T=2, alpha=1.5), Q, R)
+            row = gain_row(design_from_vars(NioptdPlant(K=1, L=L, T=2, alpha=1.5),
+                                            weights(Q, R), DelayMethod.HE))
             norms.append(np.linalg.norm(row))
         assert all(a > b for a, b in zip(norms, norms[1:]))
         assert norms[-1] < 0.05 * norms[0]
@@ -171,10 +183,11 @@ class TestDelayMethods:
     def test_gains_continuous_in_delay(self):
         Q = np.diag([0.6, 0.03, 0.06])
         R = np.array([[0.35]])
-        for method_gains in (gains_cai, gains_he):
+        for method in (DelayMethod.CAI, DelayMethod.HE):
             rows = []
             for L in (0.5, 0.5 + 1e-4):
-                row, _ = method_gains(NioptdPlant(K=1, L=L, T=2, alpha=1.5), Q, R)
+                row = gain_row(design_from_vars(NioptdPlant(K=1, L=L, T=2, alpha=1.5),
+                                                weights(Q, R), method))
                 rows.append(row)
             assert np.linalg.norm(rows[1] - rows[0]) < 1e-3
 
@@ -193,8 +206,70 @@ class TestDelayMethods:
         plant = NioptdPlant(K=1, L=0.0, T=2, alpha=1.5)
         vars = LqrDesignVars(q1=0.6, q2=0.03, q3=0.06, r=0.35, lam=1.1, mu=0.4)
         by_method = design_from_vars(plant, vars, DelayMethod.DELAY_FREE)
-        triple, _ = gains_delay_free(plant, vars.Q, vars.R)
-        assert by_method.kp == triple.kp
-        assert by_method.ki == triple.ki
-        assert by_method.kd == triple.kd
+        kp, ki, kd = gains_by_delay_method(plant, vars.Q, vars.R, DelayMethod.DELAY_FREE)
+        assert by_method.kp == kp
+        assert by_method.ki == ki
+        assert by_method.kd == kd
+
+
+def designed_gains(plant, vars, method):
+    c = design_from_vars(plant, vars, method)
+    return c.kp, c.ki, c.kd
+
+
+def gains_or_failure(gains, *args):
+    """The bits of (kp, ki, kd), or the message of the CareFailure raised."""
+    try:
+        return tuple(g.hex() for g in gains(*args))
+    except CareFailure as exc:
+        return f"CareFailure: {exc}"
+
+
+def seeded_design_vars(seed, count):
+    """Design variables drawn uniformly from DESIGN_BOUNDS with r > 0; every
+    fifth draw has q1 = 0, which admits no stabilizing CARE solution."""
+    rng = np.random.default_rng(seed)
+    lo, hi = np.array(DESIGN_BOUNDS).T
+    drawn = []
+    while len(drawn) < count:
+        x = rng.uniform(lo, hi)
+        if len(drawn) % 5 == 0:
+            x[0] = 0.0
+        if x[3] > 0.0:
+            drawn.append(LqrDesignVars.from_array(x))
+    return drawn
+
+
+class TestGainMapMatchesHelpers:
+    """``design_from_vars`` equals the three per-delay-method gain helpers
+    it replaced (``oracles.gains_by_delay_method``) bit for bit, CareFailure
+    verdicts and messages included."""
+
+    @staticmethod
+    def verdicts(plant, vars):
+        """Per delay method, the gain map's verdict, checked against the
+        helpers'."""
+        out = []
+        for method in DelayMethod:
+            got = gains_or_failure(designed_gains, plant, vars, method)
+            want = gains_or_failure(gains_by_delay_method, plant, vars.Q, vars.R, method)
+            assert got == want, (plant, vars, method)
+            out.append(got)
+        return out
+
+    @pytest.mark.parametrize("case", REFERENCE_DESIGNS, ids=lambda c: c.name)
+    def test_reference_designs(self, case):
+        vars = LqrDesignVars(q1=case.q1, q2=case.q2, q3=case.q3, r=case.r,
+                             lam=case.lam, mu=case.mu)
+        for verdict in self.verdicts(case.plant, vars):
+            assert isinstance(verdict, tuple)
+
+    @pytest.mark.parametrize("alpha, seed", [(0.5, 31), (1.5, 32)])
+    def test_seeded_designs(self, alpha, seed):
+        """300 draws per plant under each delay method; exactly the q1 = 0
+        draws fail, on both sides and with the same message."""
+        plant = NioptdPlant(K=1.0, L=0.5, T=2.0, alpha=alpha)
+        for vars in seeded_design_vars(seed, 300):
+            for verdict in self.verdicts(plant, vars):
+                assert isinstance(verdict, str) == (vars.q1 == 0.0)
 

@@ -438,6 +438,12 @@ class TestRobustnessSweep:
             robustness_sweep(case.plant, controller, [-0.1], [2.0])
         with pytest.raises(ValueError):
             robustness_sweep(case.plant, controller, [0.5], [0.0])
+        # grids that are not 1-D, though their values are admissible
+        for grid in ([[0.4, 0.5]], np.array([[0.4], [0.5]]), 0.5):
+            with pytest.raises(ValueError, match="1-D"):
+                robustness_sweep(case.plant, controller, grid, [2.0])
+            with pytest.raises(ValueError, match="1-D"):
+                robustness_sweep(case.plant, controller, [0.5], 4 * np.asarray(grid))
 
 
 class TestControllerEntry:
