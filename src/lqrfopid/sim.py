@@ -31,29 +31,40 @@ kernels only as far as it has reached, in the one schedule of stages of
 cross within a few hundred samples and never build those of the whole
 horizon.
 
+The engine solves a stack of loops at once, one row each, that share the
+plant, the controller, the right-hand side and the length and differ only
+in their delay d: a single run is a stack of one, and a robustness sweep
+solves the cells of one lag, all its delays, as one stack.  Each step
+transforms the rows together, each row as it would be alone (NumPy's
+FFT of a stack equals the FFTs of its rows bit for bit), and a factor
+every row shares, num H or the right-hand side, once; forward
+substitutions and direct products stay per row.  A row whose output
+crosses leaves the stack there, and a row that fails the guard against
+FFT rounding leaves it to go on alone, so each row is the single run on
+its delay, bit for bit.
+
 A closed loop forms only what its caller reads.  The last step of the
-loop denominator transforms H at a size that also fits H e, so a run that
-reaches the horizon gets u = H e from that transform with one more
-forward and one inverse FFT, and its indices from e and u.  The states
-x1 and x3 are formed on the first read of either, and so is the u of a
-diverged run, whose indices are the penalty.
+loop denominator transforms H at a size that also fits H e, so the rows
+that reach the horizon get u = H e from that transform with one more
+stacked forward and inverse FFT, and their indices from e and u.  The
+states x1 and x3 are formed on the first read of either, and so is the u
+of a diverged run, whose indices are the penalty.
 
 Where den is one term (the Oustaloup path) the right-hand side of a
 disturbed loop with r != 0 stays split: each block multiplies r den by
 1 / F directly, and num by 1 / F only from the disturbance's sample on,
 so blocks before it make no FFT product for it.  Where num has more than
 DIRECT_TERMS terms, num H is formed to the t terms of each growth length t
-past the first block whatever the delay, which only shifts it.
+past the first block, once for the whole stack whatever the delays, which
+only shift it.
 
 Two caches hold what runs reuse; only their constructors know the solver.
 One entry per plant at rest (K, T, alpha, step, solver, band, length)
 samples the plant, from its modes or its GL weights: num, den and num's
 transform at the size of a run's last product; a search builds it once, a
 sweep once per lag.  One entry per controller (controller, step, solver,
-band, length) holds its operator kernels, H as last grown, H's transform
-and num H for the current plant at rest.  A robustness sweep walks its
-grid lag by lag, so it builds the kernels and transforms H once and forms
-num H once per lag, not once per cell.
+band, length) holds its operator kernels, H as last grown and H's
+transform, which a sweep takes once for all its lags.
 
 Timing convention shared by both paths: num[0] = 0, so the plant state at
 sample k has integrated the (zero-order-held, delayed) input, control and
@@ -77,7 +88,14 @@ from .design import (
     NioptdPlant,
     design_from_vars,
 )
-from .fracnum import DEFAULT_BAND, differintegrator_modes, differintegrator_ss, gl_coefficients
+from .fracnum import (
+    DEFAULT_BAND,
+    OUSTALOUP_ORDER,
+    _factors,
+    differintegrator_modes,
+    differintegrator_ss,
+    gl_coefficients,
+)
 from .matops import CareFailure, expm
 
 __all__ = [
@@ -263,21 +281,20 @@ def _next_stage(t: int, n: int) -> int:
 
 
 def _series_mul(a: np.ndarray, b: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Coefficients lo, ..., hi - 1 of the product of the series a and b."""
-    return _series_products(a, (b,), lo, hi)[0]
-
-
-def _series_products(a: np.ndarray, bs, lo: int, hi: int) -> list[np.ndarray]:
-    """Coefficients lo, ..., hi - 1 of the product of a with each series of
-    ``bs``, all of one length: a is transformed once."""
-    a, bs = a[:hi], [b[:hi] for b in bs]
-    if min(a.size, bs[0].size) <= DIRECT_TERMS:
-        return [np.convolve(a, b)[lo:hi] for b in bs]
+    """Coefficients lo, ..., hi - 1 of the product of the series a and b,
+    along the last axis.  Either may be a stack of series (2-D, one per
+    row); a 1-D factor is shared by every row, and transformed once."""
+    a, b = a[..., :hi], b[..., :hi]
+    if min(a.shape[-1], b.shape[-1]) <= DIRECT_TERMS:
+        if a.ndim == b.ndim == 1:
+            return np.convolve(a, b)[lo:hi]
+        rows = max(len(f) for f in (a, b) if f.ndim == 2)
+        return np.array([np.convolve(x, y)[lo:hi] for x, y in
+                         zip(*(f if f.ndim == 2 else [f] * rows for f in (a, b)))])
     # a cyclic product of length >= hi folds only the terms of degree >=
     # length, onto degrees below a.size + b.size - 1 - length <= lo
-    size = _fft_size(max(hi, a.size + bs[0].size - 1 - lo))
-    spectrum = np.fft.rfft(a, size)
-    return [np.fft.irfft(spectrum * np.fft.rfft(b, size), size)[lo:hi] for b in bs]
+    size = _fft_size(max(hi, a.shape[-1] + b.shape[-1] - 1 - lo))
+    return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[..., lo:hi]
 
 
 def _first_block(F: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -301,102 +318,142 @@ def _first_block(F: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _newton_terms(F: np.ndarray, g: np.ndarray, m: int, t: int) -> np.ndarray:
-    """Terms m, ..., t - 1 of 1 / F from its first m terms g (t <= 2 m):
-    -g (F g)[m:t] by one Newton step.  On a whole doubling (t = 2 m) both
-    products share the transform of g; on a shorter step the second uses
-    g[:t - m] alone, whose later terms would only add their FFT rounding."""
+    """Terms m, ..., t - 1 of 1 / F from its first m terms g (t <= 2 m), for
+    each row of the stacks F and g: -g (F g)[m:t] by one Newton step.  On a
+    whole doubling (t = 2 m) both products share the transform of g; on a
+    shorter step the second uses g[:t - m] alone, whose later terms would
+    only add their FFT rounding."""
     if t != 2 * m or m <= DIRECT_TERMS:
         return -_series_mul(g, _series_mul(F, g, m, t), 0, t - m)
     size = _fft_size(t)
     spectrum = np.fft.rfft(g, size)
-    Fg = np.fft.irfft(np.fft.rfft(F[:t], size) * spectrum, size)[m:t]
-    return -np.fft.irfft(spectrum * np.fft.rfft(Fg, size), size)[:m]
+    Fg = np.fft.irfft(np.fft.rfft(F[:, :t], size) * spectrum, size)[:, m:t]
+    return -np.fft.irfft(spectrum * np.fft.rfft(Fg, size), size)[:, :m]
 
 
 def _split_terms(split, g, m, t):
     """Terms m, ..., t - 1 of q g for q = a + z**w b, ``split`` = (a, w, b)
-    with a short: a g, direct while a is, plus b g from sample w on."""
+    with a short, for each row of the stack g: a g, direct while a is, plus
+    b g from sample w on, b transformed once for all rows."""
     a, w, b = split
     terms = _series_mul(a, g, m, t)
     if t > w:
         lo = max(m, w)
-        terms[lo - m:] += _series_mul(b, g, lo - w, t - w)
+        terms[:, lo - m:] += _series_mul(b, g, lo - w, t - w)
     return terms
 
 
-def _error_series(F_of, q, r, threshold, n, split=None):
-    """The first n terms of e = (q / F) / (1 - z), cut at the first sample k
-    whose output r - e[k] is non-finite or exceeds ``threshold`` in
-    magnitude: returns (e[:k + 1], k, b) then, else (e, None, b), with b the
-    number of terms F was built to (0 if none).
+def _error_series(F_of, q, r, threshold, n, count, split=None):
+    """The first n terms of e = (q / F) / (1 - z) for each of ``count``
+    loops that share q and differ only in F, as a list of (e, k, b), one
+    per loop: e cut at the first sample k whose output r - e[k] is
+    non-finite or exceeds ``threshold`` in magnitude (e[:k + 1], else k is
+    None and e has n terms), and b the number of terms its F was built to
+    (0 if none).
 
-    The first DIRECT_TERMS terms of 1 / F and q / F come directly, then
-    1 / F by Newton doubling, each step extending a prefix whose outputs
-    all passed the test.  ``F_of(t)`` gives the first t terms of F, asked
-    for at the next stage of :func:`_next_stage` whenever a step needs more
-    terms.  An FFT product spreads rounding errors of about
-    sum|q| max|1 / F| over all its terms; past MAX_SPREAD times the
-    threshold a block is halved, and at DIRECT_TERMS summed directly, which
-    keeps each sample free of the later ones.  Leading zeros of q are
-    split off first: e is zero there whatever 1 / F does.  Where q[0] != 0
-    and ``split`` = (a, w, b) gives q = a + z**w b with a short, a block
-    that passes that test takes q (1 / F) from :func:`_split_terms`, so it
-    multiplies by b only from sample w on.
+    The loops form a stack, one row each, which every step extends by one
+    block (m, t) of terms: the first DIRECT_TERMS terms of 1 / F and q / F
+    directly, one forward substitution per row, then 1 / F by Newton
+    doubling, each step extending a prefix whose outputs all passed the
+    test.  ``F_of(t, rows)`` gives the first t terms of F for the loops
+    ``rows`` (an index array), asked for at the next stage of
+    :func:`_next_stage` whenever a step needs more terms.  Transforms run
+    over the rows at once, row by row the same as for one loop alone; a
+    loop whose output crosses leaves the stack there.
+
+    An FFT product spreads rounding errors of about sum|q| max|1 / F| over
+    all its terms; a loop past MAX_SPREAD times the threshold leaves the
+    stack with its block halved and goes on alone, and at DIRECT_TERMS its
+    terms are summed directly, which keeps each sample free of the later
+    ones.  Leading zeros of q are split off first: e is zero there whatever
+    1 / F does.  Where q[0] != 0 and ``split`` = (a, w, b) gives
+    q = a + z**w b with a short, a block that passes that test takes
+    q (1 / F) from :func:`_split_terms`, so it multiplies by b only from
+    sample w on.
     """
     lead = np.flatnonzero(q[:n])
     s = int(lead[0]) if lead.size else n
     q, size = q[s:n], n - s
-    F = g = e = np.zeros(0)
-    m, t = 0, min(DIRECT_TERMS, size)
+    series = [None] * count
+    empty = np.zeros((count, 0))
+    # stacks still to extend: (rows, F, 1 / F, e, m, t) each
+    stacks = [(np.arange(count), empty, empty, empty, 0, min(DIRECT_TERMS, size))]
     with np.errstate(over="ignore", invalid="ignore"):
-        while m < size:
-            if t > F.size:
-                F = F_of(_next_stage(F.size, size))
-            if m == 0:
-                gt, terms = _first_block(F[:t], q)
-            else:
-                gt = np.concatenate([g, _newton_terms(F, g, m, t)])
-                if min(q.size, t) > DIRECT_TERMS and not (
-                        np.abs(q[:t]).sum() * np.abs(gt).max() <= MAX_SPREAD * threshold):
-                    if t - m > DIRECT_TERMS:
-                        t = m + (t - m) // 2
-                        continue
-                    terms = np.convolve(np.concatenate([np.zeros(t - 1 - m), q[:t]]), gt,
-                                        "valid")
-                elif split is not None:
-                    terms = _split_terms(split, gt, m, t)
+        while stacks:
+            rows, F, g, e, m, t = stacks.pop()
+            while m < size:
+                if t > F.shape[1]:
+                    F = F_of(_next_stage(F.shape[1], size), rows)
+                if m == 0:
+                    blocks = np.concatenate([_first_block(row[:t], q) for row in F])
+                    gt, terms = blocks[0::2], blocks[1::2]
                 else:
-                    terms = _series_mul(q, gt, m, t)
-            block = np.cumsum(terms) + (e[-1] if m else 0.0)
-            bad = np.flatnonzero(~(np.abs(r - block) <= threshold))
-            if bad.size:
-                k = int(bad[0])
-                return np.concatenate([np.zeros(s), e, block[:k + 1]]), s + m + k, F.size
-            g, e, m, t = gt, np.concatenate([e, block]), t, min(2 * t, size)
-    return np.concatenate([np.zeros(s), e]), None, F.size
+                    gt = np.concatenate([g, _newton_terms(F, g, m, t)], axis=1)
+                    wide = np.zeros(rows.size, dtype=bool)
+                    if min(q.size, t) > DIRECT_TERMS:
+                        wide = ~(np.abs(q[:t]).sum() * np.abs(gt).max(axis=1)
+                                 <= MAX_SPREAD * threshold)
+                    if wide.any() and t - m > DIRECT_TERMS:
+                        # these rows go on alone with half the block
+                        stacks.append((rows[wide], F[wide], g[wide], e[wide], m,
+                                       m + (t - m) // 2))
+                        rows, F, g, e, gt = (a[~wide] for a in (rows, F, g, e, gt))
+                        wide = wide[~wide]
+                        if not rows.size:
+                            break
+                    terms = (_split_terms(split, gt, m, t) if split is not None
+                             else _series_mul(q, gt, m, t))
+                    for i in np.flatnonzero(wide):
+                        terms[i] = np.convolve(np.concatenate([np.zeros(t - 1 - m), q[:t]]),
+                                               gt[i], "valid")
+                block = np.cumsum(terms, axis=1) + (e[:, -1:] if m else 0.0)
+                bad = ~(np.abs(r - block) <= threshold)
+                crossed = np.flatnonzero(bad.any(axis=1))
+                for i in crossed:
+                    k = int(bad[i].argmax())
+                    series[rows[i]] = (np.concatenate([np.zeros(s), e[i], block[i, :k + 1]]),
+                                       s + m + k, F.shape[1])
+                if crossed.size == rows.size:
+                    break
+                if crossed.size:
+                    rows, F, gt, e, block = (np.delete(a, crossed, axis=0)
+                                             for a in (rows, F, gt, e, block))
+                g, e, m, t = gt, np.concatenate([e, block], axis=1), t, min(2 * t, size)
+            else:
+                for row, terms in zip(rows, e):
+                    series[row] = (np.concatenate([np.zeros(s), terms]), None, F.shape[1])
+    return series
 
 
-def _loop_output(at_rest, delay, runs, r, w_start, w_mag, threshold, n):
-    """Output of y = (num / den) (z**delay H (r - y) + w) to n samples for
-    the num and den of ``at_rest``, a :class:`_PlantAtRest`, its first sample
-    non-finite or past ``threshold`` (None if there is none), and the number
-    of terms the loop denominator was built to (0 if none).
+def _loop_output(at_rest, delays, runs, r, w_start, w_mag, threshold, n):
+    """Outputs of y = (num / den) (z**d H (r - y) + w) to n samples for the
+    num and den of ``at_rest``, a :class:`_PlantAtRest`, and each delay d of
+    ``delays``, solved as one stack: one (y, k, b) per delay, k the first
+    sample non-finite or past ``threshold`` (None if there is none) and b
+    the number of terms the loop denominator was built to (0 if none).
 
     The set-point r and the input disturbance w (w_mag from sample w_start
     on) are steps, so the error e = r - y solves
     e F = (r den - w_mag z**w_start num) / (1 - z) with
-    F = den + z**delay num H, where H is that of ``runs``, the
-    :class:`_ControllerRuns` of the controller (H = 0 where it is None).
+    F = den + z**d num H, where H is that of ``runs``, the
+    :class:`_ControllerRuns` of the controller (H = 0 where it is None):
+    only F depends on the delay, and each stage of num H serves every row.
     Where den is one term and r != 0 the right-hand side stays split:
     r den times 1 / F directly, and num times 1 / F only from sample w_start
     on.
     """
     num, den = at_rest.num, at_rest.den
+    delays = np.asarray(delays)
 
-    def F_of(t):
-        F, hi = _padded(den, t), t - delay
-        if runs is not None and hi > 0:
-            F[delay:] += runs.num_H(t, hi)
+    def F_of(t, rows):
+        F = np.zeros((rows.size, t))
+        F[:, :den.size] = den[:t]
+        shifts = delays[rows].tolist()
+        if runs is not None and min(shifts) < t:
+            num_H = runs.num_H(at_rest, t)
+            for row, d in zip(F, shifts):
+                if d < t:
+                    row[d:] += num_H(t - d)
         return F
 
     q, split = r * den, None
@@ -406,8 +463,8 @@ def _loop_output(at_rest, delay, runs, r, w_start, w_mag, threshold, n):
             split = (q, w_start, w)
         q = _padded(q, n)
         q[w_start:] += _padded(w, n - w_start)
-    e, k, built = _error_series(F_of, q, r, threshold, n, split)
-    return r - e, k, built
+    return [(r - e, k, built) for e, k, built in
+            _error_series(F_of, q, r, threshold, n, delays.size, split)]
 
 
 def simulate_open_loop_step(
@@ -432,8 +489,8 @@ def simulate_open_loop_step(
     # a disturbance of an open loop (H = 0) with zero set-point.  The loop
     # runs at unit gain, y is that response times K, so no finite K
     # overflows a product of the engine.
-    y, k, _ = _loop_output(at_rest, delay, None, 0.0, delay, 1.0,
-                           max(DIVERGENCE_FACTOR, DIVERGENCE_FACTOR / abs(K)), n)
+    [(y, k, _)] = _loop_output(at_rest, [delay], None, 0.0, delay, 1.0,
+                               max(DIVERGENCE_FACTOR, DIVERGENCE_FACTOR / abs(K)), n)
     with np.errstate(over="ignore"):
         y = K * y
     overflow = np.flatnonzero(~np.isfinite(y))
@@ -589,29 +646,94 @@ def _plant_modes(plant: NioptdPlant, band) -> tuple[float, np.ndarray, np.ndarra
     F = d_F + sum_i c_i / (s - p_i) those of s**-alpha (simple poles): poles
     at the zeros of T + F, the eigenvalues of diag(p) - c 1' / (T + d_F)
     polished by two Newton steps, real or in conjugate pairs; residues
-    T / sum_i c_i / (pole - p_i)**2; feedthrough d_F / (T + d_F)."""
+    T / sum_i c_i / (pole - p_i)**2; feedthrough d_F / (T + d_F).
+
+    Those steps resolve a pole only to a rounding of the largest |p_i|, not
+    its distance to the nearest pole or zero of F, which vanishes for large
+    or small T and for alpha near 1 or 2.  So one Newton step on F's
+    product form checks them: where it would move a pole by more than 1e-10
+    of that distance, or the residue 1 / (F'/F) there differs from the one
+    above by more than 1e-11 of the largest, the modes are those of
+    :func:`_anchored_modes` instead."""
     d, p, c = differintegrator_modes(-plant.alpha, band)
     c, T = c[:, 0], plant.T
-    poles = np.linalg.eigvals(np.diag(p) - c[:, None] / (T + d))
-    for _ in range(2):
+    with np.errstate(all="ignore"):
+        guesses = np.linalg.eigvals(np.diag(p) - c[:, None] / (T + d))
+        poles = guesses
+        for _ in range(2):
+            inverse = 1.0 / (poles[:, None] - p)
+            poles = poles + (T + d + inverse @ c) / (inverse * inverse @ c)
         inverse = 1.0 / (poles[:, None] - p)
-        poles = poles + (T + d + inverse @ c) / (inverse * inverse @ c)
-    inverse = 1.0 / (poles[:, None] - p)
-    return d / (T + d), poles, (T / (inverse * inverse @ c))[:, None]
+        residues = T / (inverse * inverse @ c)
+        if p.size:
+            filt, _, _ = _factors(-plant.alpha, band, OUSTALOUP_ORDER)
+            zeros, gain = (filt.zeros, filt.gain) if filt is not None else (np.zeros(0), 1.0)
+            # F = gain prod(s - zeros) / prod(s - p), one row per pole
+            gaps = poles[:, None] - np.concatenate([p, zeros])
+            offsets = np.abs(gaps).min(axis=1)
+            log_slope = (1.0 / gaps[:, p.size:]).sum(axis=1) - (1.0 / gaps[:, :p.size]).sum(axis=1)
+            F = gain * np.prod(gaps[:, p.size:], axis=1) / np.prod(gaps[:, :p.size], axis=1)
+            if not (np.all(np.abs((T + F) / (F * log_slope)) <= 1e-10 * offsets)
+                    and np.max(np.abs(residues - 1.0 / log_slope))
+                    <= 1e-11 * np.max(np.abs(residues))):
+                poles, residues = _anchored_modes(plant, p, zeros, gain, guesses)
+                if not np.any(poles.imag):
+                    poles, residues = poles.real, residues.real
+    return d / (T + d), poles, residues[:, None]
+
+
+def _anchored_modes(plant: NioptdPlant, p, zeros, gain, guesses):
+    """The poles and residues of F / (T + F), F = gain prod(s - zeros) /
+    prod(s - p), from ``guesses`` of the poles.  Each pole is its anchor, the
+    pole or zero of F nearest its guess, plus an offset delta found by
+    Newton's method with the anchor's own factor, delta, kept apart, so
+    delta is resolved to rounding however small: on delta T + delta F near
+    a pole of F, on T + F near a zero.  The residue at a pole is
+    1 / (F'/F) = delta / (+-1 + delta L), L the logarithmic derivative of F
+    without the anchor's factor.  Raises ValueError where Newton does not
+    converge, or where the residues miss the plant's unit dc gain
+    (sum_i -residue_i / pole_i = 1) by more than 1e-9."""
+    anchors = np.concatenate([p, zeros])
+    guesses = np.where(np.isfinite(guesses), guesses, 0.0).astype(complex)
+    mine = np.argmin(np.abs(guesses[:, None] - anchors), axis=1)[:, None] == np.arange(
+        anchors.size)
+    at_pole = mine[:, :p.size].any(axis=1)
+    anchor = anchors @ mine.T
+    gaps = anchor[:, None] - anchors  # exact where an anchor meets itself
+    sign = np.where(mine, 1.0, np.concatenate([-np.ones(p.size), np.ones(zeros.size)]))
+    delta, T = guesses - anchor, plant.T
+    for _ in range(60):
+        factors = np.where(mine, 1.0, gaps + delta[:, None])
+        rest = gain * np.prod(factors[:, p.size:], axis=1) / np.prod(factors[:, :p.size], axis=1)
+        log_slope = np.sum(np.where(mine, 0.0, sign / factors), axis=1)
+        f = np.where(at_pole, delta * T + rest, T + delta * rest)
+        slope = np.where(at_pole, T + rest * log_slope, rest * (1.0 + delta * log_slope))
+        step = f / slope
+        delta = delta - step
+        if np.all(np.abs(step) <= 1e-12 * np.abs(delta)):
+            break
+    else:
+        raise ValueError(f"the Oustaloup modes of the plant with T = {T} and alpha = "
+                         f"{plant.alpha} do not converge; use solver 'gl'")
+    factors = np.where(mine, 1.0, gaps + delta[:, None])
+    log_slope = np.sum(np.where(mine, 0.0, sign / factors), axis=1)
+    residues = delta / (np.where(at_pole, -1.0, 1.0) + delta * log_slope)
+    poles = anchor + delta
+    if not abs(np.sum(-residues / poles) - 1.0) <= 1e-9:
+        raise ValueError(f"the Oustaloup modes of the plant with T = {T} and alpha = "
+                         f"{plant.alpha} miss its unit dc gain; use solver 'gl'")
+    return poles, residues
 
 
 # What one search or one sweep reuses, in two caches, each a cached class
 # (calling it returns the one instance of its key) and the only code that
 # knows the solver: the plant at rest, shared by all delays, and the last
 # controller.  A search makes a new controller at every evaluation and
-# builds its entry; a sweep walks its grid lag by lag, so the controller
-# keeps num H for one plant at rest at a time.  They are not sized to keep
-# series for a later job, which only a repeat of the same job in one
-# process would reuse.  The controller's entry outlives its run for the
-# sweeps: each cell is a run of its own, so per round of the benchmark's
-# sweep-verify 48 of 56 lookups hit, against 1 of 96 on search-osc-fine
-# and 0 of 478 on search-slug-coarse.  Without it a search took the same
-# time within the host's noise (a 2-core Xeon).
+# builds its entry; a sweep solves one stack per lag, so the controller's
+# entry serves all its lags.  They are not sized to keep series for a later
+# job, which only a repeat of the same job in one process would reuse.  Per
+# round of the benchmark's sweep-verify 8 of 16 controller lookups hit,
+# against 1 of 96 on search-osc-fine and 0 of 478 on search-slug-coarse.
 @functools.lru_cache(maxsize=8)
 class _PlantAtRest:
     """The plant sampled at step h, y = (num / den) u to n terms, num[0] = 0,
@@ -645,16 +767,8 @@ class _PlantAtRest:
 class _ControllerRuns:
     """What the runs of one controller at one step, solver, band and length
     n share, whatever the plant (read-only arrays): the operator kernels,
-    H = kp + ki s**-lam + kd s**mu and its kernels as last grown, H's
-    transform at _fft_size(2 n - 1), taken on first use, and num H to t
-    terms for each growth length t past DIRECT_TERMS for the current plant
-    at rest where num is longer than that, of which F = den + z**d num H
-    takes the first t - d (a shorter product is direct, cheaper than keeping
-    it).  ``count`` counts the runs of the controller.
-
-    num H to all n terms is kept only from the controller's second run on:
-    a search runs each controller once, and an n-term product kept past its
-    run made the heap grow again, page by page, in the next evaluation.
+    H = kp + ki s**-lam + kd s**mu and its kernels as last grown, and H's
+    transform at _fft_size(2 n - 1), taken on first use.
     """
 
     def __init__(self, controller: FopidController, h: float, solver: str,
@@ -663,15 +777,8 @@ class _ControllerRuns:
         self.operators = (_OperatorKernels([differintegrator_modes(g, band) for g in exponents],
                                            h, n) if solver == "oustaloup" else
                           lambda m: [h ** -g * gl_coefficients(g, m) for g in exponents])
-        self.gains, self.n, self.count = (controller.kp, controller.ki, controller.kd), n, 0
-        self.H, self.kernels, self.plant, self.products = np.zeros(0), [], None, {}
-
-    def start(self, plant: _PlantAtRest) -> None:
-        """Count a run on the plant entry ``plant``; a new plant drops the
-        products of the last."""
-        if plant is not self.plant:
-            self.plant, self.products = plant, {}
-        self.count += 1
+        self.gains, self.n = (controller.kp, controller.ki, controller.kd), n
+        self.H, self.kernels = np.zeros(0), []
 
     def grown(self, t: int):
         """The first t terms of H and of the operator kernels."""
@@ -687,23 +794,21 @@ class _ControllerRuns:
     def H_spectrum(self) -> np.ndarray:
         return _read_only(np.fft.rfft(self.grown(self.n)[0], _fft_size(2 * self.n - 1)))
 
-    def num_H(self, t: int, hi: int) -> np.ndarray:
-        """The first hi terms of num H for the current plant; past
-        DIRECT_TERMS terms of both factors, those of num H to t terms, kept."""
-        num = self.plant.num
+    def num_H(self, plant: _PlantAtRest, t: int):
+        """num H for the plant entry ``plant``: a function of hi <= t that
+        gives its first hi terms.  Past DIRECT_TERMS terms of both factors
+        those are the first hi of one product to t terms, formed here, so a
+        stack of loops forms it once; a shorter product is direct, to hi
+        terms, for each hi."""
+        num, H = plant.num, self.grown(t)[0]
         if min(num.size, t) <= DIRECT_TERMS:
-            return _series_mul(num, self.grown(t)[0], 0, hi)
-        product = self.products.get(t)
-        if product is None:
-            if t == self.n:
-                # at a size that fits H e too; no term of degree < n folds
-                spectrum = self.H_spectrum
-                product = np.fft.irfft(self.plant.spectrum * spectrum, _fft_size(2 * t - 1))[:t]
-            else:
-                product = _series_mul(num, self.grown(t)[0], 0, t)
-            if t < self.n or self.count > 1:
-                self.products[t] = _read_only(product)
-        return product[:hi]
+            return lambda hi: _series_mul(num, H, 0, hi)
+        if t == self.n:
+            # at a size that fits H e too; no term of degree < n folds
+            product = np.fft.irfft(plant.spectrum * self.H_spectrum, _fft_size(2 * t - 1))[:t]
+        else:
+            product = _series_mul(num, H, 0, t)
+        return lambda hi: product[:hi]
 
 
 @functools.lru_cache(maxsize=8)
@@ -732,37 +837,58 @@ def simulate_closed_loop(
     the horizon; x1 and x3 are formed on first read.
     """
     scenario = scenario or Scenario()
+    delay = int(round(plant.L / scenario.step_size))
+    return _closed_loops(plant, [delay], controller, scenario, solver, band)[0]
+
+
+def _closed_loops(plant, delays, controller, scenario, solver, band) -> list[SimResult]:
+    """The loops of :func:`simulate_closed_loop` for ``plant`` at each input
+    delay of ``delays`` (in samples, whatever plant.L is), one stack for
+    :func:`_loop_output`: each result is the one that loop gives alone, bit
+    for bit.  The u of the loops that reach the horizon comes from one
+    stacked product."""
     h, r, n = scenario.step_size, scenario.setpoint, scenario.n_steps
     at_rest = _PlantAtRest(replace(plant, L=0.0), h, solver, tuple(band), n)
     runs = _ControllerRuns(controller, h, solver, tuple(band), n)
-    runs.start(at_rest)
     w_start = _first_sample_at(n, h, scenario.disturbance_time)
-    y, k, built = _loop_output(at_rest, int(round(plant.L / h)), runs, r, w_start,
-                               scenario.disturbance_magnitude,
-                               DIVERGENCE_FACTOR * max(1.0, abs(r)), n)
-    e, t = r - y, np.arange(y.size) * h
-    # as the run last built them: they cover e past its leading zeros
-    H, kernels = runs.grown(built) if built else (np.zeros(1), [np.zeros(1)] * 2)
+    outputs = _loop_output(at_rest, delays, runs, r, w_start, scenario.disturbance_magnitude,
+                           DIVERGENCE_FACTOR * max(1.0, abs(r)), n)
 
-    def states():
-        x1, x3 = _series_products(e, kernels, 0, y.size)
+    def result(y, k, built, e, u):
+        t = np.arange(y.size) * h
+        # as the run last built them: they cover e past its leading zeros
+        kernels = runs.grown(built)[1] if built else [np.zeros(1)] * 2
+
+        def states():
+            x1, x3 = _series_mul(e, np.array(kernels), 0, y.size)
+            if k is not None:
+                x1[k] = x3[k] = 0.0
+            return x1, x3
+
         if k is not None:
-            x1[k] = x3[k] = 0.0
-        return x1, x3
+            e[k] = 0.0
+            return SimResult._deferred(
+                t, y, lambda x1, x3: controller.kp * e + controller.ki * x1 + controller.kd * x3,
+                e, states, PENALTY_OBJECTIVE, PENALTY_OBJECTIVE, diverged=True)
+        u_ss = r / plant.K if controller.lam > 0 else float(u[-1])
+        itse, isdco = performance_indices(e, u, u_ss, h)
+        return SimResult._deferred(t, y, u, e, states, itse, isdco, diverged=False)
 
-    if k is not None:
-        e[k] = 0.0
-        return SimResult._deferred(
-            t, y, lambda x1, x3: controller.kp * e + controller.ki * x1 + controller.kd * x3,
-            e, states, PENALTY_OBJECTIVE, PENALTY_OBJECTIVE, diverged=True)
-    if built == n > DIRECT_TERMS:
-        size = _fft_size(2 * n - 1)
-        u = np.fft.irfft(runs.H_spectrum * np.fft.rfft(e, size), size)[:n]
-    else:
-        u = _series_mul(e, H, 0, n)
-    u_ss = r / plant.K if controller.lam > 0 else float(u[-1])
-    itse, isdco = performance_indices(e, u, u_ss, h)
-    return SimResult._deferred(t, y, u, e, states, itse, isdco, diverged=False)
+    errors = [r - y for y, _, _ in outputs]
+    survivors = [i for i, (_, k, _) in enumerate(outputs) if k is None]
+    controls = {}
+    if survivors:
+        # every loop that reaches the horizon built its denominator as far
+        built = outputs[survivors[0]][2]
+        e = np.array([errors[i] for i in survivors])
+        if built == n > DIRECT_TERMS:
+            size = _fft_size(2 * n - 1)
+            u = np.fft.irfft(runs.H_spectrum * np.fft.rfft(e, size), size)[:, :n]
+        else:
+            u = _series_mul(e, runs.grown(built)[0] if built else np.zeros(1), 0, n)
+        controls = dict(zip(survivors, u))
+    return [result(y, k, built, errors[i], controls.get(i))
+            for i, (y, k, built) in enumerate(outputs)]
 
 
 def evaluate_design_objectives(
@@ -803,9 +929,10 @@ def robustness_sweep(
     """Re-simulate a fixed controller over a grid of perturbed (L, T).
 
     Divergent cells are recorded (penalty indices, diverged mask) and the
-    sweep continues.  The cells run lag by lag, T outer and L inner: the
-    delay only shifts the plant's kernel, so one lag's cells share it and
-    the controller's num H.
+    sweep continues.  The delay only shifts the plant's kernel, so the
+    cells of one lag, all delays of L_grid, are one stack of loops for the
+    engine: they share the plant entry, num H and the right-hand side.
+    Each cell equals a single run on its plant bit for bit.
     """
     L_grid = np.asarray(L_grid, dtype=float)
     T_grid = np.asarray(T_grid, dtype=float)
@@ -814,16 +941,16 @@ def robustness_sweep(
             and np.all((0.0 < T_grid) & (T_grid < math.inf))):
         raise ValueError(f"grids must be non-empty 1-D arrays with 0 <= L < inf and "
                          f"0 < T < inf, got L {L_grid.tolist()} and T {T_grid.tolist()}")
+    scenario = scenario or Scenario()
+    delays = [int(round(float(L) / scenario.step_size)) for L in L_grid]
     itse = np.empty((L_grid.size, T_grid.size))
     isdco = np.empty_like(itse)
     diverged = np.zeros(itse.shape, dtype=bool)
     for j, T in enumerate(T_grid):
-        for i, L in enumerate(L_grid):
-            perturbed = replace(plant_nominal, L=float(L), T=float(T))
-            res = simulate_closed_loop(perturbed, controller, scenario)
-            itse[i, j] = res.itse
-            isdco[i, j] = res.isdco
-            diverged[i, j] = res.diverged
+        cells = _closed_loops(replace(plant_nominal, T=float(T)), delays, controller, scenario,
+                              "oustaloup", DEFAULT_BAND)
+        for i, res in enumerate(cells):
+            itse[i, j], isdco[i, j], diverged[i, j] = res.itse, res.isdco, res.diverged
     return SweepResult(L_grid=L_grid, T_grid=T_grid, itse=itse, isdco=isdco,
                        diverged=diverged)
 

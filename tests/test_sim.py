@@ -396,6 +396,59 @@ class TestRobustnessSweep:
                 assert (sweep.itse[i, j], sweep.isdco[i, j], sweep.diverged[i, j]) == (
                     cell.itse, cell.isdco, cell.diverged), (i, j)
 
+    DISTURBED = Scenario(horizon=25.0, step_size=0.01, disturbance_time=16.5,
+                         disturbance_magnitude=0.2)
+
+    def tripled(self):
+        """osc_median with its gains tripled: over delays (0.2 .. 1.8) x
+        0.5 s at its lag the loops of one stack end differently."""
+        case, controller = reference_controller("osc_median")
+        return case, replace(controller, kp=3 * controller.kp, ki=3 * controller.ki,
+                             kd=3 * controller.kd)
+
+    def cold_cells(self, case, controller, L_grid, T_grid, sweep):
+        """Each cell of ``sweep`` equals a cold single run on its plant bit
+        for bit; returns those runs."""
+        cells = {}
+        for i, L in enumerate(L_grid):
+            for j, T in enumerate(T_grid):
+                cell = cold_run(replace(case.plant, L=float(L), T=float(T)), controller,
+                                self.DISTURBED)
+                assert (sweep.itse[i, j], sweep.isdco[i, j], sweep.diverged[i, j]) == (
+                    cell.itse, cell.isdco, cell.diverged), (i, j)
+                cells[i, j] = cell
+        return cells
+
+    def test_diverging_rows_leave_the_stack(self):
+        """The last two delays of the stack diverge, at different samples,
+        each truncated where a single run truncates it; the others reach
+        the horizon."""
+        case, controller = self.tripled()
+        L_grid, T_grid = 0.5 * np.array([0.2, 0.6, 1.0, 1.4, 1.8]), [case.plant.T]
+        sweep = robustness_sweep(case.plant, controller, L_grid, T_grid, self.DISTURBED)
+        cells = self.cold_cells(case, controller, L_grid, T_grid, sweep)
+        assert sweep.diverged[:, 0].tolist() == [False, False, False, True, True]
+        assert cells[3, 0].y.size != cells[4, 0].y.size
+
+    def test_row_past_the_spread_guard_goes_on_alone(self, monkeypatch):
+        """With MAX_SPREAD at 3, one row of the stack fails the spread guard
+        on the block (1024, 2048) while the others pass: it leaves the stack
+        and halves that block alone, the others go on to the horizon
+        together, and every cell still equals a cold single run under the
+        same guard."""
+        case, controller = self.tripled()
+        monkeypatch.setattr(sim, "MAX_SPREAD", 3.0)
+        newton, steps = sim._newton_terms, []
+        monkeypatch.setattr(sim, "_newton_terms",
+                            lambda F, g, m, t: steps.append((F.shape[0], m, t))
+                            or newton(F, g, m, t))
+        L_grid, T_grid = 0.5 * np.array([0.2, 0.6, 1.0, 1.4, 1.8]), [case.plant.T]
+        sweep = robustness_sweep(case.plant, controller, L_grid, T_grid, self.DISTURBED)
+        stack = list(steps)
+        self.cold_cells(case, controller, L_grid, T_grid, sweep)
+        assert (5, 1024, 2048) in stack and (1, 1024, 1536) in stack
+        assert (3, 2048, 2500) in stack
+
     def test_delays_share_one_plant_kernel(self, monkeypatch):
         """The delay only shifts the plant's kernel, so a sweep over three
         delays at one lag samples the plant once: one build of its modes."""
@@ -540,6 +593,28 @@ class TestSolvers:
         assert named["expm"] == {"_zoh"}
         assert named["differintegrator_ss"] == {"_plant_ss"}
         assert "_plant_ss" not in named and "_zoh" not in named
+
+    def test_one_engine_for_single_runs_and_sweeps(self):
+        """Structural guard: only _error_series calls _first_block and
+        _newton_terms, only _loop_output calls _error_series, and
+        simulate_closed_loop and robustness_sweep both reach _loop_output
+        through _closed_loops, its one closed-loop caller; no sweep runs
+        its cells through simulate_closed_loop."""
+        callers = {}
+        tree = ast.parse(Path(sim.__file__).read_text(encoding="utf-8"))
+        for top in tree.body:
+            functions = (top.body if isinstance(top, ast.ClassDef) else [top])
+            for function in functions:
+                if not isinstance(function, ast.FunctionDef):
+                    continue
+                for node in ast.walk(function):
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                        callers.setdefault(node.func.id, set()).add(function.name)
+        assert callers["_first_block"] == callers["_newton_terms"] == {"_error_series"}
+        assert callers["_error_series"] == {"_loop_output"}
+        assert callers["_loop_output"] == {"_closed_loops", "simulate_open_loop_step"}
+        assert callers["_closed_loops"] == {"simulate_closed_loop", "robustness_sweep"}
+        assert "robustness_sweep" not in callers["simulate_closed_loop"]
 
 
 class TestCsvWriters:

@@ -2,12 +2,15 @@
 costs.
 
 ``count_transforms(monkeypatch)`` wraps ``np.fft.rfft`` and ``irfft`` and
-returns a list that gains one :class:`Transform` per call: its length, the
-function of ``lqrfopid.sim`` that asked for it and, inside the error
-series, the block being formed.
+returns a list that gains one :class:`Transform` per series transformed: a
+call on a stack of k series (one per row) counts k times, so the count
+measures work, not calls.  Each records its length, the function of
+``lqrfopid.sim`` that asked for it and, inside the error series, the block
+being formed.
 """
 from __future__ import annotations
 
+import math
 import sys
 from typing import NamedTuple
 
@@ -18,7 +21,7 @@ from lqrfopid import sim
 # generic product helpers: a transform is charged to the function that
 # asked them for the product (comprehensions, "<listcomp>" and the like,
 # to the function they are in)
-PRODUCT_HELPERS = frozenset({"_series_mul", "_series_products"})
+PRODUCT_HELPERS = frozenset({"_series_mul"})
 
 
 class Transform(NamedTuple):
@@ -35,7 +38,9 @@ def count_transforms(monkeypatch) -> list[Transform]:
         transform = getattr(np.fft, name)
 
         def counted(a, n=None, *args, _transform=transform, **kwargs):
-            records.append(_charge(sys._getframe(1), n if n is not None else np.shape(a)[-1]))
+            shape = np.shape(a)
+            rows = math.prod(shape[:-1])
+            records.extend([_charge(sys._getframe(1), n if n is not None else shape[-1])] * rows)
             return _transform(a, n, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
