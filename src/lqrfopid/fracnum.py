@@ -246,7 +246,12 @@ def differintegrator_modes(
     t > 0.  The poles are the filter's own, each of multiplicity ``power``,
     and 0 for the exact integrators; no state matrix is formed.
     """
-    filt, power, integrators = _factors(gamma, band, OUSTALOUP_ORDER)
+    return _factor_modes(*_factors(gamma, band, OUSTALOUP_ORDER))
+
+
+def _factor_modes(filt, power: int, integrators: int):
+    """The modes (d, poles, coeffs) of :func:`differintegrator_modes` from
+    the factors of :func:`_factors`."""
     if filt is None:
         if not integrators:
             return 1.0, np.zeros(0), np.zeros((0, 1))

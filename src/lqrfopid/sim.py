@@ -91,6 +91,7 @@ from .design import (
 from .fracnum import (
     DEFAULT_BAND,
     OUSTALOUP_ORDER,
+    _factor_modes,
     _factors,
     differintegrator_modes,
     differintegrator_ss,
@@ -643,86 +644,59 @@ class _OperatorKernels:
 
 def _plant_modes(plant: NioptdPlant, band) -> tuple[float, np.ndarray, np.ndarray]:
     """The modes (d, poles, coeffs) of the unit-gain plant F / (T + F), with
-    F = d_F + sum_i c_i / (s - p_i) those of s**-alpha (simple poles): poles
-    at the zeros of T + F, the eigenvalues of diag(p) - c 1' / (T + d_F)
-    polished by two Newton steps, real or in conjugate pairs; residues
-    T / sum_i c_i / (pole - p_i)**2; feedthrough d_F / (T + d_F).
+    F = gain prod(s - zeros) / prod(s - p) = sum_i c_i / (s - p_i) the
+    filter of s**-alpha (no feedthrough, but for an order too small to move
+    1 - alpha off 1, where F is the identity).
 
-    Those steps resolve a pole only to a rounding of the largest |p_i|, not
-    its distance to the nearest pole or zero of F, which vanishes for large
-    or small T and for alpha near 1 or 2.  So one Newton step on F's
-    product form checks them: where it would move a pole by more than 1e-10
-    of that distance, or the residue 1 / (F'/F) there differs from the one
-    above by more than 1e-11 of the largest, the modes are those of
-    :func:`_anchored_modes` instead."""
-    d, p, c = differintegrator_modes(-plant.alpha, band)
-    c, T = c[:, 0], plant.T
-    with np.errstate(all="ignore"):
-        guesses = np.linalg.eigvals(np.diag(p) - c[:, None] / (T + d))
-        poles = guesses
-        for _ in range(2):
-            inverse = 1.0 / (poles[:, None] - p)
-            poles = poles + (T + d + inverse @ c) / (inverse * inverse @ c)
-        inverse = 1.0 / (poles[:, None] - p)
-        residues = T / (inverse * inverse @ c)
-        if p.size:
-            filt, _, _ = _factors(-plant.alpha, band, OUSTALOUP_ORDER)
-            zeros, gain = (filt.zeros, filt.gain) if filt is not None else (np.zeros(0), 1.0)
-            # F = gain prod(s - zeros) / prod(s - p), one row per pole
-            gaps = poles[:, None] - np.concatenate([p, zeros])
-            offsets = np.abs(gaps).min(axis=1)
-            log_slope = (1.0 / gaps[:, p.size:]).sum(axis=1) - (1.0 / gaps[:, :p.size]).sum(axis=1)
-            F = gain * np.prod(gaps[:, p.size:], axis=1) / np.prod(gaps[:, :p.size], axis=1)
-            if not (np.all(np.abs((T + F) / (F * log_slope)) <= 1e-10 * offsets)
-                    and np.max(np.abs(residues - 1.0 / log_slope))
-                    <= 1e-11 * np.max(np.abs(residues))):
-                poles, residues = _anchored_modes(plant, p, zeros, gain, guesses)
-                if not np.any(poles.imag):
-                    poles, residues = poles.real, residues.real
-    return d / (T + d), poles, residues[:, None]
-
-
-def _anchored_modes(plant: NioptdPlant, p, zeros, gain, guesses):
-    """The poles and residues of F / (T + F), F = gain prod(s - zeros) /
-    prod(s - p), from ``guesses`` of the poles.  Each pole is its anchor, the
-    pole or zero of F nearest its guess, plus an offset delta found by
+    The poles are the zeros of T + F, guessed by the eigenvalues of
+    diag(p) - c 1' / T, real or in conjugate pairs.  Each is its anchor,
+    the pole or zero of F nearest its guess, plus an offset delta found by
     Newton's method with the anchor's own factor, delta, kept apart, so
     delta is resolved to rounding however small: on delta T + delta F near
     a pole of F, on T + F near a zero.  The residue at a pole is
     1 / (F'/F) = delta / (+-1 + delta L), L the logarithmic derivative of F
-    without the anchor's factor.  Raises ValueError where Newton does not
-    converge, or where the residues miss the plant's unit dc gain
-    (sum_i -residue_i / pole_i = 1) by more than 1e-9."""
+    without the anchor's factor as the last Newton step left it.  Raises
+    ValueError where Newton does not converge, or where the residues miss
+    the plant's unit dc gain (sum_i -residue_i / pole_i = 1) by more than
+    1e-9."""
+    filt, power, integrators = _factors(-plant.alpha, band, OUSTALOUP_ORDER)
+    d, p, c = _factor_modes(filt, power, integrators)
+    T = plant.T
+    if not p.size:  # F is the identity
+        return d / (T + d), p, c
+    zeros, gain = (filt.zeros, filt.gain) if filt is not None else (np.zeros(0), 1.0)
     anchors = np.concatenate([p, zeros])
-    guesses = np.where(np.isfinite(guesses), guesses, 0.0).astype(complex)
-    mine = np.argmin(np.abs(guesses[:, None] - anchors), axis=1)[:, None] == np.arange(
-        anchors.size)
-    at_pole = mine[:, :p.size].any(axis=1)
-    anchor = anchors @ mine.T
-    gaps = anchor[:, None] - anchors  # exact where an anchor meets itself
-    sign = np.where(mine, 1.0, np.concatenate([-np.ones(p.size), np.ones(zeros.size)]))
-    delta, T = guesses - anchor, plant.T
-    for _ in range(60):
-        factors = np.where(mine, 1.0, gaps + delta[:, None])
-        rest = gain * np.prod(factors[:, p.size:], axis=1) / np.prod(factors[:, :p.size], axis=1)
-        log_slope = np.sum(np.where(mine, 0.0, sign / factors), axis=1)
-        f = np.where(at_pole, delta * T + rest, T + delta * rest)
-        slope = np.where(at_pole, T + rest * log_slope, rest * (1.0 + delta * log_slope))
-        step = f / slope
-        delta = delta - step
-        if np.all(np.abs(step) <= 1e-12 * np.abs(delta)):
-            break
-    else:
-        raise ValueError(f"the Oustaloup modes of the plant with T = {T} and alpha = "
-                         f"{plant.alpha} do not converge; use solver 'gl'")
-    factors = np.where(mine, 1.0, gaps + delta[:, None])
-    log_slope = np.sum(np.where(mine, 0.0, sign / factors), axis=1)
-    residues = delta / (np.where(at_pole, -1.0, 1.0) + delta * log_slope)
-    poles = anchor + delta
-    if not abs(np.sum(-residues / poles) - 1.0) <= 1e-9:
-        raise ValueError(f"the Oustaloup modes of the plant with T = {T} and alpha = "
-                         f"{plant.alpha} miss its unit dc gain; use solver 'gl'")
-    return poles, residues
+    with np.errstate(all="ignore"):
+        guesses = np.linalg.eigvals(np.diag(p) - c / T)
+        guesses = np.where(np.isfinite(guesses), guesses, 0.0)
+        mine = np.argmin(np.abs(guesses[:, None] - anchors), axis=1)[:, None] == np.arange(
+            anchors.size)
+        at_pole = mine[:, :p.size].any(axis=1)
+        anchor = anchors @ mine.T
+        gaps = anchor[:, None] - anchors  # exact where an anchor meets itself
+        # each factor's sign in L: -1 at a pole, +1 at a zero, 0 for the anchor's own
+        sign = np.where(mine, 0.0, np.concatenate([-np.ones(p.size), np.ones(zeros.size)]))
+        delta = guesses - anchor
+        for _ in range(60):
+            factors = np.where(mine, 1.0, gaps + delta[:, None])
+            rest = (gain * np.multiply.reduce(factors[:, p.size:], axis=1)
+                    / np.multiply.reduce(factors[:, :p.size], axis=1))
+            log_slope = np.add.reduce(sign / factors, axis=1)
+            f = np.where(at_pole, delta * T + rest, T + delta * rest)
+            slope = np.where(at_pole, T + rest * log_slope, rest * (1.0 + delta * log_slope))
+            step = f / slope
+            delta = delta - step
+            if np.all(np.abs(step) <= 1e-12 * np.abs(delta)):
+                break
+        else:
+            raise ValueError(f"the Oustaloup modes of the plant with T = {T} and alpha = "
+                             f"{plant.alpha} do not converge; use solver 'gl'")
+        residues = delta / (np.where(at_pole, -1.0, 1.0) + delta * log_slope)
+        poles = anchor + delta
+        if not abs(np.sum(-residues / poles) - 1.0) <= 1e-9:
+            raise ValueError(f"the Oustaloup modes of the plant with T = {T} and alpha = "
+                             f"{plant.alpha} miss its unit dc gain; use solver 'gl'")
+    return 0.0, poles, residues[:, None]
 
 
 # What one search or one sweep reuses, in two caches, each a cached class
@@ -742,8 +716,8 @@ class _PlantAtRest:
     no part of them, so callers pass the plant at L = 0: built once per
     search, and once per lag of a sweep.  GL: den = 1 + T h**-alpha times
     the Grunwald-Letnikov weights, num = (0, K).  Oustaloup: den = 1, num
-    the kernel of the unit-gain plant's modes (:func:`_plant_modes`) times
-    K, so no finite K overflows the kernel."""
+    K times the kernel of the unit-gain plant's modes from the one Newton
+    solve of :func:`_plant_modes`, so no finite K overflows the kernel."""
 
     def __init__(self, plant: NioptdPlant, h: float, solver: str,
                  band: tuple[float, float], n: int):
@@ -870,7 +844,7 @@ def _closed_loops(plant, delays, controller, scenario, solver, band) -> list[Sim
             return SimResult._deferred(
                 t, y, lambda x1, x3: controller.kp * e + controller.ki * x1 + controller.kd * x3,
                 e, states, PENALTY_OBJECTIVE, PENALTY_OBJECTIVE, diverged=True)
-        u_ss = r / plant.K if controller.lam > 0 else float(u[-1])
+        u_ss = r / plant.K if controller.ki != 0 and controller.lam > 0 else float(u[-1])
         itse, isdco = performance_indices(e, u, u_ss, h)
         return SimResult._deferred(t, y, u, e, states, itse, isdco, diverged=False)
 

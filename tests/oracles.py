@@ -429,7 +429,7 @@ def closed_loop_gl_loop(plant, controller, scenario):
         x1[k] = hi * float(np.dot(ci[:k + 1], win))
         x3[k] = hd * float(np.dot(cd[:k + 1], win))
         u[k] = controller.kp * e[k] + controller.ki * x1[k] + controller.kd * x3[k]
-    u_ss = r / plant.K if controller.lam > 0 else float(u[-1])
+    u_ss = r / plant.K if controller.ki != 0 and controller.lam > 0 else float(u[-1])
     return _loop_result(y, u, x1, e, x3, k, h, u_ss, diverged)
 
 
@@ -481,5 +481,5 @@ def closed_loop_oustaloup_loop(plant, controller, scenario, band=(1e-3, 1e3), or
         if t[k] >= scenario.disturbance_time:
             uin += scenario.disturbance_magnitude
         z = Adisc @ z + be * ek + bu * uin
-    u_ss = r / plant.K if controller.lam > 0 else float(u[-1])
+    u_ss = r / plant.K if controller.ki != 0 and controller.lam > 0 else float(u[-1])
     return _loop_result(y, u, x1, e, x3, k, h, u_ss, diverged)

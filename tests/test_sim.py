@@ -174,7 +174,23 @@ class TestClosedLoop:
         n = scn.n_steps
         expected_itse = 0.01 * np.sum(np.arange(n) * 0.01)
         assert res.itse == pytest.approx(expected_itse, rel=1e-12)
-        assert res.isdco == pytest.approx(10.0, rel=1e-12)  # u_ss = 1, u = 0
+        assert res.isdco == 0.0  # no integral action: u = 0 is its own steady state
+
+    def test_isdco_needs_real_integral_action(self):
+        """With ki = 0 the order lam of the unused integral changes only the
+        state x1: the same loop, so the same ISDCO about its own last
+        control, on both paths, whether lam is 0 or 1."""
+        plant = NioptdPlant(K=1.0, L=0.5, T=2.0, alpha=0.5)
+        scn = Scenario(horizon=50.0, step_size=0.05)
+        for solver in ("oustaloup", "gl"):
+            runs = [simulate_closed_loop(plant, FopidController(kp=0.5, ki=0.0, kd=0.0, lam=lam,
+                                                                mu=0.5), scn, solver=solver)
+                    for lam in (0.0, 1.0)]
+            for name in ("y", "u", "x2", "x3"):
+                assert np.array_equal(getattr(runs[1], name), getattr(runs[0], name)), name
+            assert (runs[1].itse, runs[1].isdco) == (runs[0].itse, runs[0].isdco)
+            _, want = performance_indices(runs[0].x2, runs[0].u, runs[0].u[-1], scn.step_size)
+            assert runs[0].isdco == want < 0.05, solver
 
     def test_error_state_identity_both_paths(self):
         case, controller = reference_controller("osc_median")
@@ -615,6 +631,28 @@ class TestSolvers:
         assert callers["_loop_output"] == {"_closed_loops", "simulate_open_loop_step"}
         assert callers["_closed_loops"] == {"simulate_closed_loop", "robustness_sweep"}
         assert "robustness_sweep" not in callers["simulate_closed_loop"]
+
+    def test_one_pole_solver_for_the_plant(self):
+        """Structural guard: sim.py defines no _anchored_modes, and only
+        _plant_modes calls an eigenvalue or root solver (np.linalg.eigvals
+        for its guesses), so the plant's poles have one solver."""
+        found = []
+
+        def visit(node, scope):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                scope = scope + (node.name,)
+            func = getattr(node, "func", None)
+            if isinstance(node, ast.Call) and getattr(func, "attr", getattr(func, "id", None)) in (
+                    "eig", "eigvals", "roots"):
+                found.append((".".join(scope), ast.unparse(func)))
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope)
+
+        tree = ast.parse(Path(sim.__file__).read_text(encoding="utf-8"))
+        visit(tree, ())
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        assert "_plant_modes" in defined and "_anchored_modes" not in defined
+        assert found == [("_plant_modes", "np.linalg.eigvals")], found
 
 
 class TestCsvWriters:

@@ -26,7 +26,7 @@ from lqrfopid import (
     simulate_open_loop_step,
 )
 from lqrfopid import sim
-from lqrfopid.fracnum import differintegrator_modes
+from lqrfopid.fracnum import differintegrator_modes, oustaloup_approximation
 from lqrfopid.matops import CareFailure, CareProblem
 from lqrfopid.nsga2 import DESIGN_BOUNDS
 from lqrfopid.sim import DEFAULT_BAND, _OperatorKernels, _PlantAtRest, evaluate_design_objectives
@@ -325,6 +325,43 @@ def test_unresolved_plant_modes_raise(alpha, T):
         with pytest.raises(ValueError, match=f"T = {T!r} and alpha = {alpha!r}"):
             sim.simulate_open_loop_step(plant, horizon=5.0, solver="oustaloup")
         assert not sim.simulate_open_loop_step(plant, horizon=5.0, solver="gl").diverged
+
+
+# the plants of the benchmark's sweep-verify grid: both orders at T = 2 x
+# (0.8 .. 1.2)
+BENCH_PLANTS = tuple((alpha, 2.0 * g) for alpha in (0.5, 1.5) for g in (0.8, 0.9, 1.0, 1.1, 1.2))
+
+
+def test_plant_poles_survive_a_product_form_newton_step():
+    """On the benchmark plants and the edge grid, against the product form
+    F = gain prod(s - zeros) / (s prod(s - poles)) of the filter: one more
+    Newton step on T + F moves no pole by more than 1e-10 of its distance
+    to the nearest pole or zero of F, and each residue is within 1e-11 of
+    the largest of 1 / (F'/F) there.  On the edge grid that holds only for
+    poles resolved in double precision, at least 1e-5 of their magnitude
+    from that pole or zero (a rounding of the pole then moves both figures
+    by at most 2.2e-11 of that distance); the rest are where the kernel
+    test above carries them."""
+    checked = 0
+    for alpha, T in BENCH_PLANTS + tuple(itertools.product(EDGE_ORDERS, EDGE_LAGS)):
+        _, poles, residues = sim._plant_modes(NioptdPlant(K=1.0, L=0.0, T=T, alpha=alpha),
+                                              DEFAULT_BAND)
+        filt = oustaloup_approximation(1.0 - alpha, DEFAULT_BAND)
+        m = filt.poles.size + 1  # F's poles: 0 and the filter's
+        with np.errstate(all="ignore"):
+            gaps = poles[:, None] - np.concatenate([[0.0], filt.poles, filt.zeros])
+            distance = np.abs(gaps).min(axis=1)
+            log_slope = np.sum(1.0 / gaps[:, m:], axis=1) - np.sum(1.0 / gaps[:, :m], axis=1)
+            F = filt.gain * np.prod(gaps[:, m:], axis=1) / np.prod(gaps[:, :m], axis=1)
+            step = (T + F) / (F * log_slope)
+        resolved = distance >= 1e-5 * np.abs(poles)
+        if (alpha, T) in BENCH_PLANTS:
+            assert resolved.all(), (alpha, T)
+        assert np.all(np.abs(step[resolved]) <= 1e-10 * distance[resolved]), (alpha, T)
+        assert np.all(np.abs(residues[resolved, 0] - 1.0 / log_slope[resolved])
+                      <= 1e-11 * np.max(np.abs(residues))), (alpha, T)
+        checked += resolved.sum()
+    assert checked >= 250
 
 
 def test_plant_step_at_a_huge_lag_matches_gl():
