@@ -131,7 +131,7 @@ class LqrDesignVars:
 
     @property
     def Q(self) -> np.ndarray:
-        return np.diag([self.q1, self.q2, self.q3])
+        return np.array([[self.q1, 0.0, 0.0], [0.0, self.q2, 0.0], [0.0, 0.0, self.q3]])
 
     @property
     def R(self) -> np.ndarray:
@@ -194,5 +194,5 @@ def design_from_vars(
     F = solve_care(CareProblem(A=A, B=B_care, Q=vars.Q, R=vars.R)).gain
     if method is DelayMethod.HE:
         F = F @ expm((A - B @ F) * plant.L)
-    ki, kp, kd = (float(-g) for g in F[0])
+    ki, kp, kd = (-F[0]).tolist()
     return FopidController(kp=kp, ki=ki, kd=kd, lam=vars.lam, mu=vars.mu)

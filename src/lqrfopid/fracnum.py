@@ -97,7 +97,7 @@ class RationalFilter:
     gain: float
 
     def __post_init__(self):
-        if (np.asarray(self.poles) >= 0.0).any():
+        if np.count_nonzero(np.asarray(self.poles) >= 0.0):
             raise ValueError("filter has a non-negative pole")
 
     def freq_response(self, w) -> complex | np.ndarray:
@@ -118,9 +118,9 @@ class RationalFilter:
         scaled however wide the band.  Needs as many zeros as poles.
         """
         p = self.poles
-        gap = p[:, None] - p[None, :]
+        gap = p[:, None] - p
         gap.flat[::p.size + 1] = 1.0
-        return self.gain * np.multiply.reduce((p[:, None] - self.zeros[None, :]) / gap, axis=1)
+        return self.gain * np.multiply.reduce((p[:, None] - self.zeros) / gap, axis=1)
 
 
 def oustaloup_approximation(
@@ -153,7 +153,7 @@ def oustaloup_approximation(
     n = int(order)
     # zero k and pole k, k = 0, ..., 2 n, sit at these fractions of the
     # band's decades, in one array operation for both
-    shift = 0.5 * np.array([[1.0 - gamma], [1.0 + gamma]])
+    shift = np.array([[0.5 * (1.0 - gamma)], [0.5 * (1.0 + gamma)]])
     zeros, poles = -w_low * (w_high / w_low) ** ((np.arange(2 * n + 1.0) + shift) / (2 * n + 1))
     gain = w_high ** gamma
     return RationalFilter(zeros=zeros, poles=poles, gain=gain)
@@ -270,7 +270,7 @@ def _factor_modes(filt, power: int, integrators: int):
     # the coefficients of (s - p_i)**-l in F**2 and F**3 follow from
     # phi_i(p_i) = k + sum_(j != i) r_j / (p_i - p_j) and its derivative,
     # and (s - p)**-l responds with t**(l - 1) exp(p t) / (l - 1)!
-    gap = p[:, None] - p[None, :]
+    gap = p[:, None] - p
     gap.flat[::p.size + 1] = np.inf
     near = k + np.add.reduce(r / gap, axis=1)
     coeffs = np.empty((p.size, power))

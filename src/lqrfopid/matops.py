@@ -7,11 +7,7 @@ The CARE is solved by Laub's ordered-Schur method (IEEE TAC 24, 1979):
 the stable invariant subspace of the Hamiltonian matrix
 ``[[A, -B R^-1 B'], [-Q, -A']]``, spanned by the first n Schur vectors
 once the open-left-half-plane eigenvalues are ordered first, gives
-``P = Z21 Z11^-1``.  The ordered Schur form comes from one call of
-LAPACK ``dgees`` on the Hamiltonian, which must be finite, with the
-workspace size LAPACK asks for at that order: the same T, Z and count
-as ``scipy.linalg.schur(H, sort="lhp")``, without its second (query)
-call and its wrapper.  Every solution is then certified before it is
+``P = Z21 Z11^-1``.  Every solution is then certified before it is
 returned: finite, symmetric, a Hurwitz closed loop, a residual within
 ``CARE_RESIDUAL_RTOL`` (after at most five Newton-Kleinman steps) and
 positive semidefinite.  A violated contract raises :class:`CareFailure`
@@ -19,15 +15,27 @@ so optimization layers can penalize rather than crash.  When fewer than
 n eigenvalues lie in the open left half plane, as for the error-state
 design with q1 = 0 (the integrator mode is then undetectable), no
 stabilizing solution exists and the solver says so.
+
+The solve and its certificate call LAPACK through ``scipy.linalg.lapack``
+directly, without NumPy's ``linalg`` wrappers, which cost several times
+the routine itself on these 1x1 to 6x6 matrices: ``dgesv`` for R^-1 B',
+for Z21 Z11^-1 and for the gain R^-1 B' P, ``dgees`` for the ordered
+Schur form of the Hamiltonian (which must be finite, with the workspace
+size LAPACK asks for at that order), ``dgeev`` for the Hurwitz test and
+``dsyev`` for the PSD test, and Frobenius norms as one dot product in
+memory order.  These are the routines and the summation orders the
+wrappers used, so every P, gain, residual and verdict is the one they
+gave, bit for bit.
 """
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
-from scipy.linalg.lapack import dgees
+from scipy.linalg.lapack import dgees, dgeev, dgesv, dsyev
 
 __all__ = [
     "CareFailure",
@@ -57,17 +65,22 @@ def expm(M: np.ndarray) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    if not np.isfinite(M).all():
+    if not _finite(M):
         raise ValueError("matrix has non-finite entries")
     return linalg.expm(M)
 
 
 def spectral_abscissa(M: np.ndarray) -> float:
-    """Largest real part over the eigenvalues of M."""
+    """Largest real part over the eigenvalues of M, by LAPACK dgeev
+    (eigenvalues only)."""
     M = np.asarray(M, dtype=float)
-    if not np.isfinite(M).all():
+    if not _finite(M):
         raise ValueError("matrix has non-finite entries")
-    return float(np.linalg.eigvals(M).real.max())
+    wr, _, _, _, info = dgeev(M, compute_vl=0, compute_vr=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"Eigenvalues did not converge: LAPACK dgeev reports "
+                                    f"info = {info}")
+    return float(wr.max())
 
 
 def is_stabilizable(A: np.ndarray, B: np.ndarray) -> bool:
@@ -101,21 +114,23 @@ class CareProblem:
     R: np.ndarray
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
+        A = np.array(self.A, dtype=float, ndmin=2, copy=None)
         B = np.asarray(self.B, dtype=float)
         if B.ndim == 1:
             B = B[:, None]
-        Q = np.atleast_2d(np.asarray(self.Q, dtype=float))
-        R = np.atleast_2d(np.asarray(self.R, dtype=float))
+        Q = np.array(self.Q, dtype=float, ndmin=2, copy=None)
+        R = np.array(self.R, dtype=float, ndmin=2, copy=None)
         n = A.shape[0]
         m = B.shape[1]
         if A.shape != (n, n) or B.shape != (n, m):
             raise ValueError(f"inconsistent A/B shapes: {A.shape}, {B.shape}")
         if Q.shape != (n, n) or R.shape != (m, m):
             raise ValueError(f"inconsistent Q/R shapes: {Q.shape}, {R.shape}")
-        for name, M in (("A", A), ("B", B), ("Q", Q), ("R", R)):
-            if not np.isfinite(M).all():
-                raise ValueError(f"{name} has non-finite entries")
+        named = (("A", A), ("B", B), ("Q", Q), ("R", R))
+        # one test over every entry; the matrices one by one only to name one
+        if not _finite(np.concatenate([M.ravel() for _, M in named])):
+            name = next(name for name, M in named if not _finite(M))
+            raise ValueError(f"{name} has non-finite entries")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "Q", Q)
@@ -145,13 +160,10 @@ def solve_care(prob: CareProblem) -> CareSolution:
     # Fortran order, so that LAPACK overwrites it in place; an overflow of
     # B R^-1 B' (r near 0) is caught as a non-finite entry below
     H = np.empty((2 * n, 2 * n), order="F")
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            H[:n, :n], H[:n, n:] = A, -B @ np.linalg.solve(R, B.T)
-        H[n:, :n], H[n:, n:] = -Q, -A.T
-    except np.linalg.LinAlgError as exc:
-        raise CareFailure(f"Riccati solver failed: {exc}") from exc
-    if not np.isfinite(H).all():
+    with np.errstate(over="ignore", invalid="ignore"):
+        H[:n, :n], H[:n, n:] = A, -B @ _solve(R, B.T, "Riccati solver failed")
+    H[n:, :n], H[n:, n:] = -Q, -A.T
+    if not _finite(H):
         raise CareFailure("Riccati solver failed: Hamiltonian has non-finite entries")
     _, k, _, _, Z, _, info = dgees(_open_left, H, lwork=_gees_workspace(2 * n),
                                    overwrite_a=1, sort_t=1)
@@ -159,11 +171,31 @@ def solve_care(prob: CareProblem) -> CareSolution:
         raise CareFailure(f"Riccati solver failed: LAPACK dgees reports info = {info}")
     if k != n:
         raise CareFailure(f"Hamiltonian has {k} open-left-half-plane eigenvalues, need {n}")
-    try:
-        P = np.linalg.solve(Z[:n, :n].T, Z[n:, :n].T).T
-    except np.linalg.LinAlgError as exc:
-        raise CareFailure(f"Riccati solver failed: {exc}") from exc
+    # P' solves Z11' P' = Z21'; P is laid out as the transpose of a
+    # C-ordered solution, so every later product sums in the same order
+    P = np.ascontiguousarray(_solve(Z[:n, :n].T, Z[n:, :n].T, "Riccati solver failed")).T
     return _certify(prob, P)
+
+
+def _solve(a: np.ndarray, b: np.ndarray, context: str) -> np.ndarray:
+    """a^-1 b by LAPACK dgesv (LU with partial pivoting); a singular a is a
+    :class:`CareFailure` that starts with ``context``."""
+    _, _, x, info = dgesv(a, b)
+    if info != 0:
+        raise CareFailure(f"{context}: Singular matrix")
+    return x
+
+
+def _finite(M: np.ndarray) -> bool:
+    """Every entry of M is finite: ``np.isfinite(M).all()``, counted in C
+    rather than reduced through the ufunc machinery."""
+    return np.count_nonzero(np.isfinite(M)) == M.size
+
+
+def _frobenius(M: np.ndarray) -> float:
+    """The Frobenius norm of M, summed in memory order."""
+    x = M.ravel(order="K")
+    return math.sqrt(x.dot(x))
 
 
 def _open_left(re: float, im: float) -> bool:
@@ -184,22 +216,22 @@ def _certify(prob: CareProblem, P: np.ndarray) -> CareSolution:
     it by Newton-Kleinman steps when only the residual falls short, and
     return it with its gain; raises :class:`CareFailure` otherwise."""
     A, B, Q, R = prob.A, prob.B, prob.Q, prob.R
-    if not np.isfinite(P).all():
+    if not _finite(P):
         raise CareFailure("Riccati solver returned non-finite entries")
 
-    sym_err = np.linalg.norm(P - P.T)
-    if sym_err > SYMMETRY_RTOL * max(1.0, np.linalg.norm(P)):
+    sym_err = _frobenius(P - P.T)
+    if sym_err > SYMMETRY_RTOL * max(1.0, _frobenius(P)):
         raise CareFailure(f"solution not symmetric: |P - P'| = {sym_err:.2e}")
     P = 0.5 * (P + P.T)
 
     def residual_of(P, gain):
-        return float(np.linalg.norm(A.T @ P + P @ A - P @ B @ gain + Q))
+        return _frobenius(A.T @ P + P @ A - P @ B @ gain + Q)
 
-    gain = np.linalg.solve(R, B.T @ P)
+    gain = _solve(R, B.T @ P, "Riccati solver failed")
     if spectral_abscissa(A - B @ gain) >= 0.0:
         raise CareFailure("closed loop not Hurwitz: gain is not stabilizing")
     residual_norm = residual_of(P, gain)
-    bound = CARE_RESIDUAL_RTOL * max(1.0, np.linalg.norm(Q))
+    bound = CARE_RESIDUAL_RTOL * max(1.0, _frobenius(Q))
 
     # Newton-Kleinman polish: for ill-conditioned problems the direct
     # solver can land above the residual contract; a stabilizing iterate
@@ -213,14 +245,17 @@ def _certify(prob: CareProblem, P: np.ndarray) -> CareSolution:
         except Exception as exc:
             raise CareFailure(f"refinement failed: {exc}") from exc
         P = 0.5 * (P + P.T)
-        gain = np.linalg.solve(R, B.T @ P)
+        gain = _solve(R, B.T @ P, "refinement failed")
         if spectral_abscissa(A - B @ gain) >= 0.0:
             raise CareFailure("refinement lost stabilizability")
         residual_norm = residual_of(P, gain)
     if residual_norm > bound:
         raise CareFailure(f"Riccati residual too large: {residual_norm:.2e}")
 
-    eig_min = float(np.min(np.linalg.eigvalsh(P)))
-    if eig_min < -PSD_ATOL_FACTOR * max(1.0, np.linalg.norm(P)):
+    w, _, info = dsyev(P, compute_v=0, lower=1)
+    if info != 0:
+        raise CareFailure(f"PSD check failed: LAPACK dsyev reports info = {info}")
+    eig_min = float(w.min())
+    if eig_min < -PSD_ATOL_FACTOR * max(1.0, _frobenius(P)):
         raise CareFailure(f"solution not PSD: min eigenvalue {eig_min:.2e}")
     return CareSolution(P=P, gain=gain, residual_norm=residual_norm)

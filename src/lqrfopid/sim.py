@@ -372,7 +372,7 @@ def _error_series(F_of, q, r, threshold, n, count, split=None):
     q (1 / F) from :func:`_split_terms`, so it multiplies by b only from
     sample w on.
     """
-    lead = np.flatnonzero(q[:n])
+    lead = q[:n].nonzero()[0]
     s = int(lead[0]) if lead.size else n
     q, size = q[s:n], n - s
     series = [None] * count
@@ -404,12 +404,12 @@ def _error_series(F_of, q, r, threshold, n, count, split=None):
                             break
                     terms = (_split_terms(split, gt, m, t) if split is not None
                              else _series_mul(q, gt, m, t))
-                    for i in np.flatnonzero(wide):
+                    for i in wide.nonzero()[0]:
                         terms[i] = np.convolve(np.concatenate([np.zeros(t - 1 - m), q[:t]]),
                                                gt[i], "valid")
-                block = np.cumsum(terms, axis=1) + (e[:, -1:] if m else 0.0)
+                block = terms.cumsum(axis=1) + (e[:, -1:] if m else 0.0)
                 bad = ~(np.abs(r - block) <= threshold)
-                crossed = np.flatnonzero(bad.any(axis=1))
+                crossed = bad.any(axis=1).nonzero()[0]
                 for i in crossed:
                     k = int(bad[i].argmax())
                     series[rows[i]] = (np.concatenate([np.zeros(s), e[i], block[i, :k + 1]]),
@@ -533,7 +533,7 @@ def _zoh(A: np.ndarray, B: np.ndarray, h: float):
     return E[:n, :n], E[:n, n:]
 
 
-_BLOCK_STEPS = np.arange(KERNEL_BLOCK)
+_BLOCK_STEPS = np.arange(float(KERNEL_BLOCK))
 # Gauss-Legendre rule of 10 nodes on [0, 1], its weights times u**j, j < 3
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(10)
 _GAUSS_NODES = (_GAUSS_NODES + 1.0) / 2.0
@@ -554,17 +554,19 @@ def _interval_moments(poles: np.ndarray, h: float, spans) -> np.ndarray:
     count = max(c for _, _, c in spans)
     x = poles * h
     out = np.zeros((x.size, count), dtype=x.dtype)
-    out[:, 0] = np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0)
+    out[:, 0] = np.divide(np.expm1(x), x, out=np.ones(x.size, x.dtype), where=x != 0.0)
     if count > 1:
         small = np.abs(x) < 0.5
         nodes = np.exp(np.multiply.outer(x * small, _GAUSS_NODES))
         for lo, hi, c in spans:
             if c > 1:
                 out[lo:hi, 1:c] = nodes[lo:hi] @ _GAUSS_MOMENTS[:, 1:c]
-        x, moment = x[~small], out[~small, 0]
+        large = ~small
+        x, moment = x[large], out[large, 0]
+        grown = np.exp(x)
         for j in range(1, count):
-            moment = (np.exp(x) - j * moment) / x
-            out[~small, j] = moment
+            moment = (grown - j * moment) / x
+            out[large, j] = moment
     return out * h ** np.arange(1, count + 1)
 
 
@@ -607,7 +609,7 @@ class _OperatorKernels:
             self.spans.append((hi, hi + p.size, coeffs.shape[1]))
             hi += p.size
         moments = _interval_moments(poles, h, self.spans)
-        steps = np.exp(np.multiply.outer(poles * h, _BLOCK_STEPS))
+        steps = np.exp((poles * h)[:, None] * _BLOCK_STEPS)
         self.bases = []
         for (_, _, coeffs), (lo, hi, _) in zip(modes, self.spans):
             poly = coeffs * moments[lo:hi, :1]  # columns: powers of s
@@ -821,9 +823,9 @@ def _closed_loops(plant, delays, controller, scenario, solver, band) -> list[Sim
     :func:`_loop_output`: each result is the one that loop gives alone, bit
     for bit.  The u of the loops that reach the horizon comes from one
     stacked product."""
-    h, r, n = scenario.step_size, scenario.setpoint, scenario.n_steps
-    at_rest = _PlantAtRest(replace(plant, L=0.0), h, solver, tuple(band), n)
-    runs = _ControllerRuns(controller, h, solver, tuple(band), n)
+    h, r, n, band = scenario.step_size, scenario.setpoint, scenario.n_steps, tuple(band)
+    at_rest = _PlantAtRest(replace(plant, L=0.0), h, solver, band, n)
+    runs = _ControllerRuns(controller, h, solver, band, n)
     w_start = _first_sample_at(n, h, scenario.disturbance_time)
     outputs = _loop_output(at_rest, delays, runs, r, w_start, scenario.disturbance_magnitude,
                            DIVERGENCE_FACTOR * max(1.0, abs(r)), n)
@@ -873,9 +875,12 @@ def evaluate_design_objectives(
 ) -> tuple[float, float]:
     """(ITSE, ISDCO) of the closed loop designed from a decision vector.
 
-    Any failure along the way - out-of-bounds variables, no stabilizing
+    Every failure of the design - out-of-bounds variables, no stabilizing
     Riccati solution, diverging simulation - is encoded as the penalty
-    pair instead of an exception, as the optimizer contract requires.
+    pair instead of an exception, as the optimizer contract requires.  A
+    plant whose Oustaloup modes do not resolve (tiny lags, orders within
+    about 1e-12 of 2) is a plant error, not a design penalty: the
+    ValueError of :func:`_plant_modes`, which names T and alpha, propagates.
     """
     penalty = (PENALTY_OBJECTIVE, PENALTY_OBJECTIVE)
     try:

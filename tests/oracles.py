@@ -7,7 +7,8 @@ algorithm.  The per-sample simulation loops at the end share only the
 operator realizations with the package; they are the reference its
 power-series engine must agree with.  Likewise the constructions the
 package replaced are kept here as the references of their replacements:
-scipy's CARE solver and its ordered Schur form, scipy's triangular solve
+scipy's CARE solver and its ordered Schur form, the ordered-Schur CARE and
+its certification through NumPy's linalg wrappers, scipy's triangular solve
 on a Toeplitz matrix, the fused ZOH of all loop blocks, the loop that
 built a cascade realization and the sampling of each operator's and of
 the plant's realization by a matrix exponential, then the plain Markov
@@ -22,10 +23,21 @@ import math
 
 import numpy as np
 from scipy import linalg
+from scipy.linalg.lapack import dgees
 
 from lqrfopid.design import DelayMethod, build_state_space
 from lqrfopid.fracnum import differintegrator_ss, gl_coefficients
-from lqrfopid.matops import CareFailure, CareProblem, _certify, expm, solve_care
+from lqrfopid.matops import (
+    CARE_RESIDUAL_RTOL,
+    PSD_ATOL_FACTOR,
+    SYMMETRY_RTOL,
+    CareFailure,
+    CareProblem,
+    CareSolution,
+    _certify,
+    expm,
+    solve_care,
+)
 from lqrfopid.sim import (
     DIVERGENCE_FACTOR,
     PENALTY_OBJECTIVE,
@@ -129,17 +141,100 @@ def care_schur_scipy(prob):
     return _certify(prob, P)
 
 
-def gains_by_delay_method(plant, Q, R, method) -> tuple[float, float, float]:
+def care_numpy(prob):
+    """The ordered-Schur CARE as ``solve_care`` computed it through NumPy's
+    linalg wrappers, before it called LAPACK dgesv, dgeev and dsyev
+    directly: R^-1 B' and P = Z21 Z11^-1 by ``np.linalg.solve``, the
+    ordered Schur form by LAPACK dgees, then :func:`certify_numpy`.  The
+    reference of that replacement, to the last bit."""
+    A, B, Q, R = prob.A, prob.B, prob.Q, prob.R
+    n = A.shape[0]
+    H = np.empty((2 * n, 2 * n), order="F")
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            H[:n, :n], H[:n, n:] = A, -B @ np.linalg.solve(R, B.T)
+        H[n:, :n], H[n:, n:] = -Q, -A.T
+    except np.linalg.LinAlgError as exc:
+        raise CareFailure(f"Riccati solver failed: {exc}") from exc
+    if not np.isfinite(H).all():
+        raise CareFailure("Riccati solver failed: Hamiltonian has non-finite entries")
+
+    def open_left(re, im):
+        return re < 0.0
+
+    lwork = int(dgees(open_left, np.zeros((2 * n, 2 * n)), lwork=-1)[-2][0])
+    _, k, _, _, Z, _, info = dgees(open_left, H, lwork=lwork, overwrite_a=1, sort_t=1)
+    if info != 0:
+        raise CareFailure(f"Riccati solver failed: LAPACK dgees reports info = {info}")
+    if k != n:
+        raise CareFailure(f"Hamiltonian has {k} open-left-half-plane eigenvalues, need {n}")
+    try:
+        P = np.linalg.solve(Z[:n, :n].T, Z[n:, :n].T).T
+    except np.linalg.LinAlgError as exc:
+        raise CareFailure(f"Riccati solver failed: {exc}") from exc
+    return certify_numpy(prob, P)
+
+
+def certify_numpy(prob, P):
+    """The certification of :func:`care_numpy`: finite, symmetric, a Hurwitz
+    closed loop (``np.linalg.eigvals``), a residual within
+    ``CARE_RESIDUAL_RTOL`` after at most five Newton-Kleinman steps, and
+    PSD (``np.linalg.eigvalsh``), with norms by ``np.linalg.norm``."""
+    A, B, Q, R = prob.A, prob.B, prob.Q, prob.R
+    if not np.isfinite(P).all():
+        raise CareFailure("Riccati solver returned non-finite entries")
+
+    sym_err = np.linalg.norm(P - P.T)
+    if sym_err > SYMMETRY_RTOL * max(1.0, np.linalg.norm(P)):
+        raise CareFailure(f"solution not symmetric: |P - P'| = {sym_err:.2e}")
+    P = 0.5 * (P + P.T)
+
+    def abscissa(M):
+        if not np.isfinite(M).all():
+            raise ValueError("matrix has non-finite entries")
+        return float(np.linalg.eigvals(M).real.max())
+
+    def residual_of(P, gain):
+        return float(np.linalg.norm(A.T @ P + P @ A - P @ B @ gain + Q))
+
+    gain = np.linalg.solve(R, B.T @ P)
+    if abscissa(A - B @ gain) >= 0.0:
+        raise CareFailure("closed loop not Hurwitz: gain is not stabilizing")
+    residual_norm = residual_of(P, gain)
+    bound = CARE_RESIDUAL_RTOL * max(1.0, np.linalg.norm(Q))
+    for _ in range(5):
+        if residual_norm <= bound:
+            break
+        rhs = -(Q + gain.T @ R @ gain)
+        try:
+            P = linalg.solve_lyapunov((A - B @ gain).T, rhs)
+        except Exception as exc:
+            raise CareFailure(f"refinement failed: {exc}") from exc
+        P = 0.5 * (P + P.T)
+        gain = np.linalg.solve(R, B.T @ P)
+        if abscissa(A - B @ gain) >= 0.0:
+            raise CareFailure("refinement lost stabilizability")
+        residual_norm = residual_of(P, gain)
+    if residual_norm > bound:
+        raise CareFailure(f"Riccati residual too large: {residual_norm:.2e}")
+
+    eig_min = float(np.min(np.linalg.eigvalsh(P)))
+    if eig_min < -PSD_ATOL_FACTOR * max(1.0, np.linalg.norm(P)):
+        raise CareFailure(f"solution not PSD: min eigenvalue {eig_min:.2e}")
+    return CareSolution(P=P, gain=gain, residual_norm=residual_norm)
+
+
+def gains_by_delay_method(plant, Q, R, method, solver=solve_care) -> tuple[float, float, float]:
     """(kp, ki, kd) as the package's three gain helpers computed them before
     ``design_from_vars`` held the gain map: the CARE on (A, B), or on
-    (A, exp(-A L) B) for Cai's method; for He's method the delay-free row F
-    times exp((A - B F) L); then the row (-ki, -kp, -kd) mapped to the
-    gains.  Raises CareFailure where the CARE does."""
+    (A, exp(-A L) B) for Cai's method, by ``solver``; for He's method the
+    delay-free row F times exp((A - B F) L); then the row (-ki, -kp, -kd)
+    mapped to the gains.  Raises CareFailure where the CARE does."""
     A, B = build_state_space(plant)
     if method is DelayMethod.CAI:
-        row = solve_care(CareProblem(A=A, B=expm(-A * plant.L) @ B, Q=Q, R=R)).gain[0].copy()
+        row = solver(CareProblem(A=A, B=expm(-A * plant.L) @ B, Q=Q, R=R)).gain[0].copy()
     else:
-        F = solve_care(CareProblem(A=A, B=B, Q=Q, R=R)).gain
+        F = solver(CareProblem(A=A, B=B, Q=Q, R=R)).gain
         if method is DelayMethod.HE:
             closed = A - B @ F
             F = F @ expm(closed * plant.L)

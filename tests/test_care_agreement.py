@@ -11,15 +11,32 @@ used to certify some of these problems on rounding alone).
 
 The direct LAPACK dgees call of ``solve_care`` equals the
 ``scipy.linalg.schur`` construction it replaced (``oracles.care_schur_scipy``)
-bit for bit, verdicts included.
+bit for bit, verdicts included.  Its direct dgesv, dgeev and dsyev calls,
+and those of its certification, equal the NumPy ``linalg`` wrappers they
+replaced (``oracles.care_numpy``) bit for bit: P, gain, residual and
+CareFailure verdicts, at L/T of 0.25, 1 and 4, with r from the search box
+and from [1e-12, 1e-3], where real problems fail the symmetry check and
+take the Newton-Kleinman polish; and so does every gain
+``design_from_vars`` maps through it, for all three delay methods.
 """
 import numpy as np
 import pytest
 
-from lqrfopid import CareFailure, CareProblem, NioptdPlant, build_state_space, expm, solve_care
+from lqrfopid import (
+    CareFailure,
+    CareProblem,
+    DelayMethod,
+    LqrDesignVars,
+    NioptdPlant,
+    build_state_space,
+    design_from_vars,
+    expm,
+    solve_care,
+)
+from lqrfopid import matops
 from lqrfopid.nsga2 import DESIGN_BOUNDS
 
-from oracles import care_schur_scipy, care_scipy
+from oracles import care_numpy, care_schur_scipy, care_scipy, gains_by_delay_method
 from reference_cases import REFERENCE_DESIGNS
 
 
@@ -31,8 +48,9 @@ def problems(plant, weights):
             yield CareProblem(A=A, B=B_in, Q=np.diag([q1, q2, q3]), R=[[r]])
 
 
-def seeded_weights(seed, count, q1_zero=False):
-    """(q1, q2, q3, r) drawn uniformly from the search box, r > 0."""
+def seeded_weights(seed, count, q1_zero=False, small_r=False):
+    """(q1, q2, q3, r) drawn uniformly from the search box, r > 0; with
+    ``small_r``, r log-uniform in [1e-12, 1e-3] instead."""
     rng = np.random.default_rng(seed)
     lo, hi = np.array(DESIGN_BOUNDS[:4]).T
     weights = []
@@ -40,6 +58,8 @@ def seeded_weights(seed, count, q1_zero=False):
         w = rng.uniform(lo, hi)
         if q1_zero:
             w[0] = 0.0
+        if small_r:
+            w[3] = 10.0 ** rng.uniform(-12.0, -3.0)
         if w[3] > 0.0:
             weights.append(tuple(w))
     return weights
@@ -116,3 +136,81 @@ def test_direct_schur_equals_scipy_schur_on_references(case):
         got, want = solve_care(prob), care_schur_scipy(prob)
         assert np.array_equal(got.P, want.P) and np.array_equal(got.gain, want.gain)
         assert got.residual_norm == want.residual_norm
+
+
+# L/T of 0.25, 1 and 4 at T = 2
+LAGS_OVER_T = (0.25, 1.0, 4.0)
+
+
+def assert_same_bits(got, want, prob):
+    """Both failed, or P, gain and residual are equal to the last bit."""
+    assert (got is None) == (want is None), (prob.B.ravel(), np.diag(prob.Q), prob.R)
+    if want is not None:
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert got[2] == want[2]
+
+
+@pytest.mark.parametrize("alpha, seed", [(0.5, 25), (1.5, 26)])
+@pytest.mark.parametrize("lag_over_T", LAGS_OVER_T)
+def test_direct_lapack_equals_numpy_wrappers(alpha, seed, lag_over_T):
+    """200 weight sets from the search box (and q1 = 0) per plant, each with
+    both input matrices: P, gain and residual bit for bit, and the same
+    CareFailure verdicts, as the NumPy wrappers give."""
+    plant = NioptdPlant(K=1.0, L=2.0 * lag_over_T, T=2.0, alpha=alpha)
+    weights = seeded_weights(seed, 200) + seeded_weights(seed, 20, q1_zero=True)
+    for prob in problems(plant, weights):
+        assert_same_bits(solution_or_failure(solve_care, prob),
+                         solution_or_failure(care_numpy, prob), prob)
+
+
+@pytest.mark.parametrize("alpha, seed", [(0.5, 31), (1.5, 32)])
+@pytest.mark.parametrize("lag_over_T", LAGS_OVER_T)
+def test_direct_lapack_equals_numpy_wrappers_at_small_r(alpha, seed, lag_over_T, monkeypatch):
+    """300 weight sets per plant with r in [1e-12, 1e-3], each with both
+    input matrices, bit for bit as above.  Real problems reach the branches
+    the search box rarely does: some fail the symmetry check and some take
+    the Newton-Kleinman polish (counted through the Lyapunov solve both
+    constructions call)."""
+    polished = []
+    lyapunov = matops.linalg.solve_lyapunov
+    monkeypatch.setattr(matops.linalg, "solve_lyapunov",
+                        lambda *args: polished.append(1) or lyapunov(*args))
+    plant = NioptdPlant(K=1.0, L=2.0 * lag_over_T, T=2.0, alpha=alpha)
+    asymmetric = 0
+    for prob in problems(plant, seeded_weights(seed, 300, small_r=True)):
+        before = len(polished)
+        got = solution_or_failure(solve_care, prob)
+        steps = len(polished) - before
+        assert_same_bits(got, solution_or_failure(care_numpy, prob), prob)
+        assert len(polished) - before == 2 * steps  # as many polish steps each
+        if got is None:
+            with pytest.raises(CareFailure) as failure:
+                solve_care(prob)
+            asymmetric += str(failure.value).startswith("solution not symmetric")
+    assert asymmetric > 0 and polished
+
+
+def gains_or_failure(solve, *args):
+    try:
+        return solve(*args)
+    except CareFailure:
+        return None
+
+
+@pytest.mark.parametrize("alpha, seed", [(0.5, 33), (1.5, 34)])
+@pytest.mark.parametrize("lag_over_T", LAGS_OVER_T)
+def test_gain_map_equals_numpy_wrappers(alpha, seed, lag_over_T):
+    """``design_from_vars`` for all three delay methods against the gain map
+    over the NumPy-wrapper CARE, bit for bit with the same CareFailure
+    verdicts: 100 weight sets from the search box and 50 with r in
+    [1e-12, 1e-3] per plant."""
+    plant = NioptdPlant(K=1.0, L=2.0 * lag_over_T, T=2.0, alpha=alpha)
+    weights = seeded_weights(seed, 100) + seeded_weights(seed, 50, small_r=True)
+    for q1, q2, q3, r in weights:
+        vars = LqrDesignVars(q1=q1, q2=q2, q3=q3, r=r, lam=0.5, mu=0.5)
+        for method in DelayMethod:
+            controller = gains_or_failure(design_from_vars, plant, vars, method)
+            got = controller and (controller.kp, controller.ki, controller.kd)
+            want = gains_or_failure(gains_by_delay_method, plant, vars.Q, vars.R, method,
+                                    care_numpy)
+            assert got == want, (method, q1, q2, q3, r)

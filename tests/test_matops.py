@@ -1,5 +1,7 @@
+import ast
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +21,13 @@ from lqrfopid import (
 )
 from lqrfopid import matops
 
-from oracles import care_hamiltonian, care_newton, expm_series, random_stabilizable
+from oracles import (
+    care_hamiltonian,
+    care_newton,
+    certify_numpy,
+    expm_series,
+    random_stabilizable,
+)
 
 
 class TestExpm:
@@ -245,3 +253,121 @@ class TestDirectLapackFailures:
         A, B = build_state_space(self.PLANT)
         solve_care(CareProblem(A=A, B=B, Q=np.eye(3), R=[[1.0]]))
         assert len(lapack_calls) == 1
+
+
+class TestCertifyBranches:
+    """Every outcome of ``matops._certify``, driven by crafted candidates P
+    or a substituted Lyapunov solve, with the same verdict (and, where a
+    solution comes back, the same bits) as the NumPy-wrapper certification
+    ``oracles.certify_numpy`` it replaced."""
+
+    # a = 1, b = 1, q = 1, r = 1: 2P - P**2 + 1 = 0, stabilizing root 1 + sqrt(2)
+    SCALAR = CareProblem(A=[[1.0]], B=[[1.0]], Q=[[1.0]], R=[[1.0]])
+
+    @staticmethod
+    def error_state_problem():
+        A, B = build_state_space(NioptdPlant(K=1.0, L=0.5, T=2.0, alpha=0.5))
+        return CareProblem(A=A, B=B, Q=np.diag([1.0, 2.0, 3.0]), R=[[0.5]])
+
+    @staticmethod
+    def assert_fails_alike(prob, P, match):
+        with pytest.raises(CareFailure, match=match):
+            matops._certify(prob, P)
+        with pytest.raises(CareFailure, match=match):
+            certify_numpy(prob, P)
+
+    class LyapunovCalls(list):
+        """The arguments of each Lyapunov solve; a set ``answer`` replaces
+        the solution."""
+
+        answer = None
+
+    @pytest.fixture
+    def lyapunov_calls(self, monkeypatch):
+        calls = self.LyapunovCalls()
+        solve = matops.linalg.solve_lyapunov
+
+        def counting(*args):
+            calls.append(args)
+            return solve(*args) if calls.answer is None else calls.answer.copy()
+
+        monkeypatch.setattr(matops.linalg, "solve_lyapunov", counting)
+        return calls
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_candidate(self, bad):
+        prob = self.error_state_problem()
+        P = solve_care(prob).P.copy()
+        P[1, 2] = bad
+        self.assert_fails_alike(prob, P, "non-finite entries")
+
+    def test_non_symmetric_candidate(self):
+        prob = self.error_state_problem()
+        P = solve_care(prob).P.copy()
+        P[0, 2] += 1e-6 * np.linalg.norm(P)
+        self.assert_fails_alike(prob, P, "solution not symmetric")
+
+    def test_non_hurwitz_closed_loop(self):
+        # P = 1/2 gives the gain 1/2 and the closed loop 1 - 1/2 > 0
+        self.assert_fails_alike(self.SCALAR, np.array([[0.5]]), "closed loop not Hurwitz")
+
+    def test_polish_converges_bit_for_bit(self, lyapunov_calls):
+        """A stabilizing candidate off by 1e-6 misses the residual bound; the
+        Newton-Kleinman steps bring it within, to the same bits as the
+        reference's steps."""
+        prob = self.error_state_problem()
+        exact = solve_care(prob)
+        P = exact.P + 1e-6 * np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.5], [0.0, 0.5, 1.0]])
+        got = matops._certify(prob, P)
+        steps = len(lyapunov_calls)
+        want = certify_numpy(prob, P)
+        assert steps >= 1 and len(lyapunov_calls) == 2 * steps
+        assert np.array_equal(got.P, want.P) and np.array_equal(got.gain, want.gain)
+        assert got.residual_norm == want.residual_norm
+        assert got.residual_norm <= matops.CARE_RESIDUAL_RTOL * np.linalg.norm(prob.Q)
+        np.testing.assert_allclose(got.P, exact.P, rtol=1e-9)
+
+    def test_polish_losing_stabilizability(self, lyapunov_calls):
+        # the candidate 3 is stabilizing but off; the step returns P = 0,
+        # whose zero gain leaves the unstable a = 1 alone
+        lyapunov_calls.answer = np.zeros((1, 1))
+        self.assert_fails_alike(self.SCALAR, np.array([[3.0]]),
+                                "refinement lost stabilizability")
+        assert len(lyapunov_calls) == 2
+
+    def test_residual_stays_too_large(self, lyapunov_calls):
+        # every step returns the same stabilizing but wrong candidate
+        lyapunov_calls.answer = np.array([[3.0]])
+        self.assert_fails_alike(self.SCALAR, np.array([[3.0]]), "Riccati residual too large")
+        assert len(lyapunov_calls) == 2 * 5
+
+    def test_non_psd_solution(self):
+        """a = -1, b = 1, q = -1/2, r = 1: P**2 + 2P + 1/2 = 0 has the
+        stabilizing root sqrt(1/2) - 1 < 0 (an indefinite Q), which passes
+        every contract but the last."""
+        prob = CareProblem(A=[[-1.0]], B=[[1.0]], Q=[[-0.5]], R=[[1.0]])
+        self.assert_fails_alike(prob, np.array([[np.sqrt(0.5) - 1.0]]), "solution not PSD")
+        with pytest.raises(CareFailure, match="solution not PSD"):
+            solve_care(prob)
+
+    def test_certified_candidate_bit_for_bit(self):
+        prob = self.error_state_problem()
+        P = solve_care(prob).P
+        got, want = matops._certify(prob, P), certify_numpy(prob, P)
+        assert np.array_equal(got.P, want.P) and np.array_equal(got.gain, want.gain)
+        assert got.residual_norm == want.residual_norm
+
+
+def test_care_calls_lapack_directly():
+    """Structural guard: solve_care and _certify make no ``np.linalg`` call;
+    their solves, eigenvalues and norms go to LAPACK (or a dot product)
+    directly, without NumPy's wrappers."""
+    found = []
+    tree = ast.parse(Path(matops.__file__).read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("solve_care", "_certify"):
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).startswith(
+                    ("np.linalg.", "numpy.linalg.")):
+                found.append((name, ast.unparse(node.func)))
+    assert found == [], found

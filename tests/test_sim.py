@@ -351,6 +351,18 @@ class TestEvaluateDesignObjectives:
         )
         assert (j1, j2) == (PENALTY_OBJECTIVE, PENALTY_OBJECTIVE)
 
+    def test_unresolved_plant_modes_raise(self):
+        """A plant error is not a design penalty: where the plant's Oustaloup
+        modes do not resolve (an order within 1e-15 of 2), the objective
+        raises the ValueError that names T and alpha, for a design whose
+        gain map succeeds."""
+        plant = NioptdPlant(K=1.0, L=0.5, T=2.0, alpha=2.0 - 1e-15)
+        x = [1.0, 1.0, 1.0, 1.0, 1.0, 0.5]
+        for method in (DelayMethod.CAI, DelayMethod.HE):
+            design_from_vars(plant, LqrDesignVars.from_array(x), method)
+            with pytest.raises(ValueError, match=f"T = 2.0 and alpha = {plant.alpha!r}"):
+                evaluate_design_objectives(plant, x, method)
+
 
 def _box_coordinate(lo, hi, edges=()):
     """A value of [lo, hi]: its ends, extra edge values, or any float between."""
