@@ -29,7 +29,13 @@ from .design import (
     design_from_vars,
 )
 from .matops import CareFailure
-from .sim import PENALTY_OBJECTIVE, Scenario, evaluate_design_objectives, write_csv
+from .sim import (
+    PENALTY_OBJECTIVE,
+    Scenario,
+    _design_run,
+    evaluate_design_objectives,
+    write_csv,
+)
 
 __all__ = [
     "MooConfig",
@@ -316,13 +322,17 @@ def run_nsga2(
     """Trade-off search over the LQR weights and controller orders.
 
     Minimizes (ITSE, ISDCO) of the closed loop designed via ``method`` and
-    returns the final front with the realized controllers attached.
+    returns the final front with the realized controllers attached.  The
+    search is a design run of its own unless one encloses it: each
+    operator order's kernel set-up is built once in it (see
+    :func:`lqrfopid.sim._design_run`).
     """
     config = config or MooConfig()
     scenario = scenario or Scenario()
     # a partial of a module-level function pickles for the process pool
     objective = partial(evaluate_design_objectives, plant, method=method, scenario=scenario)
-    X, F = nsga2_minimize(objective, config, workers=workers)
+    with _design_run():
+        X, F = nsga2_minimize(objective, config, workers=workers)
     entries = []
     for x, f in zip(X, F):
         try:

@@ -58,13 +58,17 @@ DIRECT_TERMS terms, num H is formed to the t terms of each growth length t
 past the first block, once for the whole stack whatever the delays, which
 only shift it.
 
-Two caches hold what runs reuse; only their constructors know the solver.
-One entry per plant at rest (K, T, alpha, step, solver, band, length)
-samples the plant, from its modes or its GL weights: num, den and num's
-transform at the size of a run's last product; a search builds it once, a
-sweep once per lag.  One entry per controller (controller, step, solver,
-band, length) holds its operator kernels, H as last grown and H's
-transform, which a sweep takes once for all its lags.
+Three caches hold what runs reuse; only the constructors of the first two
+know the solver.  One entry per plant at rest (K, T, alpha, step, solver,
+band, length) samples the plant, from its modes or its GL weights: num,
+den and num's transform at the size of a run's last product; a search
+builds it once, a sweep once per lag.  One entry per controller
+(controller, step, solver, band, length) holds its operator kernels, H as
+last grown and H's transform, which a sweep takes once for all its lags.
+One order table per design run (:func:`_design_run`) holds, per Oustaloup
+operator order, step, band and length, the first stage of the order's
+kernel: a controller whose orders it knows forms its first block from it,
+and no table outlives its run.
 
 Timing convention shared by both paths: num[0] = 0, so the plant state at
 sample k has integrated the (zero-order-held, delayed) input, control and
@@ -74,6 +78,7 @@ most h/2 of delay error.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -709,7 +714,10 @@ def _plant_modes(plant: NioptdPlant, band) -> tuple[float, np.ndarray, np.ndarra
 # entry serves all its lags.  They are not sized to keep series for a later
 # job, which only a repeat of the same job in one process would reuse.  Per
 # round of the benchmark's sweep-verify 8 of 16 controller lookups hit,
-# against 1 of 96 on search-osc-fine and 0 of 478 on search-slug-coarse.
+# against 1 of 96 on search-osc-fine and 0 of 478 on search-slug-coarse;
+# what a search's controllers share is their operator orders, which the
+# order table of its design run keeps (386 of 956 order lookups hit per
+# round of search-slug-coarse, 44 of 190 of search-osc-fine).
 @functools.lru_cache(maxsize=8)
 class _PlantAtRest:
     """The plant sampled at step h, y = (num / den) u to n terms, num[0] = 0,
@@ -739,6 +747,70 @@ class _PlantAtRest:
         return _read_only(np.fft.rfft(self.num, _fft_size(2 * self.num.size - 1)))
 
 
+# The order table of the design run in progress, None outside one (see
+# _design_run): (order, h, band, n) -> the first stage of the kernel of
+# s**order, _next_stage(0, n) terms, read-only.  The modes are not kept: a
+# loop that runs past the first stage, which few do, rebuilds them (about
+# 25 us per order), where keeping them would add about 0.7 KB per entry.
+_ORDER_TABLE = None
+
+
+@contextlib.contextmanager
+def _design_run():
+    """Hold one order table for the controllers a design run simulates on
+    the Oustaloup path: the outermost run makes it, runs inside it share it,
+    and it is dropped when the outermost run ends, so no table outlives its
+    run and nothing outside a run sees one."""
+    global _ORDER_TABLE
+    if _ORDER_TABLE is not None:
+        yield
+        return
+    _ORDER_TABLE = {}
+    try:
+        yield
+    finally:
+        _ORDER_TABLE = None
+
+
+def _operator_kernels(exponents, h: float, band, n: int):
+    """The kernels of s**g to n terms for each order g of ``exponents``, as
+    one :class:`_OperatorKernels` builds them.  Inside a design run, where
+    the order table knows every order, no kernel object is made until a run
+    asks for terms past the first stage; otherwise the orders new to the
+    table are stored once the first stage is built.  A joint build equals
+    single-order builds bit for bit, so every kernel equals the one built
+    without a table."""
+
+    def built():
+        return _OperatorKernels([differintegrator_modes(g, band) for g in exponents], h, n)
+
+    table = _ORDER_TABLE
+    keys = [(g, h, band, n) for g in exponents]
+    if table is not None and all(key in table for key in keys):
+        return _StoredKernels([table[key] for key in keys], built)
+    kernels = built()
+    if table is not None:
+        for key, first in zip(keys, kernels(_next_stage(0, n))):
+            table.setdefault(key, _read_only(first.copy()))
+    return kernels
+
+
+class _StoredKernels:
+    """Kernels whose first stages ``firsts`` the order table holds: those,
+    and past them the kernels of ``built()``, called on first need, whose
+    first stages equal the stored ones."""
+
+    def __init__(self, firsts, built):
+        self.firsts, self.built, self.kernels = firsts, built, None
+
+    def __call__(self, m: int) -> list[np.ndarray]:
+        if self.kernels is None:
+            if m <= self.firsts[0].size:
+                return [first[:m] for first in self.firsts]
+            self.kernels = self.built()
+        return self.kernels(m)
+
+
 @functools.lru_cache(maxsize=1)
 class _ControllerRuns:
     """What the runs of one controller at one step, solver, band and length
@@ -750,8 +822,7 @@ class _ControllerRuns:
     def __init__(self, controller: FopidController, h: float, solver: str,
                  band: tuple[float, float], n: int):
         exponents = (-controller.lam, controller.mu)
-        self.operators = (_OperatorKernels([differintegrator_modes(g, band) for g in exponents],
-                                           h, n) if solver == "oustaloup" else
+        self.operators = (_operator_kernels(exponents, h, band, n) if solver == "oustaloup" else
                           lambda m: [h ** -g * gl_coefficients(g, m) for g in exponents])
         self.gains, self.n = (controller.kp, controller.ki, controller.kd), n
         self.H, self.kernels = np.zeros(0), []

@@ -185,6 +185,63 @@ class TestDesign:
         for name in ("front_cai.csv", "front_he.csv"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
+    def test_one_order_table_per_design_run(self, tmp_path, monkeypatch):
+        """`design` holds one order table for all its methods and restarts
+        and drops it on return.  The He search starts from the Cai search's
+        seeded population, so its generation 0 computes operator modes and
+        makes a kernel object only for a loop that runs past the first
+        stage."""
+        import lqrfopid.nsga2
+        from lqrfopid import sim
+
+        counts = {"modes": 0, "kernels": 0, "hits": 0, "grown": 0}
+        seen = []
+        evaluate, modes = lqrfopid.nsga2.evaluate_design_objectives, sim.differintegrator_modes
+
+        def spied_evaluate(*args, **kwargs):
+            seen.append((sim._ORDER_TABLE, dict(counts)))
+            return evaluate(*args, **kwargs)
+
+        def counted_modes(*args):
+            counts["modes"] += 1
+            return modes(*args)
+
+        class CountedKernels(sim._OperatorKernels):
+            def __init__(self, *args):
+                counts["kernels"] += 1
+                super().__init__(*args)
+
+        class CountedStored(sim._StoredKernels):
+            def __init__(self, *args):
+                counts["hits"] += 1
+                super().__init__(*args)
+
+            def __call__(self, m):
+                counts["grown"] += self.kernels is None and m > self.firsts[0].size
+                return super().__call__(m)
+
+        monkeypatch.setattr(lqrfopid.nsga2, "evaluate_design_objectives", spied_evaluate)
+        monkeypatch.setattr(sim, "differintegrator_modes", counted_modes)
+        monkeypatch.setattr(sim, "_OperatorKernels", CountedKernels)
+        monkeypatch.setattr(sim, "_StoredKernels", CountedStored)
+        sim._PlantAtRest.cache_clear()
+        main(["design", "--methods", "cai,he", "--pop", "8", "--gens", "1", "--seed", "1",
+              "--horizon", "20", "--h", "0.02", "--out-dir", str(tmp_path)])
+        seen.append((sim._ORDER_TABLE, dict(counts)))
+        # 16 Cai evaluations, then the He search's generation 0
+        assert len(seen) == 33
+        assert sim._ORDER_TABLE is None
+        table = seen[0][0]
+        assert isinstance(table, dict) and all(t is table for t, _ in seen[:-1])
+        cai, he = ({k: seen[b][1][k] - seen[a][1][k] for k in counts} for a, b in ((0, 8), (16, 24)))
+        # the plant kernel is one object of its own, built on the first call
+        assert cai["modes"] > 0 and cai["kernels"] == 1 + cai["modes"] // 2
+        assert cai["hits"] == 0
+        # every He controller of generation 0 takes both orders from the table
+        assert he["hits"] == cai["kernels"] - 1
+        assert he["kernels"] == he["grown"] < he["hits"]
+        assert he["modes"] == 2 * he["grown"]
+
     def test_empty_front_does_not_stop_other_methods(self, tmp_path, monkeypatch, capsys):
         import lqrfopid.cli
         from lqrfopid import DelayMethod, ParetoFront

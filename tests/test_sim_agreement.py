@@ -481,6 +481,39 @@ def test_kernels_grow_in_few_chunk_products(counted_kernels):
     assert len(operators.chunks) == 2
 
 
+def test_no_order_table_outside_a_design_run(counted_kernels):
+    """Outside a design run there is no table: every new controller builds
+    one kernel object for both its operators, as it did before the table,
+    however often its orders repeat, and a sweep builds one."""
+    case = BY_NAME["osc_median"]
+    scenario = Scenario(horizon=20.0)
+    for kp in (0.5, 0.6, 0.7):
+        simulate_closed_loop(case.plant, FopidController(kp=kp, ki=0.5, kd=0.2, lam=1.1, mu=0.4),
+                             scenario)
+    sweep = FopidController(kp=0.8, ki=0.5, kd=0.2, lam=1.1, mu=0.4)
+    sim.robustness_sweep(case.plant, sweep, [0.4, 0.5], [1.8, 2.0], scenario)
+    assert sim._ORDER_TABLE is None
+    controllers = [k for k in counted_kernels if len(k.spans) == 2]
+    assert len(controllers) == 4
+
+
+def test_design_run_scope():
+    """The outermost design run makes the table and the runs inside it share
+    it; it is dropped when the outermost run ends, also on an exception."""
+    assert sim._ORDER_TABLE is None
+    with sim._design_run():
+        table = sim._ORDER_TABLE
+        assert table == {}
+        with sim._design_run():
+            assert sim._ORDER_TABLE is table
+        assert sim._ORDER_TABLE is table
+    assert sim._ORDER_TABLE is None
+    with pytest.raises(RuntimeError):
+        with sim._design_run():
+            raise RuntimeError
+    assert sim._ORDER_TABLE is None
+
+
 @pytest.mark.parametrize("n", [1, 2, 129, 1000])
 def test_kernels_refuse_terms_past_their_length(n):
     """A request past the n terms given at construction raises ValueError,
@@ -512,6 +545,90 @@ def test_shared_kernel_pass_equals_per_exponent_builds(h):
             assert len(got) == 2
             for kernel, single in zip(got, alone):
                 assert np.array_equal(kernel, single(m)[0]), (lam, mu, m)
+
+
+# the branches of fracnum._factors: the identity, an order too small to move
+# 1 off 1 (also the identity), an exact integrator or derivative, and the
+# cube of three powers
+FACTOR_EDGES = (0.0, 1e-17, 1.0, 2.0)
+
+
+def fresh_controller_runs(lam, mu, h, n):
+    """A controller entry built afresh, not the cached one."""
+    controller = FopidController(kp=0.7, ki=0.4, kd=0.3, lam=lam, mu=mu)
+    return sim._ControllerRuns.__wrapped__(controller, h, "oustaloup", DEFAULT_BAND, n)
+
+
+def grown_runs(runs, lengths):
+    """H and both kernels at each length, grown in that order."""
+    out = []
+    for m in lengths:
+        H, kernels = runs.grown(m)
+        out.append([H] + kernels)
+    return out
+
+
+@pytest.mark.parametrize("h", [0.01, 0.05])
+def test_order_table_hits_equal_cold_builds(h):
+    """Inside a design run, a controller whose orders the table knows takes
+    H and both kernels at the first stage from the table alone, and builds
+    its kernel object only to grow them past it; one with a known and a new
+    order builds both.  Each equals a cold build outside any run bit for
+    bit, at 128 terms and after growing to 1,024 and to N: seeded
+    (lam, mu) pairs of the design box and every pair of FACTOR_EDGES, in a
+    table that also holds them at twice the step."""
+    rng = np.random.default_rng(71)
+    lo, hi = np.array(DESIGN_BOUNDS[4:]).T
+    pairs = [tuple(rng.uniform(lo, hi)) for _ in range(12)]
+    pairs += list(itertools.product(FACTOR_EDGES, FACTOR_EDGES))
+    n, lengths = KERNEL_TERMS, (128, 1024, KERNEL_TERMS)
+    assert sim._next_stage(0, n) == 128
+    for lam, mu in pairs:
+        cold = fresh_controller_runs(lam, mu, h, n)
+        assert isinstance(cold.operators, _OperatorKernels)
+        want = grown_runs(cold, lengths)
+        with sim._design_run():
+            # the same orders at another step are other entries
+            fresh_controller_runs(lam, mu, 2.0 * h, n).grown(1024)
+            fresh_controller_runs(lam, 0.123, h, n)
+            mixed = fresh_controller_runs(lam, mu, h, n)
+            hit = fresh_controller_runs(lam, mu, h, n)
+            assert isinstance(hit.operators, sim._StoredKernels)
+            hit.grown(128)
+            assert hit.operators.kernels is None
+            for runs in (mixed, hit):
+                for got, ref, m in zip(grown_runs(runs, lengths), want, lengths):
+                    for a, b in zip(got, ref):
+                        assert a.size == m and np.array_equal(a, b), (lam, mu, m)
+            assert isinstance(hit.operators.kernels, _OperatorKernels)
+        assert sim._ORDER_TABLE is None
+
+
+def test_objectives_equal_inside_and_outside_a_design_run():
+    """evaluate_design_objectives gives the same pair, to the bit, outside a
+    design run and inside one, where the second of two designs with the
+    same orders but other weights takes them from the table: seeded designs
+    of both delay methods on the sluggish plant (h 0.05, N 1,000) and the
+    oscillatory one (h 0.01, N 2,000), survivors among them."""
+    rng = np.random.default_rng(73)
+    lo, hi = np.array(DESIGN_BOUNDS).T
+    cases = ((NioptdPlant(K=1.0, L=0.5, T=2.0, alpha=0.5), Scenario(horizon=50.0, step_size=0.05)),
+             (OSCILLATORY_PLANT, Scenario(horizon=20.0, step_size=0.01)))
+    for plant, scenario in cases:
+        designs = []
+        for _ in range(20):
+            x = rng.uniform(lo, hi)
+            # an offspring that keeps its parent's orders
+            y = np.concatenate([rng.uniform(lo[:4], hi[:4]), x[4:]])
+            method = (DelayMethod.CAI, DelayMethod.HE)[int(rng.integers(2))]
+            designs += [(x, method), (y, method)]
+        outside = [evaluate_design_objectives(plant, x, m, scenario) for x, m in designs]
+        with sim._design_run():
+            inside = [evaluate_design_objectives(plant, x, m, scenario) for x, m in designs]
+            assert sim._ORDER_TABLE
+        assert [[v.hex() for v in pair] for pair in inside] == \
+            [[v.hex() for v in pair] for pair in outside]
+        assert any(pair != (sim.PENALTY_OBJECTIVE,) * 2 for pair in outside)
 
 
 def gl_denominator(alpha, T, h, n):
