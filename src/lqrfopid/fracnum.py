@@ -50,8 +50,8 @@ def gl_differintegral(f: np.ndarray, gamma: float, h: float) -> np.ndarray:
     ``out[k] = h**(-gamma) * sum_{j=0}^{k} c_j f[k-j]``: the full history,
     a direct O(N^2) convolution.
     """
-    if h <= 0.0:
-        raise ValueError(f"step must be positive, got {h}")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"step must be positive and finite, got {h}")
     f = np.asarray(f, dtype=float)
     n = f.shape[0]
     if n == 0 or gamma == 0.0:
@@ -65,14 +65,16 @@ def analytic_power_differintegral(p: float, gamma: float, t: float) -> float:
     Returns ``Gamma(p+1) / Gamma(p+1-gamma) * t**(p-gamma)``.  Used as the
     independent oracle for :func:`gl_differintegral`.
     """
-    if p < 0:
-        raise ValueError(f"power must be nonnegative, got {p}")
+    if not 0.0 <= p < math.inf:
+        raise ValueError(f"power must be nonnegative and finite, got {p}")
+    if not math.isfinite(gamma):
+        raise ValueError(f"order must be finite, got {gamma}")
     if p - gamma <= -1.0:
         raise ValueError(
             f"p - gamma = {p - gamma} <= -1: differintegral does not exist"
         )
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"time must be nonnegative and finite, got {t}")
     coef = math.gamma(p + 1.0) / math.gamma(p + 1.0 - gamma)
     if t == 0.0:
         expo = p - gamma
@@ -89,7 +91,8 @@ class RationalFilter:
     """Stable rational approximation of s**order over a frequency band.
 
     Zeros and poles are the actual (negative real) positions in rad/s; they
-    interlace geometrically inside the band.
+    interlace geometrically inside the band.  Zeros, poles and gain must be
+    finite, and the poles negative.
     """
 
     zeros: np.ndarray
@@ -97,8 +100,14 @@ class RationalFilter:
     gain: float
 
     def __post_init__(self):
-        if np.count_nonzero(np.asarray(self.poles) >= 0.0):
-            raise ValueError("filter has a non-negative pole")
+        poles = np.asarray(self.poles)
+        if np.count_nonzero(np.isfinite(poles) & (poles < 0.0)) != poles.size:
+            raise ValueError(f"filter poles must be finite and negative: a non-negative pole "
+                             f"or a non-finite one in {poles}")
+        if np.count_nonzero(np.isfinite(self.zeros)) != np.size(self.zeros):
+            raise ValueError(f"filter zeros must be finite, got {self.zeros}")
+        if not math.isfinite(self.gain):
+            raise ValueError(f"filter gain must be finite, got {self.gain}")
 
     def freq_response(self, w) -> complex | np.ndarray:
         """Frequency response H(jw); ``w`` may be scalar or array (rad/s)."""
@@ -146,8 +155,8 @@ def oustaloup_approximation(
             "split off the integer part first"
         )
     w_low, w_high = band
-    if not (0.0 < w_low < w_high):
-        raise ValueError(f"need 0 < w_low < w_high, got {band}")
+    if not (0.0 < w_low < w_high < math.inf):
+        raise ValueError(f"need 0 < w_low < w_high < inf for the band, got {band}")
     if order < 1:
         raise ValueError(f"approximation order must be >= 1, got {order}")
     n = int(order)
@@ -225,14 +234,15 @@ def differintegrator_ss(
     realization has no feedthrough.  Positive exponents use a biproper
     power, ``s**gamma = (s**(gamma/2))**2`` (cube for gamma = 2), which
     stays realizable across the whole (0, 2] range including gamma = 1.
+    Either is one cascade (:func:`_cascade_ss`): the filter's sections
+    repeated ``power`` times, with its gain to that power, then the
+    integrators.  Reference code: no simulation path calls it.
     """
     filt, power, integrators = _factors(gamma, band, order)
     if filt is None:
         return _cascade_ss([], [], 1.0, integrators)
-    sys = _cascade_ss(filt.zeros, filt.poles, filt.gain, integrators)
-    for _ in range(power - 1):
-        sys = _series_ss(sys, _cascade_ss(filt.zeros, filt.poles, filt.gain))
-    return sys
+    return _cascade_ss(np.tile(filt.zeros, power), np.tile(filt.poles, power),
+                       filt.gain ** power, integrators)
 
 
 def differintegrator_modes(
@@ -281,18 +291,3 @@ def _factor_modes(filt, power: int, integrators: int):
         coeffs[:, 0] = 3.0 * r * (near * near + r * slope)
         coeffs[:, 1], coeffs[:, 2] = 3.0 * r * r * near, 0.5 * r ** 3
     return k ** power, p, coeffs
-
-
-def _series_ss(first, second):
-    """Series interconnection: output of ``first`` feeds ``second``."""
-    A1, B1, C1, D1 = first
-    A2, B2, C2, D2 = second
-    n1, n2 = A1.shape[0], A2.shape[0]
-    A = np.zeros((n1 + n2, n1 + n2))
-    A[:n1, :n1] = A1
-    A[n1:, :n1] = B2 @ C1
-    A[n1:, n1:] = A2
-    B = np.vstack([B1, B2 * D1[0, 0]])
-    C = np.hstack([C1 * D2[0, 0], C2])
-    D = D2 @ D1
-    return A, B, C, D

@@ -58,17 +58,18 @@ DIRECT_TERMS terms, num H is formed to the t terms of each growth length t
 past the first block, once for the whole stack whatever the delays, which
 only shift it.
 
-Three caches hold what runs reuse; only the constructors of the first two
-know the solver.  One entry per plant at rest (K, T, alpha, step, solver,
-band, length) samples the plant, from its modes or its GL weights: num,
-den and num's transform at the size of a run's last product; a search
-builds it once, a sweep once per lag.  One entry per controller
-(controller, step, solver, band, length) holds its operator kernels, H as
-last grown and H's transform, which a sweep takes once for all its lags.
-One order table per design run (:func:`_design_run`) holds, per Oustaloup
-operator order, step, band and length, the first stage of the order's
-kernel: a controller whose orders it knows forms its first block from it,
-and no table outlives its run.
+What runs reuse is built once per owner; only the constructors of the
+plant and controller entries know the solver.  One cached entry per plant
+at rest (K, T, alpha, step, solver, band, length) samples the plant, from
+its modes or its GL weights: num, den and num's transform at the size of
+a run's last product; a search builds it once, a sweep once per lag.  A
+controller entry (controller, step, solver, band, length) holds the
+operator kernels, H as last grown and H's transform; each single run
+makes its own, and a sweep one for all its lags.  One order table per
+design run (:func:`_design_run`) holds, per Oustaloup operator order,
+step, band and length, the whole first chunk of the order's kernel: a
+controller whose orders it holds seeds its kernels with them, and no
+table outlives its run.
 
 Timing convention shared by both paths: num[0] = 0, so the plant state at
 sample k has integrated the (zero-order-held, delayed) input, control and
@@ -578,7 +579,8 @@ def _interval_moments(poles: np.ndarray, h: float, spans) -> np.ndarray:
 class _OperatorKernels:
     """The sampled kernels of the blocks of a run, in closed form from their
     modes, each a (d, poles, coeffs) of :func:`differintegrator_modes` or
-    :func:`_plant_modes`, extended in place on demand.
+    :func:`_plant_modes` in the list ``modes()`` gives, extended in place on
+    demand.
 
     ``kernels(m)`` is the first m terms of each (read-only): g[0] is the
     feedthrough d and g[k] the integral of the impulse response
@@ -604,9 +606,23 @@ class _OperatorKernels:
     moments I_ij, one of exp(p h j) and one exp(p h KERNEL_BLOCK b) per
     chunk; each keeps its own block product and Horner step, so each
     kernel is the one it would be alone, bit for bit.
+
+    Kernels seeded with ``terms``, each kernel's whole first chunk as the
+    order table holds it, call ``modes()`` and build those tables only when
+    a run asks for terms past them, and then resume at block 1.  Cold ones
+    build them at once, starting from the feedthroughs.
     """
 
-    def __init__(self, modes, h: float, n: int):
+    def __init__(self, modes, h: float, n: int, terms=None):
+        self.modes, self.h, self.n, self.terms, self.bases = modes, h, n, terms, None
+        self.stage = 0 if terms is None else _next_stage(0, n)
+        if terms is None:
+            self._set_up()
+
+    def _set_up(self) -> None:
+        """The tables every chunk reads, from the modes; the feedthroughs
+        are the first terms of cold kernels."""
+        modes, h = self.modes(), self.h
         poles = np.concatenate([p for _, p, _ in modes])
         # block i has the poles poles[lo:hi] and coeffs.shape[1] powers
         self.spans, hi = [], 0
@@ -623,13 +639,16 @@ class _OperatorKernels:
                     poly[:, l - j] += coeffs[:, l] * math.comb(l, j) * moments[lo:hi, j]
             self.bases.append((poly[:, :, None] * steps[lo:hi, None, :])
                               .reshape(hi - lo, poly.shape[1] * KERNEL_BLOCK))
-        self.rates, self.h, self.n, self.stage = poles * (KERNEL_BLOCK * h), h, n, 0
-        self.terms = [_read_only(np.array([d])) for d, _, _ in modes]
+        self.rates = poles * (KERNEL_BLOCK * h)
+        if self.terms is None:
+            self.terms = [_read_only(np.array([d])) for d, _, _ in modes]
 
     def __call__(self, m: int) -> list[np.ndarray]:
         if m > self.n:
             raise ValueError(f"the kernels have {self.n} terms, not {m}")
         while self.terms[0].size < m:
+            if self.bases is None:
+                self._set_up()
             # up to the block of term stage - 1: the block of term k > 0 is
             # (k - 1) // KERNEL_BLOCK
             self.stage = _next_stage(self.stage, self.n)
@@ -706,18 +725,19 @@ def _plant_modes(plant: NioptdPlant, band) -> tuple[float, np.ndarray, np.ndarra
     return 0.0, poles, residues[:, None]
 
 
-# What one search or one sweep reuses, in two caches, each a cached class
-# (calling it returns the one instance of its key) and the only code that
-# knows the solver: the plant at rest, shared by all delays, and the last
-# controller.  A search makes a new controller at every evaluation and
-# builds its entry; a sweep solves one stack per lag, so the controller's
-# entry serves all its lags.  They are not sized to keep series for a later
-# job, which only a repeat of the same job in one process would reuse.  Per
-# round of the benchmark's sweep-verify 8 of 16 controller lookups hit,
-# against 1 of 96 on search-osc-fine and 0 of 478 on search-slug-coarse;
-# what a search's controllers share is their operator orders, which the
-# order table of its design run keeps (386 of 956 order lookups hit per
-# round of search-slug-coarse, 44 of 190 of search-osc-fine).
+# What one search or one sweep reuses of the plant: the plant at rest,
+# shared by all delays, a cached class (calling it returns the one instance
+# of its key); with the controller entry the only code that knows the
+# solver.  It is not sized to keep series for a later job, which only a
+# repeat of the same job in one process would reuse.  The controller entry
+# has no cache: a search makes a new controller at every evaluation, and a
+# sweep, one stack per lag, makes one entry for all its lags.  A cache of
+# the last controller hit only within a sweep: per round of the benchmark,
+# 8 of 16 lookups on sweep-verify, 1 of 96 on search-osc-fine and 0 of 478
+# on search-slug-coarse.  What a search's controllers share is their
+# operator orders, which the order table of its design run keeps (386 of
+# 956 order lookups hit per round of search-slug-coarse, 46 of 192 of
+# search-osc-fine).
 @functools.lru_cache(maxsize=8)
 class _PlantAtRest:
     """The plant sampled at step h, y = (num / den) u to n terms, num[0] = 0,
@@ -732,7 +752,7 @@ class _PlantAtRest:
     def __init__(self, plant: NioptdPlant, h: float, solver: str,
                  band: tuple[float, float], n: int):
         if solver == "oustaloup":
-            num = plant.K * _OperatorKernels([_plant_modes(plant, band)], h, n)(n)[0]
+            num = plant.K * _OperatorKernels(lambda: [_plant_modes(plant, band)], h, n)(n)[0]
             den = np.ones(1)
         elif solver == "gl":
             num = np.array([0.0, plant.K])
@@ -748,10 +768,11 @@ class _PlantAtRest:
 
 
 # The order table of the design run in progress, None outside one (see
-# _design_run): (order, h, band, n) -> the first stage of the kernel of
-# s**order, _next_stage(0, n) terms, read-only.  The modes are not kept: a
-# loop that runs past the first stage, which few do, rebuilds them (about
-# 25 us per order), where keeping them would add about 0.7 KB per entry.
+# _design_run): (order, h, band, n) -> the whole first chunk of the kernel
+# of s**order, read-only: the kernel's own array, 129 terms where
+# n >= 2 DIRECT_TERMS.  The modes are not kept: a loop that runs past the
+# first stage, which few do, rebuilds them (about 25 us per order), where
+# keeping them would add about 0.7 KB per entry.
 _ORDER_TABLE = None
 
 
@@ -772,51 +793,36 @@ def _design_run():
         _ORDER_TABLE = None
 
 
-def _operator_kernels(exponents, h: float, band, n: int):
-    """The kernels of s**g to n terms for each order g of ``exponents``, as
-    one :class:`_OperatorKernels` builds them.  Inside a design run, where
-    the order table knows every order, no kernel object is made until a run
-    asks for terms past the first stage; otherwise the orders new to the
-    table are stored once the first stage is built.  A joint build equals
-    single-order builds bit for bit, so every kernel equals the one built
-    without a table."""
-
-    def built():
-        return _OperatorKernels([differintegrator_modes(g, band) for g in exponents], h, n)
-
+def _operator_kernels(exponents, h: float, band, n: int) -> _OperatorKernels:
+    """The kernels of s**g to n terms for each order g of ``exponents``, in
+    one :class:`_OperatorKernels`.  Inside a design run, where the order
+    table holds every order, it is seeded with their first chunks;
+    otherwise it is built cold, and the first chunks of the orders new to
+    the table are stored.  A joint build equals single-order builds bit for
+    bit, so every kernel equals the one built without a table."""
     table = _ORDER_TABLE
     keys = [(g, h, band, n) for g in exponents]
+
+    def modes():
+        return [differintegrator_modes(g, band) for g in exponents]
+
     if table is not None and all(key in table for key in keys):
-        return _StoredKernels([table[key] for key in keys], built)
-    kernels = built()
+        return _OperatorKernels(modes, h, n, [table[key] for key in keys])
+    kernels = _OperatorKernels(modes, h, n)
     if table is not None:
-        for key, first in zip(keys, kernels(_next_stage(0, n))):
-            table.setdefault(key, _read_only(first.copy()))
+        kernels(_next_stage(0, n))
+        for key, first in zip(keys, kernels.terms):
+            table.setdefault(key, first)
     return kernels
 
 
-class _StoredKernels:
-    """Kernels whose first stages ``firsts`` the order table holds: those,
-    and past them the kernels of ``built()``, called on first need, whose
-    first stages equal the stored ones."""
-
-    def __init__(self, firsts, built):
-        self.firsts, self.built, self.kernels = firsts, built, None
-
-    def __call__(self, m: int) -> list[np.ndarray]:
-        if self.kernels is None:
-            if m <= self.firsts[0].size:
-                return [first[:m] for first in self.firsts]
-            self.kernels = self.built()
-        return self.kernels(m)
-
-
-@functools.lru_cache(maxsize=1)
 class _ControllerRuns:
-    """What the runs of one controller at one step, solver, band and length
-    n share, whatever the plant (read-only arrays): the operator kernels,
-    H = kp + ki s**-lam + kd s**mu and its kernels as last grown, and H's
-    transform at _fft_size(2 n - 1), taken on first use.
+    """What the runs of one controller at step h, with one solver and band,
+    to n terms share, whatever the plant (read-only arrays): the operator
+    kernels, H = kp + ki s**-lam + kd s**mu and its kernels as last grown,
+    and H's transform at _fft_size(2 n - 1), taken on first use.  Its runs
+    own it: each :func:`simulate_closed_loop` makes one, and a
+    :func:`robustness_sweep` one for all its lags.
     """
 
     def __init__(self, controller: FopidController, h: float, solver: str,
@@ -824,16 +830,16 @@ class _ControllerRuns:
         exponents = (-controller.lam, controller.mu)
         self.operators = (_operator_kernels(exponents, h, band, n) if solver == "oustaloup" else
                           lambda m: [h ** -g * gl_coefficients(g, m) for g in exponents])
-        self.gains, self.n = (controller.kp, controller.ki, controller.kd), n
+        self.controller, self.h, self.solver, self.band, self.n = controller, h, solver, band, n
         self.H, self.kernels = np.zeros(0), []
 
     def grown(self, t: int):
         """The first t terms of H and of the operator kernels."""
         if self.H.size < t:
-            kp, ki, kd = self.gains
+            c = self.controller
             self.kernels = self.operators(t)
-            self.H = ki * self.kernels[0] + kd * self.kernels[1]
-            self.H[0] += kp
+            self.H = c.ki * self.kernels[0] + c.kd * self.kernels[1]
+            self.H[0] += c.kp
             _read_only(self.H)
         return self.H[:t], [kernel[:t] for kernel in self.kernels]
 
@@ -843,14 +849,12 @@ class _ControllerRuns:
 
     def num_H(self, plant: _PlantAtRest, t: int):
         """num H for the plant entry ``plant``: a function of hi <= t that
-        gives its first hi terms.  Past DIRECT_TERMS terms of both factors
-        those are the first hi of one product to t terms, formed here, so a
-        stack of loops forms it once; a shorter product is direct, to hi
-        terms, for each hi."""
+        gives its first hi terms, those of one product to t terms formed
+        here, so a stack of loops forms it once.  A direct product's term k
+        reads only terms <= k, so its first hi terms are those of a product
+        to hi terms, bit for bit."""
         num, H = plant.num, self.grown(t)[0]
-        if min(num.size, t) <= DIRECT_TERMS:
-            return lambda hi: _series_mul(num, H, 0, hi)
-        if t == self.n:
+        if t == self.n and min(num.size, t) > DIRECT_TERMS:
             # at a size that fits H e too; no term of degree < n folds
             product = np.fft.irfft(plant.spectrum * self.H_spectrum, _fft_size(2 * t - 1))[:t]
         else:
@@ -884,19 +888,20 @@ def simulate_closed_loop(
     the horizon; x1 and x3 are formed on first read.
     """
     scenario = scenario or Scenario()
-    delay = int(round(plant.L / scenario.step_size))
-    return _closed_loops(plant, [delay], controller, scenario, solver, band)[0]
+    h = scenario.step_size
+    runs = _ControllerRuns(controller, h, solver, tuple(band), scenario.n_steps)
+    return _closed_loops(plant, [int(round(plant.L / h))], runs, scenario)[0]
 
 
-def _closed_loops(plant, delays, controller, scenario, solver, band) -> list[SimResult]:
+def _closed_loops(plant, delays, runs, scenario) -> list[SimResult]:
     """The loops of :func:`simulate_closed_loop` for ``plant`` at each input
-    delay of ``delays`` (in samples, whatever plant.L is), one stack for
-    :func:`_loop_output`: each result is the one that loop gives alone, bit
-    for bit.  The u of the loops that reach the horizon comes from one
-    stacked product."""
-    h, r, n, band = scenario.step_size, scenario.setpoint, scenario.n_steps, tuple(band)
-    at_rest = _PlantAtRest(replace(plant, L=0.0), h, solver, band, n)
-    runs = _ControllerRuns(controller, h, solver, band, n)
+    delay of ``delays`` (in samples, whatever plant.L is) under the
+    controller entry ``runs`` (a :class:`_ControllerRuns`, whose step,
+    solver, band and length they take), one stack for :func:`_loop_output`:
+    each result is the one that loop gives alone, bit for bit.  The u of
+    the loops that reach the horizon comes from one stacked product."""
+    controller, h, n, r = runs.controller, runs.h, runs.n, scenario.setpoint
+    at_rest = _PlantAtRest(replace(plant, L=0.0), h, runs.solver, runs.band, n)
     w_start = _first_sample_at(n, h, scenario.disturbance_time)
     outputs = _loop_output(at_rest, delays, runs, r, w_start, scenario.disturbance_magnitude,
                            DIVERGENCE_FACTOR * max(1.0, abs(r)), n)
@@ -996,9 +1001,10 @@ def robustness_sweep(
     itse = np.empty((L_grid.size, T_grid.size))
     isdco = np.empty_like(itse)
     diverged = np.zeros(itse.shape, dtype=bool)
+    runs = _ControllerRuns(controller, scenario.step_size, "oustaloup", DEFAULT_BAND,
+                           scenario.n_steps)
     for j, T in enumerate(T_grid):
-        cells = _closed_loops(replace(plant_nominal, T=float(T)), delays, controller, scenario,
-                              "oustaloup", DEFAULT_BAND)
+        cells = _closed_loops(replace(plant_nominal, T=float(T)), delays, runs, scenario)
         for i, res in enumerate(cells):
             itse[i, j], isdco[i, j], diverged[i, j] = res.itse, res.isdco, res.diverged
     return SweepResult(L_grid=L_grid, T_grid=T_grid, itse=itse, isdco=isdco,

@@ -188,9 +188,9 @@ class TestDesign:
     def test_one_order_table_per_design_run(self, tmp_path, monkeypatch):
         """`design` holds one order table for all its methods and restarts
         and drops it on return.  The He search starts from the Cai search's
-        seeded population, so its generation 0 computes operator modes and
-        makes a kernel object only for a loop that runs past the first
-        stage."""
+        seeded population, so its generation 0 seeds every kernel object
+        from the table, and computes operator modes and sets up a kernel
+        object only for a loop that runs past the first stage."""
         import lqrfopid.nsga2
         from lqrfopid import sim
 
@@ -207,23 +207,21 @@ class TestDesign:
             return modes(*args)
 
         class CountedKernels(sim._OperatorKernels):
-            def __init__(self, *args):
+            """Counts the kernel objects seeded from the table (hits), the
+            set-ups of all of them, and those of seeded ones (grown)."""
+
+            def __init__(self, modes, h, n, terms=None):
+                counts["hits"] += terms is not None
+                super().__init__(modes, h, n, terms)
+
+            def _set_up(self):
                 counts["kernels"] += 1
-                super().__init__(*args)
-
-        class CountedStored(sim._StoredKernels):
-            def __init__(self, *args):
-                counts["hits"] += 1
-                super().__init__(*args)
-
-            def __call__(self, m):
-                counts["grown"] += self.kernels is None and m > self.firsts[0].size
-                return super().__call__(m)
+                counts["grown"] += self.terms is not None
+                super()._set_up()
 
         monkeypatch.setattr(lqrfopid.nsga2, "evaluate_design_objectives", spied_evaluate)
         monkeypatch.setattr(sim, "differintegrator_modes", counted_modes)
         monkeypatch.setattr(sim, "_OperatorKernels", CountedKernels)
-        monkeypatch.setattr(sim, "_StoredKernels", CountedStored)
         sim._PlantAtRest.cache_clear()
         main(["design", "--methods", "cai,he", "--pop", "8", "--gens", "1", "--seed", "1",
               "--horizon", "20", "--h", "0.02", "--out-dir", str(tmp_path)])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -193,6 +194,44 @@ class TestOustaloup:
         w = np.logspace(-2, 2, 300)
         phase_err = np.abs(np.degrees(np.angle(filt.freq_response(w))) - 81.0)
         assert phase_err.max() <= 6.0  # just over the 5-degree figure
+
+
+class TestNonFiniteInputs:
+    """Each public numeric rejects a non-finite input with a ValueError
+    that names it, before NumPy warns of anything."""
+
+    @pytest.fixture(autouse=True)
+    def warnings_as_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    @pytest.mark.parametrize("band", [(1e-3, math.inf), (1e-3, math.nan), (math.nan, 1e3),
+                                      (-math.inf, 1e3)])
+    def test_oustaloup_band(self, band):
+        with pytest.raises(ValueError, match="band"):
+            oustaloup_approximation(0.5, band)
+
+    @pytest.mark.parametrize("name", ["zeros", "poles", "gain"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_filter(self, name, bad):
+        fields = dict(zeros=np.array([-1.0, -10.0]), poles=np.array([-3.0, -30.0]), gain=1.0)
+        fields[name] = bad if name == "gain" else np.array([-3.0, bad])
+        with pytest.raises(ValueError, match=f"filter {name} must be finite"):
+            fracnum.RationalFilter(**fields)
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf])
+    def test_gl_step(self, h):
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            gl_differintegral(np.ones(4), 0.5, h)
+
+    @pytest.mark.parametrize("args,name", [
+        ((math.nan, 0.5, 1.0), "power"), ((math.inf, 0.5, 1.0), "power"),
+        ((1.0, math.nan, 1.0), "order"), ((1.0, -math.inf, 1.0), "order"),
+        ((1.0, 0.5, math.nan), "time"), ((1.0, 0.5, math.inf), "time")])
+    def test_analytic_oracle(self, args, name):
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            analytic_power_differintegral(*args)
 
 
 class TestDifferintegratorSS:

@@ -1,5 +1,8 @@
 import ast
+import gc
+import math
 import warnings
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -45,9 +48,9 @@ def reference_controller(name):
 
 
 def cold_run(plant, controller, scenario, solver="oustaloup"):
-    """A run on cache entries built afresh for it."""
-    for cache in (sim._ControllerRuns, sim._PlantAtRest):
-        cache.cache_clear()
+    """A run on a plant entry built afresh for it (every run builds its own
+    controller entry)."""
+    sim._PlantAtRest.cache_clear()
     return simulate_closed_loop(plant, controller, scenario, solver=solver)
 
 
@@ -165,6 +168,16 @@ class TestPerformanceIndices:
 
 
 class TestClosedLoop:
+    @pytest.mark.parametrize("band", [(1e-3, math.inf), (math.nan, 1e3)])
+    def test_rejects_non_finite_band(self, band):
+        """The Oustaloup path names the band, before NumPy warns of
+        anything."""
+        case, controller = reference_controller("osc_median")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="band"):
+                simulate_closed_loop(case.plant, controller, Scenario(horizon=5.0), band=band)
+
     def test_zero_gain_controller(self):
         controller = FopidController(kp=0, ki=0, kd=0, lam=1.0, mu=0.5)
         scn = Scenario(horizon=10.0, step_size=0.01)
@@ -392,7 +405,8 @@ class TestRobustnessSweep:
     def test_nominal_cell_matches_single_run(self):
         """Bit for bit, also after a longer run of the controller (10**4
         terms, an entry of its own), and after other cells filled the
-        controller's entry: results do not depend on the caches' history."""
+        sweep's controller entry: results do not depend on the history of
+        the plant cache or of the runs before."""
         case, controller = reference_controller("osc_median")
         scn = Scenario(horizon=40.0, step_size=0.01)
         for history in (None, Scenario(horizon=100.0, step_size=0.01)):
@@ -400,7 +414,6 @@ class TestRobustnessSweep:
                 simulate_closed_loop(case.plant, controller, history)
             sweep = robustness_sweep(case.plant, controller, [case.plant.L],
                                      [case.plant.T], scn)
-            sim._ControllerRuns.cache_clear()
             single = simulate_closed_loop(case.plant, controller, scn)
             assert sweep.itse[0, 0] == single.itse
             assert sweep.isdco[0, 0] == single.isdco
@@ -528,8 +541,10 @@ class TestRobustnessSweep:
 
 
 class TestControllerEntry:
-    """Runs that share a cached controller entry, or part of its key
-    (controller, step, solver, band, length), equal cold runs bit for bit."""
+    """Runs of one controller, each on an entry of its own, at one or
+    another step, solver, band or length, equal cold runs bit for bit; a
+    single run owns its controller entry, and a sweep one for all its
+    lags."""
 
     DISTURBED = Scenario(horizon=25.0, step_size=0.01, disturbance_time=16.5,
                          disturbance_magnitude=0.2)
@@ -567,6 +582,41 @@ class TestControllerEntry:
         for scenario in (self.DISTURBED, short, short, self.DISTURBED, self.DISTURBED, short):
             assert_same_run(simulate_closed_loop(case.plant, controller, scenario), cold[scenario])
 
+    @staticmethod
+    def counted_entries(monkeypatch):
+        """A weak reference to every controller entry built from now on."""
+        entries, build = [], sim._ControllerRuns
+
+        def counted(*args):
+            entry = build(*args)
+            entries.append(weakref.ref(entry))
+            return entry
+
+        monkeypatch.setattr(sim, "_ControllerRuns", counted)
+        return entries
+
+    def test_sweep_owns_one_entry(self, monkeypatch):
+        """A 5x5 sweep builds one controller entry for its five lags."""
+        case, controller = reference_controller("osc_median")
+        entries = self.counted_entries(monkeypatch)
+        grid = np.array([0.8, 0.9, 1.0, 1.1, 1.2])
+        robustness_sweep(case.plant, controller, case.plant.L * grid, case.plant.T * grid,
+                         Scenario(horizon=10.0, step_size=0.01))
+        assert len(entries) == 1
+
+    def test_each_run_owns_its_entry(self, monkeypatch):
+        """Two runs of one controller build two entries, and neither
+        outlives its run: the results, their states read, hold none."""
+        case, controller = reference_controller("osc_median")
+        entries = self.counted_entries(monkeypatch)
+        results = [simulate_closed_loop(case.plant, controller, self.DISTURBED)
+                   for _ in range(2)]
+        for res in results:
+            res.x1, res.u
+        gc.collect()
+        assert len(entries) == 2 and all(entry() is None for entry in entries)
+        assert_same_run(results[1], results[0])
+
 
 class TestSolvers:
     def test_unknown_solver_raises_and_builds_no_plant_entry(self):
@@ -582,7 +632,8 @@ class TestSolvers:
 
     def test_only_the_cache_constructors_name_a_solver(self):
         """Structural guard: the engine branches on series lengths, so "gl"
-        and "oustaloup" are compared only where a cache entry is built."""
+        and "oustaloup" are compared only where a plant or controller entry
+        is built."""
         found = []
 
         def visit(node, scope):

@@ -56,7 +56,8 @@ AT_REST = Scenario(setpoint=0.0, disturbance_time=40.0, disturbance_magnitude=0.
 def operator_kernels(exponents, h, n):
     """The closed-form kernels of the operators s**gamma to n terms, one per
     exponent."""
-    return _OperatorKernels([differintegrator_modes(g, DEFAULT_BAND) for g in exponents], h, n)
+    return _OperatorKernels(lambda: [differintegrator_modes(g, DEFAULT_BAND) for g in exponents],
+                            h, n)
 
 
 def assert_agree(res, ref):
@@ -428,8 +429,8 @@ EARLY_DIVERGING = FopidController(kp=16.0, ki=0.5, kd=0.0, lam=1.0, mu=0.5)
 @pytest.fixture
 def counted_kernels(monkeypatch):
     """Every kernel object built while the fixture is active, with the
-    blocks of each chunk product it made in ``chunks``; both caches cleared
-    before and after."""
+    blocks of each chunk product it made in ``chunks``; the plant cache
+    cleared before and after."""
     built = []
 
     class CountedKernels(_OperatorKernels):
@@ -443,11 +444,9 @@ def counted_kernels(monkeypatch):
             super()._extend(blocks)
 
     monkeypatch.setattr(sim, "_OperatorKernels", CountedKernels)
-    for cache in (sim._ControllerRuns, sim._PlantAtRest):
-        cache.cache_clear()
+    sim._PlantAtRest.cache_clear()
     yield built
-    for cache in (sim._ControllerRuns, sim._PlantAtRest):
-        cache.cache_clear()
+    sim._PlantAtRest.cache_clear()
 
 
 def test_kernels_grow_in_few_chunk_products(counted_kernels):
@@ -554,9 +553,9 @@ FACTOR_EDGES = (0.0, 1e-17, 1.0, 2.0)
 
 
 def fresh_controller_runs(lam, mu, h, n):
-    """A controller entry built afresh, not the cached one."""
+    """A controller entry of its own."""
     controller = FopidController(kp=0.7, ki=0.4, kd=0.3, lam=lam, mu=mu)
-    return sim._ControllerRuns.__wrapped__(controller, h, "oustaloup", DEFAULT_BAND, n)
+    return sim._ControllerRuns(controller, h, "oustaloup", DEFAULT_BAND, n)
 
 
 def grown_runs(runs, lengths):
@@ -569,14 +568,31 @@ def grown_runs(runs, lengths):
 
 
 @pytest.mark.parametrize("h", [0.01, 0.05])
-def test_order_table_hits_equal_cold_builds(h):
-    """Inside a design run, a controller whose orders the table knows takes
-    H and both kernels at the first stage from the table alone, and builds
-    its kernel object only to grow them past it; one with a known and a new
-    order builds both.  Each equals a cold build outside any run bit for
-    bit, at 128 terms and after growing to 1,024 and to N: seeded
-    (lam, mu) pairs of the design box and every pair of FACTOR_EDGES, in a
-    table that also holds them at twice the step."""
+def test_order_table_hits_equal_cold_builds(h, monkeypatch):
+    """Inside a design run, a controller whose orders the table knows is
+    seeded with the table's first chunks, the kernels' own read-only arrays
+    of 129 terms: it takes H and both kernels at the first stage from them
+    with no set-up, and sets up its kernel object only to grow them past
+    it, resuming at block 1; one with a known and a new order builds both.
+    Each equals a cold build outside any run bit for bit, at 128 terms and
+    after growing to 1,024 and to N: seeded (lam, mu) pairs of the design
+    box and every pair of FACTOR_EDGES, in a table that also holds them at
+    twice the step."""
+    events = []
+
+    class SpiedKernels(_OperatorKernels):
+        def _set_up(self):
+            events.append((self, "set-up"))
+            super()._set_up()
+
+        def _extend(self, blocks):
+            events.append((self, int(blocks[0])))
+            super()._extend(blocks)
+
+    def events_of(kernels):
+        return [event for owner, event in events if owner is kernels]
+
+    monkeypatch.setattr(sim, "_OperatorKernels", SpiedKernels)
     rng = np.random.default_rng(71)
     lo, hi = np.array(DESIGN_BOUNDS[4:]).T
     pairs = [tuple(rng.uniform(lo, hi)) for _ in range(12)]
@@ -585,7 +601,7 @@ def test_order_table_hits_equal_cold_builds(h):
     assert sim._next_stage(0, n) == 128
     for lam, mu in pairs:
         cold = fresh_controller_runs(lam, mu, h, n)
-        assert isinstance(cold.operators, _OperatorKernels)
+        assert events_of(cold.operators) == ["set-up"]
         want = grown_runs(cold, lengths)
         with sim._design_run():
             # the same orders at another step are other entries
@@ -593,14 +609,17 @@ def test_order_table_hits_equal_cold_builds(h):
             fresh_controller_runs(lam, 0.123, h, n)
             mixed = fresh_controller_runs(lam, mu, h, n)
             hit = fresh_controller_runs(lam, mu, h, n)
-            assert isinstance(hit.operators, sim._StoredKernels)
+            stored = [sim._ORDER_TABLE[g, h, DEFAULT_BAND, n] for g in (-lam, mu)]
+            assert all(a is b for a, b in zip(hit.operators.terms, stored))
+            assert all(a.size == 129 and not a.flags.writeable for a in stored)
             hit.grown(128)
-            assert hit.operators.kernels is None
+            assert events_of(hit.operators) == []
             for runs in (mixed, hit):
                 for got, ref, m in zip(grown_runs(runs, lengths), want, lengths):
                     for a, b in zip(got, ref):
                         assert a.size == m and np.array_equal(a, b), (lam, mu, m)
-            assert isinstance(hit.operators.kernels, _OperatorKernels)
+            grown = events_of(hit.operators)
+            assert grown[0] == "set-up" and grown[1] == 1 and 0 not in grown[1:], grown
         assert sim._ORDER_TABLE is None
 
 
@@ -676,7 +695,7 @@ def test_evaluation_reaches_lapack_directly():
 
     def spy(frame, event, arg):
         code = frame.f_code
-        if event == "call" and code is _OperatorKernels.__init__.__code__:
+        if event == "return" and code is _OperatorKernels._set_up.__code__:
             calls.append(f"kernels of {len(frame.f_locals['modes'])}")
         elif event == "call" and code.co_name in wrappers and "scipy" in code.co_filename:
             calls.append(code.co_name)
@@ -694,10 +713,9 @@ def test_evaluation_reaches_lapack_directly():
     spied(lambda: (care_schur_scipy(prob), first_block_toeplitz(np.ones(3), np.ones(1))))
     assert sorted(calls) == ["schur", "solve_triangular", "toeplitz"]
 
-    for cache in (sim._ControllerRuns, sim._PlantAtRest):
-        cache.cache_clear()
+    sim._PlantAtRest.cache_clear()
     objectives = spied(lambda: evaluate_design_objectives(case.plant, vars, case.method))
-    assert calls == ["kernels of 1", "kernels of 2"]
+    assert sorted(calls) == ["kernels of 1", "kernels of 2"]
     assert objectives != (sim.PENALTY_OBJECTIVE, sim.PENALTY_OBJECTIVE)
 
 
@@ -738,8 +756,8 @@ def eager_states(res, plant, controller, scenario, solver):
     """x1 and x3 as simulate_closed_loop formed them before it deferred
     them: one product of e with both operator kernels, zero at a crossing."""
     h, n = scenario.step_size, res.t.size
-    # a fresh entry, not the cached one the run used
-    runs = sim._ControllerRuns.__wrapped__(controller, h, solver, DEFAULT_BAND, scenario.n_steps)
+    # an entry of its own, as the run built one
+    runs = sim._ControllerRuns(controller, h, solver, DEFAULT_BAND, scenario.n_steps)
     x1, x3 = sim._series_mul(res.x2, np.array(runs.grown(n)[1]), 0, n)
     if res.diverged:
         x1[-1] = x3[-1] = 0.0
@@ -809,7 +827,7 @@ def test_objective_forms_no_controller_states(monkeypatch):
         """The products one of whose factors holds a prefix of more than one
         term of an operator kernel, in a row of its own."""
         kernels = sim._ControllerRuns(controller, scenario.step_size, "oustaloup", DEFAULT_BAND,
-                                      scenario.n_steps).operators.terms
+                                      scenario.n_steps).grown(scenario.n_steps)[1]
         return sum(any(row.size > 1 and np.array_equal(row, k[:row.size])
                        for f in factors for row in np.atleast_2d(f) for k in kernels)
                    for factors in products)
@@ -851,13 +869,11 @@ def test_zero_integral_order_uses_final_control():
 
 def test_survivor_transform_count(monkeypatch):
     """A surviving loop at N = 10**4, its plant's kernel cached and its
-    controller new to the controller cache as in a search, makes at most 38
-    FFTs, at most 4 of them at the largest size, 2 N rounded up to a fast
-    length."""
+    controller entry its own, as every run's, makes at most 38 FFTs, at
+    most 4 of them at the largest size, 2 N rounded up to a fast length."""
     plant, controller = reference_loop("osc_median")
     scenario = Scenario()
     simulate_closed_loop(plant, controller, scenario)
-    sim._ControllerRuns.cache_clear()
     records = count_transforms(monkeypatch)
     res = simulate_closed_loop(plant, controller, scenario)
     res.itse, res.isdco
@@ -885,8 +901,7 @@ def test_disturbed_sweep_transform_count(monkeypatch):
     scenario = Scenario(horizon=25.0, disturbance_time=16.5, disturbance_magnitude=0.2)
     w_start = sim._first_sample_at(scenario.n_steps, scenario.step_size, 16.5)
     grid = np.array([0.8, 0.9, 1.0, 1.1, 1.2])
-    for cache in (sim._ControllerRuns, sim._PlantAtRest):
-        cache.cache_clear()
+    sim._PlantAtRest.cache_clear()
     records = count_transforms(monkeypatch)
     sweep = sim.robustness_sweep(plant, controller, plant.L * grid, plant.T * grid, scenario)
     cells, lags = sweep.itse.size, grid.size

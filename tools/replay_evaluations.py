@@ -18,13 +18,15 @@ alternating, and the fastest time is kept:
 Layers: the gain map (``design_from_vars``); the controller set-up (a new
 controller entry and its H to the first stage); the first block (the
 engine on that entry, for loops that cross within the first stage); the
-whole evaluation (``evaluate_design_objectives`` on a new controller
-entry).  The per-layer figures are medians over the evaluations whose loop
+whole evaluation (``evaluate_design_objectives``, which builds its own
+controller entry).  The per-layer figures are medians over the evaluations whose loop
 crosses within the first stage, the penalized evaluations of an early
 search, apart for those whose two orders the table already holds and the
 rest; the sum over all evaluations is printed too.  Every replayed
 objective must equal the recorded one to the bit.  Then the table: order
-lookups, hits (within one search and across searches), entries and bytes.
+lookups, hits (within one search and across searches), the controllers
+with both orders known and how many of those grow past the first stage,
+entries and bytes.
 
 Kept out of the test suite: its figures are timings.
 """
@@ -91,8 +93,9 @@ def fastest(run, repeats, undo=None):
 
 
 def replay(call, repeats, inside: bool):
-    """The fastest time of each layer of one evaluation, its objectives and
-    whether its loop crossed within the first stage; inside the table, the
+    """The fastest time of each layer of one evaluation, its objectives,
+    whether its loop crossed within the first stage and whether it grew
+    past it; inside the table, the
     entries the evaluation adds are taken out after every repeat but the
     last, so each repeat meets the table as the round did."""
     plant, vars, method, scenario, _ = call
@@ -105,7 +108,6 @@ def replay(call, repeats, inside: bool):
             table.pop(key, None)
 
     def evaluation():
-        sim._ControllerRuns.cache_clear()
         return sim.evaluate_design_objectives(plant, vars, method, scenario)
 
     times = {}
@@ -115,12 +117,12 @@ def replay(call, repeats, inside: bool):
                                                 repeats)
     except (CareFailure, ValueError):
         controller = None
-    crossed_early = False
+    crossed_early = grew = False
     if controller is not None:
         first = sim._next_stage(0, n)
 
         def setup():
-            runs = sim._ControllerRuns.__wrapped__(controller, h, "oustaloup", band, n)
+            runs = sim._ControllerRuns(controller, h, "oustaloup", band, n)
             runs.grown(first)
             return runs
 
@@ -136,12 +138,12 @@ def replay(call, repeats, inside: bool):
             runs.append(setup())
             undo()
         [(_, k, built)] = sim._loop_output(*loop[:2], runs[0], *loop[3:])
-        crossed_early = k is not None and built <= first
+        crossed_early, grew = k is not None and built <= first, built > first
         if crossed_early:
             times["first_block"] = min(fastest(lambda: sim._loop_output(
                 *loop[:2], entry, *loop[3:]), 1)[0] for entry in runs)
     times["evaluation"], objectives = fastest(evaluation, repeats, undo)
-    return times, objectives, crossed_early
+    return times, objectives, crossed_early, grew
 
 
 def order_keys(call):
@@ -189,7 +191,7 @@ def main(argv=None) -> int:
               for group in groups for side in ("outside", "inside")}
     totals = {"outside": 0.0, "inside": 0.0}
     searches_seen = {}
-    counts = dict(lookups=0, hits=0, hits_in_search=0, both=0, early=0, controllers=0)
+    counts = dict(lookups=0, hits=0, hits_in_search=0, both=0, grown=0, early=0, controllers=0)
     mismatches = 0
     with sim._design_run():
         table = sim._ORDER_TABLE
@@ -206,8 +208,8 @@ def main(argv=None) -> int:
                     results[side] = replay(call, args.repeats, side == "inside")
                 finally:
                     sim._ORDER_TABLE = table
-            crossed = results["outside"][2]
-            for side, (times, objectives, _) in results.items():
+            crossed, grew = results["outside"][2:]
+            for side, (times, objectives, _, _) in results.items():
                 totals[side] += times["evaluation"]
                 mismatches += [v.hex() for v in objectives] != [v.hex() for v in call[4]]
                 if crossed:
@@ -219,6 +221,7 @@ def main(argv=None) -> int:
                 counts["hits"] += sum(known)
                 counts["hits_in_search"] += sum(key in search for key in keys)
                 counts["both"] += all(known)
+                counts["grown"] += all(known) and grew
                 counts["early"] += crossed
                 search.update(keys)
         entries = len(table)
@@ -242,7 +245,8 @@ def main(argv=None) -> int:
           f"{totals['inside'] * 1e3:9.2f}")
     print(f"table: {counts['lookups']} order lookups, {counts['hits']} hits "
           f"({counts['hits_in_search']} within their own search), {counts['both']} controllers "
-          f"with both orders known; {entries} entries, {entry_bytes} bytes "
+          f"with both orders known ({counts['grown']} growing past the first stage); "
+          f"{entries} entries, {entry_bytes} bytes "
           f"({entry_bytes / max(entries, 1):.0f} per entry) plus {dict_bytes} for the dict")
     return 1 if mismatches else 0
 
