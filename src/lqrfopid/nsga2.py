@@ -13,6 +13,8 @@ the strict form (< in every component) exposed as :func:`dominates`.
 from __future__ import annotations
 
 import contextlib
+import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -60,7 +62,10 @@ __all__ = [
 class MooConfig:
     """Optimizer settings; the defaults match the design protocol used
     throughout this package (population and generations 100, Pareto
-    fraction 0.7, intermediate crossover, single-coordinate mutation)."""
+    fraction 0.7, intermediate crossover, single-coordinate mutation).
+    Population, generations and seed are integers (the seed non-negative),
+    the bounds finite non-empty intervals and the mutation scale finite;
+    any other value raises ValueError naming the field."""
 
     population: int = 100
     generations: int = 100
@@ -71,17 +76,25 @@ class MooConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("population", "generations", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.population < 4:
             raise ValueError(f"population must be at least 4, got {self.population}")
         if self.generations < 1:
             raise ValueError(f"generations must be at least 1, got {self.generations}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not (0.0 < self.pareto_fraction <= 1.0):
             raise ValueError("pareto fraction must lie in (0, 1]")
         if not (0.0 <= self.crossover_fraction <= 1.0):
             raise ValueError("crossover fraction must lie in [0, 1]")
+        if not math.isfinite(self.mutation_scale):
+            raise ValueError(f"mutation_scale must be finite, got {self.mutation_scale}")
         for low, high in self.bounds:
-            if not low < high:
-                raise ValueError(f"empty bound interval ({low}, {high})")
+            if not -math.inf < low < high < math.inf:
+                raise ValueError(f"bounds must be finite, non-empty intervals, "
+                                 f"got ({low}, {high})")
 
 
 def dominates(u, v) -> bool:

@@ -18,10 +18,14 @@ series truncated to the N samples of a run: with the one-sample delay z,
 plant num / den, controller H, delay d and set-point and disturbance
 steps r and w, the error is e = (r den - num w) / (den + z**d num H).
 The engine branches on the lengths of these series, never on the path.
-Products are FFT convolutions; the first DIRECT_TERMS terms of the
-reciprocal come by forward substitution (one LAPACK dtrtrs solve on the
-Toeplitz matrix of the denominator), the rest by Newton doubling:
-O(N log N) per run.  A run diverges at the first sample whose output is
+Every product goes through :func:`_series_mul`, direct where a factor has
+at most DIRECT_TERMS terms and an FFT convolution past that, which alone
+picks the transform size: a series that products read whole (the plant's
+num, H, a Newton step's prefix of 1 / F) is a :class:`_Series`, which
+keeps its transform at each size asked for.  The first DIRECT_TERMS
+terms of the reciprocal come by forward substitution (one LAPACK dtrtrs
+solve on the Toeplitz matrix of the denominator), the rest by Newton
+doubling: O(N log N) per run.  A run diverges at the first sample whose output is
 non-finite or exceeds DIVERGENCE_FACTOR * max(1, |setpoint|) in
 magnitude (max(1, |K|) for an open-loop step); the engine tests each
 block a step adds and stops there, so a diverging tail never meets
@@ -43,12 +47,11 @@ crosses leaves the stack there, and a row that fails the guard against
 FFT rounding leaves it to go on alone, so each row is the single run on
 its delay, bit for bit.
 
-A closed loop forms only what its caller reads.  The last step of the
-loop denominator transforms H at a size that also fits H e, so the rows
-that reach the horizon get u = H e from that transform with one more
-stacked forward and inverse FFT, and their indices from e and u.  The
-states x1 and x3 are formed on the first read of either, and so is the u
-of a diverged run, whose indices are the penalty.
+A closed loop forms only what its caller reads.  The rows that reach the
+horizon get u = H e, one stacked product with H grown to N terms, whose
+transform the last num H took at that size, and their indices from e and
+u.  The states x1 and x3 are formed on the first read of either, and so
+is the u of a diverged run, whose indices are the penalty.
 
 Where den is one term (the Oustaloup path) the right-hand side of a
 disturbed loop with r != 0 stays split: each block multiplies r den by
@@ -61,15 +64,15 @@ only shift it.
 What runs reuse is built once per owner; only the constructors of the
 plant and controller entries know the solver.  One cached entry per plant
 at rest (K, T, alpha, step, solver, band, length) samples the plant, from
-its modes or its GL weights: num, den and num's transform at the size of
-a run's last product; a search builds it once, a sweep once per lag.  A
-controller entry (controller, step, solver, band, length) holds the
-operator kernels, H as last grown and H's transform; each single run
-makes its own, and a sweep one for all its lags.  One order table per
-design run (:func:`_design_run`) holds, per Oustaloup operator order,
-step, band and length, the whole first chunk of the order's kernel: a
-controller whose orders it holds seeds its kernels with them, and no
-table outlives its run.
+its modes or its GL weights: num, with its transforms, and den; a search
+builds it once, a sweep once per lag.  A controller entry (controller,
+step, solver, band, length) holds the operator kernels and H as last
+grown, with its transforms; each single run makes its own, and a sweep
+one for all its lags.  One order table per design run
+(:func:`_design_run`) holds, per Oustaloup operator order, step, band
+and length, the whole first chunk of the order's kernel: a controller
+whose orders it holds seeds its kernels with them, and no table outlives
+its run.
 
 Timing convention shared by both paths: num[0] = 0, so the plant state at
 sample k has integrated the (zero-order-held, delayed) input, control and
@@ -287,11 +290,30 @@ def _next_stage(t: int, n: int) -> int:
     return n if 2 * grow > n else grow
 
 
-def _series_mul(a: np.ndarray, b: np.ndarray, lo: int, hi: int) -> np.ndarray:
+class _Series:
+    """A read-only series, or stack of series (2-D, one per row), that keeps
+    its transform at each size a product asks for, so a factor that several
+    products read whole is transformed once per size."""
+
+    def __init__(self, terms: np.ndarray):
+        self.terms, self.spectra = _read_only(terms), {}
+
+    def transform(self, size: int) -> np.ndarray:
+        if size not in self.spectra:
+            self.spectra[size] = np.fft.rfft(self.terms, size)
+        return self.spectra[size]
+
+
+def _series_mul(a, b, lo: int, hi: int) -> np.ndarray:
     """Coefficients lo, ..., hi - 1 of the product of the series a and b,
     along the last axis.  Either may be a stack of series (2-D, one per
-    row); a 1-D factor is shared by every row, and transformed once."""
-    a, b = a[..., :hi], b[..., :hi]
+    row); a 1-D factor is shared by every row, and transformed once.  Either
+    may be a :class:`_Series`, whose kept transform serves where the product
+    reads all its terms."""
+    ka = a if isinstance(a, _Series) and a.terms.shape[-1] <= hi else None
+    kb = b if isinstance(b, _Series) and b.terms.shape[-1] <= hi else None
+    a = (a.terms if isinstance(a, _Series) else a)[..., :hi]
+    b = (b.terms if isinstance(b, _Series) else b)[..., :hi]
     if min(a.shape[-1], b.shape[-1]) <= DIRECT_TERMS:
         if a.ndim == b.ndim == 1:
             return np.convolve(a, b)[lo:hi]
@@ -301,7 +323,9 @@ def _series_mul(a: np.ndarray, b: np.ndarray, lo: int, hi: int) -> np.ndarray:
     # a cyclic product of length >= hi folds only the terms of degree >=
     # length, onto degrees below a.size + b.size - 1 - length <= lo
     size = _fft_size(max(hi, a.shape[-1] + b.shape[-1] - 1 - lo))
-    return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[..., lo:hi]
+    fa = np.fft.rfft(a, size) if ka is None else ka.transform(size)
+    fb = np.fft.rfft(b, size) if kb is None else kb.transform(size)
+    return np.fft.irfft(fa * fb, size)[..., lo:hi]
 
 
 def _first_block(F: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -327,15 +351,12 @@ def _first_block(F: np.ndarray, q: np.ndarray) -> np.ndarray:
 def _newton_terms(F: np.ndarray, g: np.ndarray, m: int, t: int) -> np.ndarray:
     """Terms m, ..., t - 1 of 1 / F from its first m terms g (t <= 2 m), for
     each row of the stacks F and g: -g (F g)[m:t] by one Newton step.  On a
-    whole doubling (t = 2 m) both products share the transform of g; on a
-    shorter step the second uses g[:t - m] alone, whose later terms would
-    only add their FFT rounding."""
-    if t != 2 * m or m <= DIRECT_TERMS:
-        return -_series_mul(g, _series_mul(F, g, m, t), 0, t - m)
-    size = _fft_size(t)
-    spectrum = np.fft.rfft(g, size)
-    Fg = np.fft.irfft(np.fft.rfft(F[:, :t], size) * spectrum, size)[:, m:t]
-    return -np.fft.irfft(spectrum * np.fft.rfft(Fg, size), size)[:, :m]
+    whole doubling (t = 2 m) both products read all of g at one size (no
+    FFT length past 5 is odd, so 2 m - 1 and 2 m round up alike), so g is
+    transformed once; on a shorter step the second uses g[:t - m] alone,
+    whose later terms would only add their FFT rounding."""
+    g = _Series(g)
+    return -_series_mul(g, _series_mul(F, g, m, t), 0, t - m)
 
 
 def _split_terms(split, g, m, t):
@@ -352,11 +373,10 @@ def _split_terms(split, g, m, t):
 
 def _error_series(F_of, q, r, threshold, n, count, split=None):
     """The first n terms of e = (q / F) / (1 - z) for each of ``count``
-    loops that share q and differ only in F, as a list of (e, k, b), one
-    per loop: e cut at the first sample k whose output r - e[k] is
-    non-finite or exceeds ``threshold`` in magnitude (e[:k + 1], else k is
-    None and e has n terms), and b the number of terms its F was built to
-    (0 if none).
+    loops that share q and differ only in F, as a list of (e, k), one per
+    loop: e cut at the first sample k whose output r - e[k] is non-finite
+    or exceeds ``threshold`` in magnitude (e[:k + 1], else k is None and e
+    has n terms).
 
     The loops form a stack, one row each, which every step extends by one
     block (m, t) of terms: the first DIRECT_TERMS terms of 1 / F and q / F
@@ -419,7 +439,7 @@ def _error_series(F_of, q, r, threshold, n, count, split=None):
                 for i in crossed:
                     k = int(bad[i].argmax())
                     series[rows[i]] = (np.concatenate([np.zeros(s), e[i], block[i, :k + 1]]),
-                                       s + m + k, F.shape[1])
+                                       s + m + k)
                 if crossed.size == rows.size:
                     break
                 if crossed.size:
@@ -428,26 +448,25 @@ def _error_series(F_of, q, r, threshold, n, count, split=None):
                 g, e, m, t = gt, np.concatenate([e, block], axis=1), t, min(2 * t, size)
             else:
                 for row, terms in zip(rows, e):
-                    series[row] = (np.concatenate([np.zeros(s), terms]), None, F.shape[1])
+                    series[row] = (np.concatenate([np.zeros(s), terms]), None)
     return series
 
 
 def _loop_output(at_rest, delays, runs, r, w_start, w_mag, threshold, n):
     """Outputs of y = (num / den) (z**d H (r - y) + w) to n samples for the
     num and den of ``at_rest``, a :class:`_PlantAtRest`, and each delay d of
-    ``delays``, solved as one stack: one (y, k, b) per delay, k the first
-    sample non-finite or past ``threshold`` (None if there is none) and b
-    the number of terms the loop denominator was built to (0 if none).
+    ``delays``, solved as one stack: one (y, k) per delay, k the first
+    sample non-finite or past ``threshold`` (None if there is none).
 
     The set-point r and the input disturbance w (w_mag from sample w_start
     on) are steps, so the error e = r - y solves
     e F = (r den - w_mag z**w_start num) / (1 - z) with
     F = den + z**d num H, where H is that of ``runs``, the
     :class:`_ControllerRuns` of the controller (H = 0 where it is None):
-    only F depends on the delay, and each stage of num H serves every row.
-    Where den is one term and r != 0 the right-hand side stays split:
-    r den times 1 / F directly, and num times 1 / F only from sample w_start
-    on.
+    only F depends on the delay, and num H, formed once per stage, serves
+    every row.  Where den is one term and r != 0 the right-hand side stays
+    split: r den times 1 / F directly, and num times 1 / F only from sample
+    w_start on.
     """
     num, den = at_rest.num, at_rest.den
     delays = np.asarray(delays)
@@ -457,21 +476,20 @@ def _loop_output(at_rest, delays, runs, r, w_start, w_mag, threshold, n):
         F[:, :den.size] = den[:t]
         shifts = delays[rows].tolist()
         if runs is not None and min(shifts) < t:
-            num_H = runs.num_H(at_rest, t)
+            num_H = _series_mul(num, runs.grown(t)[0], 0, t)
             for row, d in zip(F, shifts):
                 if d < t:
-                    row[d:] += num_H(t - d)
+                    row[d:] += num_H[:t - d]
         return F
 
     q, split = r * den, None
     if w_mag != 0.0 and w_start < n:
-        w = -w_mag * num[:n - w_start]
+        w = -w_mag * num.terms[:n - w_start]
         if den.size == 1 and r != 0.0:
             split = (q, w_start, w)
         q = _padded(q, n)
         q[w_start:] += _padded(w, n - w_start)
-    return [(r - e, k, built) for e, k, built in
-            _error_series(F_of, q, r, threshold, n, delays.size, split)]
+    return [(r - e, k) for e, k in _error_series(F_of, q, r, threshold, n, delays.size, split)]
 
 
 def simulate_open_loop_step(
@@ -496,8 +514,8 @@ def simulate_open_loop_step(
     # a disturbance of an open loop (H = 0) with zero set-point.  The loop
     # runs at unit gain, y is that response times K, so no finite K
     # overflows a product of the engine.
-    [(y, k, _)] = _loop_output(at_rest, [delay], None, 0.0, delay, 1.0,
-                               max(DIVERGENCE_FACTOR, DIVERGENCE_FACTOR / abs(K)), n)
+    [(y, k)] = _loop_output(at_rest, [delay], None, 0.0, delay, 1.0,
+                            max(DIVERGENCE_FACTOR, DIVERGENCE_FACTOR / abs(K)), n)
     with np.errstate(over="ignore"):
         y = K * y
     overflow = np.flatnonzero(~np.isfinite(y))
@@ -731,19 +749,15 @@ def _plant_modes(plant: NioptdPlant, band) -> tuple[float, np.ndarray, np.ndarra
 # solver.  It is not sized to keep series for a later job, which only a
 # repeat of the same job in one process would reuse.  The controller entry
 # has no cache: a search makes a new controller at every evaluation, and a
-# sweep, one stack per lag, makes one entry for all its lags.  A cache of
-# the last controller hit only within a sweep: per round of the benchmark,
-# 8 of 16 lookups on sweep-verify, 1 of 96 on search-osc-fine and 0 of 478
-# on search-slug-coarse.  What a search's controllers share is their
-# operator orders, which the order table of its design run keeps (386 of
-# 956 order lookups hit per round of search-slug-coarse, 46 of 192 of
-# search-osc-fine).
+# sweep, one stack per lag, makes one entry for all its lags.  What a
+# search's controllers share is their operator orders, which the order
+# table of its design run keeps.
 @functools.lru_cache(maxsize=8)
 class _PlantAtRest:
     """The plant sampled at step h, y = (num / den) u to n terms, num[0] = 0,
-    and num's transform ``spectrum`` at _fft_size(2 n - 1), the size of a
-    run's last product with H, taken on first use (read-only).  The delay is
-    no part of them, so callers pass the plant at L = 0: built once per
+    num a :class:`_Series` (so its transform at the size of a run's last
+    product with H is taken once) and den an array, read-only.  The delay
+    is no part of them, so callers pass the plant at L = 0: built once per
     search, and once per lag of a sweep.  GL: den = 1 + T h**-alpha times
     the Grunwald-Letnikov weights, num = (0, K).  Oustaloup: den = 1, num
     K times the kernel of the unit-gain plant's modes from the one Newton
@@ -760,11 +774,7 @@ class _PlantAtRest:
             den[0] += 1.0
         else:
             raise ValueError(f"unknown solver {solver!r}")
-        self.num, self.den = _read_only(num), _read_only(den)
-
-    @functools.cached_property
-    def spectrum(self) -> np.ndarray:
-        return _read_only(np.fft.rfft(self.num, _fft_size(2 * self.num.size - 1)))
+        self.num, self.den = _Series(num), _read_only(den)
 
 
 # The order table of the design run in progress, None outside one (see
@@ -818,11 +828,11 @@ def _operator_kernels(exponents, h: float, band, n: int) -> _OperatorKernels:
 
 class _ControllerRuns:
     """What the runs of one controller at step h, with one solver and band,
-    to n terms share, whatever the plant (read-only arrays): the operator
-    kernels, H = kp + ki s**-lam + kd s**mu and its kernels as last grown,
-    and H's transform at _fft_size(2 n - 1), taken on first use.  Its runs
-    own it: each :func:`simulate_closed_loop` makes one, and a
-    :func:`robustness_sweep` one for all its lags.
+    to n terms share, whatever the plant: the operator kernels, and
+    H = kp + ki s**-lam + kd s**mu, a :class:`_Series`, and its kernels as
+    last grown (read-only).  Its runs own it: each
+    :func:`simulate_closed_loop` makes one, and a :func:`robustness_sweep`
+    one for all its lags.
     """
 
     def __init__(self, controller: FopidController, h: float, solver: str,
@@ -831,35 +841,18 @@ class _ControllerRuns:
         self.operators = (_operator_kernels(exponents, h, band, n) if solver == "oustaloup" else
                           lambda m: [h ** -g * gl_coefficients(g, m) for g in exponents])
         self.controller, self.h, self.solver, self.band, self.n = controller, h, solver, band, n
-        self.H, self.kernels = np.zeros(0), []
+        self.H, self.kernels = _Series(np.zeros(0)), []
 
     def grown(self, t: int):
-        """The first t terms of H and of the operator kernels."""
-        if self.H.size < t:
+        """H as last grown, to at least t terms, and the first t terms of
+        the operator kernels."""
+        if self.H.terms.size < t:
             c = self.controller
             self.kernels = self.operators(t)
-            self.H = c.ki * self.kernels[0] + c.kd * self.kernels[1]
-            self.H[0] += c.kp
-            _read_only(self.H)
-        return self.H[:t], [kernel[:t] for kernel in self.kernels]
-
-    @functools.cached_property
-    def H_spectrum(self) -> np.ndarray:
-        return _read_only(np.fft.rfft(self.grown(self.n)[0], _fft_size(2 * self.n - 1)))
-
-    def num_H(self, plant: _PlantAtRest, t: int):
-        """num H for the plant entry ``plant``: a function of hi <= t that
-        gives its first hi terms, those of one product to t terms formed
-        here, so a stack of loops forms it once.  A direct product's term k
-        reads only terms <= k, so its first hi terms are those of a product
-        to hi terms, bit for bit."""
-        num, H = plant.num, self.grown(t)[0]
-        if t == self.n and min(num.size, t) > DIRECT_TERMS:
-            # at a size that fits H e too; no term of degree < n folds
-            product = np.fft.irfft(plant.spectrum * self.H_spectrum, _fft_size(2 * t - 1))[:t]
-        else:
-            product = _series_mul(num, H, 0, t)
-        return lambda hi: product[:hi]
+            H = c.ki * self.kernels[0] + c.kd * self.kernels[1]
+            H[0] += c.kp
+            self.H = _Series(H)
+        return self.H, [kernel[:t] for kernel in self.kernels]
 
 
 @functools.lru_cache(maxsize=8)
@@ -883,9 +876,9 @@ def simulate_closed_loop(
     sample, which keeps its output y while e, u, x1 and x3 are 0 there, and
     both indices are set to the penalty value.
 
-    u = H e comes from H's transform at _fft_size(2 n - 1) where the loop
-    denominator reached n terms, and is formed only for a run that reached
-    the horizon; x1 and x3 are formed on first read.
+    u = H e is formed only for a run that reached the horizon, in one
+    product with H grown to n terms, which reuses the transform of H that
+    num H took at n terms; x1 and x3 are formed on first read.
     """
     scenario = scenario or Scenario()
     h = scenario.step_size
@@ -906,13 +899,11 @@ def _closed_loops(plant, delays, runs, scenario) -> list[SimResult]:
     outputs = _loop_output(at_rest, delays, runs, r, w_start, scenario.disturbance_magnitude,
                            DIVERGENCE_FACTOR * max(1.0, abs(r)), n)
 
-    def result(y, k, built, e, u):
+    def result(y, k, e, u):
         t = np.arange(y.size) * h
-        # as the run last built them: they cover e past its leading zeros
-        kernels = runs.grown(built)[1] if built else [np.zeros(1)] * 2
 
         def states():
-            x1, x3 = _series_mul(e, np.array(kernels), 0, y.size)
+            x1, x3 = _series_mul(e, np.array(runs.grown(y.size)[1]), 0, y.size)
             if k is not None:
                 x1[k] = x3[k] = 0.0
             return x1, x3
@@ -926,21 +917,13 @@ def _closed_loops(plant, delays, runs, scenario) -> list[SimResult]:
         itse, isdco = performance_indices(e, u, u_ss, h)
         return SimResult._deferred(t, y, u, e, states, itse, isdco, diverged=False)
 
-    errors = [r - y for y, _, _ in outputs]
-    survivors = [i for i, (_, k, _) in enumerate(outputs) if k is None]
+    errors = [r - y for y, _ in outputs]
+    survivors = [i for i, (_, k) in enumerate(outputs) if k is None]
     controls = {}
     if survivors:
-        # every loop that reaches the horizon built its denominator as far
-        built = outputs[survivors[0]][2]
         e = np.array([errors[i] for i in survivors])
-        if built == n > DIRECT_TERMS:
-            size = _fft_size(2 * n - 1)
-            u = np.fft.irfft(runs.H_spectrum * np.fft.rfft(e, size), size)[:, :n]
-        else:
-            u = _series_mul(e, runs.grown(built)[0] if built else np.zeros(1), 0, n)
-        controls = dict(zip(survivors, u))
-    return [result(y, k, built, errors[i], controls.get(i))
-            for i, (y, k, built) in enumerate(outputs)]
+        controls = dict(zip(survivors, _series_mul(runs.grown(n)[0], e, 0, n)))
+    return [result(y, k, errors[i], controls.get(i)) for i, (y, k) in enumerate(outputs)]
 
 
 def evaluate_design_objectives(

@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +48,25 @@ class TestConfigDefaults:
         for fraction in (1.5, -0.1):
             with pytest.raises(ValueError, match="crossover fraction"):
                 MooConfig(crossover_fraction=fraction)
+
+    @pytest.mark.parametrize("field, value", [
+        ("bounds", ((0.0, np.inf),)), ("bounds", ((-np.inf, 1.0),)),
+        ("bounds", ((np.nan, 1.0),)), ("mutation_scale", np.nan),
+        ("mutation_scale", np.inf), ("population", 4.5),
+        ("generations", 2.5), ("seed", -1), ("seed", 1.5)])
+    def test_rejects_settings_that_break_a_search(self, field, value):
+        """Settings that made a search return NaN fronts or fail inside NumPy
+        raise a ValueError that names the field, before any warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=field):
+                MooConfig(**{field: value})
+
+    def test_accepts_numpy_integers(self):
+        cfg = MooConfig(population=np.int64(8), generations=np.int64(2), seed=np.int64(3),
+                        bounds=((-1.0, 1.0),), mutation_scale=0.0)
+        X, F = nsga2_minimize(lambda x: (float(x[0]) ** 2, float(x[0] - 1.0) ** 2), cfg)
+        assert X.size and np.isfinite(X).all() and np.isfinite(F).all()
 
 
 class TestDominance:

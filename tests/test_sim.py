@@ -717,6 +717,29 @@ class TestSolvers:
         assert "_plant_modes" in defined and "_anchored_modes" not in defined
         assert found == [("_plant_modes", "np.linalg.eigvals")], found
 
+    def test_one_product_path(self):
+        """Structural guard: every FFT product goes through _series_mul, the
+        one place that picks a transform size, so in sim.py only it and
+        _Series.transform, which takes a transform a series keeps, call an
+        FFT, and only _series_mul names _fft_size."""
+        ffts, sizes = set(), set()
+
+        def visit(node, scope):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                scope = scope + (node.name,)
+            func = getattr(node, "func", None)
+            name = getattr(func, "attr", getattr(func, "id", ""))
+            if isinstance(node, ast.Call) and "fft" in name and name != "_fft_size":
+                ffts.add(".".join(scope))
+            if isinstance(node, ast.Name) and node.id == "_fft_size":
+                sizes.add(".".join(scope))
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope)
+
+        visit(ast.parse(Path(sim.__file__).read_text(encoding="utf-8")), ())
+        assert ffts == {"_series_mul", "_Series.transform"}, ffts
+        assert sizes == {"_series_mul"}, sizes
+
 
 class TestCsvWriters:
     def test_trajectory_schema(self, tmp_path):

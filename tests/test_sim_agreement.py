@@ -230,7 +230,7 @@ def test_split_sampling_matches_fused(h):
         plant = NioptdPlant(K=1.0, L=0.5, T=2.0, alpha=alpha)
         for lam, mu in pairs:
             at_rest = _PlantAtRest(replace(plant, L=0.0), h, "oustaloup", DEFAULT_BAND, n)
-            num, den = at_rest.num, at_rest.den
+            num, den = at_rest.num.terms, at_rest.den
             ops = operator_kernels((-lam, mu), h, n)(n)
             assert np.array_equal(den, [1.0]) and num[0] == 0.0
             want = fused_oustaloup_markov(plant, h, (-lam, mu), n)
@@ -302,14 +302,14 @@ def test_modal_plant_kernel_matches_realization(h):
         for plant, ref in zip(plants, plant_markov(plants, h, n)):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                got = _PlantAtRest.__wrapped__(plant, h, "oustaloup", DEFAULT_BAND, n).num
+                got = _PlantAtRest.__wrapped__(plant, h, "oustaloup", DEFAULT_BAND, n).num.terms
             assert got.size == n
             assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref)), (plant.alpha,
                                                                                plant.T)
     for T in PLANT_LAGS:
         plant = NioptdPlant(K=3.0, L=0.0, T=float(T), alpha=1e-300)
         assert sim._plant_modes(plant, DEFAULT_BAND)[1].size == 0
-        num = _PlantAtRest(plant, h, "oustaloup", DEFAULT_BAND, 300).num
+        num = _PlantAtRest(plant, h, "oustaloup", DEFAULT_BAND, 300).num.terms
         assert num[0] == pytest.approx(3.0 / (T + 1.0), rel=1e-15) and not num[1:].any()
 
 
@@ -384,9 +384,9 @@ def test_huge_gain_scales_the_unit_plant_kernel():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             huge = _PlantAtRest(replace(unit, K=1e308), 0.01, "oustaloup", DEFAULT_BAND,
-                                KERNEL_TERMS).num
+                                KERNEL_TERMS).num.terms
         assert np.isfinite(huge).all()
-        unit_num = _PlantAtRest(unit, 0.01, "oustaloup", DEFAULT_BAND, KERNEL_TERMS).num
+        unit_num = _PlantAtRest(unit, 0.01, "oustaloup", DEFAULT_BAND, KERNEL_TERMS).num.terms
         assert np.array_equal(huge, 1e308 * unit_num), alpha
 
 
@@ -563,7 +563,7 @@ def grown_runs(runs, lengths):
     out = []
     for m in lengths:
         H, kernels = runs.grown(m)
-        out.append([H] + kernels)
+        out.append([H.terms[:m]] + kernels)
     return out
 
 
@@ -668,6 +668,33 @@ def test_first_block_equals_toeplitz_solve(n):
         for q in (rng.normal(size=n), rng.normal(size=max(n // 2, 1)), np.ones(1),
                   rng.normal(size=n + 3)):
             assert np.array_equal(sim._first_block(F, q), first_block_toeplitz(F, q)), (n, q.size)
+
+
+@pytest.mark.parametrize("terms", [5, sim.DIRECT_TERMS, sim.DIRECT_TERMS + 1, 700])
+def test_kept_transforms_equal_fresh_ones(terms):
+    """_series_mul with _Series factors equals the same product of plain
+    arrays bit for bit, the first time a factor's transform is taken and
+    when it is kept: 1-D and stacked factors, lo = 0 and lo > 0, factors
+    read whole (hi at or past their ends) and sliced by hi, on both sides
+    of DIRECT_TERMS.  A factor keeps a transform only where an FFT product
+    reads it whole."""
+    rng = np.random.default_rng(89)
+    shorter = (rng.normal(size=terms), rng.normal(size=(3, terms)))
+    longer = (rng.normal(size=terms + 37), rng.normal(size=(3, terms + 37)))
+    spans = [(lo, hi) for hi in (2 * terms + 36, terms + 37, terms, terms // 2 + 1)
+             for lo in (0, hi // 3)]
+    for a, b in itertools.product(shorter, longer):
+        for first, second in ((a, b), (b, a)):
+            kept = sim._Series(first.copy()), sim._Series(second.copy())
+            for lo, hi in spans * 2:
+                want = sim._series_mul(first, second, lo, hi)
+                for factors in ((kept[0], second), (first, kept[1]), kept):
+                    got = sim._series_mul(*factors, lo, hi)
+                    assert np.array_equal(got, want), (terms, first.shape, second.shape, lo, hi)
+            for series in kept:
+                read_whole = [hi for _, hi in spans if series.terms.shape[-1] <= hi
+                              and min(a.shape[-1], b.shape[-1], hi) > sim.DIRECT_TERMS]
+                assert bool(series.spectra) == bool(read_whole), (terms, series.terms.shape)
 
 
 def test_first_block_raises_where_lapack_reports_failure(monkeypatch):
@@ -884,33 +911,56 @@ def test_survivor_transform_count(monkeypatch):
     assert sizes.count(largest) <= 4
 
 
-# what a sweep shares: H's transform, and num H and the plant's transform
-# per lag
-SHARED_PRODUCTS = frozenset({"H_spectrum", "num_H", "spectrum"})
-
-
 def test_disturbed_sweep_transform_count(monkeypatch):
     """A disturbed 5x5 sweep at N = 2,500 (disturbance at sample 1,650),
     one stack of five loops per lag, transforms at most 27 series per cell
     plus 2 per lag besides the shared products: the disturbance term is
     transformed once per product for the whole stack.  The shared products
-    are one H transform at the largest size for the whole sweep and at most
-    five transforms per lag for num H and the plant.  No block that ends at
-    or before the disturbance multiplies the right-hand side by FFT."""
+    are num H, formed once per stage of each lag, and the transforms that
+    the plant's num and the entry's H keep: one H transform at the largest
+    size for the whole sweep, and at most five transforms per lag for num H
+    and the plant.  No block that ends at or before the disturbance
+    multiplies the right-hand side by FFT."""
     plant, controller = reference_loop("osc_median")
     scenario = Scenario(horizon=25.0, disturbance_time=16.5, disturbance_magnitude=0.2)
     w_start = sim._first_sample_at(scenario.n_steps, scenario.step_size, 16.5)
     grid = np.array([0.8, 0.9, 1.0, 1.1, 1.2])
+    grown = []  # every H the sweep's controller entry handed out
+
+    class Entry(sim._ControllerRuns):
+        def grown(self, t):
+            H, kernels = super().grown(t)
+            grown.append(H)
+            return H, kernels
+
+    monkeypatch.setattr(sim, "_ControllerRuns", Entry)
     sim._PlantAtRest.cache_clear()
     records = count_transforms(monkeypatch)
     sweep = sim.robustness_sweep(plant, controller, plant.L * grid, plant.T * grid, scenario)
     cells, lags = sweep.itse.size, grid.size
     assert w_start == 1650 and not sweep.diverged.any()
-    own = [r for r in records if r.caller not in SHARED_PRODUCTS]
-    assert len(own) <= 27 * cells + 2 * lags
+    nums = [sim._PlantAtRest(replace(plant, T=float(T), L=0.0), scenario.step_size,
+                             "oustaloup", DEFAULT_BAND, scenario.n_steps).num
+            for T in plant.T * grid]
+    assert sim._PlantAtRest.cache_info().currsize == lags
+
+    def shared(record):
+        """The shared product a transform is charged to, else None."""
+        if any(record.owner is H for H in grown):
+            return "H"
+        if any(record.owner is num for num in nums):
+            return "num"
+        return "num H" if record.caller == "F_of" else None
+
+    charged = [shared(r) for r in records]
+    own = charged.count(None)
+    assert own <= 27 * cells + 2 * lags
     largest = sim._fft_size(2 * scenario.n_steps - 1)
-    assert [r.size for r in records if r.caller == "H_spectrum"] == [largest]
-    assert len(records) - len(own) <= 1 + 5 * lags
+    assert [r.size for r, c in zip(records, charged) if c == "H"].count(largest) == 1
+    assert len(records) - own <= 1 + 5 * lags
+    # the only other series that keeps its transforms is Newton's prefix of 1 / F
+    assert all(r.caller == "_newton_terms" for r, c in zip(records, charged)
+               if r.owner is not None and c is None)
     rhs = [r.block for r in records if r.caller in ("_error_series", "_split_terms")]
     assert rhs and all(t > w_start for _, t in rhs)
 

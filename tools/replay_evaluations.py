@@ -137,7 +137,9 @@ def replay(call, repeats, inside: bool):
         for _ in range(repeats):
             runs.append(setup())
             undo()
-        [(_, k, built)] = sim._loop_output(*loop[:2], runs[0], *loop[3:])
+        [(_, k)] = sim._loop_output(*loop[:2], runs[0], *loop[3:])
+        # the terms of H the loop grew its entry to
+        built = runs[0].H.terms.size
         crossed_early, grew = k is not None and built <= first, built > first
         if crossed_early:
             times["first_block"] = min(fastest(lambda: sim._loop_output(
