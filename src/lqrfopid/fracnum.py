@@ -199,26 +199,49 @@ def _cascade_ss(zeros, poles, gain, integrators: int = 0):
     return A, B, C, D
 
 
-def _factors(gamma: float, band, order: int):
+def _order_split(gamma: float) -> tuple[float, int, int]:
     """s**gamma as :func:`differintegrator_ss` and
-    :func:`differintegrator_modes` build it: (filter, power, integrators),
-    an Oustaloup filter (None for 1) raised to ``power`` and followed by
-    ``integrators`` exact 1/s stages."""
+    :func:`differintegrator_modes` build it, decided without building a
+    filter: (exponent, power, integrators), the Oustaloup filter of
+    s**exponent raised to ``power`` (no filter where power is 0, exponent
+    0.0 then) and followed by ``integrators`` exact 1/s stages."""
     if not (-2.0 <= gamma <= 2.0):
         raise ValueError(f"exponent must lie in [-2, 2], got {gamma}")
     # an exponent too small to move gamma + 1 off 1.0 is the identity; the
     # anchored split below would leave a residual of exactly 1 otherwise
     if gamma + 1.0 == 1.0:
-        return None, 0, 0
+        return 0.0, 0, 0
     if gamma < 0.0:
         if gamma == -2.0:
-            return None, 0, 2
+            return 0.0, 0, 2
         residual = gamma + 1.0
-        if residual == 0.0:
-            return None, 0, 1
-        return oustaloup_approximation(residual, band, order), 1, 1
+        return (0.0, 0, 1) if residual == 0.0 else (residual, 1, 1)
     power = 2 if gamma < 2.0 else 3
-    return oustaloup_approximation(gamma / power, band, order), power, 0
+    return gamma / power, power, 0
+
+
+def _feedthrough(gain: float, power: int, integrators: int) -> float:
+    """The feedthrough of a filter of gain ``gain`` raised to ``power`` and
+    followed by ``integrators`` exact 1/s stages: 0 behind an integrator,
+    else gain**power (1 with no filter)."""
+    return 0.0 if integrators else gain ** power
+
+
+def _order_feedthrough(gamma: float, band: tuple[float, float]) -> float:
+    """The first kernel term d of :func:`differintegrator_modes` (gamma,
+    band), bit for bit, with no filter built: the Oustaloup gain
+    band[1]**exponent of :func:`oustaloup_approximation` through
+    :func:`_feedthrough`."""
+    exponent, power, integrators = _order_split(gamma)
+    return _feedthrough(band[1] ** exponent, power, integrators)
+
+
+def _factors(gamma: float, band, order: int):
+    """The factors (filter, power, integrators) of :func:`_order_split`,
+    the filter built (None for power 0)."""
+    exponent, power, integrators = _order_split(gamma)
+    filt = oustaloup_approximation(exponent, band, order) if power else None
+    return filt, power, integrators
 
 
 def differintegrator_ss(
@@ -262,20 +285,21 @@ def differintegrator_modes(
 def _factor_modes(filt, power: int, integrators: int):
     """The modes (d, poles, coeffs) of :func:`differintegrator_modes` from
     the factors of :func:`_factors`."""
+    d = _feedthrough(1.0 if filt is None else filt.gain, power, integrators)
     if filt is None:
         if not integrators:
-            return 1.0, np.zeros(0), np.zeros((0, 1))
+            return d, np.zeros(0), np.zeros((0, 1))
         # 1 / s**i responds with t**(i - 1) / (i - 1)!
         coeffs = np.zeros((1, integrators))
         coeffs[0, -1] = 1.0 / math.factorial(integrators - 1)
-        return 0.0, np.zeros(1), coeffs
+        return d, np.zeros(1), coeffs
     p, r, k = filt.poles, filt.residues(), filt.gain
     if integrators:
         # F(s) / s = F(0) / s + sum_i (r_i / p_i) / (s - p_i) - (r_i / p_i) / s
         poles, coeffs = np.zeros(p.size + 1), np.empty((p.size + 1, 1))
         poles[1:], coeffs[1:, 0] = p, r / p
         coeffs[0, 0] = k * np.multiply.reduce(filt.zeros / p)
-        return 0.0, poles, coeffs
+        return d, poles, coeffs
     # near p_i, F = r_i / (s - p_i) + phi_i(s) with phi_i analytic there;
     # the coefficients of (s - p_i)**-l in F**2 and F**3 follow from
     # phi_i(p_i) = k + sum_(j != i) r_j / (p_i - p_j) and its derivative,
@@ -290,4 +314,4 @@ def _factor_modes(filt, power: int, integrators: int):
         slope = -np.add.reduce(r / (gap * gap), axis=1)
         coeffs[:, 0] = 3.0 * r * (near * near + r * slope)
         coeffs[:, 1], coeffs[:, 2] = 3.0 * r * r * near, 0.5 * r ** 3
-    return k ** power, p, coeffs
+    return d, p, coeffs

@@ -64,8 +64,9 @@ class MooConfig:
     throughout this package (population and generations 100, Pareto
     fraction 0.7, intermediate crossover, single-coordinate mutation).
     Population, generations and seed are integers (the seed non-negative),
-    the bounds finite non-empty intervals and the mutation scale finite;
-    any other value raises ValueError naming the field."""
+    the bounds a non-empty sequence of finite non-empty (low, high)
+    intervals and the mutation scale finite; any other value raises
+    ValueError naming the field."""
 
     population: int = 100
     generations: int = 100
@@ -91,7 +92,14 @@ class MooConfig:
             raise ValueError("crossover fraction must lie in [0, 1]")
         if not math.isfinite(self.mutation_scale):
             raise ValueError(f"mutation_scale must be finite, got {self.mutation_scale}")
-        for low, high in self.bounds:
+        try:
+            pairs = [(float(low), float(high)) for low, high in self.bounds]
+        except (TypeError, ValueError):
+            pairs = []
+        if not pairs:
+            raise ValueError(f"bounds must be a non-empty sequence of (low, high) pairs of "
+                             f"numbers, got {self.bounds!r}")
+        for low, high in pairs:
             if not -math.inf < low < high < math.inf:
                 raise ValueError(f"bounds must be finite, non-empty intervals, "
                                  f"got ({low}, {high})")

@@ -51,7 +51,13 @@ A closed loop forms only what its caller reads.  The rows that reach the
 horizon get u = H e, one stacked product with H grown to N terms, whose
 transform the last num H took at that size, and their indices from e and
 u.  The states x1 and x3 are formed on the first read of either, and so
-is the u of a diverged run, whose indices are the penalty.
+is the u of a diverged run, whose indices are the penalty.  Both products
+take e from its first nonzero sample on and shift back, so the zeros
+that lead e under a zero set-point stay exact and cost no FFT length.
+
+The design objective decides a loop that diverges at the first sample it
+responds to, d + 1, before any of this is built: that sample is
+r num[1] H[0], and H[0] needs only the operators' feedthroughs.
 
 Where den is one term (the Oustaloup path) the right-hand side of a
 disturbed loop with r != 0 stays split: each block multiplies r den by
@@ -102,6 +108,7 @@ from .fracnum import (
     OUSTALOUP_ORDER,
     _factor_modes,
     _factors,
+    _order_feedthrough,
     differintegrator_modes,
     differintegrator_ss,
     gl_coefficients,
@@ -134,6 +141,11 @@ DIRECT_TERMS = 128
 KERNEL_BLOCK = 128
 MAX_SPREAD = 1e4
 RUN_GROWTH = 8
+# the engine forms the first sample a delayed loop responds to within a few
+# roundings of its closed form (FFT rounding where the delay is past the
+# first block); a closed form past the divergence bound by this relative
+# margin crosses it in the engine too
+_FIRST_SAMPLE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -265,6 +277,12 @@ def frequency_response(plant: NioptdPlant, w) -> complex | np.ndarray:
     return resp if np.ndim(w) else complex(resp[0])
 
 
+def _divergence_bound(r: float) -> float:
+    """The magnitude past which the output of a closed loop with set-point r
+    diverges: DIVERGENCE_FACTOR * max(1, |r|)."""
+    return DIVERGENCE_FACTOR * max(1.0, abs(r))
+
+
 def _padded(a: np.ndarray, n: int) -> np.ndarray:
     """The first n terms of the series a, zero-filled past its end."""
     out = np.zeros(n)
@@ -275,6 +293,15 @@ def _padded(a: np.ndarray, n: int) -> np.ndarray:
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _leading_zeros(e: np.ndarray) -> int:
+    """How many leading terms are zero in every row of the series (or stack
+    of series, one per row) e, at most all but its last: a product with e
+    from there on, shifted back, is the whole product, with exact zeros
+    before it."""
+    nonzero = np.flatnonzero(e.any(axis=0) if e.ndim == 2 else e)
+    return int(nonzero[0]) if nonzero.size else e.shape[-1] - 1
 
 
 def _fft_size(need: int) -> int:
@@ -897,13 +924,15 @@ def _closed_loops(plant, delays, runs, scenario) -> list[SimResult]:
     at_rest = _PlantAtRest(replace(plant, L=0.0), h, runs.solver, runs.band, n)
     w_start = _first_sample_at(n, h, scenario.disturbance_time)
     outputs = _loop_output(at_rest, delays, runs, r, w_start, scenario.disturbance_magnitude,
-                           DIVERGENCE_FACTOR * max(1.0, abs(r)), n)
+                           _divergence_bound(r), n)
 
     def result(y, k, e, u):
         t = np.arange(y.size) * h
 
         def states():
-            x1, x3 = _series_mul(e, np.array(runs.grown(y.size)[1]), 0, y.size)
+            s = _leading_zeros(e)
+            x1, x3 = np.zeros((2, y.size))
+            x1[s:], x3[s:] = _series_mul(e[s:], np.array(runs.grown(y.size)[1]), 0, y.size - s)
             if k is not None:
                 x1[k] = x3[k] = 0.0
             return x1, x3
@@ -922,8 +951,39 @@ def _closed_loops(plant, delays, runs, scenario) -> list[SimResult]:
     controls = {}
     if survivors:
         e = np.array([errors[i] for i in survivors])
-        controls = dict(zip(survivors, _series_mul(runs.grown(n)[0], e, 0, n)))
+        u, s = np.zeros(e.shape), _leading_zeros(e)
+        u[:, s:] = _series_mul(runs.grown(n)[0], e[:, s:], 0, n - s)
+        controls = dict(zip(survivors, u))
     return [result(y, k, errors[i], controls.get(i)) for i, (y, k) in enumerate(outputs)]
+
+
+def _diverges_at_first_response(plant, controller, scenario) -> bool:
+    """Whether :func:`simulate_closed_loop` of the controller on the plant
+    (Oustaloup path, default band) diverges at sample d + 1, by the
+    identity of :func:`evaluate_design_objectives`: its sample r num[1] H[0]
+    is finite and past the divergence bound by _FIRST_SAMPLE_MARGIN.  It
+    builds only the plant entry (den = 1 there), and leaves the run
+    undecided (False) where r = 0, a disturbance starts at or before
+    sample d + 1, d + 1 >= N or num[0] != 0.
+    """
+    h, n, r = scenario.step_size, scenario.n_steps, float(scenario.setpoint)
+    d = int(round(plant.L / h))
+    disturbed = (scenario.disturbance_magnitude != 0.0
+                 and _first_sample_at(n, h, scenario.disturbance_time) <= d + 1)
+    if r == 0.0 or disturbed or d + 1 >= n:
+        return False
+    num = _PlantAtRest(replace(plant, L=0.0), h, "oustaloup", DEFAULT_BAND, n).num.terms
+    if num[0] != 0.0:
+        return False
+    c = controller
+    # as the controller entry forms H[0], in Python floats, which overflow
+    # without a warning: ki times the first term of one kernel plus kd
+    # times the other's, then kp
+    f_lam, f_mu = (float(_order_feedthrough(g, DEFAULT_BAND)) for g in (-c.lam, c.mu))
+    H0 = (float(c.ki) * f_lam + float(c.kd) * f_mu) + float(c.kp)
+    sample = r * (float(num[1]) * H0)
+    bound = _divergence_bound(r) * (1.0 + _FIRST_SAMPLE_MARGIN)
+    return math.isfinite(sample) and abs(sample) > bound
 
 
 def evaluate_design_objectives(
@@ -940,6 +1000,21 @@ def evaluate_design_objectives(
     plant whose Oustaloup modes do not resolve (tiny lags, orders within
     about 1e-12 of 2) is a plant error, not a design penalty: the
     ValueError of :func:`_plant_modes`, which names T and alpha, propagates.
+
+    Before any operator kernel is built, the first sample the delayed loop
+    responds to decides the loops that diverge there
+    (:func:`_diverges_at_first_response`).  With num[0] = 0 the output is
+    exactly 0 up to the delay d = round(L / h), and at sample d + 1 it is
+    r num[1] H[0], H[0] = kp + ki f(-lam) + kd f(mu) with f(g) the
+    feedthrough of s**g: 1 for an order too small to move g + 1 off 1, 0
+    on the integrator branch (g < 0), (w_high**(g / p))**p for g > 0 (p = 2,
+    or 3 at g = 2), with no filter built (:func:`_order_feedthrough`).
+    Where that sample is finite and past the divergence bound the pair is
+    the penalty, and no controller entry, kernel or loop is built; every
+    other design is simulated, so the pair is the same to the bit.  The
+    gain depends on how many designs diverge at that very sample: 181 of
+    the 478 evaluations with a gain map in a ``search-slug-coarse`` round,
+    5 of 96 in ``search-osc-fine``.
     """
     penalty = (PENALTY_OBJECTIVE, PENALTY_OBJECTIVE)
     try:
@@ -950,6 +1025,9 @@ def evaluate_design_objectives(
     try:
         controller = design_from_vars(plant, vars, method)
     except (CareFailure, ValueError):
+        return penalty
+    scenario = scenario or Scenario()
+    if _diverges_at_first_response(plant, controller, scenario):
         return penalty
     result = simulate_closed_loop(plant, controller, scenario)
     if result.diverged:

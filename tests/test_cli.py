@@ -188,19 +188,27 @@ class TestDesign:
     def test_one_order_table_per_design_run(self, tmp_path, monkeypatch):
         """`design` holds one order table for all its methods and restarts
         and drops it on return.  The He search starts from the Cai search's
-        seeded population, so its generation 0 seeds every kernel object
-        from the table, and computes operator modes and sets up a kernel
-        object only for a loop that runs past the first stage."""
+        seeded population, so its generation 0 seeds the kernel object of
+        every controller whose Cai twin was simulated from the table, and
+        computes operator modes and sets up a kernel object only for a loop
+        that runs past the first stage, or cold for a controller whose twin
+        was decided at its first sample (which builds no kernels)."""
         import lqrfopid.nsga2
         from lqrfopid import sim
 
         counts = {"modes": 0, "kernels": 0, "hits": 0, "grown": 0}
-        seen = []
+        seen, verdicts = [], {}
         evaluate, modes = lqrfopid.nsga2.evaluate_design_objectives, sim.differintegrator_modes
+        first_sample = sim._diverges_at_first_response
 
         def spied_evaluate(*args, **kwargs):
             seen.append((sim._ORDER_TABLE, dict(counts)))
             return evaluate(*args, **kwargs)
+
+        def spied_first_sample(*args):
+            # per evaluation: decided at the first sample, or simulated
+            verdicts[len(seen) - 1] = first_sample(*args)
+            return verdicts[len(seen) - 1]
 
         def counted_modes(*args):
             counts["modes"] += 1
@@ -220,6 +228,7 @@ class TestDesign:
                 super()._set_up()
 
         monkeypatch.setattr(lqrfopid.nsga2, "evaluate_design_objectives", spied_evaluate)
+        monkeypatch.setattr(sim, "_diverges_at_first_response", spied_first_sample)
         monkeypatch.setattr(sim, "differintegrator_modes", counted_modes)
         monkeypatch.setattr(sim, "_OperatorKernels", CountedKernels)
         sim._PlantAtRest.cache_clear()
@@ -232,13 +241,20 @@ class TestDesign:
         table = seen[0][0]
         assert isinstance(table, dict) and all(t is table for t, _ in seen[:-1])
         cai, he = ({k: seen[b][1][k] - seen[a][1][k] for k in counts} for a, b in ((0, 8), (16, 24)))
+        simulated = {i for i, early in verdicts.items() if not early}
+        # He evaluation i + 16 has the orders of Cai evaluation i
+        he_cold = sum(i in simulated and i - 16 not in simulated for i in range(16, 24))
+        assert he_cold == 1
         # the plant kernel is one object of its own, built on the first call
         assert cai["modes"] > 0 and cai["kernels"] == 1 + cai["modes"] // 2
+        assert cai["modes"] == 2 * len(simulated & set(range(8)))
         assert cai["hits"] == 0
-        # every He controller of generation 0 takes both orders from the table
+        # every He controller of generation 0 whose Cai twin was simulated
+        # takes both orders from the table
         assert he["hits"] == cai["kernels"] - 1
-        assert he["kernels"] == he["grown"] < he["hits"]
-        assert he["modes"] == 2 * he["grown"]
+        assert he["hits"] == sum(i in simulated and i - 16 in simulated for i in range(16, 24))
+        assert he["kernels"] == he["grown"] + he_cold and he["grown"] < he["hits"]
+        assert he["modes"] == 2 * he["kernels"]
 
     def test_empty_front_does_not_stop_other_methods(self, tmp_path, monkeypatch, capsys):
         import lqrfopid.cli

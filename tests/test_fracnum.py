@@ -288,3 +288,27 @@ class TestDifferintegratorSS:
         for gamma, got in zip(exponents, built):
             for a, b in zip(got, differintegrator_ss(gamma, band, 5)):
                 assert a.shape == b.shape and np.array_equal(a, b), gamma
+
+    def test_feedthrough_needs_no_filter(self, monkeypatch):
+        """The feedthrough decided from the order split alone equals the
+        first term of the modes, bit for bit, with no filter built: seeded
+        orders over [-2, 2] and the edges of the split (the identity, an
+        order too small to move 1 off 1, exact integrators and derivatives,
+        the cube at 2), on three bands."""
+        rng = np.random.default_rng(43)
+        orders = [0.0, 1e-17, -1e-17, 1.0, -1.0, 2.0, -2.0] + list(rng.uniform(-2.0, 2.0, 200))
+        bands = [fracnum.DEFAULT_BAND, (1e-2, 1e2), (0.37, 7.3e4)]
+        want = {(g, band): fracnum.differintegrator_modes(g, band)[0]
+                for g in orders for band in bands}
+
+        def no_filter(*args, **kwargs):
+            raise AssertionError("built a filter")
+
+        monkeypatch.setattr(fracnum, "oustaloup_approximation", no_filter)
+        for (g, band), d in want.items():
+            got = fracnum._order_feedthrough(g, band)
+            assert float(got).hex() == float(d).hex(), (g, band)
+        for g in (0.0, 1e-17, -1e-17):
+            assert fracnum._order_feedthrough(g, fracnum.DEFAULT_BAND) == 1.0
+        for g in (-1e-3, -1.0, -1.5, -2.0):
+            assert fracnum._order_feedthrough(g, fracnum.DEFAULT_BAND) == 0.0

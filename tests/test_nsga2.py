@@ -51,7 +51,9 @@ class TestConfigDefaults:
 
     @pytest.mark.parametrize("field, value", [
         ("bounds", ((0.0, np.inf),)), ("bounds", ((-np.inf, 1.0),)),
-        ("bounds", ((np.nan, 1.0),)), ("mutation_scale", np.nan),
+        ("bounds", ((np.nan, 1.0),)), ("bounds", ()), ("bounds", ((0.0, 1.0, 2.0),)),
+        ("bounds", ((0.0, (1.0, 2.0)),)),
+        ("mutation_scale", np.nan),
         ("mutation_scale", np.inf), ("population", 4.5),
         ("generations", 2.5), ("seed", -1), ("seed", 1.5)])
     def test_rejects_settings_that_break_a_search(self, field, value):

@@ -6,7 +6,8 @@ matrix exponential they replaced, and the closed-form kernels of the
 operators and of the plant against the matrix exponential of each block's
 realization.  The
 direct LAPACK first block against scipy's triangular Toeplitz solve it
-replaced, bit for bit."""
+replaced, bit for bit.  The objective's verdict at the first sample a
+delayed loop responds to against the engine's run, bit for bit."""
 import itertools
 import sys
 import warnings
@@ -43,7 +44,7 @@ from oracles import (
     plant_markov,
     spectral_radius,
 )
-from reference_cases import BY_NAME, OSCILLATORY_PLANT
+from reference_cases import BY_NAME, OSCILLATORY_PLANT, SLUGGISH_PLANT
 from transforms import count_transforms
 
 REFERENCE_LOOPS = {"oustaloup": closed_loop_oustaloup_loop, "gl": closed_loop_gl_loop}
@@ -648,6 +649,170 @@ def test_objectives_equal_inside_and_outside_a_design_run():
         assert [[v.hex() for v in pair] for pair in inside] == \
             [[v.hex() for v in pair] for pair in outside]
         assert any(pair != (sim.PENALTY_OBJECTIVE,) * 2 for pair in outside)
+
+
+def first_sample_verdicts(monkeypatch):
+    """Spy on the first-sample verdict of evaluate_design_objectives: a list
+    that gets the (plant, controller, scenario) of every verdict that fires."""
+    fired, decide = [], sim._diverges_at_first_response
+
+    def spied(plant, controller, scenario):
+        if decide(plant, controller, scenario):
+            fired.append((plant, controller, scenario))
+            return True
+        return False
+
+    monkeypatch.setattr(sim, "_diverges_at_first_response", spied)
+    return fired
+
+
+def engine_objectives(monkeypatch, calls):
+    """evaluate_design_objectives of each (plant, x, method, scenario) with
+    the first-sample verdict switched off: every design with a gain map is
+    simulated."""
+    with monkeypatch.context() as m:
+        m.setattr(sim, "_diverges_at_first_response", lambda *args: False)
+        return [evaluate_design_objectives(*call) for call in calls]
+
+
+def assert_crosses_at_first_sample(plant, controller, scenario):
+    """The engine's run diverges at sample d + 1, the first the delayed loop
+    responds to: its trajectories end there."""
+    res = simulate_closed_loop(plant, controller, scenario)
+    d = int(round(plant.L / scenario.step_size))
+    assert res.diverged and res.y.size == d + 2, (res.diverged, res.y.size, d)
+
+
+STEP = Scenario(horizon=5.0, step_size=0.05)  # d = 10 on the reference plants, N = 100
+BOTH = ("slug", "osc")
+# (name, plant change, scenario, the plants where some seeded design fires)
+FIRST_SAMPLE_CASES = (
+    ("step", {}, STEP, BOTH),
+    ("setpoint-2.5", {}, replace(STEP, setpoint=2.5), BOTH),
+    ("negative-setpoint", {}, replace(STEP, setpoint=-0.7), BOTH),
+    ("no-delay", {"L": 0.0}, STEP, BOTH),
+    ("disturbed-after-d+1", {},
+     replace(STEP, disturbance_time=0.6, disturbance_magnitude=0.2), BOTH),
+    ("d+1=N-1", {}, replace(STEP, horizon=0.6), BOTH),
+    # d + 1 = 251 lies past the first block, on the engine's FFT path; the
+    # oscillatory plant's num[1] is too small there for any seeded design
+    ("fine-step", {}, Scenario(horizon=1.0, step_size=0.002), ("slug",)),
+    ("disturbed-before-d+1", {},
+     replace(STEP, disturbance_time=0.3, disturbance_magnitude=0.2), ()),
+    ("disturbed-at-d+1", {},
+     replace(STEP, disturbance_time=0.55, disturbance_magnitude=0.2), ()),
+    ("d+1=N", {}, replace(STEP, horizon=0.55), ()),
+    ("zero-setpoint", {},
+     replace(STEP, setpoint=0.0, disturbance_time=1.0, disturbance_magnitude=0.2), ()),
+)
+
+
+@pytest.mark.parametrize("kind, plant", [("slug", SLUGGISH_PLANT), ("osc", OSCILLATORY_PLANT)],
+                         ids=["slug", "osc"])
+@pytest.mark.parametrize("name, change, scenario, fires_on", FIRST_SAMPLE_CASES,
+                         ids=[case[0] for case in FIRST_SAMPLE_CASES])
+def test_first_sample_verdict_is_exact(kind, plant, name, change, scenario, fires_on,
+                                       monkeypatch):
+    """The objective decided at the first sample the delayed loop responds
+    to equals the engine's to the bit, and every design it decides there
+    diverges at exactly sample d + 1 in simulate_closed_loop: seeded
+    designs of DESIGN_BOUNDS, both methods, on both reference plants.  It
+    never fires where the set-point is zero, a disturbance starts at or
+    before d + 1 or d + 1 >= N."""
+    plant = replace(plant, **change)
+    rng = np.random.default_rng(83)
+    lo, hi = np.array(DESIGN_BOUNDS).T
+    calls = [(plant, rng.uniform(lo, hi), method, scenario)
+             for _ in range(12) for method in (DelayMethod.CAI, DelayMethod.HE)]
+    fired = first_sample_verdicts(monkeypatch)
+    got = [evaluate_design_objectives(*call) for call in calls]
+    assert [[v.hex() for v in pair] for pair in got] == \
+        [[v.hex() for v in pair] for pair in engine_objectives(monkeypatch, calls)]
+    for run in fired:
+        assert_crosses_at_first_sample(*run)
+    assert bool(fired) == (kind in fires_on), len(fired)
+
+
+# (set-point r, sign of r num[1] H[0]); at the first two, a closed form one
+# ulp past the bound lands at or below it in the engine's sample d + 1,
+# r - (r - r num[1] H[0])
+NEAR_BOUND = ((1.0238823161256478, -1.0), (1.0231124593629823, -1.0), (1.0, 1.0),
+              (1.0, -1.0), (0.3, 1.0), (-0.7, 1.0), (2.5, -1.0))
+
+
+def test_first_sample_verdict_at_the_bound(monkeypatch):
+    """Controllers built so that r num[1] H[0] lies within a few ulps of the
+    divergence bound, on either side, are left to the engine: the verdict
+    needs its margin, since some samples one ulp past the bound in closed
+    form are not past it in the engine.  Past the margin it fires, and the
+    engine crosses at d + 1.  Every objective equals the engine's to the
+    bit."""
+    plant = SLUGGISH_PLANT
+    x = np.array([1.0, 1.0, 1.0, 1.0, 0.9, 0.5])
+    misjudged, calls, controllers = 0, [], []
+    for r, sign in NEAR_BOUND:
+        scenario = replace(STEP, setpoint=r)
+        num = _PlantAtRest(replace(plant, L=0.0), scenario.step_size, "oustaloup", DEFAULT_BAND,
+                           scenario.n_steps).num.terms
+        bound = sim._divergence_bound(r)
+        # kd = 0 and an integral order on the integrator branch: H[0] = kp
+        kp = sign * bound / (r * float(num[1]))
+        kps = [kp * (1.0 + 1e-8)]
+        for step in (np.inf, -np.inf):
+            k = kp
+            for _ in range(6):
+                k = float(np.nextafter(k, step))
+                kps.append(k)
+        for kp in kps:
+            controller = FopidController(kp=kp, ki=0.5, kd=0.0, lam=0.9, mu=0.5)
+            sample = r * (float(num[1]) * kp)
+            near = abs(abs(sample) / bound - 1.0) < 1e-12
+            assert sim._diverges_at_first_response(plant, controller, scenario) != near
+            res = simulate_closed_loop(plant, controller, scenario)
+            at_first = res.diverged and res.y.size == int(round(plant.L / scenario.step_size)) + 2
+            misjudged += abs(sample) > bound and not at_first
+            calls.append((plant, x, DelayMethod.CAI, scenario))
+            controllers.append(controller)
+    assert misjudged
+    gains = iter(controllers * 2)
+    monkeypatch.setattr(sim, "design_from_vars", lambda *args: next(gains))
+    fired = first_sample_verdicts(monkeypatch)
+    got = [evaluate_design_objectives(*call) for call in calls]
+    assert [[v.hex() for v in pair] for pair in got] == \
+        [[v.hex() for v in pair] for pair in engine_objectives(monkeypatch, calls)]
+    assert len(fired) == len(NEAR_BOUND)
+    for run in fired:
+        assert_crosses_at_first_sample(*run)
+
+
+@pytest.mark.parametrize("name", ["osc_low_itse", "slug_median"])
+def test_zero_setpoint_products_start_at_the_disturbance(name):
+    """With a zero set-point e is exactly zero up to the disturbance: u, x1
+    and x3 are exact zeros before the disturbance sample, and within 1e-12
+    of their peak of the direct products over all N terms of e.  A sweep,
+    whose stack of loops takes u from one product, gives every cell its
+    single run, bit for bit."""
+    plant, controller = reference_loop(name)
+    scenario = Scenario(setpoint=0.0, horizon=25.0, disturbance_time=16.5,
+                        disturbance_magnitude=0.2)
+    h, n = scenario.step_size, scenario.n_steps
+    w = sim._first_sample_at(n, h, scenario.disturbance_time)
+    assert w == 1650
+    res = simulate_closed_loop(plant, controller, scenario)
+    assert not res.diverged and not res.x2[:w + 1].any()
+    H, kernels = sim._ControllerRuns(controller, h, "oustaloup", DEFAULT_BAND, n).grown(n)
+    wants = [np.convolve(H.terms, res.x2)[:n]] + [np.convolve(res.x2, k)[:n] for k in kernels]
+    for got, want in zip((res.u, res.x1, res.x3), wants):
+        assert not got[:w].any()
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    grid = np.array([0.9, 1.0, 1.1])
+    sweep = sim.robustness_sweep(plant, controller, plant.L * grid, plant.T * grid, scenario)
+    for i, L in enumerate(plant.L * grid):
+        for j, T in enumerate(plant.T * grid):
+            cell = simulate_closed_loop(replace(plant, L=float(L), T=float(T)), controller,
+                                        scenario)
+            assert (sweep.itse[i, j], sweep.isdco[i, j], sweep.diverged[i, j]) == (
+                cell.itse, cell.isdco, cell.diverged), (i, j)
 
 
 def gl_denominator(alpha, T, h, n):

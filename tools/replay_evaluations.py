@@ -22,7 +22,10 @@ whole evaluation (``evaluate_design_objectives``, which builds its own
 controller entry).  The per-layer figures are medians over the evaluations whose loop
 crosses within the first stage, the penalized evaluations of an early
 search, apart for those whose two orders the table already holds and the
-rest; the sum over all evaluations is printed too.  Every replayed
+rest; the sum over all evaluations is printed too.  The evaluations
+decided at the first sample the delayed loop responds to (no controller
+entry or kernel built) are counted, and their whole evaluations timed,
+apart from the other early crossings.  Every replayed
 objective must equal the recorded one to the bit.  Then the table: order
 lookups, hits (within one search and across searches), the controllers
 with both orders known and how many of those grow past the first stage,
@@ -94,8 +97,8 @@ def fastest(run, repeats, undo=None):
 
 def replay(call, repeats, inside: bool):
     """The fastest time of each layer of one evaluation, its objectives,
-    whether its loop crossed within the first stage and whether it grew
-    past it; inside the table, the
+    whether its loop crossed within the first stage, whether it grew past
+    it and whether the first sample decided it; inside the table, the
     entries the evaluation adds are taken out after every repeat but the
     last, so each repeat meets the table as the round did."""
     plant, vars, method, scenario, _ = call
@@ -117,8 +120,9 @@ def replay(call, repeats, inside: bool):
                                                 repeats)
     except (CareFailure, ValueError):
         controller = None
-    crossed_early = grew = False
+    crossed_early = grew = decided = False
     if controller is not None:
+        decided = sim._diverges_at_first_response(plant, controller, scenario)
         first = sim._next_stage(0, n)
 
         def setup():
@@ -132,7 +136,7 @@ def replay(call, repeats, inside: bool):
         r = scenario.setpoint
         loop = (at_rest, [int(round(plant.L / h))], None, r,
                 sim._first_sample_at(n, h, scenario.disturbance_time),
-                scenario.disturbance_magnitude, sim.DIVERGENCE_FACTOR * max(1.0, abs(r)), n)
+                scenario.disturbance_magnitude, sim._divergence_bound(r), n)
         runs = []
         for _ in range(repeats):
             runs.append(setup())
@@ -145,7 +149,7 @@ def replay(call, repeats, inside: bool):
             times["first_block"] = min(fastest(lambda: sim._loop_output(
                 *loop[:2], entry, *loop[3:]), 1)[0] for entry in runs)
     times["evaluation"], objectives = fastest(evaluation, repeats, undo)
-    return times, objectives, crossed_early, grew
+    return times, objectives, crossed_early, grew, decided
 
 
 def order_keys(call):
@@ -193,7 +197,11 @@ def main(argv=None) -> int:
               for group in groups for side in ("outside", "inside")}
     totals = {"outside": 0.0, "inside": 0.0}
     searches_seen = {}
-    counts = dict(lookups=0, hits=0, hits_in_search=0, both=0, grown=0, early=0, controllers=0)
+    counts = dict(lookups=0, hits=0, hits_in_search=0, both=0, grown=0, early=0, controllers=0,
+                  decided=0)
+    # whole evaluations of the early crossings, by whether the first sample decided them
+    first_sample = {(decided, side): [] for decided in (True, False)
+                    for side in ("outside", "inside")}
     mismatches = 0
     with sim._design_run():
         table = sim._ORDER_TABLE
@@ -210,13 +218,14 @@ def main(argv=None) -> int:
                     results[side] = replay(call, args.repeats, side == "inside")
                 finally:
                     sim._ORDER_TABLE = table
-            crossed, grew = results["outside"][2:]
-            for side, (times, objectives, _, _) in results.items():
+            crossed, grew, decided = results["outside"][2:]
+            for side, (times, objectives, *_) in results.items():
                 totals[side] += times["evaluation"]
                 mismatches += [v.hex() for v in objectives] != [v.hex() for v in call[4]]
                 if crossed:
                     for layer in LAYERS:
                         layers[groups[not all(known)], side][layer].append(times[layer])
+                    first_sample[decided, side].append(times["evaluation"])
             if "controller_setup" in results["outside"][0]:
                 counts["controllers"] += 1
                 counts["lookups"] += 2
@@ -225,6 +234,7 @@ def main(argv=None) -> int:
                 counts["both"] += all(known)
                 counts["grown"] += all(known) and grew
                 counts["early"] += crossed
+                counts["decided"] += decided
                 search.update(keys)
         entries = len(table)
         entry_bytes, dict_bytes = table_bytes(table)
@@ -243,6 +253,13 @@ def main(argv=None) -> int:
             a, b = (statistics.median(layers[group, s][layer]) * 1e3
                     if layers[group, s][layer] else float("nan") for s in ("outside", "inside"))
             print(f"  {layer:50s} {a:9.4f} {b:9.4f}")
+    print(f"decided at the first sample: {counts['decided']} of {counts['controllers']} "
+          f"evaluations with a controller")
+    for decided, label in ((True, "decided there"), (False, "other early crossings")):
+        a, b = (statistics.median(first_sample[decided, s]) * 1e3
+                if first_sample[decided, s] else float("nan") for s in ("outside", "inside"))
+        label = f"median evaluation ms, {label} ({len(first_sample[decided, 'outside'])})"
+        print(f"  {label:50s} {a:9.4f} {b:9.4f}")
     print(f"{'all evaluations, summed (ms)':52s} {totals['outside'] * 1e3:9.2f} "
           f"{totals['inside'] * 1e3:9.2f}")
     print(f"table: {counts['lookups']} order lookups, {counts['hits']} hits "
