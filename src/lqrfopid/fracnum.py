@@ -236,6 +236,29 @@ def _order_feedthrough(gamma: float, band: tuple[float, float]) -> float:
     return _feedthrough(band[1] ** exponent, power, integrators)
 
 
+def _order_variation(gamma: float, band: tuple[float, float], span: float) -> float:
+    """A bound on the integral of |k| over [0, span], k the impulse
+    response of :func:`differintegrator_modes` (gamma, band) past its
+    feedthrough, with no filter built.
+
+    The Oustaloup filter F of s**e, e in (-1, 1), interlaces its real
+    poles and zeros, with a zero nearest the origin for e > 0 and a pole
+    for e < 0: an RC admittance or impedance, whose residues all share one
+    sign.  So the response of F - F(inf) keeps one sign, its integral is
+    at most D = |F(inf) - F(0)| = |w_high**e - w_low**e|, and the step
+    response of F stays between F(0) and F(inf).  Hence the bound is
+    (F(inf) + D)**power - F(inf)**power for a power of F, span times
+    max(F(0), F(inf)) for F then an integrator, span or span**2 / 2 for
+    one or two exact integrators, and 0 for the identity."""
+    exponent, power, integrators = _order_split(gamma)
+    if not power:
+        return (0.0, span, span * span / 2.0)[integrators]
+    high, low = band[1] ** exponent, band[0] ** exponent
+    if integrators:
+        return span * max(high, low)
+    return (high + abs(high - low)) ** power - high ** power
+
+
 def _factors(gamma: float, band, order: int):
     """The factors (filter, power, integrators) of :func:`_order_split`,
     the filter built (None for power 0)."""

@@ -55,9 +55,13 @@ is the u of a diverged run, whose indices are the penalty.  Both products
 take e from its first nonzero sample on and shift back, so the zeros
 that lead e under a zero set-point stay exact and cost no FFT length.
 
-The design objective decides a loop that diverges at the first sample it
-responds to, d + 1, before any of this is built: that sample is
-r num[1] H[0], and H[0] needs only the operators' feedthroughs.
+The design objective decides a loop that diverges by its second delay
+round trip before any of this is built.  With den = 1 and num[0] = 0 the
+output is 0 up to d, r num[1] H[0] at the first sample it responds to,
+d + 1, which needs only the operators' feedthroughs, and
+r (S[d + 2] - (num[1] H[0])**2) at 2 (d + 1), S the prefix sums of num H,
+which needs the first d + 2 kernel terms: bounded from the feedthroughs
+alone, or computed from the operators' modes, which the run then reuses.
 
 Where den is one term (the Oustaloup path) the right-hand side of a
 disturbed loop with r != 0 stays split: each block multiplies r den by
@@ -109,6 +113,7 @@ from .fracnum import (
     _factor_modes,
     _factors,
     _order_feedthrough,
+    _order_variation,
     differintegrator_modes,
     differintegrator_ss,
     gl_coefficients,
@@ -146,6 +151,12 @@ RUN_GROWTH = 8
 # first block); a closed form past the divergence bound by this relative
 # margin crosses it in the engine too
 _FIRST_SAMPLE_MARGIN = 1e-9
+# the engine forms sample 2 (d + 1) of a delayed loop, and the verdict its
+# closed form from kernel terms of its own, summed in another order, each
+# within a few roundings of the sum of the magnitudes of its terms (within
+# 1e-14 of it measured, 1e-12 tested); a closed form past the divergence
+# bound by this many times that sum crosses it in the engine too
+_SECOND_RESPONSE_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -621,6 +632,48 @@ def _interval_moments(poles: np.ndarray, h: float, spans) -> np.ndarray:
     return out * h ** np.arange(1, count + 1)
 
 
+def _mode_polynomials(modes, h: float):
+    """(poles, spans, polys) of the modes (d, poles, coeffs) of the blocks
+    of a run, in one pass over their poles: all the poles, each block's
+    span (lo, hi, powers) of them, and per block the coefficients
+    sum_l c_il binom(l, j) I_ij of s**(l - j) in P_i(s) (see
+    :class:`_OperatorKernels`), columns the powers of s."""
+    poles = np.concatenate([p for _, p, _ in modes])
+    # block i has the poles poles[lo:hi] and coeffs.shape[1] powers
+    spans, hi = [], 0
+    for _, p, coeffs in modes:
+        spans.append((hi, hi + p.size, coeffs.shape[1]))
+        hi += p.size
+    moments = _interval_moments(poles, h, spans)
+    polys = []
+    for (_, _, coeffs), (lo, hi, _) in zip(modes, spans):
+        poly = coeffs * moments[lo:hi, :1]
+        for l in range(1, coeffs.shape[1]):
+            for j in range(1, l + 1):
+                poly[:, l - j] += coeffs[:, l] * math.comb(l, j) * moments[lo:hi, j]
+        polys.append(poly)
+    return poles, spans, polys
+
+
+def _kernel_terms(modes, h: float, m: int) -> np.ndarray:
+    """Terms 1, ..., m of the kernels of :class:`_OperatorKernels` on
+    ``modes``, one row per kernel, sample by sample: term k is
+    sum_i exp(p_i s) P_i(s), s = (k - 1) h, by Horner in s.  The same
+    closed form, evaluated in another order, so not bit for bit the
+    kernels' terms."""
+    poles, spans, polys = _mode_polynomials(modes, h)
+    s = np.arange(m) * h
+    grown = np.exp(np.multiply.outer(s, poles))
+    out = np.empty((len(modes), m))
+    for row, (lo, hi, _), poly in zip(out, spans, polys):
+        modes_at = grown[:, lo:hi]
+        terms = modes_at @ poly[:, -1]
+        for l in range(poly.shape[1] - 2, -1, -1):
+            terms = terms * s + modes_at @ poly[:, l]
+        row[:] = terms.real
+    return out
+
+
 class _OperatorKernels:
     """The sampled kernels of the blocks of a run, in closed form from their
     modes, each a (d, poles, coeffs) of :func:`differintegrator_modes` or
@@ -668,22 +721,11 @@ class _OperatorKernels:
         """The tables every chunk reads, from the modes; the feedthroughs
         are the first terms of cold kernels."""
         modes, h = self.modes(), self.h
-        poles = np.concatenate([p for _, p, _ in modes])
-        # block i has the poles poles[lo:hi] and coeffs.shape[1] powers
-        self.spans, hi = [], 0
-        for _, p, coeffs in modes:
-            self.spans.append((hi, hi + p.size, coeffs.shape[1]))
-            hi += p.size
-        moments = _interval_moments(poles, h, self.spans)
+        poles, self.spans, polys = _mode_polynomials(modes, h)
         steps = np.exp((poles * h)[:, None] * _BLOCK_STEPS)
-        self.bases = []
-        for (_, _, coeffs), (lo, hi, _) in zip(modes, self.spans):
-            poly = coeffs * moments[lo:hi, :1]  # columns: powers of s
-            for l in range(1, coeffs.shape[1]):
-                for j in range(1, l + 1):
-                    poly[:, l - j] += coeffs[:, l] * math.comb(l, j) * moments[lo:hi, j]
-            self.bases.append((poly[:, :, None] * steps[lo:hi, None, :])
-                              .reshape(hi - lo, poly.shape[1] * KERNEL_BLOCK))
+        self.bases = [(poly[:, :, None] * steps[lo:hi, None, :])
+                      .reshape(hi - lo, poly.shape[1] * KERNEL_BLOCK)
+                      for poly, (lo, hi, _) in zip(polys, self.spans)]
         self.rates = poles * (KERNEL_BLOCK * h)
         if self.terms is None:
             self.terms = [_read_only(np.array([d])) for d, _, _ in modes]
@@ -783,7 +825,8 @@ def _plant_modes(plant: NioptdPlant, band) -> tuple[float, np.ndarray, np.ndarra
 class _PlantAtRest:
     """The plant sampled at step h, y = (num / den) u to n terms, num[0] = 0,
     num a :class:`_Series` (so its transform at the size of a run's last
-    product with H is taken once) and den an array, read-only.  The delay
+    product with H is taken once) and den an array, and num_sums, the
+    prefix sums of num that the early verdict reads, read-only.  The delay
     is no part of them, so callers pass the plant at L = 0: built once per
     search, and once per lag of a sweep.  GL: den = 1 + T h**-alpha times
     the Grunwald-Letnikov weights, num = (0, K).  Oustaloup: den = 1, num
@@ -802,6 +845,7 @@ class _PlantAtRest:
         else:
             raise ValueError(f"unknown solver {solver!r}")
         self.num, self.den = _Series(num), _read_only(den)
+        self.num_sums = _read_only(np.cumsum(num))
 
 
 # The order table of the design run in progress, None outside one (see
@@ -811,6 +855,12 @@ class _PlantAtRest:
 # first stage, which few do, rebuilds them (about 25 us per order), where
 # keeping them would add about 0.7 KB per entry.
 _ORDER_TABLE = None
+# The operator modes the early verdict of the evaluation in progress built,
+# for the kernels of its run: ((exponents, band), modes), None outside that
+# run (see evaluate_design_objectives), so an undecided design builds its
+# modes once.  They travel beside the run, not through it, because the run
+# is a call of simulate_closed_loop, whose parameters are public.
+_VERDICT_MODES = None
 
 
 @contextlib.contextmanager
@@ -832,16 +882,20 @@ def _design_run():
 
 def _operator_kernels(exponents, h: float, band, n: int) -> _OperatorKernels:
     """The kernels of s**g to n terms for each order g of ``exponents``, in
-    one :class:`_OperatorKernels`.  Inside a design run, where the order
-    table holds every order, it is seeded with their first chunks;
+    one :class:`_OperatorKernels`, from the modes of
+    :func:`differintegrator_modes` (g, band): those the early verdict of the
+    evaluation in progress handed over where they are these orders', else
+    built when the kernels first need them.  Inside a design run, where the
+    order table holds every order, it is seeded with their first chunks;
     otherwise it is built cold, and the first chunks of the orders new to
     the table are stored.  A joint build equals single-order builds bit for
     bit, so every kernel equals the one built without a table."""
-    table = _ORDER_TABLE
+    table, handed = _ORDER_TABLE, _VERDICT_MODES
     keys = [(g, h, band, n) for g in exponents]
+    built = handed[1] if handed is not None and handed[0] == (tuple(exponents), band) else None
 
     def modes():
-        return [differintegrator_modes(g, band) for g in exponents]
+        return built or [differintegrator_modes(g, band) for g in exponents]
 
     if table is not None and all(key in table for key in keys):
         return _OperatorKernels(modes, h, n, [table[key] for key in keys])
@@ -957,33 +1011,87 @@ def _closed_loops(plant, delays, runs, scenario) -> list[SimResult]:
     return [result(y, k, errors[i], controls.get(i)) for i, (y, k) in enumerate(outputs)]
 
 
-def _diverges_at_first_response(plant, controller, scenario) -> bool:
-    """Whether :func:`simulate_closed_loop` of the controller on the plant
-    (Oustaloup path, default band) diverges at sample d + 1, by the
-    identity of :func:`evaluate_design_objectives`: its sample r num[1] H[0]
-    is finite and past the divergence bound by _FIRST_SAMPLE_MARGIN.  It
-    builds only the plant entry (den = 1 there), and leaves the run
-    undecided (False) where r = 0, a disturbance starts at or before
-    sample d + 1, d + 1 >= N or num[0] != 0.
+def _second_response(at_rest, controller, H0, modes, h, d, r):
+    """(y, magnitude) at sample 2 (d + 1) of the undisturbed loop of
+    :func:`_early_verdict`, from the plant entry ``at_rest`` (den = 1,
+    num[0] = 0), H[0] = H0 and terms 1 to d + 1 of the operator kernels
+    K_lam and K_mu from their ``modes`` (:func:`_kernel_terms`):
+    y = r (S[d + 2] - nH[1]**2) with nH = num H and S its prefix sums, that
+    is r (H[0] N[d + 2] - (num[1] H[0])**2 + sum_(0 < l <= d + 1) H[l]
+    N[d + 2 - l]), N = num_sums.  ``magnitude`` is |r| (|H[0] N[d + 2]| +
+    (num[1] H[0])**2 + sum_l (|ki K_lam[l]| + |kd K_mu[l]|) max|N[:d + 3]|),
+    the scale of the rounding of either way of forming y."""
+    c, sums = controller, at_rest.num_sums[:d + 3]
+    gains, terms = np.array([c.ki, c.kd]), _kernel_terms(modes, h, d + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        first, fed = float(at_rest.num.terms[1]) * H0, H0 * float(sums[-1])
+        y = r * ((fed - first * first) + float(gains @ (terms @ sums[-2:0:-1])))
+        spread = float(np.abs(gains) @ np.abs(terms).sum(axis=1)) * float(np.abs(sums).max())
+        return y, abs(r) * (abs(fed) + first * first + spread)
+
+
+def _early_verdict(plant, controller, scenario):
+    """The sample by which :func:`simulate_closed_loop` of the controller on
+    the plant (Oustaloup path, default band) diverges, d + 1 or 2 (d + 1),
+    decided before any kernel is built by the identities of
+    :func:`evaluate_design_objectives`, or None where it is not decided;
+    with the operators' modes where the verdict built them (else None),
+    which serve the kernels of a run it leaves to the engine.
+
+    Sample d + 1, r num[1] H[0] with H[0] from the operators' feedthroughs,
+    decides where it is finite and past the divergence bound by the
+    relative margin _FIRST_SAMPLE_MARGIN.  Sample 2 (d + 1) is a candidate
+    where its feedthrough part r (H[0] N[d + 2] - (num[1] H[0])**2) (N the
+    plant entry's num_sums) passes half the bound.  A candidate whose
+    feedthrough part passes it by more than the kernel terms can take
+    away, |r| (|ki| V(-lam) + |kd| V(mu)) max|N[:d + 3]| with V the
+    :func:`_order_variation` over the d + 1 kernel terms, is decided with no
+    modes built; any other builds the modes, and is decided where the
+    sample of :func:`_second_response` is finite and past the bound.  Both
+    clear the bound by _SECOND_RESPONSE_MARGIN times the magnitude of the
+    sample's terms.  Builds only the plant entry (den = 1 there).  A
+    sample is left undecided where r = 0, a disturbance starts at or
+    before it, it is at or past N, or num[0] != 0.
     """
     h, n, r = scenario.step_size, scenario.n_steps, float(scenario.setpoint)
     d = int(round(plant.L / h))
-    disturbed = (scenario.disturbance_magnitude != 0.0
-                 and _first_sample_at(n, h, scenario.disturbance_time) <= d + 1)
-    if r == 0.0 or disturbed or d + 1 >= n:
-        return False
-    num = _PlantAtRest(replace(plant, L=0.0), h, "oustaloup", DEFAULT_BAND, n).num.terms
-    if num[0] != 0.0:
-        return False
-    c = controller
+    w = (_first_sample_at(n, h, scenario.disturbance_time)
+         if scenario.disturbance_magnitude != 0.0 else n)
+    if r == 0.0 or min(w, n) <= d + 1:
+        return None, None
+    at_rest = _PlantAtRest(replace(plant, L=0.0), h, "oustaloup", DEFAULT_BAND, n)
+    num1 = float(at_rest.num.terms[1])
+    if at_rest.num.terms[0] != 0.0:
+        return None, None
+    c, bound = controller, _divergence_bound(r)
     # as the controller entry forms H[0], in Python floats, which overflow
     # without a warning: ki times the first term of one kernel plus kd
     # times the other's, then kp
     f_lam, f_mu = (float(_order_feedthrough(g, DEFAULT_BAND)) for g in (-c.lam, c.mu))
     H0 = (float(c.ki) * f_lam + float(c.kd) * f_mu) + float(c.kp)
-    sample = r * (float(num[1]) * H0)
-    bound = _divergence_bound(r) * (1.0 + _FIRST_SAMPLE_MARGIN)
-    return math.isfinite(sample) and abs(sample) > bound
+    first = num1 * H0
+    if math.isfinite(r * first) and abs(r * first) > bound * (1.0 + _FIRST_SAMPLE_MARGIN):
+        return d + 1, None
+    if min(w, n) <= 2 * (d + 1):
+        return None, None
+    # the kernel terms rarely move sample 2 (d + 1) by half the bound, so
+    # only a feedthrough part past half of it is worth deciding
+    sums = at_rest.num_sums[:d + 3]
+    fed = H0 * float(sums[-1])
+    head = r * (fed - first * first)
+    if abs(head) <= bound / 2.0:
+        return None, None
+    span = (d + 1) * h
+    spread = float(np.abs(sums).max()) * (
+        abs(float(c.ki)) * _order_variation(-c.lam, DEFAULT_BAND, span)
+        + abs(float(c.kd)) * _order_variation(c.mu, DEFAULT_BAND, span))
+    magnitude = abs(r) * (abs(fed) + first * first + spread)
+    if abs(head) - abs(r) * spread > bound + _SECOND_RESPONSE_MARGIN * magnitude:
+        return 2 * (d + 1), None
+    modes = [differintegrator_modes(g, DEFAULT_BAND) for g in (-c.lam, c.mu)]
+    y, magnitude = _second_response(at_rest, c, H0, modes, h, d, r)
+    decided = math.isfinite(y) and abs(y) > bound + _SECOND_RESPONSE_MARGIN * magnitude
+    return (2 * (d + 1) if decided else None), modes
 
 
 def evaluate_design_objectives(
@@ -1001,20 +1109,25 @@ def evaluate_design_objectives(
     about 1e-12 of 2) is a plant error, not a design penalty: the
     ValueError of :func:`_plant_modes`, which names T and alpha, propagates.
 
-    Before any operator kernel is built, the first sample the delayed loop
-    responds to decides the loops that diverge there
-    (:func:`_diverges_at_first_response`).  With num[0] = 0 the output is
-    exactly 0 up to the delay d = round(L / h), and at sample d + 1 it is
-    r num[1] H[0], H[0] = kp + ki f(-lam) + kd f(mu) with f(g) the
-    feedthrough of s**g: 1 for an order too small to move g + 1 off 1, 0
-    on the integrator branch (g < 0), (w_high**(g / p))**p for g > 0 (p = 2,
-    or 3 at g = 2), with no filter built (:func:`_order_feedthrough`).
-    Where that sample is finite and past the divergence bound the pair is
-    the penalty, and no controller entry, kernel or loop is built; every
-    other design is simulated, so the pair is the same to the bit.  The
-    gain depends on how many designs diverge at that very sample: 181 of
-    the 478 evaluations with a gain map in a ``search-slug-coarse`` round,
-    5 of 96 in ``search-osc-fine``.
+    Before any operator kernel is built, the early verdict
+    (:func:`_early_verdict`) decides the loops that diverge by the second
+    round trip of the delay d = round(L / h).  With den = 1, num[0] = 0
+    and 1 / (1 + z**d num H) = 1 - z**d nH + z**(2 d) nH**2 - ..., nH = num H,
+    the output is exactly 0 up to d; at sample d + 1 it is r num[1] H[0],
+    H[0] = kp + ki f(-lam) + kd f(mu) with f(g) the feedthrough of s**g: 1
+    for an order too small to move g + 1 off 1, 0 on the integrator branch
+    (g < 0), (w_high**(g / p))**p for g > 0 (p = 2, or 3 at g = 2), with no
+    filter built (:func:`_order_feedthrough`); at sample 2 (d + 1) it is
+    r (S[d + 2] - nH[1]**2), S the prefix sums of nH, which reads the
+    first d + 2 terms of H.  Where a sample is past the divergence bound
+    by its margin the pair is the penalty, and no controller entry, kernel
+    or loop is built; every other design is simulated, so the pair is the
+    same to the bit.  The gain depends on how many designs diverge that
+    early.  In a ``search-slug-coarse`` round, of the 478 evaluations with
+    a gain map, 181 are decided at sample d + 1 and 141 at 2 (d + 1) (129
+    of them from the bound on the kernel terms, 12 from the modes), and 8
+    candidates are left to the engine; in ``search-osc-fine``, 5 of 96 at
+    d + 1 and 20 at 2 (d + 1) (all from the modes), with 14 candidates left.
     """
     penalty = (PENALTY_OBJECTIVE, PENALTY_OBJECTIVE)
     try:
@@ -1027,9 +1140,16 @@ def evaluate_design_objectives(
     except (CareFailure, ValueError):
         return penalty
     scenario = scenario or Scenario()
-    if _diverges_at_first_response(plant, controller, scenario):
+    crossed, modes = _early_verdict(plant, controller, scenario)
+    if crossed is not None:
         return penalty
-    result = simulate_closed_loop(plant, controller, scenario)
+    global _VERDICT_MODES
+    if modes is not None:
+        _VERDICT_MODES = ((-controller.lam, controller.mu), DEFAULT_BAND), modes
+    try:
+        result = simulate_closed_loop(plant, controller, scenario)
+    finally:
+        _VERDICT_MODES = None
     if result.diverged:
         return penalty
     return result.itse, result.isdco

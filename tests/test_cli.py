@@ -192,23 +192,27 @@ class TestDesign:
         every controller whose Cai twin was simulated from the table, and
         computes operator modes and sets up a kernel object only for a loop
         that runs past the first stage, or cold for a controller whose twin
-        was decided at its first sample (which builds no kernels)."""
+        was decided by the early verdict (which builds no kernels).  An
+        evaluation builds its operator modes at most once: a run the
+        verdict built them for and left to the engine reuses them."""
         import lqrfopid.nsga2
         from lqrfopid import sim
 
         counts = {"modes": 0, "kernels": 0, "hits": 0, "grown": 0}
         seen, verdicts = [], {}
         evaluate, modes = lqrfopid.nsga2.evaluate_design_objectives, sim.differintegrator_modes
-        first_sample = sim._diverges_at_first_response
+        early = sim._early_verdict
 
         def spied_evaluate(*args, **kwargs):
             seen.append((sim._ORDER_TABLE, dict(counts)))
             return evaluate(*args, **kwargs)
 
-        def spied_first_sample(*args):
-            # per evaluation: decided at the first sample, or simulated
-            verdicts[len(seen) - 1] = first_sample(*args)
-            return verdicts[len(seen) - 1]
+        def spied_verdict(*args):
+            # per evaluation: (the sample that decided it or None, whether
+            # the verdict built the modes)
+            crossed, built = early(*args)
+            verdicts[len(seen) - 1] = (crossed, built is not None)
+            return crossed, built
 
         def counted_modes(*args):
             counts["modes"] += 1
@@ -228,7 +232,7 @@ class TestDesign:
                 super()._set_up()
 
         monkeypatch.setattr(lqrfopid.nsga2, "evaluate_design_objectives", spied_evaluate)
-        monkeypatch.setattr(sim, "_diverges_at_first_response", spied_first_sample)
+        monkeypatch.setattr(sim, "_early_verdict", spied_verdict)
         monkeypatch.setattr(sim, "differintegrator_modes", counted_modes)
         monkeypatch.setattr(sim, "_OperatorKernels", CountedKernels)
         sim._PlantAtRest.cache_clear()
@@ -241,20 +245,31 @@ class TestDesign:
         table = seen[0][0]
         assert isinstance(table, dict) and all(t is table for t, _ in seen[:-1])
         cai, he = ({k: seen[b][1][k] - seen[a][1][k] for k in counts} for a, b in ((0, 8), (16, 24)))
-        simulated = {i for i, early in verdicts.items() if not early}
+        simulated = {i for i, (crossed, _) in verdicts.items() if crossed is None}
+        built = {i for i, (_, b) in verdicts.items() if b}
+        # the verdict builds the modes for a design it decides at the second
+        # response, and for one it leaves to the engine
+        assert built - simulated and built & simulated
+        # every evaluation builds its modes once at most
+        deltas = [{k: after[k] - before[k] for k in counts}
+                  for (_, before), (_, after) in zip(seen, seen[1:])]
+        assert {delta["modes"] for delta in deltas} <= {0, 2}
+        assert all(deltas[i]["modes"] == 2 for i in built)
         # He evaluation i + 16 has the orders of Cai evaluation i
         he_cold = sum(i in simulated and i - 16 not in simulated for i in range(16, 24))
-        assert he_cold == 1
+        assert he_cold == 0
         # the plant kernel is one object of its own, built on the first call
-        assert cai["modes"] > 0 and cai["kernels"] == 1 + cai["modes"] // 2
-        assert cai["modes"] == 2 * len(simulated & set(range(8)))
+        assert cai["kernels"] == 1 + len(simulated & set(range(8)))
+        assert cai["modes"] == 2 * len((simulated | built) & set(range(8)))
         assert cai["hits"] == 0
         # every He controller of generation 0 whose Cai twin was simulated
         # takes both orders from the table
         assert he["hits"] == cai["kernels"] - 1
         assert he["hits"] == sum(i in simulated and i - 16 in simulated for i in range(16, 24))
         assert he["kernels"] == he["grown"] + he_cold and he["grown"] < he["hits"]
-        assert he["modes"] == 2 * he["kernels"]
+        # modes for the kernels set up without the verdict's, and the verdict's
+        assert he["modes"] == 2 * (he["kernels"] + len(built & set(range(16, 24)))
+                                   - sum(deltas[i]["kernels"] for i in built & set(range(16, 24))))
 
     def test_empty_front_does_not_stop_other_methods(self, tmp_path, monkeypatch, capsys):
         import lqrfopid.cli

@@ -651,27 +651,34 @@ def test_objectives_equal_inside_and_outside_a_design_run():
         assert any(pair != (sim.PENALTY_OBJECTIVE,) * 2 for pair in outside)
 
 
-def first_sample_verdicts(monkeypatch):
-    """Spy on the first-sample verdict of evaluate_design_objectives: a list
-    that gets the (plant, controller, scenario) of every verdict that fires."""
-    fired, decide = [], sim._diverges_at_first_response
+def early_verdicts(monkeypatch):
+    """Spy on the early verdict of evaluate_design_objectives: a list that
+    gets (sample, plant, controller, scenario) of every verdict that
+    decides, the sample d + 1 or 2 (d + 1) that decided it."""
+    fired, decide = [], sim._early_verdict
 
     def spied(plant, controller, scenario):
-        if decide(plant, controller, scenario):
-            fired.append((plant, controller, scenario))
-            return True
-        return False
+        crossed, modes = decide(plant, controller, scenario)
+        if crossed is not None:
+            fired.append((crossed, plant, controller, scenario))
+        return crossed, modes
 
-    monkeypatch.setattr(sim, "_diverges_at_first_response", spied)
+    monkeypatch.setattr(sim, "_early_verdict", spied)
     return fired
+
+
+def at_first_sample(fired):
+    """The (plant, controller, scenario) of the verdicts of ``fired`` that
+    decided at sample d + 1."""
+    return [(p, c, s) for k, p, c, s in fired if k == int(round(p.L / s.step_size)) + 1]
 
 
 def engine_objectives(monkeypatch, calls):
     """evaluate_design_objectives of each (plant, x, method, scenario) with
-    the first-sample verdict switched off: every design with a gain map is
+    the early verdict switched off: every design with a gain map is
     simulated."""
     with monkeypatch.context() as m:
-        m.setattr(sim, "_diverges_at_first_response", lambda *args: False)
+        m.setattr(sim, "_early_verdict", lambda *args: (None, None))
         return [evaluate_design_objectives(*call) for call in calls]
 
 
@@ -724,13 +731,14 @@ def test_first_sample_verdict_is_exact(kind, plant, name, change, scenario, fire
     lo, hi = np.array(DESIGN_BOUNDS).T
     calls = [(plant, rng.uniform(lo, hi), method, scenario)
              for _ in range(12) for method in (DelayMethod.CAI, DelayMethod.HE)]
-    fired = first_sample_verdicts(monkeypatch)
+    fired = early_verdicts(monkeypatch)
     got = [evaluate_design_objectives(*call) for call in calls]
     assert [[v.hex() for v in pair] for pair in got] == \
         [[v.hex() for v in pair] for pair in engine_objectives(monkeypatch, calls)]
-    for run in fired:
+    first = at_first_sample(fired)
+    for run in first:
         assert_crosses_at_first_sample(*run)
-    assert bool(fired) == (kind in fires_on), len(fired)
+    assert bool(first) == (kind in fires_on), len(first)
 
 
 # (set-point r, sign of r num[1] H[0]); at the first two, a closed form one
@@ -767,7 +775,8 @@ def test_first_sample_verdict_at_the_bound(monkeypatch):
             controller = FopidController(kp=kp, ki=0.5, kd=0.0, lam=0.9, mu=0.5)
             sample = r * (float(num[1]) * kp)
             near = abs(abs(sample) / bound - 1.0) < 1e-12
-            assert sim._diverges_at_first_response(plant, controller, scenario) != near
+            d = int(round(plant.L / scenario.step_size))
+            assert (sim._early_verdict(plant, controller, scenario)[0] == d + 1) != near
             res = simulate_closed_loop(plant, controller, scenario)
             at_first = res.diverged and res.y.size == int(round(plant.L / scenario.step_size)) + 2
             misjudged += abs(sample) > bound and not at_first
@@ -776,13 +785,266 @@ def test_first_sample_verdict_at_the_bound(monkeypatch):
     assert misjudged
     gains = iter(controllers * 2)
     monkeypatch.setattr(sim, "design_from_vars", lambda *args: next(gains))
-    fired = first_sample_verdicts(monkeypatch)
+    fired = early_verdicts(monkeypatch)
     got = [evaluate_design_objectives(*call) for call in calls]
     assert [[v.hex() for v in pair] for pair in got] == \
         [[v.hex() for v in pair] for pair in engine_objectives(monkeypatch, calls)]
-    assert len(fired) == len(NEAR_BOUND)
-    for run in fired:
+    first = at_first_sample(fired)
+    assert len(first) == len(NEAR_BOUND)
+    for run in first:
         assert_crosses_at_first_sample(*run)
+
+
+def seeded_controllers(plant, count, seed):
+    """The controllers of ``count`` seeded designs of DESIGN_BOUNDS per
+    delay method, those with a gain map."""
+    rng = np.random.default_rng(seed)
+    lo, hi = np.array(DESIGN_BOUNDS).T
+    controllers = []
+    for _ in range(count):
+        x = rng.uniform(lo, hi)
+        for method in (DelayMethod.CAI, DelayMethod.HE):
+            try:
+                controllers.append(design_from_vars(plant, LqrDesignVars.from_array(x), method))
+            except (CareFailure, ValueError):
+                pass
+    return controllers
+
+
+def engine_second_response(plant, controller, scenario):
+    """The engine's output at sample 2 (d + 1) and the closed form
+    r (S[d + 2] - nH[1]**2) from the engine's own num and H, nH = num H and
+    S its prefix sums, with the scale of their terms, |r| (sum (|num|
+    |H|)[:d + 3] + nH[1]**2): the loop run with no divergence bound, so a
+    crossing does not cut it short."""
+    h, n, r = scenario.step_size, scenario.n_steps, scenario.setpoint
+    d = int(round(plant.L / h))
+    at_rest = _PlantAtRest(replace(plant, L=0.0), h, "oustaloup", DEFAULT_BAND, n)
+    runs = sim._ControllerRuns(controller, h, "oustaloup", DEFAULT_BAND, n)
+    [(y, k)] = sim._loop_output(at_rest, [d], runs, r, n, 0.0, np.inf, n)
+    num, H = at_rest.num.terms[:d + 3], runs.grown(d + 3)[0].terms[:d + 3]
+    nH = np.convolve(num, H)[:d + 3]
+    closed = r * (nH.cumsum()[d + 2] - nH[1] ** 2)
+    scale = abs(r) * (np.convolve(np.abs(num), np.abs(H))[:d + 3].sum() + nH[1] ** 2)
+    return y[2 * (d + 1)], closed, scale
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("h", [0.002, 0.01, 0.05])
+@pytest.mark.parametrize("ratio", [0.0, 0.25, 1.0, 4.0])
+def test_second_response_identity(alpha, h, ratio):
+    """With den = 1, num[0] = 0 and no disturbance, the engine's output at
+    sample 2 (d + 1) equals r (S[d + 2] - nH[1]**2) within 1e-12 of the
+    scale of its terms, and the early verdict's sample, from kernel terms of
+    its own (:func:`sim._kernel_terms`), within 1e-12 of its magnitude:
+    the margin of 1e-6 leaves six orders to spare.  Seeded designs of
+    DESIGN_BOUNDS, both methods, at L / T of 0 (d = 0) to 4."""
+    plant = NioptdPlant(K=1.0, L=ratio * 2.0, T=2.0, alpha=alpha)
+    d = int(round(plant.L / h))
+    n = 2 * d + 3
+    scenario = Scenario(horizon=n * h, step_size=h)
+    assert scenario.n_steps == n
+    at_rest = _PlantAtRest(replace(plant, L=0.0), h, "oustaloup", DEFAULT_BAND, n)
+    checked = 0
+    for controller in seeded_controllers(plant, 4, 89):
+        engine, closed, scale = engine_second_response(plant, controller, scenario)
+        if not np.isfinite(engine):
+            continue
+        assert abs(engine - closed) <= 1e-12 * scale, (engine, closed, scale)
+        c = controller
+        H0 = (c.ki * sim._order_feedthrough(-c.lam, DEFAULT_BAND)
+              + c.kd * sim._order_feedthrough(c.mu, DEFAULT_BAND)) + c.kp
+        modes = [differintegrator_modes(g, DEFAULT_BAND) for g in (-c.lam, c.mu)]
+        y, magnitude = sim._second_response(at_rest, c, H0, modes, h, d, scenario.setpoint)
+        assert abs(engine - y) <= 1e-12 * magnitude, (engine, y, magnitude)
+        checked += 1
+    assert checked >= 6
+
+
+@pytest.mark.parametrize("h", [0.002, 0.01, 0.05])
+def test_kernel_terms_match_the_kernels(h):
+    """The verdict's kernel terms, sample by sample, are the kernels'
+    within 1e-13 of the sum of their magnitudes; the integral bound of
+    :func:`fracnum._order_variation` holds every prefix sum of |K[l]|,
+    l > 0: seeded orders of [-2, 2] and the edges of the operator split."""
+    rng = np.random.default_rng(97)
+    orders = list(rng.uniform(-2.0, 2.0, 24)) + [g * s for g in FACTOR_EDGES for s in (1, -1)]
+    for g in orders:
+        modes = [differintegrator_modes(g, DEFAULT_BAND)]
+        kernel = _OperatorKernels(lambda: modes, h, 400)(400)[0]
+        terms = sim._kernel_terms(modes, h, 399)[0]
+        assert np.max(np.abs(terms - kernel[1:])) <= 1e-13 * np.abs(kernel[1:]).sum(), g
+        for m in (1, 11, 102, 399):
+            bound = sim._order_variation(g, DEFAULT_BAND, m * h)
+            assert np.abs(kernel[1:m + 1]).sum() <= bound * (1.0 + 1e-12), (g, m)
+
+
+# (plant, scenario) where seeded designs diverge at 2 (d + 1) = 22, 102
+SECOND_RESPONSE_CASES = {
+    "slug-step": (SLUGGISH_PLANT, STEP),
+    "slug-setpoint-2.5": (SLUGGISH_PLANT, replace(STEP, setpoint=2.5)),
+    "slug-negative-setpoint": (SLUGGISH_PLANT, replace(STEP, setpoint=-0.7)),
+    "slug-disturbed-after": (SLUGGISH_PLANT,
+                             replace(STEP, disturbance_time=1.15, disturbance_magnitude=0.2)),
+    "osc-fine": (OSCILLATORY_PLANT, Scenario(horizon=2.0, step_size=0.01)),
+}
+
+
+def verdict_kind(plant, controller, scenario):
+    """What the early verdict made of a run: ``first`` or ``second`` where
+    it decided at sample d + 1 or 2 (d + 1), ``exact`` where it decided the
+    second from the modes, ``candidate`` where it built the modes and left
+    the run to the engine, None where it did neither."""
+    crossed, modes = sim._early_verdict(plant, controller, scenario)
+    d = int(round(plant.L / scenario.step_size))
+    if crossed is None:
+        return None if modes is None else "candidate"
+    assert crossed in (d + 1, 2 * (d + 1))
+    if crossed == d + 1:
+        return "first"
+    return "second" if modes is None else "exact"
+
+
+@pytest.mark.parametrize("name", list(SECOND_RESPONSE_CASES))
+def test_second_response_verdict_is_sound(name, monkeypatch):
+    """Every design the early verdict decides at sample 2 (d + 1) diverges
+    in simulate_closed_loop at or before that sample, and every objective
+    equals the engine-only one to the bit: seeded designs of DESIGN_BOUNDS,
+    both methods.  Both ways of deciding it fire, from the variation bound
+    of the kernels and from the modes, and candidates are left to the
+    engine."""
+    plant, scenario = SECOND_RESPONSE_CASES[name]
+    d = int(round(plant.L / scenario.step_size))
+    rng = np.random.default_rng(101)
+    lo, hi = np.array(DESIGN_BOUNDS).T
+    calls = [(plant, rng.uniform(lo, hi), method, scenario)
+             for _ in range(30) for method in (DelayMethod.CAI, DelayMethod.HE)]
+    kinds = []
+    for _, x, method, _ in calls:
+        try:
+            controller = design_from_vars(plant, LqrDesignVars.from_array(x), method)
+        except (CareFailure, ValueError):
+            continue
+        kinds.append(verdict_kind(plant, controller, scenario))
+    fired = early_verdicts(monkeypatch)
+    got = [evaluate_design_objectives(*call) for call in calls]
+    assert [[v.hex() for v in pair] for pair in got] == \
+        [[v.hex() for v in pair] for pair in engine_objectives(monkeypatch, calls)]
+    second = [run for k, *run in fired if k == 2 * (d + 1)]
+    assert len(second) == kinds.count("second") + kinds.count("exact") > 0
+    for run in second:
+        res = simulate_closed_loop(*run)
+        assert res.diverged and res.y.size <= 2 * (d + 1) + 1, (res.diverged, res.y.size)
+    if name.startswith("slug"):
+        assert kinds.count("second") and kinds.count("exact")
+    assert kinds.count("candidate")
+
+
+def near_margin_kp(plant, controller, scenario, share, tier):
+    """The kp at which sample 2 (d + 1) passes the divergence bound by
+    ``share`` times the verdict's margin, _SECOND_RESPONSE_MARGIN times the
+    magnitude of its terms, by bisection on the branch where it grows with
+    kp: the sample of :func:`sim._second_response` for the ``modes`` tier,
+    the feedthrough part less the variation bound of the kernel terms for
+    the ``bound`` tier."""
+    h, n, r = scenario.step_size, scenario.n_steps, scenario.setpoint
+    d = int(round(plant.L / h))
+    at_rest = _PlantAtRest(replace(plant, L=0.0), h, "oustaloup", DEFAULT_BAND, n)
+    c = controller
+    modes = [differintegrator_modes(g, DEFAULT_BAND) for g in (-c.lam, c.mu)]
+    rest = c.ki * sim._order_feedthrough(-c.lam, DEFAULT_BAND) + c.kd * sim._order_feedthrough(
+        c.mu, DEFAULT_BAND)
+    bound, sums = sim._divergence_bound(r), at_rest.num_sums[:d + 3]
+    spread = np.abs(sums).max() * (
+        abs(c.ki) * sim._order_variation(-c.lam, DEFAULT_BAND, (d + 1) * h)
+        + abs(c.kd) * sim._order_variation(c.mu, DEFAULT_BAND, (d + 1) * h))
+
+    def excess(kp):
+        H0 = rest + kp
+        if tier == "modes":
+            y, magnitude = sim._second_response(at_rest, c, H0, modes, h, d, r)
+            return abs(y) - bound - share * sim._SECOND_RESPONSE_MARGIN * magnitude
+        first, fed = at_rest.num.terms[1] * H0, H0 * sums[-1]
+        magnitude = abs(r) * (abs(fed) + first * first + spread)
+        return (abs(r * (fed - first * first)) - abs(r) * spread - bound
+                - share * sim._SECOND_RESPONSE_MARGIN * magnitude)
+
+    lo, hi = 0.0, 1.0
+    while excess(hi) <= 0.0:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        lo, hi = (mid, hi) if excess(mid) <= 0.0 else (lo, mid)
+    return hi
+
+
+# per tier of the verdict, what it makes of a design 1% past its margin
+# and of one 1% short of it: the bound tier leaves the second to the modes
+NEAR_MARGIN = {"modes": ["exact", "candidate"], "bound": ["second", "exact"]}
+
+
+@pytest.mark.parametrize("tier", list(NEAR_MARGIN))
+def test_second_response_verdict_at_its_margin(tier, monkeypatch):
+    """Controllers built so that the verdict's test of sample 2 (d + 1),
+    from the modes or from the variation bound, passes the divergence bound
+    by 1% more and 1% less than its margin: the first is decided by that
+    test, the second not, and the engine crosses by 2 (d + 1) for both.  A
+    run left to the engine builds no modes of its own.  Every objective
+    equals the engine's to the bit."""
+    plant, x = SLUGGISH_PLANT, np.array([1.0, 1.0, 1.0, 1.0, 0.9, 0.5])
+    controllers, calls, kinds = [], [], []
+    for r in (1.0, 2.5, -0.7):
+        scenario = replace(STEP, setpoint=r)
+        d = int(round(plant.L / scenario.step_size))
+        base = FopidController(kp=0.0, ki=0.5, kd=0.2, lam=0.9, mu=0.5)
+        for share in (1.01, 0.99):
+            controller = replace(base, kp=near_margin_kp(plant, base, scenario, share, tier))
+            kinds.append(verdict_kind(plant, controller, scenario))
+            res = simulate_closed_loop(plant, controller, scenario)
+            assert res.diverged and res.y.size <= 2 * (d + 1) + 1
+            controllers.append(controller)
+            calls.append((plant, x, DelayMethod.CAI, scenario))
+    assert kinds == NEAR_MARGIN[tier] * 3
+    gains = iter(controllers * 2)
+    monkeypatch.setattr(sim, "design_from_vars", lambda *args: next(gains))
+    built, modes = [], sim.differintegrator_modes
+    monkeypatch.setattr(sim, "differintegrator_modes", lambda *args: built.append(args) or
+                        modes(*args))
+    got = []
+    for call, kind in zip(calls, kinds):
+        built.clear()
+        got.append(evaluate_design_objectives(*call))
+        assert len(built) == (0 if kind == "second" else 2)
+    assert [[v.hex() for v in pair] for pair in got] == \
+        [[v.hex() for v in pair] for pair in engine_objectives(monkeypatch, calls)]
+
+
+def test_second_response_preconditions():
+    """The verdict never decides sample 2 (d + 1) where the set-point is
+    zero, a disturbance starts at or before it, or it is at or past N; it
+    does where the disturbance starts after it and where N = 2 (d + 1) + 1."""
+    plant, scenario = SLUGGISH_PLANT, STEP
+    d = int(round(plant.L / scenario.step_size))
+    second = [c for c in seeded_controllers(plant, 30, 101)
+              if verdict_kind(plant, c, scenario) in ("second", "exact")]
+    assert second
+    h = scenario.step_size
+    never = [replace(scenario, setpoint=0.0),
+             replace(scenario, setpoint=0.0, disturbance_time=0.2, disturbance_magnitude=0.3),
+             replace(scenario, horizon=(2 * d + 2) * h)]
+    never += [replace(scenario, disturbance_time=k * h, disturbance_magnitude=0.2)
+              for k in (0, d + 2, 2 * d + 1, 2 * d + 2)]
+    fires = [replace(scenario, disturbance_time=(2 * d + 3) * h, disturbance_magnitude=0.2),
+             replace(scenario, horizon=(2 * d + 3) * h)]
+    for case in never:
+        assert sim._first_sample_at(case.n_steps, h, case.disturbance_time) <= 2 * (d + 1) \
+            or case.setpoint == 0.0 or case.n_steps <= 2 * (d + 1)
+        assert not any(verdict_kind(plant, c, case) in ("second", "exact") for c in second)
+    for case in fires:
+        assert [verdict_kind(plant, c, case) for c in second] == \
+            [verdict_kind(plant, c, scenario) for c in second]
 
 
 @pytest.mark.parametrize("name", ["osc_low_itse", "slug_median"])

@@ -107,3 +107,15 @@ def test_help_exits_zero(script):
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage:")
+
+
+def test_replay_rejects_fewer_than_one_repeat():
+    """``--repeats`` below 1 is refused when the arguments are parsed, with
+    exit 2 and a message naming it, before any round is recorded."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    for value in ("0", "-3", "two"):
+        done = subprocess.run([sys.executable, str(ROOT / "tools" / "replay_evaluations.py"),
+                               "--repeats", value], cwd=ROOT, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 2, (value, done.stderr)
+        assert "--repeats" in done.stderr and "Traceback" not in done.stderr, done.stderr

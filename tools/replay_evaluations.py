@@ -22,10 +22,12 @@ whole evaluation (``evaluate_design_objectives``, which builds its own
 controller entry).  The per-layer figures are medians over the evaluations whose loop
 crosses within the first stage, the penalized evaluations of an early
 search, apart for those whose two orders the table already holds and the
-rest; the sum over all evaluations is printed too.  The evaluations
-decided at the first sample the delayed loop responds to (no controller
-entry or kernel built) are counted, and their whole evaluations timed,
-apart from the other early crossings.  Every replayed
+rest; the sum over all evaluations is printed too.  The evaluations the
+early verdict decides (no controller entry or kernel built) are counted,
+and their whole evaluations timed, apart by the sample that decided
+them, d + 1 or 2 (d + 1), and apart from the other early crossings; so
+are the candidates at 2 (d + 1) it builds the modes for and leaves to
+the engine.  Every replayed
 objective must equal the recorded one to the bit.  Then the table: order
 lookups, hits (within one search and across searches), the controllers
 with both orders known and how many of those grow past the first stage,
@@ -95,10 +97,20 @@ def fastest(run, repeats, undo=None):
     return best, result
 
 
+def verdict_of(plant, controller, scenario):
+    """What the early verdict made of an evaluation: ``first`` (decided at
+    sample d + 1), ``second`` (decided at 2 (d + 1)), ``candidate`` (modes
+    built, left to the engine) or None."""
+    crossed, modes = sim._early_verdict(plant, controller, scenario)
+    if crossed is None:
+        return None if modes is None else "candidate"
+    return "first" if crossed == int(round(plant.L / scenario.step_size)) + 1 else "second"
+
+
 def replay(call, repeats, inside: bool):
     """The fastest time of each layer of one evaluation, its objectives,
     whether its loop crossed within the first stage, whether it grew past
-    it and whether the first sample decided it; inside the table, the
+    it and what the early verdict made of it; inside the table, the
     entries the evaluation adds are taken out after every repeat but the
     last, so each repeat meets the table as the round did."""
     plant, vars, method, scenario, _ = call
@@ -120,9 +132,10 @@ def replay(call, repeats, inside: bool):
                                                 repeats)
     except (CareFailure, ValueError):
         controller = None
-    crossed_early = grew = decided = False
+    crossed_early = grew = False
+    verdict = None
     if controller is not None:
-        decided = sim._diverges_at_first_response(plant, controller, scenario)
+        verdict = verdict_of(plant, controller, scenario)
         first = sim._next_stage(0, n)
 
         def setup():
@@ -149,7 +162,7 @@ def replay(call, repeats, inside: bool):
             times["first_block"] = min(fastest(lambda: sim._loop_output(
                 *loop[:2], entry, *loop[3:]), 1)[0] for entry in runs)
     times["evaluation"], objectives = fastest(evaluation, repeats, undo)
-    return times, objectives, crossed_early, grew, decided
+    return times, objectives, crossed_early, grew, verdict
 
 
 def order_keys(call):
@@ -183,11 +196,22 @@ def table_bytes(table) -> tuple[int, int]:
     return total, sys.getsizeof(table)
 
 
+def repeat_count(text: str) -> int:
+    """A --repeats value: a whole number of at least 1."""
+    try:
+        repeats = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a whole number, got {text!r}") from None
+    if repeats < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {repeats}")
+    return repeats
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", default="search-slug-coarse",
                         choices=[n for n in workloads.WORKLOADS if n.startswith("search-")])
-    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--repeats", type=repeat_count, default=5)
     args = parser.parse_args(argv)
     calls, per_search = record(args.workload)
     n = calls[0][3].n_steps
@@ -198,10 +222,11 @@ def main(argv=None) -> int:
     totals = {"outside": 0.0, "inside": 0.0}
     searches_seen = {}
     counts = dict(lookups=0, hits=0, hits_in_search=0, both=0, grown=0, early=0, controllers=0,
-                  decided=0)
-    # whole evaluations of the early crossings, by whether the first sample decided them
-    first_sample = {(decided, side): [] for decided in (True, False)
-                    for side in ("outside", "inside")}
+                  first=0, second=0, candidate=0)
+    # whole evaluations decided by the early verdict, by the sample that
+    # decided them, and of the other early crossings
+    kinds = ("first", "second", "other")
+    decided = {(kind, side): [] for kind in kinds for side in ("outside", "inside")}
     mismatches = 0
     with sim._design_run():
         table = sim._ORDER_TABLE
@@ -218,14 +243,16 @@ def main(argv=None) -> int:
                     results[side] = replay(call, args.repeats, side == "inside")
                 finally:
                     sim._ORDER_TABLE = table
-            crossed, grew, decided = results["outside"][2:]
+            crossed, grew, verdict = results["outside"][2:]
+            kind = verdict if verdict in ("first", "second") else "other" if crossed else None
             for side, (times, objectives, *_) in results.items():
                 totals[side] += times["evaluation"]
                 mismatches += [v.hex() for v in objectives] != [v.hex() for v in call[4]]
                 if crossed:
                     for layer in LAYERS:
                         layers[groups[not all(known)], side][layer].append(times[layer])
-                    first_sample[decided, side].append(times["evaluation"])
+                if kind is not None:
+                    decided[kind, side].append(times["evaluation"])
             if "controller_setup" in results["outside"][0]:
                 counts["controllers"] += 1
                 counts["lookups"] += 2
@@ -234,7 +261,8 @@ def main(argv=None) -> int:
                 counts["both"] += all(known)
                 counts["grown"] += all(known) and grew
                 counts["early"] += crossed
-                counts["decided"] += decided
+                if verdict is not None:
+                    counts[verdict] += 1
                 search.update(keys)
         entries = len(table)
         entry_bytes, dict_bytes = table_bytes(table)
@@ -253,12 +281,15 @@ def main(argv=None) -> int:
             a, b = (statistics.median(layers[group, s][layer]) * 1e3
                     if layers[group, s][layer] else float("nan") for s in ("outside", "inside"))
             print(f"  {layer:50s} {a:9.4f} {b:9.4f}")
-    print(f"decided at the first sample: {counts['decided']} of {counts['controllers']} "
-          f"evaluations with a controller")
-    for decided, label in ((True, "decided there"), (False, "other early crossings")):
-        a, b = (statistics.median(first_sample[decided, s]) * 1e3
-                if first_sample[decided, s] else float("nan") for s in ("outside", "inside"))
-        label = f"median evaluation ms, {label} ({len(first_sample[decided, 'outside'])})"
+    print(f"early verdict, of {counts['controllers']} evaluations with a controller: "
+          f"{counts['first']} decided at sample d + 1, {counts['second']} at sample "
+          f"2 (d + 1), {counts['candidate']} candidates at 2 (d + 1) left to the engine")
+    labels = {"first": "decided at d + 1", "second": "decided at 2 (d + 1)",
+              "other": "other early crossings"}
+    for kind in kinds:
+        a, b = (statistics.median(decided[kind, s]) * 1e3
+                if decided[kind, s] else float("nan") for s in ("outside", "inside"))
+        label = f"median evaluation ms, {labels[kind]} ({len(decided[kind, 'outside'])})"
         print(f"  {label:50s} {a:9.4f} {b:9.4f}")
     print(f"{'all evaluations, summed (ms)':52s} {totals['outside'] * 1e3:9.2f} "
           f"{totals['inside'] * 1e3:9.2f}")
