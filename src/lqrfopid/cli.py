@@ -47,7 +47,6 @@ from .rules import eval_tuning_rule
 from .sim import (
     DIVERGENCE_FACTOR,
     Scenario,
-    _design_run,
     frequency_response,
     robustness_sweep,
     simulate_open_loop_step,
@@ -229,23 +228,20 @@ def _cmd_design(args) -> int:
     out = _out_dir(args)
     fronts = {}
     missing = False
-    # one design run for all methods and restarts: their searches start from
-    # the same seeded populations, so they share operator orders
-    with _design_run():
-        for method in methods:
-            configs = (dataclasses.replace(config, seed=args.seed + r)
-                       for r in range(args.restarts))
-            # max keeps the first of equally covering fronts
-            best = max((run_nsga2(plant, method, cfg, scenario, workers=args.workers)
-                        for cfg in configs), key=_front_coverage)
-            if len(best) == 0:
-                print(f"error: no feasible designs found for {method.value}", file=sys.stderr)
-                missing = True
-                continue
-            fronts[method] = best
-            path = out / f"front_{method.value}.csv"
-            write_front_csv(path, best)
-            print(f"{method.value}: {len(best)} non-dominated designs -> {path}")
+    for method in methods:
+        configs = (dataclasses.replace(config, seed=args.seed + r)
+                   for r in range(args.restarts))
+        # max keeps the first of equally covering fronts
+        best = max((run_nsga2(plant, method, cfg, scenario, workers=args.workers)
+                    for cfg in configs), key=_front_coverage)
+        if len(best) == 0:
+            print(f"error: no feasible designs found for {method.value}", file=sys.stderr)
+            missing = True
+            continue
+        fronts[method] = best
+        path = out / f"front_{method.value}.csv"
+        write_front_csv(path, best)
+        print(f"{method.value}: {len(best)} non-dominated designs -> {path}")
     if DelayMethod.CAI in fronts and DelayMethod.HE in fronts:
         verdict = compare_fronts(fronts[DelayMethod.CAI], fronts[DelayMethod.HE])
         print(f"front comparison verdict: {verdict}")

@@ -34,7 +34,6 @@ from .matops import CareFailure
 from .sim import (
     PENALTY_OBJECTIVE,
     Scenario,
-    _design_run,
     evaluate_design_objectives,
     write_csv,
 )
@@ -343,17 +342,15 @@ def run_nsga2(
     """Trade-off search over the LQR weights and controller orders.
 
     Minimizes (ITSE, ISDCO) of the closed loop designed via ``method`` and
-    returns the final front with the realized controllers attached.  The
-    search is a design run of its own unless one encloses it: each
-    operator order's kernel set-up is built once in it (see
-    :func:`lqrfopid.sim._design_run`).
+    returns the final front with the realized controllers attached.  Each
+    evaluation stands alone: it builds its own controller's kernels, and
+    shares only the cached plant entry with the others.
     """
     config = config or MooConfig()
     scenario = scenario or Scenario()
     # a partial of a module-level function pickles for the process pool
     objective = partial(evaluate_design_objectives, plant, method=method, scenario=scenario)
-    with _design_run():
-        X, F = nsga2_minimize(objective, config, workers=workers)
+    X, F = nsga2_minimize(objective, config, workers=workers)
     entries = []
     for x, f in zip(X, F):
         try:

@@ -61,7 +61,7 @@ output is 0 up to d, r num[1] H[0] at the first sample it responds to,
 d + 1, which needs only the operators' feedthroughs, and
 r (S[d + 2] - (num[1] H[0])**2) at 2 (d + 1), S the prefix sums of num H,
 which needs the first d + 2 kernel terms: bounded from the feedthroughs
-alone, or computed from the operators' modes, which the run then reuses.
+alone, or computed from the operators' modes.
 
 Where den is one term (the Oustaloup path) the right-hand side of a
 disturbed loop with r != 0 stays split: each block multiplies r den by
@@ -78,11 +78,8 @@ its modes or its GL weights: num, with its transforms, and den; a search
 builds it once, a sweep once per lag.  A controller entry (controller,
 step, solver, band, length) holds the operator kernels and H as last
 grown, with its transforms; each single run makes its own, and a sweep
-one for all its lags.  One order table per design run
-(:func:`_design_run`) holds, per Oustaloup operator order, step, band
-and length, the whole first chunk of the order's kernel: a controller
-whose orders it holds seeds its kernels with them, and no table outlives
-its run.
+one for all its lags.  Nothing else outlives a run, so a controller
+builds its kernels once, from its operators' modes.
 
 Timing convention shared by both paths: num[0] = 0, so the plant state at
 sample k has integrated the (zero-order-held, delayed) input, control and
@@ -92,7 +89,6 @@ most h/2 of delay error.
 """
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -677,7 +673,7 @@ def _kernel_terms(modes, h: float, m: int) -> np.ndarray:
 class _OperatorKernels:
     """The sampled kernels of the blocks of a run, in closed form from their
     modes, each a (d, poles, coeffs) of :func:`differintegrator_modes` or
-    :func:`_plant_modes` in the list ``modes()`` gives, extended in place on
+    :func:`_plant_modes` in the list ``modes``, extended in place on
     demand.
 
     ``kernels(m)`` is the first m terms of each (read-only): g[0] is the
@@ -703,39 +699,25 @@ class _OperatorKernels:
     The operators share one pass over their poles: one table of the
     moments I_ij, one of exp(p h j) and one exp(p h KERNEL_BLOCK b) per
     chunk; each keeps its own block product and Horner step, so each
-    kernel is the one it would be alone, bit for bit.
-
-    Kernels seeded with ``terms``, each kernel's whole first chunk as the
-    order table holds it, call ``modes()`` and build those tables only when
-    a run asks for terms past them, and then resume at block 1.  Cold ones
-    build them at once, starting from the feedthroughs.
+    kernel is the one it would be alone, bit for bit.  The tables every
+    chunk reads are built at construction, and the feedthroughs are the
+    kernels' first terms.
     """
 
-    def __init__(self, modes, h: float, n: int, terms=None):
-        self.modes, self.h, self.n, self.terms, self.bases = modes, h, n, terms, None
-        self.stage = 0 if terms is None else _next_stage(0, n)
-        if terms is None:
-            self._set_up()
-
-    def _set_up(self) -> None:
-        """The tables every chunk reads, from the modes; the feedthroughs
-        are the first terms of cold kernels."""
-        modes, h = self.modes(), self.h
+    def __init__(self, modes, h: float, n: int):
+        self.h, self.n, self.stage = h, n, 0
         poles, self.spans, polys = _mode_polynomials(modes, h)
         steps = np.exp((poles * h)[:, None] * _BLOCK_STEPS)
         self.bases = [(poly[:, :, None] * steps[lo:hi, None, :])
                       .reshape(hi - lo, poly.shape[1] * KERNEL_BLOCK)
                       for poly, (lo, hi, _) in zip(polys, self.spans)]
         self.rates = poles * (KERNEL_BLOCK * h)
-        if self.terms is None:
-            self.terms = [_read_only(np.array([d])) for d, _, _ in modes]
+        self.terms = [_read_only(np.array([d])) for d, _, _ in modes]
 
     def __call__(self, m: int) -> list[np.ndarray]:
         if m > self.n:
             raise ValueError(f"the kernels have {self.n} terms, not {m}")
         while self.terms[0].size < m:
-            if self.bases is None:
-                self._set_up()
             # up to the block of term stage - 1: the block of term k > 0 is
             # (k - 1) // KERNEL_BLOCK
             self.stage = _next_stage(self.stage, self.n)
@@ -817,10 +799,9 @@ def _plant_modes(plant: NioptdPlant, band) -> tuple[float, np.ndarray, np.ndarra
 # of its key); with the controller entry the only code that knows the
 # solver.  It is not sized to keep series for a later job, which only a
 # repeat of the same job in one process would reuse.  The controller entry
-# has no cache: a search makes a new controller at every evaluation, and a
-# sweep, one stack per lag, makes one entry for all its lags.  What a
-# search's controllers share is their operator orders, which the order
-# table of its design run keeps.
+# has no cache: a search makes a new controller at every evaluation, which
+# builds its operator kernels once, cold, and a sweep, one stack per lag,
+# makes one entry for all its lags.
 @functools.lru_cache(maxsize=8)
 class _PlantAtRest:
     """The plant sampled at step h, y = (num / den) u to n terms, num[0] = 0,
@@ -836,7 +817,7 @@ class _PlantAtRest:
     def __init__(self, plant: NioptdPlant, h: float, solver: str,
                  band: tuple[float, float], n: int):
         if solver == "oustaloup":
-            num = plant.K * _OperatorKernels(lambda: [_plant_modes(plant, band)], h, n)(n)[0]
+            num = plant.K * _OperatorKernels([_plant_modes(plant, band)], h, n)(n)[0]
             den = np.ones(1)
         elif solver == "gl":
             num = np.array([0.0, plant.K])
@@ -846,65 +827,6 @@ class _PlantAtRest:
             raise ValueError(f"unknown solver {solver!r}")
         self.num, self.den = _Series(num), _read_only(den)
         self.num_sums = _read_only(np.cumsum(num))
-
-
-# The order table of the design run in progress, None outside one (see
-# _design_run): (order, h, band, n) -> the whole first chunk of the kernel
-# of s**order, read-only: the kernel's own array, 129 terms where
-# n >= 2 DIRECT_TERMS.  The modes are not kept: a loop that runs past the
-# first stage, which few do, rebuilds them (about 25 us per order), where
-# keeping them would add about 0.7 KB per entry.
-_ORDER_TABLE = None
-# The operator modes the early verdict of the evaluation in progress built,
-# for the kernels of its run: ((exponents, band), modes), None outside that
-# run (see evaluate_design_objectives), so an undecided design builds its
-# modes once.  They travel beside the run, not through it, because the run
-# is a call of simulate_closed_loop, whose parameters are public.
-_VERDICT_MODES = None
-
-
-@contextlib.contextmanager
-def _design_run():
-    """Hold one order table for the controllers a design run simulates on
-    the Oustaloup path: the outermost run makes it, runs inside it share it,
-    and it is dropped when the outermost run ends, so no table outlives its
-    run and nothing outside a run sees one."""
-    global _ORDER_TABLE
-    if _ORDER_TABLE is not None:
-        yield
-        return
-    _ORDER_TABLE = {}
-    try:
-        yield
-    finally:
-        _ORDER_TABLE = None
-
-
-def _operator_kernels(exponents, h: float, band, n: int) -> _OperatorKernels:
-    """The kernels of s**g to n terms for each order g of ``exponents``, in
-    one :class:`_OperatorKernels`, from the modes of
-    :func:`differintegrator_modes` (g, band): those the early verdict of the
-    evaluation in progress handed over where they are these orders', else
-    built when the kernels first need them.  Inside a design run, where the
-    order table holds every order, it is seeded with their first chunks;
-    otherwise it is built cold, and the first chunks of the orders new to
-    the table are stored.  A joint build equals single-order builds bit for
-    bit, so every kernel equals the one built without a table."""
-    table, handed = _ORDER_TABLE, _VERDICT_MODES
-    keys = [(g, h, band, n) for g in exponents]
-    built = handed[1] if handed is not None and handed[0] == (tuple(exponents), band) else None
-
-    def modes():
-        return built or [differintegrator_modes(g, band) for g in exponents]
-
-    if table is not None and all(key in table for key in keys):
-        return _OperatorKernels(modes, h, n, [table[key] for key in keys])
-    kernels = _OperatorKernels(modes, h, n)
-    if table is not None:
-        kernels(_next_stage(0, n))
-        for key, first in zip(keys, kernels.terms):
-            table.setdefault(key, first)
-    return kernels
 
 
 class _ControllerRuns:
@@ -919,8 +841,10 @@ class _ControllerRuns:
     def __init__(self, controller: FopidController, h: float, solver: str,
                  band: tuple[float, float], n: int):
         exponents = (-controller.lam, controller.mu)
-        self.operators = (_operator_kernels(exponents, h, band, n) if solver == "oustaloup" else
-                          lambda m: [h ** -g * gl_coefficients(g, m) for g in exponents])
+        self.operators = (
+            _OperatorKernels([differintegrator_modes(g, band) for g in exponents], h, n)
+            if solver == "oustaloup" else
+            lambda m: [h ** -g * gl_coefficients(g, m) for g in exponents])
         self.controller, self.h, self.solver, self.band, self.n = controller, h, solver, band, n
         self.H, self.kernels = _Series(np.zeros(0)), []
 
@@ -1034,9 +958,7 @@ def _early_verdict(plant, controller, scenario):
     """The sample by which :func:`simulate_closed_loop` of the controller on
     the plant (Oustaloup path, default band) diverges, d + 1 or 2 (d + 1),
     decided before any kernel is built by the identities of
-    :func:`evaluate_design_objectives`, or None where it is not decided;
-    with the operators' modes where the verdict built them (else None),
-    which serve the kernels of a run it leaves to the engine.
+    :func:`evaluate_design_objectives`, or None where it is not decided.
 
     Sample d + 1, r num[1] H[0] with H[0] from the operators' feedthroughs,
     decides where it is finite and past the divergence bound by the
@@ -1058,11 +980,11 @@ def _early_verdict(plant, controller, scenario):
     w = (_first_sample_at(n, h, scenario.disturbance_time)
          if scenario.disturbance_magnitude != 0.0 else n)
     if r == 0.0 or min(w, n) <= d + 1:
-        return None, None
+        return None
     at_rest = _PlantAtRest(replace(plant, L=0.0), h, "oustaloup", DEFAULT_BAND, n)
     num1 = float(at_rest.num.terms[1])
     if at_rest.num.terms[0] != 0.0:
-        return None, None
+        return None
     c, bound = controller, _divergence_bound(r)
     # as the controller entry forms H[0], in Python floats, which overflow
     # without a warning: ki times the first term of one kernel plus kd
@@ -1071,27 +993,27 @@ def _early_verdict(plant, controller, scenario):
     H0 = (float(c.ki) * f_lam + float(c.kd) * f_mu) + float(c.kp)
     first = num1 * H0
     if math.isfinite(r * first) and abs(r * first) > bound * (1.0 + _FIRST_SAMPLE_MARGIN):
-        return d + 1, None
+        return d + 1
     if min(w, n) <= 2 * (d + 1):
-        return None, None
+        return None
     # the kernel terms rarely move sample 2 (d + 1) by half the bound, so
     # only a feedthrough part past half of it is worth deciding
     sums = at_rest.num_sums[:d + 3]
     fed = H0 * float(sums[-1])
     head = r * (fed - first * first)
     if abs(head) <= bound / 2.0:
-        return None, None
+        return None
     span = (d + 1) * h
     spread = float(np.abs(sums).max()) * (
         abs(float(c.ki)) * _order_variation(-c.lam, DEFAULT_BAND, span)
         + abs(float(c.kd)) * _order_variation(c.mu, DEFAULT_BAND, span))
     magnitude = abs(r) * (abs(fed) + first * first + spread)
     if abs(head) - abs(r) * spread > bound + _SECOND_RESPONSE_MARGIN * magnitude:
-        return 2 * (d + 1), None
+        return 2 * (d + 1)
     modes = [differintegrator_modes(g, DEFAULT_BAND) for g in (-c.lam, c.mu)]
     y, magnitude = _second_response(at_rest, c, H0, modes, h, d, r)
     decided = math.isfinite(y) and abs(y) > bound + _SECOND_RESPONSE_MARGIN * magnitude
-    return (2 * (d + 1) if decided else None), modes
+    return 2 * (d + 1) if decided else None
 
 
 def evaluate_design_objectives(
@@ -1140,16 +1062,9 @@ def evaluate_design_objectives(
     except (CareFailure, ValueError):
         return penalty
     scenario = scenario or Scenario()
-    crossed, modes = _early_verdict(plant, controller, scenario)
-    if crossed is not None:
+    if _early_verdict(plant, controller, scenario) is not None:
         return penalty
-    global _VERDICT_MODES
-    if modes is not None:
-        _VERDICT_MODES = ((-controller.lam, controller.mu), DEFAULT_BAND), modes
-    try:
-        result = simulate_closed_loop(plant, controller, scenario)
-    finally:
-        _VERDICT_MODES = None
+    result = simulate_closed_loop(plant, controller, scenario)
     if result.diverged:
         return penalty
     return result.itse, result.isdco

@@ -185,91 +185,44 @@ class TestDesign:
         for name in ("front_cai.csv", "front_he.csv"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
-    def test_one_order_table_per_design_run(self, tmp_path, monkeypatch):
-        """`design` holds one order table for all its methods and restarts
-        and drops it on return.  The He search starts from the Cai search's
-        seeded population, so its generation 0 seeds the kernel object of
-        every controller whose Cai twin was simulated from the table, and
-        computes operator modes and sets up a kernel object only for a loop
-        that runs past the first stage, or cold for a controller whose twin
-        was decided by the early verdict (which builds no kernels).  An
-        evaluation builds its operator modes at most once: a run the
-        verdict built them for and left to the engine reuses them."""
+    def test_one_kernel_object_per_simulated_evaluation(self, tmp_path, monkeypatch):
+        """A `design` run sets up exactly one kernel object for the operators
+        of each evaluation it simulates, none for an evaluation the early
+        verdict decides or the gain map rejects, and one for the plant, which
+        both methods share."""
         import lqrfopid.nsga2
         from lqrfopid import sim
 
-        counts = {"modes": 0, "kernels": 0, "hits": 0, "grown": 0}
-        seen, verdicts = [], {}
-        evaluate, modes = lqrfopid.nsga2.evaluate_design_objectives, sim.differintegrator_modes
-        early = sim._early_verdict
+        verdicts, kernels = [], []
+        evaluate, early = lqrfopid.nsga2.evaluate_design_objectives, sim._early_verdict
 
         def spied_evaluate(*args, **kwargs):
-            seen.append((sim._ORDER_TABLE, dict(counts)))
+            verdicts.append("no gain map")
+            kernels.append([])
             return evaluate(*args, **kwargs)
 
         def spied_verdict(*args):
-            # per evaluation: (the sample that decided it or None, whether
-            # the verdict built the modes)
-            crossed, built = early(*args)
-            verdicts[len(seen) - 1] = (crossed, built is not None)
-            return crossed, built
-
-        def counted_modes(*args):
-            counts["modes"] += 1
-            return modes(*args)
+            crossed = early(*args)
+            verdicts[-1] = "simulated" if crossed is None else "decided"
+            return crossed
 
         class CountedKernels(sim._OperatorKernels):
-            """Counts the kernel objects seeded from the table (hits), the
-            set-ups of all of them, and those of seeded ones (grown)."""
-
-            def __init__(self, modes, h, n, terms=None):
-                counts["hits"] += terms is not None
-                super().__init__(modes, h, n, terms)
-
-            def _set_up(self):
-                counts["kernels"] += 1
-                counts["grown"] += self.terms is not None
-                super()._set_up()
+            def __init__(self, modes, h, n):
+                kernels[-1].append(len(modes))
+                super().__init__(modes, h, n)
 
         monkeypatch.setattr(lqrfopid.nsga2, "evaluate_design_objectives", spied_evaluate)
         monkeypatch.setattr(sim, "_early_verdict", spied_verdict)
-        monkeypatch.setattr(sim, "differintegrator_modes", counted_modes)
         monkeypatch.setattr(sim, "_OperatorKernels", CountedKernels)
         sim._PlantAtRest.cache_clear()
         main(["design", "--methods", "cai,he", "--pop", "8", "--gens", "1", "--seed", "1",
               "--horizon", "20", "--h", "0.02", "--out-dir", str(tmp_path)])
-        seen.append((sim._ORDER_TABLE, dict(counts)))
-        # 16 Cai evaluations, then the He search's generation 0
-        assert len(seen) == 33
-        assert sim._ORDER_TABLE is None
-        table = seen[0][0]
-        assert isinstance(table, dict) and all(t is table for t, _ in seen[:-1])
-        cai, he = ({k: seen[b][1][k] - seen[a][1][k] for k in counts} for a, b in ((0, 8), (16, 24)))
-        simulated = {i for i, (crossed, _) in verdicts.items() if crossed is None}
-        built = {i for i, (_, b) in verdicts.items() if b}
-        # the verdict builds the modes for a design it decides at the second
-        # response, and for one it leaves to the engine
-        assert built - simulated and built & simulated
-        # every evaluation builds its modes once at most
-        deltas = [{k: after[k] - before[k] for k in counts}
-                  for (_, before), (_, after) in zip(seen, seen[1:])]
-        assert {delta["modes"] for delta in deltas} <= {0, 2}
-        assert all(deltas[i]["modes"] == 2 for i in built)
-        # He evaluation i + 16 has the orders of Cai evaluation i
-        he_cold = sum(i in simulated and i - 16 not in simulated for i in range(16, 24))
-        assert he_cold == 0
-        # the plant kernel is one object of its own, built on the first call
-        assert cai["kernels"] == 1 + len(simulated & set(range(8)))
-        assert cai["modes"] == 2 * len((simulated | built) & set(range(8)))
-        assert cai["hits"] == 0
-        # every He controller of generation 0 whose Cai twin was simulated
-        # takes both orders from the table
-        assert he["hits"] == cai["kernels"] - 1
-        assert he["hits"] == sum(i in simulated and i - 16 in simulated for i in range(16, 24))
-        assert he["kernels"] == he["grown"] + he_cold and he["grown"] < he["hits"]
-        # modes for the kernels set up without the verdict's, and the verdict's
-        assert he["modes"] == 2 * (he["kernels"] + len(built & set(range(16, 24)))
-                                   - sum(deltas[i]["kernels"] for i in built & set(range(16, 24))))
+        sim._PlantAtRest.cache_clear()
+        assert len(verdicts) == 32
+        assert {"simulated", "decided"} <= set(verdicts)
+        assert sum(built.count(1) for built in kernels) == 1
+        for verdict, built in zip(verdicts, kernels):
+            assert built.count(2) == (verdict == "simulated"), verdict
 
     def test_empty_front_does_not_stop_other_methods(self, tmp_path, monkeypatch, capsys):
         import lqrfopid.cli

@@ -335,31 +335,6 @@ class TestDesignBinding:
         f2 = run_nsga2(self.PLANT, DelayMethod.CAI, self.CFG, self.SCN)
         np.testing.assert_array_equal(f1.objectives_array(), f2.objectives_array())
 
-    def test_search_holds_its_own_order_table(self, monkeypatch):
-        """A search outside a design run holds an order table of its own for
-        all its evaluations and drops it on return; inside one it uses that
-        run's table and leaves it in place."""
-        from lqrfopid import sim
-
-        seen = []
-        evaluate = lqrfopid.nsga2.evaluate_design_objectives
-
-        def spied(*args, **kwargs):
-            seen.append(sim._ORDER_TABLE)
-            return evaluate(*args, **kwargs)
-
-        monkeypatch.setattr(lqrfopid.nsga2, "evaluate_design_objectives", spied)
-        run_nsga2(self.PLANT, DelayMethod.CAI, self.CFG, self.SCN)
-        assert sim._ORDER_TABLE is None
-        assert isinstance(seen[0], dict) and seen[0] and all(t is seen[0] for t in seen)
-        seen.clear()
-        with sim._design_run():
-            outer = sim._ORDER_TABLE
-            run_nsga2(self.PLANT, DelayMethod.HE, self.CFG, self.SCN)
-            assert sim._ORDER_TABLE is outer and outer
-        assert all(t is outer for t in seen)
-        assert sim._ORDER_TABLE is None
-
     def test_workers_do_not_change_result(self):
         f1 = run_nsga2(self.PLANT, DelayMethod.CAI, self.CFG, self.SCN, workers=1)
         f2 = run_nsga2(self.PLANT, DelayMethod.CAI, self.CFG, self.SCN, workers=2)

@@ -740,6 +740,17 @@ class TestSolvers:
         assert ffts == {"_series_mul", "_Series.transform"}, ffts
         assert sizes == {"_series_mul"}, sizes
 
+    def test_no_module_rebinds_a_global(self):
+        """Structural guard: no module of the package has a global
+        statement, so no run hands state to another through module
+        variables; what runs share is passed or cached by key."""
+        found = []
+        for path in sorted(Path(sim.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Global):
+                    found.append((path.name, node.lineno, node.names))
+        assert not found, found
+
 
 class TestCsvWriters:
     def test_trajectory_schema(self, tmp_path):

@@ -57,8 +57,7 @@ AT_REST = Scenario(setpoint=0.0, disturbance_time=40.0, disturbance_magnitude=0.
 def operator_kernels(exponents, h, n):
     """The closed-form kernels of the operators s**gamma to n terms, one per
     exponent."""
-    return _OperatorKernels(lambda: [differintegrator_modes(g, DEFAULT_BAND) for g in exponents],
-                            h, n)
+    return _OperatorKernels([differintegrator_modes(g, DEFAULT_BAND) for g in exponents], h, n)
 
 
 def assert_agree(res, ref):
@@ -481,39 +480,6 @@ def test_kernels_grow_in_few_chunk_products(counted_kernels):
     assert len(operators.chunks) == 2
 
 
-def test_no_order_table_outside_a_design_run(counted_kernels):
-    """Outside a design run there is no table: every new controller builds
-    one kernel object for both its operators, as it did before the table,
-    however often its orders repeat, and a sweep builds one."""
-    case = BY_NAME["osc_median"]
-    scenario = Scenario(horizon=20.0)
-    for kp in (0.5, 0.6, 0.7):
-        simulate_closed_loop(case.plant, FopidController(kp=kp, ki=0.5, kd=0.2, lam=1.1, mu=0.4),
-                             scenario)
-    sweep = FopidController(kp=0.8, ki=0.5, kd=0.2, lam=1.1, mu=0.4)
-    sim.robustness_sweep(case.plant, sweep, [0.4, 0.5], [1.8, 2.0], scenario)
-    assert sim._ORDER_TABLE is None
-    controllers = [k for k in counted_kernels if len(k.spans) == 2]
-    assert len(controllers) == 4
-
-
-def test_design_run_scope():
-    """The outermost design run makes the table and the runs inside it share
-    it; it is dropped when the outermost run ends, also on an exception."""
-    assert sim._ORDER_TABLE is None
-    with sim._design_run():
-        table = sim._ORDER_TABLE
-        assert table == {}
-        with sim._design_run():
-            assert sim._ORDER_TABLE is table
-        assert sim._ORDER_TABLE is table
-    assert sim._ORDER_TABLE is None
-    with pytest.raises(RuntimeError):
-        with sim._design_run():
-            raise RuntimeError
-    assert sim._ORDER_TABLE is None
-
-
 @pytest.mark.parametrize("n", [1, 2, 129, 1000])
 def test_kernels_refuse_terms_past_their_length(n):
     """A request past the n terms given at construction raises ValueError,
@@ -553,104 +519,6 @@ def test_shared_kernel_pass_equals_per_exponent_builds(h):
 FACTOR_EDGES = (0.0, 1e-17, 1.0, 2.0)
 
 
-def fresh_controller_runs(lam, mu, h, n):
-    """A controller entry of its own."""
-    controller = FopidController(kp=0.7, ki=0.4, kd=0.3, lam=lam, mu=mu)
-    return sim._ControllerRuns(controller, h, "oustaloup", DEFAULT_BAND, n)
-
-
-def grown_runs(runs, lengths):
-    """H and both kernels at each length, grown in that order."""
-    out = []
-    for m in lengths:
-        H, kernels = runs.grown(m)
-        out.append([H.terms[:m]] + kernels)
-    return out
-
-
-@pytest.mark.parametrize("h", [0.01, 0.05])
-def test_order_table_hits_equal_cold_builds(h, monkeypatch):
-    """Inside a design run, a controller whose orders the table knows is
-    seeded with the table's first chunks, the kernels' own read-only arrays
-    of 129 terms: it takes H and both kernels at the first stage from them
-    with no set-up, and sets up its kernel object only to grow them past
-    it, resuming at block 1; one with a known and a new order builds both.
-    Each equals a cold build outside any run bit for bit, at 128 terms and
-    after growing to 1,024 and to N: seeded (lam, mu) pairs of the design
-    box and every pair of FACTOR_EDGES, in a table that also holds them at
-    twice the step."""
-    events = []
-
-    class SpiedKernels(_OperatorKernels):
-        def _set_up(self):
-            events.append((self, "set-up"))
-            super()._set_up()
-
-        def _extend(self, blocks):
-            events.append((self, int(blocks[0])))
-            super()._extend(blocks)
-
-    def events_of(kernels):
-        return [event for owner, event in events if owner is kernels]
-
-    monkeypatch.setattr(sim, "_OperatorKernels", SpiedKernels)
-    rng = np.random.default_rng(71)
-    lo, hi = np.array(DESIGN_BOUNDS[4:]).T
-    pairs = [tuple(rng.uniform(lo, hi)) for _ in range(12)]
-    pairs += list(itertools.product(FACTOR_EDGES, FACTOR_EDGES))
-    n, lengths = KERNEL_TERMS, (128, 1024, KERNEL_TERMS)
-    assert sim._next_stage(0, n) == 128
-    for lam, mu in pairs:
-        cold = fresh_controller_runs(lam, mu, h, n)
-        assert events_of(cold.operators) == ["set-up"]
-        want = grown_runs(cold, lengths)
-        with sim._design_run():
-            # the same orders at another step are other entries
-            fresh_controller_runs(lam, mu, 2.0 * h, n).grown(1024)
-            fresh_controller_runs(lam, 0.123, h, n)
-            mixed = fresh_controller_runs(lam, mu, h, n)
-            hit = fresh_controller_runs(lam, mu, h, n)
-            stored = [sim._ORDER_TABLE[g, h, DEFAULT_BAND, n] for g in (-lam, mu)]
-            assert all(a is b for a, b in zip(hit.operators.terms, stored))
-            assert all(a.size == 129 and not a.flags.writeable for a in stored)
-            hit.grown(128)
-            assert events_of(hit.operators) == []
-            for runs in (mixed, hit):
-                for got, ref, m in zip(grown_runs(runs, lengths), want, lengths):
-                    for a, b in zip(got, ref):
-                        assert a.size == m and np.array_equal(a, b), (lam, mu, m)
-            grown = events_of(hit.operators)
-            assert grown[0] == "set-up" and grown[1] == 1 and 0 not in grown[1:], grown
-        assert sim._ORDER_TABLE is None
-
-
-def test_objectives_equal_inside_and_outside_a_design_run():
-    """evaluate_design_objectives gives the same pair, to the bit, outside a
-    design run and inside one, where the second of two designs with the
-    same orders but other weights takes them from the table: seeded designs
-    of both delay methods on the sluggish plant (h 0.05, N 1,000) and the
-    oscillatory one (h 0.01, N 2,000), survivors among them."""
-    rng = np.random.default_rng(73)
-    lo, hi = np.array(DESIGN_BOUNDS).T
-    cases = ((NioptdPlant(K=1.0, L=0.5, T=2.0, alpha=0.5), Scenario(horizon=50.0, step_size=0.05)),
-             (OSCILLATORY_PLANT, Scenario(horizon=20.0, step_size=0.01)))
-    for plant, scenario in cases:
-        designs = []
-        for _ in range(20):
-            x = rng.uniform(lo, hi)
-            # an offspring that keeps its parent's orders
-            y = np.concatenate([rng.uniform(lo[:4], hi[:4]), x[4:]])
-            method = (DelayMethod.CAI, DelayMethod.HE)[int(rng.integers(2))]
-            designs += [(x, method), (y, method)]
-        outside = [evaluate_design_objectives(plant, x, m, scenario) for x, m in designs]
-        with sim._design_run():
-            inside = [evaluate_design_objectives(plant, x, m, scenario) for x, m in designs]
-            assert sim._ORDER_TABLE
-        assert [[v.hex() for v in pair] for pair in inside] == \
-            [[v.hex() for v in pair] for pair in outside]
-        assert any(pair != (sim.PENALTY_OBJECTIVE,) * 2 for pair in outside)
-
-
 def early_verdicts(monkeypatch):
     """Spy on the early verdict of evaluate_design_objectives: a list that
     gets (sample, plant, controller, scenario) of every verdict that
@@ -658,10 +526,10 @@ def early_verdicts(monkeypatch):
     fired, decide = [], sim._early_verdict
 
     def spied(plant, controller, scenario):
-        crossed, modes = decide(plant, controller, scenario)
+        crossed = decide(plant, controller, scenario)
         if crossed is not None:
             fired.append((crossed, plant, controller, scenario))
-        return crossed, modes
+        return crossed
 
     monkeypatch.setattr(sim, "_early_verdict", spied)
     return fired
@@ -678,7 +546,7 @@ def engine_objectives(monkeypatch, calls):
     the early verdict switched off: every design with a gain map is
     simulated."""
     with monkeypatch.context() as m:
-        m.setattr(sim, "_early_verdict", lambda *args: (None, None))
+        m.setattr(sim, "_early_verdict", lambda *args: None)
         return [evaluate_design_objectives(*call) for call in calls]
 
 
@@ -776,7 +644,7 @@ def test_first_sample_verdict_at_the_bound(monkeypatch):
             sample = r * (float(num[1]) * kp)
             near = abs(abs(sample) / bound - 1.0) < 1e-12
             d = int(round(plant.L / scenario.step_size))
-            assert (sim._early_verdict(plant, controller, scenario)[0] == d + 1) != near
+            assert (sim._early_verdict(plant, controller, scenario) == d + 1) != near
             res = simulate_closed_loop(plant, controller, scenario)
             at_first = res.diverged and res.y.size == int(round(plant.L / scenario.step_size)) + 2
             misjudged += abs(sample) > bound and not at_first
@@ -871,7 +739,7 @@ def test_kernel_terms_match_the_kernels(h):
     orders = list(rng.uniform(-2.0, 2.0, 24)) + [g * s for g in FACTOR_EDGES for s in (1, -1)]
     for g in orders:
         modes = [differintegrator_modes(g, DEFAULT_BAND)]
-        kernel = _OperatorKernels(lambda: modes, h, 400)(400)[0]
+        kernel = _OperatorKernels(modes, h, 400)(400)[0]
         terms = sim._kernel_terms(modes, h, 399)[0]
         assert np.max(np.abs(terms - kernel[1:])) <= 1e-13 * np.abs(kernel[1:]).sum(), g
         for m in (1, 11, 102, 399):
@@ -894,15 +762,20 @@ def verdict_kind(plant, controller, scenario):
     """What the early verdict made of a run: ``first`` or ``second`` where
     it decided at sample d + 1 or 2 (d + 1), ``exact`` where it decided the
     second from the modes, ``candidate`` where it built the modes and left
-    the run to the engine, None where it did neither."""
-    crossed, modes = sim._early_verdict(plant, controller, scenario)
+    the run to the engine, None where it did neither: the verdict built the
+    modes where it called :func:`sim._second_response`."""
+    responses, respond = [], sim._second_response
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sim, "_second_response",
+                  lambda *args: responses.append(args) or respond(*args))
+        crossed = sim._early_verdict(plant, controller, scenario)
     d = int(round(plant.L / scenario.step_size))
     if crossed is None:
-        return None if modes is None else "candidate"
+        return "candidate" if responses else None
     assert crossed in (d + 1, 2 * (d + 1))
     if crossed == d + 1:
         return "first"
-    return "second" if modes is None else "exact"
+    return "exact" if responses else "second"
 
 
 @pytest.mark.parametrize("name", list(SECOND_RESPONSE_CASES))
@@ -991,8 +864,10 @@ def test_second_response_verdict_at_its_margin(tier, monkeypatch):
     from the modes or from the variation bound, passes the divergence bound
     by 1% more and 1% less than its margin: the first is decided by that
     test, the second not, and the engine crosses by 2 (d + 1) for both.  A
-    run left to the engine builds no modes of its own.  Every objective
-    equals the engine's to the bit."""
+    decision from the bound builds no modes, and one from the modes builds
+    its two orders' once; a candidate builds them twice, once in the
+    verdict and once in its kernels.  Every objective equals the engine's
+    to the bit."""
     plant, x = SLUGGISH_PLANT, np.array([1.0, 1.0, 1.0, 1.0, 0.9, 0.5])
     controllers, calls, kinds = [], [], []
     for r in (1.0, 2.5, -0.7):
@@ -1016,7 +891,7 @@ def test_second_response_verdict_at_its_margin(tier, monkeypatch):
     for call, kind in zip(calls, kinds):
         built.clear()
         got.append(evaluate_design_objectives(*call))
-        assert len(built) == (0 if kind == "second" else 2)
+        assert len(built) == {"second": 0, "exact": 2, "candidate": 4}[kind], kind
     assert [[v.hex() for v in pair] for pair in got] == \
         [[v.hex() for v in pair] for pair in engine_objectives(monkeypatch, calls)]
 
@@ -1149,7 +1024,7 @@ def test_evaluation_reaches_lapack_directly():
 
     def spy(frame, event, arg):
         code = frame.f_code
-        if event == "return" and code is _OperatorKernels._set_up.__code__:
+        if event == "return" and code is _OperatorKernels.__init__.__code__:
             calls.append(f"kernels of {len(frame.f_locals['modes'])}")
         elif event == "call" and code.co_name in wrappers and "scipy" in code.co_filename:
             calls.append(code.co_name)

@@ -1,5 +1,4 @@
-"""Replay the design evaluations of one benchmark round, layer by layer,
-outside and inside a design run's order table.
+"""Replay the design evaluations of one benchmark round, layer by layer.
 
 Usage, from the root of a checkout::
 
@@ -8,30 +7,23 @@ Usage, from the root of a checkout::
 It records one round of a search workload of ``bench/workloads.py`` (the
 in-process ``lqrfopid design`` run), keeping the arguments of every
 evaluation.  It then replays the evaluations in the order of the round.
-Each evaluation is timed ``--repeats`` times per side, the two sides
-alternating, and the fastest time is kept:
-
-* outside: no table, as any caller outside a design run sees it;
-* inside: one table for the whole replay, as the round's ``design`` run
-  holds it, in the state the round left it in before that evaluation.
+Each layer of an evaluation is timed ``--repeats`` times, and the fastest
+time is kept.
 
 Layers: the gain map (``design_from_vars``); the controller set-up (a new
 controller entry and its H to the first stage); the first block (the
 engine on that entry, for loops that cross within the first stage); the
 whole evaluation (``evaluate_design_objectives``, which builds its own
-controller entry).  The per-layer figures are medians over the evaluations whose loop
-crosses within the first stage, the penalized evaluations of an early
-search, apart for those whose two orders the table already holds and the
-rest; the sum over all evaluations is printed too.  The evaluations the
-early verdict decides (no controller entry or kernel built) are counted,
-and their whole evaluations timed, apart by the sample that decided
-them, d + 1 or 2 (d + 1), and apart from the other early crossings; so
-are the candidates at 2 (d + 1) it builds the modes for and leaves to
-the engine.  Every replayed
-objective must equal the recorded one to the bit.  Then the table: order
-lookups, hits (within one search and across searches), the controllers
-with both orders known and how many of those grow past the first stage,
-entries and bytes.
+controller entry).  The per-layer figures are medians over the
+evaluations whose loop crosses within the first stage, the penalized
+evaluations of an early search; the sum over all evaluations is printed
+too.  The evaluations the early verdict decides (no controller entry or
+kernel built) are counted, and their whole evaluations timed, apart by
+the sample that decided them, d + 1 or 2 (d + 1), and apart from the
+other early crossings; the decisions at 2 (d + 1) are split into those
+from the bound on the kernel terms and those from the modes, and the
+candidates it builds the modes for and leaves to the engine are counted
+too.  Every replayed objective must equal the recorded one to the bit.
 
 Kept out of the test suite: its figures are timings.
 """
@@ -66,7 +58,7 @@ LAYERS = ("gain_map", "controller_setup", "first_block", "evaluation")
 
 def record(name: str):
     """The (plant, vars, method, scenario, objectives) of every evaluation of
-    one round of the workload, in order, and the evaluations per search."""
+    one round of the workload, in order."""
     workload = workloads.WORKLOADS[name]
     calls = []
     evaluate = lqrfopid.nsga2.evaluate_design_objectives
@@ -81,46 +73,45 @@ def record(name: str):
             workload.run_round(workload.inputs(1), Path(out))
     finally:
         lqrfopid.nsga2.evaluate_design_objectives = evaluate
-    return calls, workload.pop * (workload.gens + 1)
+    return calls
 
 
-def fastest(run, repeats, undo=None):
+def fastest(run, repeats):
     """The fastest of ``repeats`` calls of ``run`` (seconds) and its last
-    result; ``undo()`` after every call but the last."""
+    result."""
     best = float("inf")
-    for i in range(repeats):
+    for _ in range(repeats):
         t0 = time.perf_counter()
         result = run()
         best = min(best, time.perf_counter() - t0)
-        if undo is not None and i < repeats - 1:
-            undo()
     return best, result
 
 
 def verdict_of(plant, controller, scenario):
     """What the early verdict made of an evaluation: ``first`` (decided at
-    sample d + 1), ``second`` (decided at 2 (d + 1)), ``candidate`` (modes
-    built, left to the engine) or None."""
-    crossed, modes = sim._early_verdict(plant, controller, scenario)
+    sample d + 1), ``second`` (decided at 2 (d + 1) from the bound on the
+    kernel terms), ``modes`` (decided there from the modes), ``candidate``
+    (modes built, left to the engine) or None.  The verdict builds the
+    modes where it calls ``sim._second_response``."""
+    responses, respond = [], sim._second_response
+    sim._second_response = lambda *args: responses.append(args) or respond(*args)
+    try:
+        crossed = sim._early_verdict(plant, controller, scenario)
+    finally:
+        sim._second_response = respond
     if crossed is None:
-        return None if modes is None else "candidate"
-    return "first" if crossed == int(round(plant.L / scenario.step_size)) + 1 else "second"
+        return "candidate" if responses else None
+    if crossed == int(round(plant.L / scenario.step_size)) + 1:
+        return "first"
+    return "modes" if responses else "second"
 
 
-def replay(call, repeats, inside: bool):
+def replay(call, repeats):
     """The fastest time of each layer of one evaluation, its objectives,
-    whether its loop crossed within the first stage, whether it grew past
-    it and what the early verdict made of it; inside the table, the
-    entries the evaluation adds are taken out after every repeat but the
-    last, so each repeat meets the table as the round did."""
+    whether its loop crossed within the first stage and what the early
+    verdict made of it."""
     plant, vars, method, scenario, _ = call
     h, n, band = scenario.step_size, scenario.n_steps, sim.DEFAULT_BAND
-    table = sim._ORDER_TABLE if inside else None
-    new = [key for key in order_keys(call) if table is not None and key not in table]
-
-    def undo():
-        for key in new:
-            table.pop(key, None)
 
     def evaluation():
         return sim.evaluate_design_objectives(plant, vars, method, scenario)
@@ -132,8 +123,7 @@ def replay(call, repeats, inside: bool):
                                                 repeats)
     except (CareFailure, ValueError):
         controller = None
-    crossed_early = grew = False
-    verdict = None
+    crossed_early, verdict = False, None
     if controller is not None:
         verdict = verdict_of(plant, controller, scenario)
         first = sim._next_stage(0, n)
@@ -143,57 +133,21 @@ def replay(call, repeats, inside: bool):
             runs.grown(first)
             return runs
 
-        times["controller_setup"], _ = fastest(setup, repeats, undo)
-        undo()
+        times["controller_setup"], _ = fastest(setup, repeats)
         at_rest = sim._PlantAtRest(replace(plant, L=0.0), h, "oustaloup", band, n)
         r = scenario.setpoint
         loop = (at_rest, [int(round(plant.L / h))], None, r,
                 sim._first_sample_at(n, h, scenario.disturbance_time),
                 scenario.disturbance_magnitude, sim._divergence_bound(r), n)
-        runs = []
-        for _ in range(repeats):
-            runs.append(setup())
-            undo()
+        runs = [setup() for _ in range(repeats)]
         [(_, k)] = sim._loop_output(*loop[:2], runs[0], *loop[3:])
         # the terms of H the loop grew its entry to
-        built = runs[0].H.terms.size
-        crossed_early, grew = k is not None and built <= first, built > first
+        crossed_early = k is not None and runs[0].H.terms.size <= first
         if crossed_early:
             times["first_block"] = min(fastest(lambda: sim._loop_output(
                 *loop[:2], entry, *loop[3:]), 1)[0] for entry in runs)
-    times["evaluation"], objectives = fastest(evaluation, repeats, undo)
-    return times, objectives, crossed_early, grew, verdict
-
-
-def order_keys(call):
-    """The table keys of the two operator orders of an evaluation."""
-    _, vars, _, scenario, _ = call
-    lam, mu = np.asarray(vars, dtype=float)[4:6].tolist()
-    return [(g, scenario.step_size, sim.DEFAULT_BAND, scenario.n_steps) for g in (-lam, mu)]
-
-
-def table_bytes(table) -> tuple[int, int]:
-    """Bytes of the table's entries (keys, tuples, arrays and the arrays
-    they view), and of the dict itself."""
-    seen, total = set(), 0
-
-    def size(obj):
-        nonlocal total
-        if id(obj) in seen:
-            return
-        seen.add(id(obj))
-        total += sys.getsizeof(obj)
-        if isinstance(obj, tuple):
-            for item in obj:
-                size(item)
-        elif isinstance(obj, np.ndarray) and obj.base is not None:
-            size(obj.base)
-
-    seen.add(id(sim.DEFAULT_BAND))  # shared by every key
-    for key, entry in table.items():
-        size(key)
-        size(entry)
-    return total, sys.getsizeof(table)
+    times["evaluation"], objectives = fastest(evaluation, repeats)
+    return times, objectives, crossed_early, verdict
 
 
 def repeat_count(text: str) -> int:
@@ -213,59 +167,33 @@ def main(argv=None) -> int:
                         choices=[n for n in workloads.WORKLOADS if n.startswith("search-")])
     parser.add_argument("--repeats", type=repeat_count, default=5)
     args = parser.parse_args(argv)
-    calls, per_search = record(args.workload)
+    calls = record(args.workload)
     n = calls[0][3].n_steps
 
-    groups = ("both orders known", "a new order")
-    layers = {(group, side): {layer: [] for layer in LAYERS}
-              for group in groups for side in ("outside", "inside")}
-    totals = {"outside": 0.0, "inside": 0.0}
-    searches_seen = {}
-    counts = dict(lookups=0, hits=0, hits_in_search=0, both=0, grown=0, early=0, controllers=0,
-                  first=0, second=0, candidate=0)
+    layers = {layer: [] for layer in LAYERS}
+    total = 0.0
+    counts = dict(early=0, controllers=0, first=0, second=0, modes=0, candidate=0)
     # whole evaluations decided by the early verdict, by the sample that
     # decided them, and of the other early crossings
     kinds = ("first", "second", "other")
-    decided = {(kind, side): [] for kind in kinds for side in ("outside", "inside")}
+    decided = {kind: [] for kind in kinds}
     mismatches = 0
-    with sim._design_run():
-        table = sim._ORDER_TABLE
-        for i, call in enumerate(calls):
-            keys = order_keys(call)
-            search = searches_seen.setdefault(i // per_search, set())
-            known = [key in table for key in keys]
-            results = {}
-            # alternate which side goes first
-            for side in (("outside", "inside") if i % 2 else ("inside", "outside")):
-                if side == "outside":
-                    sim._ORDER_TABLE = None
-                try:
-                    results[side] = replay(call, args.repeats, side == "inside")
-                finally:
-                    sim._ORDER_TABLE = table
-            crossed, grew, verdict = results["outside"][2:]
-            kind = verdict if verdict in ("first", "second") else "other" if crossed else None
-            for side, (times, objectives, *_) in results.items():
-                totals[side] += times["evaluation"]
-                mismatches += [v.hex() for v in objectives] != [v.hex() for v in call[4]]
-                if crossed:
-                    for layer in LAYERS:
-                        layers[groups[not all(known)], side][layer].append(times[layer])
-                if kind is not None:
-                    decided[kind, side].append(times["evaluation"])
-            if "controller_setup" in results["outside"][0]:
-                counts["controllers"] += 1
-                counts["lookups"] += 2
-                counts["hits"] += sum(known)
-                counts["hits_in_search"] += sum(key in search for key in keys)
-                counts["both"] += all(known)
-                counts["grown"] += all(known) and grew
-                counts["early"] += crossed
-                if verdict is not None:
-                    counts[verdict] += 1
-                search.update(keys)
-        entries = len(table)
-        entry_bytes, dict_bytes = table_bytes(table)
+    for call in calls:
+        times, objectives, crossed, verdict = replay(call, args.repeats)
+        total += times["evaluation"]
+        mismatches += [v.hex() for v in objectives] != [v.hex() for v in call[4]]
+        if crossed:
+            for layer in LAYERS:
+                layers[layer].append(times[layer])
+        kind = ("first" if verdict == "first" else "second" if verdict in ("second", "modes")
+                else "other" if crossed else None)
+        if kind is not None:
+            decided[kind].append(times["evaluation"])
+        if "controller_setup" in times:
+            counts["controllers"] += 1
+            counts["early"] += crossed
+            if verdict is not None:
+                counts[verdict] += 1
 
     print(f"workload {args.workload}: {len(calls)} evaluations, {counts['controllers']} "
           f"with a controller, {counts['early']} of them crossing within the first stage "
@@ -273,31 +201,22 @@ def main(argv=None) -> int:
           f"BLAS threads 1")
     print(f"objectives equal to the round's, to the bit: "
           f"{'yes' if not mismatches else f'NO ({mismatches} differ)'}")
-    for group in groups:
-        early = len(layers[group, "outside"]["evaluation"])
-        print(f"{f'median ms, early crossings with {group} ({early})':52s} "
-              f"{'outside':>9s} {'inside':>9s}")
-        for layer in LAYERS:
-            a, b = (statistics.median(layers[group, s][layer]) * 1e3
-                    if layers[group, s][layer] else float("nan") for s in ("outside", "inside"))
-            print(f"  {layer:50s} {a:9.4f} {b:9.4f}")
+    print(f"median ms, early crossings ({len(layers['evaluation'])})")
+    for layer in LAYERS:
+        ms = statistics.median(layers[layer]) * 1e3 if layers[layer] else float("nan")
+        print(f"  {layer:50s} {ms:9.4f}")
     print(f"early verdict, of {counts['controllers']} evaluations with a controller: "
-          f"{counts['first']} decided at sample d + 1, {counts['second']} at sample "
-          f"2 (d + 1), {counts['candidate']} candidates at 2 (d + 1) left to the engine")
+          f"{counts['first']} decided at sample d + 1, {counts['second'] + counts['modes']} at "
+          f"sample 2 (d + 1) ({counts['second']} from the bound on the kernel terms, "
+          f"{counts['modes']} from the modes), {counts['candidate']} candidates at 2 (d + 1) "
+          f"left to the engine")
     labels = {"first": "decided at d + 1", "second": "decided at 2 (d + 1)",
               "other": "other early crossings"}
     for kind in kinds:
-        a, b = (statistics.median(decided[kind, s]) * 1e3
-                if decided[kind, s] else float("nan") for s in ("outside", "inside"))
-        label = f"median evaluation ms, {labels[kind]} ({len(decided[kind, 'outside'])})"
-        print(f"  {label:50s} {a:9.4f} {b:9.4f}")
-    print(f"{'all evaluations, summed (ms)':52s} {totals['outside'] * 1e3:9.2f} "
-          f"{totals['inside'] * 1e3:9.2f}")
-    print(f"table: {counts['lookups']} order lookups, {counts['hits']} hits "
-          f"({counts['hits_in_search']} within their own search), {counts['both']} controllers "
-          f"with both orders known ({counts['grown']} growing past the first stage); "
-          f"{entries} entries, {entry_bytes} bytes "
-          f"({entry_bytes / max(entries, 1):.0f} per entry) plus {dict_bytes} for the dict")
+        ms = statistics.median(decided[kind]) * 1e3 if decided[kind] else float("nan")
+        label = f"median evaluation ms, {labels[kind]} ({len(decided[kind])})"
+        print(f"  {label:50s} {ms:9.4f}")
+    print(f"{'all evaluations, summed (ms)':52s} {total * 1e3:9.2f}")
     return 1 if mismatches else 0
 
 
