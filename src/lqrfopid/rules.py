@@ -167,6 +167,9 @@ def _as_points(points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("points must be an (n, 3) array of (L/T, alpha, value)")
+    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+    if bad.size:
+        raise ValueError(f"point {bad[0]} is not finite: {pts[bad[0]].tolist()}")
     return pts
 
 
@@ -175,7 +178,7 @@ def fit_polynomial_surface(points) -> tuple[TuningRuleCoefficients, FitDiagnosti
 
     ``points`` is a sequence of (L/T, alpha, value) triples; at least 13
     points (one more than the coefficient count) are required.  A
-    rank-deficient design matrix is rejected.
+    non-finite point or a rank-deficient design matrix is rejected.
     """
     pts = _as_points(points)
     n = pts.shape[0]

@@ -61,7 +61,7 @@ output is 0 up to d, r num[1] H[0] at the first sample it responds to,
 d + 1, which needs only the operators' feedthroughs, and
 r (S[d + 2] - (num[1] H[0])**2) at 2 (d + 1), S the prefix sums of num H,
 which needs the first d + 2 kernel terms: bounded from the feedthroughs
-alone, or computed from the operators' modes.
+alone, or read from the operators' own kernels, the engine's sampler.
 
 Where den is one term (the Oustaloup path) the right-hand side of a
 disturbed loop with r != 0 stays split: each block multiplies r den by
@@ -79,7 +79,8 @@ builds it once, a sweep once per lag.  A controller entry (controller,
 step, solver, band, length) holds the operator kernels and H as last
 grown, with its transforms; each single run makes its own, and a sweep
 one for all its lags.  Nothing else outlives a run, so a controller
-builds its kernels once, from its operators' modes.
+builds its kernels once, from its operators' modes, and once more to
+d + 2 terms where the early verdict reads them.
 
 Timing convention shared by both paths: num[0] = 0, so the plant state at
 sample k has integrated the (zero-order-held, delayed) input, control and
@@ -148,7 +149,7 @@ RUN_GROWTH = 8
 # margin crosses it in the engine too
 _FIRST_SAMPLE_MARGIN = 1e-9
 # the engine forms sample 2 (d + 1) of a delayed loop, and the verdict its
-# closed form from kernel terms of its own, summed in another order, each
+# closed form from the same kernel terms, summed in another order, each
 # within a few roundings of the sum of the magnitudes of its terms (within
 # 1e-14 of it measured, 1e-12 tested); a closed form past the divergence
 # bound by this many times that sum crosses it in the engine too
@@ -628,48 +629,6 @@ def _interval_moments(poles: np.ndarray, h: float, spans) -> np.ndarray:
     return out * h ** np.arange(1, count + 1)
 
 
-def _mode_polynomials(modes, h: float):
-    """(poles, spans, polys) of the modes (d, poles, coeffs) of the blocks
-    of a run, in one pass over their poles: all the poles, each block's
-    span (lo, hi, powers) of them, and per block the coefficients
-    sum_l c_il binom(l, j) I_ij of s**(l - j) in P_i(s) (see
-    :class:`_OperatorKernels`), columns the powers of s."""
-    poles = np.concatenate([p for _, p, _ in modes])
-    # block i has the poles poles[lo:hi] and coeffs.shape[1] powers
-    spans, hi = [], 0
-    for _, p, coeffs in modes:
-        spans.append((hi, hi + p.size, coeffs.shape[1]))
-        hi += p.size
-    moments = _interval_moments(poles, h, spans)
-    polys = []
-    for (_, _, coeffs), (lo, hi, _) in zip(modes, spans):
-        poly = coeffs * moments[lo:hi, :1]
-        for l in range(1, coeffs.shape[1]):
-            for j in range(1, l + 1):
-                poly[:, l - j] += coeffs[:, l] * math.comb(l, j) * moments[lo:hi, j]
-        polys.append(poly)
-    return poles, spans, polys
-
-
-def _kernel_terms(modes, h: float, m: int) -> np.ndarray:
-    """Terms 1, ..., m of the kernels of :class:`_OperatorKernels` on
-    ``modes``, one row per kernel, sample by sample: term k is
-    sum_i exp(p_i s) P_i(s), s = (k - 1) h, by Horner in s.  The same
-    closed form, evaluated in another order, so not bit for bit the
-    kernels' terms."""
-    poles, spans, polys = _mode_polynomials(modes, h)
-    s = np.arange(m) * h
-    grown = np.exp(np.multiply.outer(s, poles))
-    out = np.empty((len(modes), m))
-    for row, (lo, hi, _), poly in zip(out, spans, polys):
-        modes_at = grown[:, lo:hi]
-        terms = modes_at @ poly[:, -1]
-        for l in range(poly.shape[1] - 2, -1, -1):
-            terms = terms * s + modes_at @ poly[:, l]
-        row[:] = terms.real
-    return out
-
-
 class _OperatorKernels:
     """The sampled kernels of the blocks of a run, in closed form from their
     modes, each a (d, poles, coeffs) of :func:`differintegrator_modes` or
@@ -694,7 +653,8 @@ class _OperatorKernels:
     for.  So each block is always the same row of a product of the same
     shape, and growing the kernels never changes the terms they already
     have nor what they will build: kernels grown on demand equal those
-    built to n at once, bit for bit.
+    built to n at once, bit for bit.  The one closed-form sampler: the plant
+    entry, the controller entry and the early verdict each build their own.
 
     The operators share one pass over their poles: one table of the
     moments I_ij, one of exp(p h j) and one exp(p h KERNEL_BLOCK b) per
@@ -706,11 +666,23 @@ class _OperatorKernels:
 
     def __init__(self, modes, h: float, n: int):
         self.h, self.n, self.stage = h, n, 0
-        poles, self.spans, polys = _mode_polynomials(modes, h)
+        poles = np.concatenate([p for _, p, _ in modes])
+        # kernel i has the poles poles[lo:hi] and coeffs.shape[1] powers
+        self.spans, hi = [], 0
+        for _, p, coeffs in modes:
+            self.spans.append((hi, hi + p.size, coeffs.shape[1]))
+            hi += p.size
+        moments = _interval_moments(poles, h, self.spans)
         steps = np.exp((poles * h)[:, None] * _BLOCK_STEPS)
-        self.bases = [(poly[:, :, None] * steps[lo:hi, None, :])
-                      .reshape(hi - lo, poly.shape[1] * KERNEL_BLOCK)
-                      for poly, (lo, hi, _) in zip(polys, self.spans)]
+        self.bases = []
+        for (_, _, coeffs), (lo, hi, powers) in zip(modes, self.spans):
+            # the coefficients of P_i, columns the powers of s
+            poly = coeffs * moments[lo:hi, :1]
+            for l in range(1, powers):
+                for j in range(1, l + 1):
+                    poly[:, l - j] += coeffs[:, l] * math.comb(l, j) * moments[lo:hi, j]
+            self.bases.append((poly[:, :, None] * steps[lo:hi, None, :])
+                              .reshape(hi - lo, powers * KERNEL_BLOCK))
         self.rates = poles * (KERNEL_BLOCK * h)
         self.terms = [_read_only(np.array([d])) for d, _, _ in modes]
 
@@ -806,9 +778,8 @@ def _plant_modes(plant: NioptdPlant, band) -> tuple[float, np.ndarray, np.ndarra
 class _PlantAtRest:
     """The plant sampled at step h, y = (num / den) u to n terms, num[0] = 0,
     num a :class:`_Series` (so its transform at the size of a run's last
-    product with H is taken once) and den an array, and num_sums, the
-    prefix sums of num that the early verdict reads, read-only.  The delay
-    is no part of them, so callers pass the plant at L = 0: built once per
+    product with H is taken once) and den a read-only array.  The delay is
+    no part of them, so callers pass the plant at L = 0: built once per
     search, and once per lag of a sweep.  GL: den = 1 + T h**-alpha times
     the Grunwald-Letnikov weights, num = (0, K).  Oustaloup: den = 1, num
     K times the kernel of the unit-gain plant's modes from the one Newton
@@ -826,7 +797,6 @@ class _PlantAtRest:
         else:
             raise ValueError(f"unknown solver {solver!r}")
         self.num, self.den = _Series(num), _read_only(den)
-        self.num_sums = _read_only(np.cumsum(num))
 
 
 class _ControllerRuns:
@@ -935,45 +905,31 @@ def _closed_loops(plant, delays, runs, scenario) -> list[SimResult]:
     return [result(y, k, errors[i], controls.get(i)) for i, (y, k) in enumerate(outputs)]
 
 
-def _second_response(at_rest, controller, H0, modes, h, d, r):
-    """(y, magnitude) at sample 2 (d + 1) of the undisturbed loop of
-    :func:`_early_verdict`, from the plant entry ``at_rest`` (den = 1,
-    num[0] = 0), H[0] = H0 and terms 1 to d + 1 of the operator kernels
-    K_lam and K_mu from their ``modes`` (:func:`_kernel_terms`):
-    y = r (S[d + 2] - nH[1]**2) with nH = num H and S its prefix sums, that
-    is r (H[0] N[d + 2] - (num[1] H[0])**2 + sum_(0 < l <= d + 1) H[l]
-    N[d + 2 - l]), N = num_sums.  ``magnitude`` is |r| (|H[0] N[d + 2]| +
-    (num[1] H[0])**2 + sum_l (|ki K_lam[l]| + |kd K_mu[l]|) max|N[:d + 3]|),
-    the scale of the rounding of either way of forming y."""
-    c, sums = controller, at_rest.num_sums[:d + 3]
-    gains, terms = np.array([c.ki, c.kd]), _kernel_terms(modes, h, d + 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        first, fed = float(at_rest.num.terms[1]) * H0, H0 * float(sums[-1])
-        y = r * ((fed - first * first) + float(gains @ (terms @ sums[-2:0:-1])))
-        spread = float(np.abs(gains) @ np.abs(terms).sum(axis=1)) * float(np.abs(sums).max())
-        return y, abs(r) * (abs(fed) + first * first + spread)
-
-
 def _early_verdict(plant, controller, scenario):
     """The sample by which :func:`simulate_closed_loop` of the controller on
     the plant (Oustaloup path, default band) diverges, d + 1 or 2 (d + 1),
-    decided before any kernel is built by the identities of
-    :func:`evaluate_design_objectives`, or None where it is not decided.
+    decided before any controller entry or loop is built by the identities
+    of :func:`evaluate_design_objectives`, or None where it is not decided.
 
     Sample d + 1, r num[1] H[0] with H[0] from the operators' feedthroughs,
     decides where it is finite and past the divergence bound by the
-    relative margin _FIRST_SAMPLE_MARGIN.  Sample 2 (d + 1) is a candidate
-    where its feedthrough part r (H[0] N[d + 2] - (num[1] H[0])**2) (N the
-    plant entry's num_sums) passes half the bound.  A candidate whose
-    feedthrough part passes it by more than the kernel terms can take
-    away, |r| (|ki| V(-lam) + |kd| V(mu)) max|N[:d + 3]| with V the
-    :func:`_order_variation` over the d + 1 kernel terms, is decided with no
-    modes built; any other builds the modes, and is decided where the
-    sample of :func:`_second_response` is finite and past the bound.  Both
-    clear the bound by _SECOND_RESPONSE_MARGIN times the magnitude of the
-    sample's terms.  Builds only the plant entry (den = 1 there).  A
-    sample is left undecided where r = 0, a disturbance starts at or
-    before it, it is at or past N, or num[0] != 0.
+    relative margin _FIRST_SAMPLE_MARGIN.  Sample 2 (d + 1),
+    r ((H[0] N[d + 2] - (num[1] H[0])**2) + sum_(0 < l <= d + 1) H[l]
+    N[d + 2 - l]) with N the prefix sums of num, is a candidate where its
+    feedthrough part (the sum left out) passes half the bound.  The bound
+    tier decides a candidate, with no modes built, where that part passes
+    the bound by more than the sum can take away, |r| (|ki| V(-lam) +
+    |kd| V(mu)) max|N[:d + 3]| with V the :func:`_order_variation` over
+    the d + 1 kernel terms; the modes tier any other where the sample is
+    finite and past the bound, with the kernel terms K_lam[1:d + 2] and
+    K_mu[1:d + 2] of an :class:`_OperatorKernels` to N terms, which builds
+    the controller entry's chunks and so its terms.  Both clear the bound by
+    _SECOND_RESPONSE_MARGIN times the magnitude of the sample's terms,
+    |r| (|H[0] N[d + 2]| + (num[1] H[0])**2 + sum_l (|ki K_lam[l]| +
+    |kd K_mu[l]|) max|N[:d + 3]|), the sum bounded by V in the bound tier.
+    Builds only the plant entry (den = 1 there) and, in the modes tier,
+    those kernels.  A sample is left undecided where r = 0, a disturbance
+    starts at or before it, it is at or past N, or num[0] != 0.
     """
     h, n, r = scenario.step_size, scenario.n_steps, float(scenario.setpoint)
     d = int(round(plant.L / h))
@@ -998,7 +954,7 @@ def _early_verdict(plant, controller, scenario):
         return None
     # the kernel terms rarely move sample 2 (d + 1) by half the bound, so
     # only a feedthrough part past half of it is worth deciding
-    sums = at_rest.num_sums[:d + 3]
+    sums = np.cumsum(at_rest.num.terms[:d + 3])
     fed = H0 * float(sums[-1])
     head = r * (fed - first * first)
     if abs(head) <= bound / 2.0:
@@ -1011,7 +967,12 @@ def _early_verdict(plant, controller, scenario):
     if abs(head) - abs(r) * spread > bound + _SECOND_RESPONSE_MARGIN * magnitude:
         return 2 * (d + 1)
     modes = [differintegrator_modes(g, DEFAULT_BAND) for g in (-c.lam, c.mu)]
-    y, magnitude = _second_response(at_rest, c, H0, modes, h, d, r)
+    terms = np.array(_OperatorKernels(modes, h, n)(d + 2))[:, 1:]
+    gains = np.array([c.ki, c.kd])
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = r * ((fed - first * first) + float(gains @ (terms @ sums[-2:0:-1])))
+        spread = float(np.abs(gains) @ np.abs(terms).sum(axis=1)) * float(np.abs(sums).max())
+        magnitude = abs(r) * (abs(fed) + first * first + spread)
     decided = math.isfinite(y) and abs(y) > bound + _SECOND_RESPONSE_MARGIN * magnitude
     return 2 * (d + 1) if decided else None
 
@@ -1031,7 +992,7 @@ def evaluate_design_objectives(
     about 1e-12 of 2) is a plant error, not a design penalty: the
     ValueError of :func:`_plant_modes`, which names T and alpha, propagates.
 
-    Before any operator kernel is built, the early verdict
+    Before the controller entry is built, the early verdict
     (:func:`_early_verdict`) decides the loops that diverge by the second
     round trip of the delay d = round(L / h).  With den = 1, num[0] = 0
     and 1 / (1 + z**d num H) = 1 - z**d nH + z**(2 d) nH**2 - ..., nH = num H,
@@ -1042,8 +1003,8 @@ def evaluate_design_objectives(
     filter built (:func:`_order_feedthrough`); at sample 2 (d + 1) it is
     r (S[d + 2] - nH[1]**2), S the prefix sums of nH, which reads the
     first d + 2 terms of H.  Where a sample is past the divergence bound
-    by its margin the pair is the penalty, and no controller entry, kernel
-    or loop is built; every other design is simulated, so the pair is the
+    by its margin the pair is the penalty, and no controller entry or loop
+    is built; every other design is simulated, so the pair is the
     same to the bit.  The gain depends on how many designs diverge that
     early.  In a ``search-slug-coarse`` round, of the 478 evaluations with
     a gain map, 181 are decided at sample d + 1 and 141 at 2 (d + 1) (129

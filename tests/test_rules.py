@@ -199,3 +199,14 @@ class TestOutliers:
         mask[flagged] = False
         _, diag_clean = fit_polynomial_surface(pts[mask])
         assert diag_clean.adjusted_r2 > diag_all.adjusted_r2
+
+
+@pytest.mark.parametrize("fit", [fit_polynomial_surface, detect_outliers])
+@pytest.mark.parametrize("row, column, value", [(7, 2, np.nan), (11, 0, np.inf)])
+def test_non_finite_points_are_rejected(dataset, fit, row, column, value):
+    """A non-finite value or predictor is named, not fitted: a NaN value
+    would give all-NaN coefficients reported with r2 = 1 and no outlier."""
+    pts = column_points(dataset, "kd")
+    pts[row, column] = value
+    with pytest.raises(ValueError, match=f"point {row} is not finite"):
+        fit(pts)

@@ -740,6 +740,17 @@ class TestSolvers:
         assert ffts == {"_series_mul", "_Series.transform"}, ffts
         assert sizes == {"_series_mul"}, sizes
 
+    def test_one_kernel_sampler(self):
+        """Structural guard: the closed form of the sampled kernels has one
+        implementation, so in sim.py only _OperatorKernels calls
+        _interval_moments; the plant entry, the controller entry and the
+        early verdict all read their kernel terms from it."""
+        tree = ast.parse(Path(sim.__file__).read_text(encoding="utf-8"))
+        callers = {getattr(top, "name", "<module>") for top in tree.body for node in ast.walk(top)
+                   if isinstance(node, ast.Call)
+                   and getattr(node.func, "id", "") == "_interval_moments"}
+        assert callers == {"_OperatorKernels"}, callers
+
     def test_no_module_rebinds_a_global(self):
         """Structural guard: no module of the package has a global
         statement, so no run hands state to another through module

@@ -679,12 +679,13 @@ def seeded_controllers(plant, count, seed):
     return controllers
 
 
-def engine_second_response(plant, controller, scenario):
+def engine_second_sample(plant, controller, scenario):
     """The engine's output at sample 2 (d + 1) and the closed form
     r (S[d + 2] - nH[1]**2) from the engine's own num and H, nH = num H and
     S its prefix sums, with the scale of their terms, |r| (sum (|num|
-    |H|)[:d + 3] + nH[1]**2): the loop run with no divergence bound, so a
-    crossing does not cut it short."""
+    |H|)[:d + 3] + nH[1]**2), and the first d + 2 terms of the engine's
+    operator kernels: the loop run with no divergence bound, so a crossing
+    does not cut it short."""
     h, n, r = scenario.step_size, scenario.n_steps, scenario.setpoint
     d = int(round(plant.L / h))
     at_rest = _PlantAtRest(replace(plant, L=0.0), h, "oustaloup", DEFAULT_BAND, n)
@@ -694,7 +695,7 @@ def engine_second_response(plant, controller, scenario):
     nH = np.convolve(num, H)[:d + 3]
     closed = r * (nH.cumsum()[d + 2] - nH[1] ** 2)
     scale = abs(r) * (np.convolve(np.abs(num), np.abs(H))[:d + 3].sum() + nH[1] ** 2)
-    return y[2 * (d + 1)], closed, scale
+    return y[2 * (d + 1)], closed, scale, runs.grown(d + 2)[1]
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
@@ -703,45 +704,37 @@ def engine_second_response(plant, controller, scenario):
 def test_second_response_identity(alpha, h, ratio):
     """With den = 1, num[0] = 0 and no disturbance, the engine's output at
     sample 2 (d + 1) equals r (S[d + 2] - nH[1]**2) within 1e-12 of the
-    scale of its terms, and the early verdict's sample, from kernel terms of
-    its own (:func:`sim._kernel_terms`), within 1e-12 of its magnitude:
-    the margin of 1e-6 leaves six orders to spare.  Seeded designs of
-    DESIGN_BOUNDS, both methods, at L / T of 0 (d = 0) to 4."""
+    scale of its terms: the margin of 1e-6 leaves six orders to spare.  The
+    early verdict's kernel terms, an :class:`_OperatorKernels` to N terms
+    read to d + 2, are the engine's byte for byte, past KERNEL_BLOCK too
+    (d up to 4,000 at h = 0.002).  Seeded designs of DESIGN_BOUNDS, both
+    methods, at L / T of 0 (d = 0) to 4."""
     plant = NioptdPlant(K=1.0, L=ratio * 2.0, T=2.0, alpha=alpha)
     d = int(round(plant.L / h))
     n = 2 * d + 3
     scenario = Scenario(horizon=n * h, step_size=h)
     assert scenario.n_steps == n
-    at_rest = _PlantAtRest(replace(plant, L=0.0), h, "oustaloup", DEFAULT_BAND, n)
     checked = 0
     for controller in seeded_controllers(plant, 4, 89):
-        engine, closed, scale = engine_second_response(plant, controller, scenario)
+        engine, closed, scale, kernels = engine_second_sample(plant, controller, scenario)
+        terms = operator_kernels((-controller.lam, controller.mu), h, n)(d + 2)
+        assert [k.tobytes() for k in terms] == [k.tobytes() for k in kernels]
         if not np.isfinite(engine):
             continue
         assert abs(engine - closed) <= 1e-12 * scale, (engine, closed, scale)
-        c = controller
-        H0 = (c.ki * sim._order_feedthrough(-c.lam, DEFAULT_BAND)
-              + c.kd * sim._order_feedthrough(c.mu, DEFAULT_BAND)) + c.kp
-        modes = [differintegrator_modes(g, DEFAULT_BAND) for g in (-c.lam, c.mu)]
-        y, magnitude = sim._second_response(at_rest, c, H0, modes, h, d, scenario.setpoint)
-        assert abs(engine - y) <= 1e-12 * magnitude, (engine, y, magnitude)
         checked += 1
     assert checked >= 6
 
 
 @pytest.mark.parametrize("h", [0.002, 0.01, 0.05])
-def test_kernel_terms_match_the_kernels(h):
-    """The verdict's kernel terms, sample by sample, are the kernels'
-    within 1e-13 of the sum of their magnitudes; the integral bound of
-    :func:`fracnum._order_variation` holds every prefix sum of |K[l]|,
-    l > 0: seeded orders of [-2, 2] and the edges of the operator split."""
+def test_order_variation_bounds_the_kernels(h):
+    """The integral bound of :func:`fracnum._order_variation` holds every
+    prefix sum of |K[l]|, l > 0, of the kernels: seeded orders of [-2, 2]
+    and the edges of the operator split."""
     rng = np.random.default_rng(97)
     orders = list(rng.uniform(-2.0, 2.0, 24)) + [g * s for g in FACTOR_EDGES for s in (1, -1)]
     for g in orders:
-        modes = [differintegrator_modes(g, DEFAULT_BAND)]
-        kernel = _OperatorKernels(modes, h, 400)(400)[0]
-        terms = sim._kernel_terms(modes, h, 399)[0]
-        assert np.max(np.abs(terms - kernel[1:])) <= 1e-13 * np.abs(kernel[1:]).sum(), g
+        kernel = operator_kernels([g], h, 400)(400)[0]
         for m in (1, 11, 102, 399):
             bound = sim._order_variation(g, DEFAULT_BAND, m * h)
             assert np.abs(kernel[1:m + 1]).sum() <= bound * (1.0 + 1e-12), (g, m)
@@ -762,12 +755,12 @@ def verdict_kind(plant, controller, scenario):
     """What the early verdict made of a run: ``first`` or ``second`` where
     it decided at sample d + 1 or 2 (d + 1), ``exact`` where it decided the
     second from the modes, ``candidate`` where it built the modes and left
-    the run to the engine, None where it did neither: the verdict built the
-    modes where it called :func:`sim._second_response`."""
-    responses, respond = [], sim._second_response
+    the run to the engine, None where it did neither: the verdict calls
+    :func:`sim.differintegrator_modes` in its modes tier only."""
+    responses, modes = [], sim.differintegrator_modes
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(sim, "_second_response",
-                  lambda *args: responses.append(args) or respond(*args))
+        m.setattr(sim, "differintegrator_modes",
+                  lambda *args: responses.append(args) or modes(*args))
         crossed = sim._early_verdict(plant, controller, scenario)
     d = int(round(plant.L / scenario.step_size))
     if crossed is None:
@@ -817,30 +810,33 @@ def near_margin_kp(plant, controller, scenario, share, tier):
     """The kp at which sample 2 (d + 1) passes the divergence bound by
     ``share`` times the verdict's margin, _SECOND_RESPONSE_MARGIN times the
     magnitude of its terms, by bisection on the branch where it grows with
-    kp: the sample of :func:`sim._second_response` for the ``modes`` tier,
-    the feedthrough part less the variation bound of the kernel terms for
-    the ``bound`` tier."""
+    kp: the sample from the operator kernels' terms 1 to d + 1 for the
+    ``modes`` tier, the feedthrough part less the variation bound of the
+    kernel terms for the ``bound`` tier."""
     h, n, r = scenario.step_size, scenario.n_steps, scenario.setpoint
     d = int(round(plant.L / h))
     at_rest = _PlantAtRest(replace(plant, L=0.0), h, "oustaloup", DEFAULT_BAND, n)
     c = controller
-    modes = [differintegrator_modes(g, DEFAULT_BAND) for g in (-c.lam, c.mu)]
     rest = c.ki * sim._order_feedthrough(-c.lam, DEFAULT_BAND) + c.kd * sim._order_feedthrough(
         c.mu, DEFAULT_BAND)
-    bound, sums = sim._divergence_bound(r), at_rest.num_sums[:d + 3]
-    spread = np.abs(sums).max() * (
-        abs(c.ki) * sim._order_variation(-c.lam, DEFAULT_BAND, (d + 1) * h)
-        + abs(c.kd) * sim._order_variation(c.mu, DEFAULT_BAND, (d + 1) * h))
+    bound, sums = sim._divergence_bound(r), np.cumsum(at_rest.num.terms[:d + 3])
+    if tier == "modes":
+        gains = np.array([c.ki, c.kd])
+        terms = np.array(operator_kernels((-c.lam, c.mu), h, n)(d + 2))[:, 1:]
+        tail = float(gains @ (terms @ sums[-2:0:-1]))
+        spread = float(np.abs(gains) @ np.abs(terms).sum(axis=1)) * np.abs(sums).max()
+    else:
+        spread = np.abs(sums).max() * (
+            abs(c.ki) * sim._order_variation(-c.lam, DEFAULT_BAND, (d + 1) * h)
+            + abs(c.kd) * sim._order_variation(c.mu, DEFAULT_BAND, (d + 1) * h))
 
     def excess(kp):
         H0 = rest + kp
-        if tier == "modes":
-            y, magnitude = sim._second_response(at_rest, c, H0, modes, h, d, r)
-            return abs(y) - bound - share * sim._SECOND_RESPONSE_MARGIN * magnitude
         first, fed = at_rest.num.terms[1] * H0, H0 * sums[-1]
         magnitude = abs(r) * (abs(fed) + first * first + spread)
-        return (abs(r * (fed - first * first)) - abs(r) * spread - bound
-                - share * sim._SECOND_RESPONSE_MARGIN * magnitude)
+        sample = (abs(r * ((fed - first * first) + tail)) if tier == "modes"
+                  else abs(r * (fed - first * first)) - abs(r) * spread)
+        return sample - bound - share * sim._SECOND_RESPONSE_MARGIN * magnitude
 
     lo, hi = 0.0, 1.0
     while excess(hi) <= 0.0:

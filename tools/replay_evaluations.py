@@ -18,12 +18,13 @@ controller entry).  The per-layer figures are medians over the
 evaluations whose loop crosses within the first stage, the penalized
 evaluations of an early search; the sum over all evaluations is printed
 too.  The evaluations the early verdict decides (no controller entry or
-kernel built) are counted, and their whole evaluations timed, apart by
+loop built) are counted, and their whole evaluations timed, apart by
 the sample that decided them, d + 1 or 2 (d + 1), and apart from the
 other early crossings; the decisions at 2 (d + 1) are split into those
-from the bound on the kernel terms and those from the modes, and the
-candidates it builds the modes for and leaves to the engine are counted
-too.  Every replayed objective must equal the recorded one to the bit.
+from the bound on the kernel terms and those from the modes (the
+operator kernels to d + 2 terms), and the candidates it builds the
+modes and kernels for and leaves to the engine are counted too.  Every
+replayed objective must equal the recorded one to the bit.
 
 Kept out of the test suite: its figures are timings.
 """
@@ -91,19 +92,20 @@ def verdict_of(plant, controller, scenario):
     """What the early verdict made of an evaluation: ``first`` (decided at
     sample d + 1), ``second`` (decided at 2 (d + 1) from the bound on the
     kernel terms), ``modes`` (decided there from the modes), ``candidate``
-    (modes built, left to the engine) or None.  The verdict builds the
-    modes where it calls ``sim._second_response``."""
-    responses, respond = [], sim._second_response
-    sim._second_response = lambda *args: responses.append(args) or respond(*args)
+    (modes built, left to the engine) or None.  The verdict calls
+    ``sim.differintegrator_modes`` in its modes tier only; a cold plant
+    entry builds an operator kernel object too, so that is not the spy."""
+    built, modes = [], sim.differintegrator_modes
+    sim.differintegrator_modes = lambda *args: built.append(args) or modes(*args)
     try:
         crossed = sim._early_verdict(plant, controller, scenario)
     finally:
-        sim._second_response = respond
+        sim.differintegrator_modes = modes
     if crossed is None:
-        return "candidate" if responses else None
+        return "candidate" if built else None
     if crossed == int(round(plant.L / scenario.step_size)) + 1:
         return "first"
-    return "modes" if responses else "second"
+    return "modes" if built else "second"
 
 
 def replay(call, repeats):
