@@ -15,6 +15,7 @@ reproduce the bundled goodness-of-fit numbers.
 from __future__ import annotations
 
 import csv
+import numbers
 import warnings
 from dataclasses import dataclass
 from importlib import resources
@@ -214,8 +215,11 @@ def detect_outliers(
     dof-corrected RMSE of :class:`FitDiagnostics` is too forgiving for
     screening).  ``iterative=True`` removes the single worst offender,
     refits, and repeats up to ``max_outliers`` times, mirroring
-    one-at-a-time outlier screening.
+    one-at-a-time outlier screening.  Raises ValueError unless
+    ``max_outliers`` is a non-negative integer.
     """
+    if not isinstance(max_outliers, numbers.Integral) or max_outliers < 0:
+        raise ValueError(f"max_outliers must be a non-negative integer, got {max_outliers!r}")
     pts = _as_points(points)
     scale = max(1.0, float(np.max(np.abs(pts[:, 2]))))
 

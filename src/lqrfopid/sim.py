@@ -60,8 +60,8 @@ round trip before any of this is built.  With den = 1 and num[0] = 0 the
 output is 0 up to d, r num[1] H[0] at the first sample it responds to,
 d + 1, which needs only the operators' feedthroughs, and
 r (S[d + 2] - (num[1] H[0])**2) at 2 (d + 1), S the prefix sums of num H,
-which needs the first d + 2 kernel terms: bounded from the feedthroughs
-alone, or read from the operators' own kernels, the engine's sampler.
+whose kernel terms it bounds from the operators' orders alone: it builds
+no operator kernels, and a loop it leaves undecided goes to the engine.
 
 Where den is one term (the Oustaloup path) the right-hand side of a
 disturbed loop with r != 0 stays split: each block multiplies r den by
@@ -79,8 +79,7 @@ builds it once, a sweep once per lag.  A controller entry (controller,
 step, solver, band, length) holds the operator kernels and H as last
 grown, with its transforms; each single run makes its own, and a sweep
 one for all its lags.  Nothing else outlives a run, so a controller
-builds its kernels once, from its operators' modes, and once more to
-d + 2 terms where the early verdict reads them.
+builds its kernels once, from its operators' modes.
 
 Timing convention shared by both paths: num[0] = 0, so the plant state at
 sample k has integrated the (zero-order-held, delayed) input, control and
@@ -148,11 +147,10 @@ RUN_GROWTH = 8
 # first block); a closed form past the divergence bound by this relative
 # margin crosses it in the engine too
 _FIRST_SAMPLE_MARGIN = 1e-9
-# the engine forms sample 2 (d + 1) of a delayed loop, and the verdict its
-# closed form from the same kernel terms, summed in another order, each
-# within a few roundings of the sum of the magnitudes of its terms (within
-# 1e-14 of it measured, 1e-12 tested); a closed form past the divergence
-# bound by this many times that sum crosses it in the engine too
+# the engine forms sample 2 (d + 1) of a delayed loop within a few
+# roundings of the sum of the magnitudes of its closed form's terms (within
+# 1e-14 of it measured, 1e-12 tested); a closed form bounded past the
+# divergence bound by this many times that sum crosses it in the engine too
 _SECOND_RESPONSE_MARGIN = 1e-6
 
 
@@ -654,7 +652,7 @@ class _OperatorKernels:
     shape, and growing the kernels never changes the terms they already
     have nor what they will build: kernels grown on demand equal those
     built to n at once, bit for bit.  The one closed-form sampler: the plant
-    entry, the controller entry and the early verdict each build their own.
+    entry and the controller entry each build their own.
 
     The operators share one pass over their poles: one table of the
     moments I_ij, one of exp(p h j) and one exp(p h KERNEL_BLOCK b) per
@@ -915,21 +913,16 @@ def _early_verdict(plant, controller, scenario):
     decides where it is finite and past the divergence bound by the
     relative margin _FIRST_SAMPLE_MARGIN.  Sample 2 (d + 1),
     r ((H[0] N[d + 2] - (num[1] H[0])**2) + sum_(0 < l <= d + 1) H[l]
-    N[d + 2 - l]) with N the prefix sums of num, is a candidate where its
-    feedthrough part (the sum left out) passes half the bound.  The bound
-    tier decides a candidate, with no modes built, where that part passes
-    the bound by more than the sum can take away, |r| (|ki| V(-lam) +
-    |kd| V(mu)) max|N[:d + 3]| with V the :func:`_order_variation` over
-    the d + 1 kernel terms; the modes tier any other where the sample is
-    finite and past the bound, with the kernel terms K_lam[1:d + 2] and
-    K_mu[1:d + 2] of an :class:`_OperatorKernels` to N terms, which builds
-    the controller entry's chunks and so its terms.  Both clear the bound by
+    N[d + 2 - l]) with N the prefix sums of num, decides where its
+    feedthrough part (the sum left out) passes the bound by more than the
+    sum can take away, |r| (|ki| V(-lam) + |kd| V(mu)) max|N[:d + 3]| with
+    V the :func:`_order_variation` over the d + 1 kernel terms, and by
     _SECOND_RESPONSE_MARGIN times the magnitude of the sample's terms,
-    |r| (|H[0] N[d + 2]| + (num[1] H[0])**2 + sum_l (|ki K_lam[l]| +
-    |kd K_mu[l]|) max|N[:d + 3]|), the sum bounded by V in the bound tier.
-    Builds only the plant entry (den = 1 there) and, in the modes tier,
-    those kernels.  A sample is left undecided where r = 0, a disturbance
-    starts at or before it, it is at or past N, or num[0] != 0.
+    |r| (|H[0] N[d + 2]| + (num[1] H[0])**2) plus that sum's bound.  A NaN
+    or infinite feedthrough part decides nothing.  Builds only the plant
+    entry (den = 1 there): no modes and no operator kernels.  A sample is
+    left undecided where r = 0, a disturbance starts at or before it, it
+    is at or past N, or num[0] != 0.
     """
     h, n, r = scenario.step_size, scenario.n_steps, float(scenario.setpoint)
     d = int(round(plant.L / h))
@@ -952,13 +945,9 @@ def _early_verdict(plant, controller, scenario):
         return d + 1
     if min(w, n) <= 2 * (d + 1):
         return None
-    # the kernel terms rarely move sample 2 (d + 1) by half the bound, so
-    # only a feedthrough part past half of it is worth deciding
     sums = np.cumsum(at_rest.num.terms[:d + 3])
     fed = H0 * float(sums[-1])
     head = r * (fed - first * first)
-    if abs(head) <= bound / 2.0:
-        return None
     span = (d + 1) * h
     spread = float(np.abs(sums).max()) * (
         abs(float(c.ki)) * _order_variation(-c.lam, DEFAULT_BAND, span)
@@ -966,15 +955,7 @@ def _early_verdict(plant, controller, scenario):
     magnitude = abs(r) * (abs(fed) + first * first + spread)
     if abs(head) - abs(r) * spread > bound + _SECOND_RESPONSE_MARGIN * magnitude:
         return 2 * (d + 1)
-    modes = [differintegrator_modes(g, DEFAULT_BAND) for g in (-c.lam, c.mu)]
-    terms = np.array(_OperatorKernels(modes, h, n)(d + 2))[:, 1:]
-    gains = np.array([c.ki, c.kd])
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = r * ((fed - first * first) + float(gains @ (terms @ sums[-2:0:-1])))
-        spread = float(np.abs(gains) @ np.abs(terms).sum(axis=1)) * float(np.abs(sums).max())
-        magnitude = abs(r) * (abs(fed) + first * first + spread)
-    decided = math.isfinite(y) and abs(y) > bound + _SECOND_RESPONSE_MARGIN * magnitude
-    return 2 * (d + 1) if decided else None
+    return None
 
 
 def evaluate_design_objectives(
@@ -1001,16 +982,15 @@ def evaluate_design_objectives(
     for an order too small to move g + 1 off 1, 0 on the integrator branch
     (g < 0), (w_high**(g / p))**p for g > 0 (p = 2, or 3 at g = 2), with no
     filter built (:func:`_order_feedthrough`); at sample 2 (d + 1) it is
-    r (S[d + 2] - nH[1]**2), S the prefix sums of nH, which reads the
-    first d + 2 terms of H.  Where a sample is past the divergence bound
-    by its margin the pair is the penalty, and no controller entry or loop
-    is built; every other design is simulated, so the pair is the
-    same to the bit.  The gain depends on how many designs diverge that
-    early.  In a ``search-slug-coarse`` round, of the 478 evaluations with
-    a gain map, 181 are decided at sample d + 1 and 141 at 2 (d + 1) (129
-    of them from the bound on the kernel terms, 12 from the modes), and 8
-    candidates are left to the engine; in ``search-osc-fine``, 5 of 96 at
-    d + 1 and 20 at 2 (d + 1) (all from the modes), with 14 candidates left.
+    r (S[d + 2] - nH[1]**2), S the prefix sums of nH, whose terms past
+    nH[1] it bounds from the operators' orders.  Where a sample is past
+    the divergence bound by its margin the pair is the penalty, and no
+    controller entry or loop is built; every other design is simulated,
+    so the pair is the same to the bit.  The gain depends on how many
+    designs diverge that early.  In a ``search-slug-coarse`` round, of the
+    478 evaluations with a gain map, 181 are decided at sample d + 1 and
+    129 at 2 (d + 1); in ``search-osc-fine``, 5 of 96 at d + 1 and none at
+    2 (d + 1).
     """
     penalty = (PENALTY_OBJECTIVE, PENALTY_OBJECTIVE)
     try:

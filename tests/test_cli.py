@@ -188,28 +188,22 @@ class TestDesign:
     def test_one_kernel_object_per_simulated_evaluation(self, tmp_path, monkeypatch):
         """A `design` run sets up exactly one kernel object for the operators
         of each evaluation it simulates, none for an evaluation the early
-        verdict decides or the gain map rejects, one more wherever the
-        verdict reached its modes tier (the only place it builds the
-        operators' modes), and one for the plant, which both methods
-        share."""
+        verdict decides or the gain map rejects, and one for the plant,
+        which both methods share."""
         import lqrfopid.nsga2
         from lqrfopid import sim
 
-        verdicts, kernels, tiers, built_modes = [], [], [], []
+        verdicts, kernels = [], []
         evaluate, early = lqrfopid.nsga2.evaluate_design_objectives, sim._early_verdict
-        modes = sim.differintegrator_modes
 
         def spied_evaluate(*args, **kwargs):
             verdicts.append("no gain map")
             kernels.append([])
-            tiers.append(False)
             return evaluate(*args, **kwargs)
 
         def spied_verdict(*args):
-            before = len(built_modes)
             crossed = early(*args)
             verdicts[-1] = "simulated" if crossed is None else "decided"
-            tiers[-1] = len(built_modes) > before
             return crossed
 
         class CountedKernels(sim._OperatorKernels):
@@ -220,8 +214,6 @@ class TestDesign:
         monkeypatch.setattr(lqrfopid.nsga2, "evaluate_design_objectives", spied_evaluate)
         monkeypatch.setattr(sim, "_early_verdict", spied_verdict)
         monkeypatch.setattr(sim, "_OperatorKernels", CountedKernels)
-        monkeypatch.setattr(sim, "differintegrator_modes",
-                            lambda *args: built_modes.append(args) or modes(*args))
         sim._PlantAtRest.cache_clear()
         main(["design", "--methods", "cai,he", "--pop", "8", "--gens", "1", "--seed", "1",
               "--horizon", "20", "--h", "0.02", "--out-dir", str(tmp_path)])
@@ -229,8 +221,8 @@ class TestDesign:
         assert len(verdicts) == 32
         assert {"simulated", "decided"} <= set(verdicts)
         assert sum(built.count(1) for built in kernels) == 1
-        for verdict, built, tier in zip(verdicts, kernels, tiers):
-            assert built.count(2) == (verdict == "simulated") + tier, (verdict, tier)
+        for verdict, built in zip(verdicts, kernels):
+            assert built.count(2) == (verdict == "simulated"), verdict
 
     def test_empty_front_does_not_stop_other_methods(self, tmp_path, monkeypatch, capsys):
         import lqrfopid.cli

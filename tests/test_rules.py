@@ -189,6 +189,15 @@ class TestOutliers:
         assert detect_outliers(pts) == [13]
         assert detect_outliers(pts, iterative=True, max_outliers=2) == [13]
 
+    @pytest.mark.parametrize("max_outliers", [-1, 1.5])
+    def test_rejects_bad_max_outliers(self, dataset, max_outliers):
+        """max_outliers is a non-negative integer: -1 returned [] where 1
+        flags row 10 of the Kp column, and 1.5 raised a bare TypeError."""
+        pts = column_points(dataset, "kp")
+        assert detect_outliers(pts, iterative=True, max_outliers=1) == [10]
+        with pytest.raises(ValueError, match="max_outliers"):
+            detect_outliers(pts, iterative=True, max_outliers=max_outliers)
+
     def test_dataset_kd_column_single_outlier_raises_fit_quality(self):
         data = load_median_solutions()
         pts = column_points(data, "kd")

@@ -743,13 +743,35 @@ class TestSolvers:
     def test_one_kernel_sampler(self):
         """Structural guard: the closed form of the sampled kernels has one
         implementation, so in sim.py only _OperatorKernels calls
-        _interval_moments; the plant entry, the controller entry and the
-        early verdict all read their kernel terms from it."""
+        _interval_moments; the plant entry and the controller entry read
+        their kernel terms from it."""
         tree = ast.parse(Path(sim.__file__).read_text(encoding="utf-8"))
         callers = {getattr(top, "name", "<module>") for top in tree.body for node in ast.walk(top)
                    if isinstance(node, ast.Call)
                    and getattr(node.func, "id", "") == "_interval_moments"}
         assert callers == {"_OperatorKernels"}, callers
+
+    def test_only_the_entries_build_kernels(self):
+        """Structural guard: in sim.py an _OperatorKernels is constructed only
+        by the plant entry and the controller entry, and only the controller
+        entry builds operator modes, so the early verdict builds neither and
+        a simulated evaluation sets up its operator kernels once."""
+        tree = ast.parse(Path(sim.__file__).read_text(encoding="utf-8"))
+        # each method of a class apart, each other top-level statement whole
+        scopes = [(f"{top.name}.{node.name}", node) for top in tree.body
+                  if isinstance(top, ast.ClassDef) for node in top.body
+                  if isinstance(node, ast.FunctionDef)]
+        scopes += [(getattr(top, "name", "<module>"), top) for top in tree.body
+                   if not isinstance(top, ast.ClassDef)]
+        callers = {"_OperatorKernels": set(), "differintegrator_modes": set()}
+        for name, scope in scopes:
+            for node in ast.walk(scope):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", "") in callers:
+                    callers[node.func.id].add(name)
+        assert callers == {
+            "_OperatorKernels": {"_PlantAtRest.__init__", "_ControllerRuns.__init__"},
+            "differintegrator_modes": {"_ControllerRuns.__init__"},
+        }, callers
 
     def test_no_module_rebinds_a_global(self):
         """Structural guard: no module of the package has a global

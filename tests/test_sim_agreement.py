@@ -683,9 +683,8 @@ def engine_second_sample(plant, controller, scenario):
     """The engine's output at sample 2 (d + 1) and the closed form
     r (S[d + 2] - nH[1]**2) from the engine's own num and H, nH = num H and
     S its prefix sums, with the scale of their terms, |r| (sum (|num|
-    |H|)[:d + 3] + nH[1]**2), and the first d + 2 terms of the engine's
-    operator kernels: the loop run with no divergence bound, so a crossing
-    does not cut it short."""
+    |H|)[:d + 3] + nH[1]**2): the loop run with no divergence bound, so a
+    crossing does not cut it short."""
     h, n, r = scenario.step_size, scenario.n_steps, scenario.setpoint
     d = int(round(plant.L / h))
     at_rest = _PlantAtRest(replace(plant, L=0.0), h, "oustaloup", DEFAULT_BAND, n)
@@ -695,7 +694,7 @@ def engine_second_sample(plant, controller, scenario):
     nH = np.convolve(num, H)[:d + 3]
     closed = r * (nH.cumsum()[d + 2] - nH[1] ** 2)
     scale = abs(r) * (np.convolve(np.abs(num), np.abs(H))[:d + 3].sum() + nH[1] ** 2)
-    return y[2 * (d + 1)], closed, scale, runs.grown(d + 2)[1]
+    return y[2 * (d + 1)], closed, scale
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
@@ -704,11 +703,10 @@ def engine_second_sample(plant, controller, scenario):
 def test_second_response_identity(alpha, h, ratio):
     """With den = 1, num[0] = 0 and no disturbance, the engine's output at
     sample 2 (d + 1) equals r (S[d + 2] - nH[1]**2) within 1e-12 of the
-    scale of its terms: the margin of 1e-6 leaves six orders to spare.  The
-    early verdict's kernel terms, an :class:`_OperatorKernels` to N terms
-    read to d + 2, are the engine's byte for byte, past KERNEL_BLOCK too
-    (d up to 4,000 at h = 0.002).  Seeded designs of DESIGN_BOUNDS, both
-    methods, at L / T of 0 (d = 0) to 4."""
+    scale of its terms, past KERNEL_BLOCK too (d up to 4,000 at
+    h = 0.002): the early verdict's margin of 1e-6 on its bound of that
+    closed form leaves six orders to spare.  Seeded designs of
+    DESIGN_BOUNDS, both methods, at L / T of 0 (d = 0) to 4."""
     plant = NioptdPlant(K=1.0, L=ratio * 2.0, T=2.0, alpha=alpha)
     d = int(round(plant.L / h))
     n = 2 * d + 3
@@ -716,9 +714,7 @@ def test_second_response_identity(alpha, h, ratio):
     assert scenario.n_steps == n
     checked = 0
     for controller in seeded_controllers(plant, 4, 89):
-        engine, closed, scale, kernels = engine_second_sample(plant, controller, scenario)
-        terms = operator_kernels((-controller.lam, controller.mu), h, n)(d + 2)
-        assert [k.tobytes() for k in terms] == [k.tobytes() for k in kernels]
+        engine, closed, scale = engine_second_sample(plant, controller, scenario)
         if not np.isfinite(engine):
             continue
         assert abs(engine - closed) <= 1e-12 * scale, (engine, closed, scale)
@@ -753,22 +749,11 @@ SECOND_RESPONSE_CASES = {
 
 def verdict_kind(plant, controller, scenario):
     """What the early verdict made of a run: ``first`` or ``second`` where
-    it decided at sample d + 1 or 2 (d + 1), ``exact`` where it decided the
-    second from the modes, ``candidate`` where it built the modes and left
-    the run to the engine, None where it did neither: the verdict calls
-    :func:`sim.differintegrator_modes` in its modes tier only."""
-    responses, modes = [], sim.differintegrator_modes
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(sim, "differintegrator_modes",
-                  lambda *args: responses.append(args) or modes(*args))
-        crossed = sim._early_verdict(plant, controller, scenario)
+    it decided at sample d + 1 or 2 (d + 1), None where it left the run to
+    the engine."""
+    crossed = sim._early_verdict(plant, controller, scenario)
     d = int(round(plant.L / scenario.step_size))
-    if crossed is None:
-        return "candidate" if responses else None
-    assert crossed in (d + 1, 2 * (d + 1))
-    if crossed == d + 1:
-        return "first"
-    return "exact" if responses else "second"
+    return {None: None, d + 1: "first", 2 * (d + 1): "second"}[crossed]
 
 
 @pytest.mark.parametrize("name", list(SECOND_RESPONSE_CASES))
@@ -776,9 +761,9 @@ def test_second_response_verdict_is_sound(name, monkeypatch):
     """Every design the early verdict decides at sample 2 (d + 1) diverges
     in simulate_closed_loop at or before that sample, and every objective
     equals the engine-only one to the bit: seeded designs of DESIGN_BOUNDS,
-    both methods.  Both ways of deciding it fire, from the variation bound
-    of the kernels and from the modes, and candidates are left to the
-    engine."""
+    both methods.  It fires on the sluggish plant; on the oscillatory one
+    the variation bound of the kernels decides none, and the designs that
+    cross by 2 (d + 1) are left to the engine."""
     plant, scenario = SECOND_RESPONSE_CASES[name]
     d = int(round(plant.L / scenario.step_size))
     rng = np.random.default_rng(101)
@@ -797,22 +782,19 @@ def test_second_response_verdict_is_sound(name, monkeypatch):
     assert [[v.hex() for v in pair] for pair in got] == \
         [[v.hex() for v in pair] for pair in engine_objectives(monkeypatch, calls)]
     second = [run for k, *run in fired if k == 2 * (d + 1)]
-    assert len(second) == kinds.count("second") + kinds.count("exact") > 0
+    assert len(second) == kinds.count("second")
     for run in second:
         res = simulate_closed_loop(*run)
         assert res.diverged and res.y.size <= 2 * (d + 1) + 1, (res.diverged, res.y.size)
-    if name.startswith("slug"):
-        assert kinds.count("second") and kinds.count("exact")
-    assert kinds.count("candidate")
+    assert bool(second) == name.startswith("slug")
 
 
-def near_margin_kp(plant, controller, scenario, share, tier):
-    """The kp at which sample 2 (d + 1) passes the divergence bound by
+def near_margin_kp(plant, controller, scenario, share):
+    """The kp at which the feedthrough part of sample 2 (d + 1), less the
+    variation bound of the kernel terms, passes the divergence bound by
     ``share`` times the verdict's margin, _SECOND_RESPONSE_MARGIN times the
     magnitude of its terms, by bisection on the branch where it grows with
-    kp: the sample from the operator kernels' terms 1 to d + 1 for the
-    ``modes`` tier, the feedthrough part less the variation bound of the
-    kernel terms for the ``bound`` tier."""
+    kp."""
     h, n, r = scenario.step_size, scenario.n_steps, scenario.setpoint
     d = int(round(plant.L / h))
     at_rest = _PlantAtRest(replace(plant, L=0.0), h, "oustaloup", DEFAULT_BAND, n)
@@ -820,22 +802,15 @@ def near_margin_kp(plant, controller, scenario, share, tier):
     rest = c.ki * sim._order_feedthrough(-c.lam, DEFAULT_BAND) + c.kd * sim._order_feedthrough(
         c.mu, DEFAULT_BAND)
     bound, sums = sim._divergence_bound(r), np.cumsum(at_rest.num.terms[:d + 3])
-    if tier == "modes":
-        gains = np.array([c.ki, c.kd])
-        terms = np.array(operator_kernels((-c.lam, c.mu), h, n)(d + 2))[:, 1:]
-        tail = float(gains @ (terms @ sums[-2:0:-1]))
-        spread = float(np.abs(gains) @ np.abs(terms).sum(axis=1)) * np.abs(sums).max()
-    else:
-        spread = np.abs(sums).max() * (
-            abs(c.ki) * sim._order_variation(-c.lam, DEFAULT_BAND, (d + 1) * h)
-            + abs(c.kd) * sim._order_variation(c.mu, DEFAULT_BAND, (d + 1) * h))
+    spread = np.abs(sums).max() * (
+        abs(c.ki) * sim._order_variation(-c.lam, DEFAULT_BAND, (d + 1) * h)
+        + abs(c.kd) * sim._order_variation(c.mu, DEFAULT_BAND, (d + 1) * h))
 
     def excess(kp):
         H0 = rest + kp
         first, fed = at_rest.num.terms[1] * H0, H0 * sums[-1]
         magnitude = abs(r) * (abs(fed) + first * first + spread)
-        sample = (abs(r * ((fed - first * first) + tail)) if tier == "modes"
-                  else abs(r * (fed - first * first)) - abs(r) * spread)
+        sample = abs(r * (fed - first * first)) - abs(r) * spread
         return sample - bound - share * sim._SECOND_RESPONSE_MARGIN * magnitude
 
     lo, hi = 0.0, 1.0
@@ -849,21 +824,14 @@ def near_margin_kp(plant, controller, scenario, share, tier):
     return hi
 
 
-# per tier of the verdict, what it makes of a design 1% past its margin
-# and of one 1% short of it: the bound tier leaves the second to the modes
-NEAR_MARGIN = {"modes": ["exact", "candidate"], "bound": ["second", "exact"]}
-
-
-@pytest.mark.parametrize("tier", list(NEAR_MARGIN))
-def test_second_response_verdict_at_its_margin(tier, monkeypatch):
+def test_second_response_verdict_at_its_margin(monkeypatch):
     """Controllers built so that the verdict's test of sample 2 (d + 1),
-    from the modes or from the variation bound, passes the divergence bound
-    by 1% more and 1% less than its margin: the first is decided by that
-    test, the second not, and the engine crosses by 2 (d + 1) for both.  A
-    decision from the bound builds no modes, and one from the modes builds
-    its two orders' once; a candidate builds them twice, once in the
-    verdict and once in its kernels.  Every objective equals the engine's
-    to the bit."""
+    from the variation bound, passes the divergence bound by 1% more and 1%
+    less than its margin: the first is decided, the second left to the
+    engine, and the engine crosses by 2 (d + 1) for both.  A decided design
+    builds no operator modes, and a simulated one its two orders' once, in
+    its controller entry.  Every objective equals the engine's to the
+    bit."""
     plant, x = SLUGGISH_PLANT, np.array([1.0, 1.0, 1.0, 1.0, 0.9, 0.5])
     controllers, calls, kinds = [], [], []
     for r in (1.0, 2.5, -0.7):
@@ -871,13 +839,13 @@ def test_second_response_verdict_at_its_margin(tier, monkeypatch):
         d = int(round(plant.L / scenario.step_size))
         base = FopidController(kp=0.0, ki=0.5, kd=0.2, lam=0.9, mu=0.5)
         for share in (1.01, 0.99):
-            controller = replace(base, kp=near_margin_kp(plant, base, scenario, share, tier))
+            controller = replace(base, kp=near_margin_kp(plant, base, scenario, share))
             kinds.append(verdict_kind(plant, controller, scenario))
             res = simulate_closed_loop(plant, controller, scenario)
             assert res.diverged and res.y.size <= 2 * (d + 1) + 1
             controllers.append(controller)
             calls.append((plant, x, DelayMethod.CAI, scenario))
-    assert kinds == NEAR_MARGIN[tier] * 3
+    assert kinds == ["second", None] * 3
     gains = iter(controllers * 2)
     monkeypatch.setattr(sim, "design_from_vars", lambda *args: next(gains))
     built, modes = [], sim.differintegrator_modes
@@ -887,7 +855,7 @@ def test_second_response_verdict_at_its_margin(tier, monkeypatch):
     for call, kind in zip(calls, kinds):
         built.clear()
         got.append(evaluate_design_objectives(*call))
-        assert len(built) == {"second": 0, "exact": 2, "candidate": 4}[kind], kind
+        assert len(built) == {"second": 0, None: 2}[kind], kind
     assert [[v.hex() for v in pair] for pair in got] == \
         [[v.hex() for v in pair] for pair in engine_objectives(monkeypatch, calls)]
 
@@ -899,7 +867,7 @@ def test_second_response_preconditions():
     plant, scenario = SLUGGISH_PLANT, STEP
     d = int(round(plant.L / scenario.step_size))
     second = [c for c in seeded_controllers(plant, 30, 101)
-              if verdict_kind(plant, c, scenario) in ("second", "exact")]
+              if verdict_kind(plant, c, scenario) == "second"]
     assert second
     h = scenario.step_size
     never = [replace(scenario, setpoint=0.0),
@@ -912,7 +880,7 @@ def test_second_response_preconditions():
     for case in never:
         assert sim._first_sample_at(case.n_steps, h, case.disturbance_time) <= 2 * (d + 1) \
             or case.setpoint == 0.0 or case.n_steps <= 2 * (d + 1)
-        assert not any(verdict_kind(plant, c, case) in ("second", "exact") for c in second)
+        assert not any(verdict_kind(plant, c, case) == "second" for c in second)
     for case in fires:
         assert [verdict_kind(plant, c, case) for c in second] == \
             [verdict_kind(plant, c, scenario) for c in second]

@@ -20,11 +20,8 @@ evaluations of an early search; the sum over all evaluations is printed
 too.  The evaluations the early verdict decides (no controller entry or
 loop built) are counted, and their whole evaluations timed, apart by
 the sample that decided them, d + 1 or 2 (d + 1), and apart from the
-other early crossings; the decisions at 2 (d + 1) are split into those
-from the bound on the kernel terms and those from the modes (the
-operator kernels to d + 2 terms), and the candidates it builds the
-modes and kernels for and leaves to the engine are counted too.  Every
-replayed objective must equal the recorded one to the bit.
+other early crossings.  Every replayed objective must equal the recorded
+one to the bit.
 
 Kept out of the test suite: its figures are timings.
 """
@@ -88,24 +85,13 @@ def fastest(run, repeats):
     return best, result
 
 
-def verdict_of(plant, controller, scenario):
-    """What the early verdict made of an evaluation: ``first`` (decided at
-    sample d + 1), ``second`` (decided at 2 (d + 1) from the bound on the
-    kernel terms), ``modes`` (decided there from the modes), ``candidate``
-    (modes built, left to the engine) or None.  The verdict calls
-    ``sim.differintegrator_modes`` in its modes tier only; a cold plant
-    entry builds an operator kernel object too, so that is not the spy."""
-    built, modes = [], sim.differintegrator_modes
-    sim.differintegrator_modes = lambda *args: built.append(args) or modes(*args)
-    try:
-        crossed = sim._early_verdict(plant, controller, scenario)
-    finally:
-        sim.differintegrator_modes = modes
+def verdict_of(crossed, plant, scenario):
+    """What the early verdict made of an evaluation from the sample it
+    returned, ``crossed``: ``first`` (decided at sample d + 1), ``second``
+    (decided at 2 (d + 1)) or None (left to the engine)."""
     if crossed is None:
-        return "candidate" if built else None
-    if crossed == int(round(plant.L / scenario.step_size)) + 1:
-        return "first"
-    return "modes" if built else "second"
+        return None
+    return "first" if crossed == int(round(plant.L / scenario.step_size)) + 1 else "second"
 
 
 def replay(call, repeats):
@@ -127,7 +113,7 @@ def replay(call, repeats):
         controller = None
     crossed_early, verdict = False, None
     if controller is not None:
-        verdict = verdict_of(plant, controller, scenario)
+        verdict = verdict_of(sim._early_verdict(plant, controller, scenario), plant, scenario)
         first = sim._next_stage(0, n)
 
         def setup():
@@ -174,7 +160,7 @@ def main(argv=None) -> int:
 
     layers = {layer: [] for layer in LAYERS}
     total = 0.0
-    counts = dict(early=0, controllers=0, first=0, second=0, modes=0, candidate=0)
+    counts = dict(early=0, controllers=0, first=0, second=0)
     # whole evaluations decided by the early verdict, by the sample that
     # decided them, and of the other early crossings
     kinds = ("first", "second", "other")
@@ -187,8 +173,7 @@ def main(argv=None) -> int:
         if crossed:
             for layer in LAYERS:
                 layers[layer].append(times[layer])
-        kind = ("first" if verdict == "first" else "second" if verdict in ("second", "modes")
-                else "other" if crossed else None)
+        kind = verdict or ("other" if crossed else None)
         if kind is not None:
             decided[kind].append(times["evaluation"])
         if "controller_setup" in times:
@@ -208,10 +193,7 @@ def main(argv=None) -> int:
         ms = statistics.median(layers[layer]) * 1e3 if layers[layer] else float("nan")
         print(f"  {layer:50s} {ms:9.4f}")
     print(f"early verdict, of {counts['controllers']} evaluations with a controller: "
-          f"{counts['first']} decided at sample d + 1, {counts['second'] + counts['modes']} at "
-          f"sample 2 (d + 1) ({counts['second']} from the bound on the kernel terms, "
-          f"{counts['modes']} from the modes), {counts['candidate']} candidates at 2 (d + 1) "
-          f"left to the engine")
+          f"{counts['first']} decided at sample d + 1, {counts['second']} at sample 2 (d + 1)")
     labels = {"first": "decided at d + 1", "second": "decided at 2 (d + 1)",
               "other": "other early crossings"}
     for kind in kinds:
