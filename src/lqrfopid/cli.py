@@ -90,30 +90,40 @@ def _config_bool(raw: str) -> bool:
     return value in ("1", "true", "yes", "on")
 
 
-def _install_config_defaults(args: argparse.Namespace) -> None:
-    """Install config-file values as the subcommand's argparse defaults.
-
-    A subsequent re-parse of the same argv lets explicit flags override
-    the file, which is the documented precedence.
-    """
+def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    """``argv`` parsed, with the values of its ``--config`` file, each
+    converted by its option's own type, as the defaults of its subcommand's
+    options: a re-parse of the same argv lets explicit flags override the
+    file, which is the documented precedence.  The file may give a required
+    option, so argparse checks none, and what is still missing once the
+    file is read exits 2 as argparse would."""
+    [commands] = [a.choices for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    required = [a for sub in commands.values() for a in sub._actions if a.required]
+    for action in required:
+        action.required = False
+    args = parser.parse_args(argv)
     sub: argparse.ArgumentParser = args.subparser
-    converted: dict[str, object] = {}
-    for key, raw in _read_config(args.config).items():
-        if not hasattr(args, key) or key in ("config", "subparser", "func", "command"):
-            raise CliError(f"unknown config key {key!r}")
-        template = sub.get_default(key)
-        try:
-            if isinstance(template, bool):
-                converted[key] = _config_bool(raw)
-            elif isinstance(template, int) and not isinstance(template, bool):
-                converted[key] = int(raw)
-            elif isinstance(template, float):
-                converted[key] = float(raw)
-            else:
-                converted[key] = raw
-        except ValueError as exc:
-            raise CliError(f"config key {key!r}: {exc}")
-    sub.set_defaults(**converted)
+    if args.config:
+        actions = {a.dest: a for a in sub._actions
+                   if a.option_strings and a.dest not in ("config", "help")}
+        for key, raw in _read_config(args.config).items():
+            if key not in actions:
+                raise CliError(f"unknown config key {key!r}")
+            action = actions[key]
+            try:
+                action.default = (_config_bool(raw) if action.nargs == 0  # a flag
+                                  else raw if action.type is None else action.type(raw))
+            except ValueError as exc:
+                raise CliError(f"config key {key!r}: {exc}")
+        args = parser.parse_args(argv)
+    for action in required:  # as built, for the usage line of the error below
+        action.required = True
+    missing = ["/".join(a.option_strings) for a in required
+               if a in sub._actions and getattr(args, a.dest) is None]
+    if missing:
+        sub.error(f"the following arguments are required: {', '.join(missing)}")
+    return args
 
 
 def _plant_from_args(args) -> NioptdPlant:
@@ -373,11 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if getattr(args, "config", None):
-            _install_config_defaults(args)
-            args = parser.parse_args(argv)
+        args = _parse_args(parser, argv)
         return args.func(args)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

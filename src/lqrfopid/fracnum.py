@@ -11,6 +11,7 @@ t < 0), where the GL and Caputo definitions coincide.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,11 +155,9 @@ def oustaloup_approximation(
             f"exponent must lie in (-1, 1) excluding 0, got {gamma}; "
             "split off the integer part first"
         )
-    w_low, w_high = band
-    if not (0.0 < w_low < w_high < math.inf):
-        raise ValueError(f"need 0 < w_low < w_high < inf for the band, got {band}")
-    if order < 1:
-        raise ValueError(f"approximation order must be >= 1, got {order}")
+    w_low, w_high = _band(band)
+    if isinstance(order, bool) or not isinstance(order, numbers.Integral) or order < 1:
+        raise ValueError(f"approximation order must be >= 1 and an integer, got {order!r}")
     n = int(order)
     # zero k and pole k, k = 0, ..., 2 n, sit at these fractions of the
     # band's decades, in one array operation for both
@@ -166,6 +165,18 @@ def oustaloup_approximation(
     zeros, poles = -w_low * (w_high / w_low) ** ((np.arange(2 * n + 1.0) + shift) / (2 * n + 1))
     gain = w_high ** gamma
     return RationalFilter(zeros=zeros, poles=poles, gain=gain)
+
+
+def _band(band) -> tuple[float, float]:
+    """``band`` as the floats (w_low, w_high); raises ValueError, naming the
+    band, unless it is two numbers with 0 < w_low < w_high < inf."""
+    try:
+        w_low, w_high = (float(w) for w in band)
+    except (TypeError, ValueError):
+        w_low = w_high = math.nan
+    if not (0.0 < w_low < w_high < math.inf):
+        raise ValueError(f"need 0 < w_low < w_high < inf for the band, got {band!r}")
+    return w_low, w_high
 
 
 def _cascade_ss(zeros, poles, gain, integrators: int = 0):

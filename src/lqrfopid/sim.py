@@ -10,8 +10,8 @@ Two interchangeable numerical paths realize the fractional operators:
   its poles and residues, with no realization and no matrix exponential:
   each controller operator's from its filter, grown in place on demand,
   the plant's from the modes of the unit-gain plant F / (T + F), F the
-  filter of s**-alpha, times K.  One kernel object serves all the
-  operators of a run, in one pass over their poles.
+  filter of s**-alpha, times K.  Each block has its kernel object of its
+  own: the plant one, each controller operator one.
 
 Both loops are linear and causal, so one engine solves them on power
 series truncated to the N samples of a run: with the one-sample delay z,
@@ -76,10 +76,10 @@ plant and controller entries know the solver.  One cached entry per plant
 at rest (K, T, alpha, step, solver, band, length) samples the plant, from
 its modes or its GL weights: num, with its transforms, and den; a search
 builds it once, a sweep once per lag.  A controller entry (controller,
-step, solver, band, length) holds the operator kernels and H as last
-grown, with its transforms; each single run makes its own, and a sweep
-one for all its lags.  Nothing else outlives a run, so a controller
-builds its kernels once, from its operators' modes.
+step, solver, band, length) holds the two operators' kernel objects and
+H as last grown, with its transforms; each single run makes its own, and
+a sweep one for all its lags.  Nothing else outlives a run, so a
+controller builds each operator's kernel once, from that operator's modes.
 
 Timing convention shared by both paths: num[0] = 0, so the plant state at
 sample k has integrated the (zero-order-held, delayed) input, control and
@@ -106,6 +106,7 @@ from .design import (
 from .fracnum import (
     DEFAULT_BAND,
     OUSTALOUP_ORDER,
+    _band,
     _factor_modes,
     _factors,
     _order_feedthrough,
@@ -509,7 +510,7 @@ def _loop_output(at_rest, delays, runs, r, w_start, w_mag, threshold, n):
         F[:, :den.size] = den[:t]
         shifts = delays[rows].tolist()
         if runs is not None and min(shifts) < t:
-            num_H = _series_mul(num, runs.grown(t)[0], 0, t)
+            num_H = _series_mul(num, runs.grown(t), 0, t)
             for row, d in zip(F, shifts):
                 if d < t:
                     row[d:] += num_H[:t - d]
@@ -597,27 +598,21 @@ _GAUSS_NODES = (_GAUSS_NODES + 1.0) / 2.0
 _GAUSS_MOMENTS = _GAUSS_WEIGHTS[:, None] / 2.0 * _GAUSS_NODES[:, None] ** np.arange(3)
 
 
-def _interval_moments(poles: np.ndarray, h: float, spans) -> np.ndarray:
-    """The integrals of tau**j exp(p tau) over [0, h], j < count, for the
-    poles[lo:hi] of each (lo, hi, count) of ``spans``, one row per pole
-    (zero past its span's count), of the poles' dtype: h**(j + 1) J_j(p h)
-    with J_j(x) the integral of u**j exp(x u) over [0, 1].
+def _interval_moments(poles: np.ndarray, h: float, count: int) -> np.ndarray:
+    """The integrals of tau**j exp(p tau) over [0, h], j < count, one row
+    per pole, of the poles' dtype: h**(j + 1) J_j(p h) with J_j(x) the
+    integral of u**j exp(x u) over [0, 1].
     J_0 = expm1(x) / x (1 at x = 0).  Past it the recurrence
     J_j = (exp(x) - j J_(j-1)) / x, which cancels for small x; where
     |x| < 1/2 the Gauss-Legendre rule instead, exact to rounding there (it
-    integrates the terms x**n u**(n + j) / n! exactly up to degree 19).
-    Each span's rule is a matrix product of the shape it has for those
-    poles alone, so a span's moments do not depend on the others."""
-    count = max(c for _, _, c in spans)
+    integrates the terms x**n u**(n + j) / n! exactly up to degree 19)."""
     x = poles * h
     out = np.zeros((x.size, count), dtype=x.dtype)
     out[:, 0] = np.divide(np.expm1(x), x, out=np.ones(x.size, x.dtype), where=x != 0.0)
     if count > 1:
         small = np.abs(x) < 0.5
         nodes = np.exp(np.multiply.outer(x * small, _GAUSS_NODES))
-        for lo, hi, c in spans:
-            if c > 1:
-                out[lo:hi, 1:c] = nodes[lo:hi] @ _GAUSS_MOMENTS[:, 1:c]
+        out[:, 1:] = nodes @ _GAUSS_MOMENTS[:, 1:count]
         large = ~small
         x, moment = x[large], out[large, 0]
         grown = np.exp(x)
@@ -628,13 +623,12 @@ def _interval_moments(poles: np.ndarray, h: float, spans) -> np.ndarray:
 
 
 class _OperatorKernels:
-    """The sampled kernels of the blocks of a run, in closed form from their
-    modes, each a (d, poles, coeffs) of :func:`differintegrator_modes` or
-    :func:`_plant_modes` in the list ``modes``, extended in place on
-    demand.
+    """The sampled kernel of one block of a run, in closed form from its
+    modes ``modes``, a (d, poles, coeffs) of :func:`differintegrator_modes`
+    or :func:`_plant_modes`, extended in place on demand.
 
-    ``kernels(m)`` is the first m terms of each (read-only): g[0] is the
-    feedthrough d and g[k] the integral of the impulse response
+    ``kernel(m)`` is its first m terms (read-only): g[0] is the feedthrough
+    d and g[k] the integral of the impulse response
     sum_i sum_l c_il t**l exp(p_i t) over [(k - 1) h, k h], the ZOH Markov
     parameter (its real part, where poles come in conjugate pairs).  With
     s = (k - 1) h that is sum_i exp(p_i s) P_i(s), where P_i has the
@@ -643,68 +637,53 @@ class _OperatorKernels:
 
     For the KERNEL_BLOCK samples s = (b KERNEL_BLOCK + j) h of block b that
     is sum_l s**l (X_b R)[l, j], with X_b[i] = exp(p_i h KERNEL_BLOCK b) and
-    R[i, (l, j)] = (coefficient of s**l in P_i) exp(p_i h j) built once
-    (``bases``): a row of one small matrix product, then Horner in s.  The
-    kernels hold at most the n terms given at construction (asking for more
-    raises ValueError), and their blocks are built in chunks that end at
-    the stages of :func:`_next_stage` for n, whatever lengths are asked
-    for.  So each block is always the same row of a product of the same
-    shape, and growing the kernels never changes the terms they already
-    have nor what they will build: kernels grown on demand equal those
-    built to n at once, bit for bit.  The one closed-form sampler: the plant
-    entry and the controller entry each build their own.
-
-    The operators share one pass over their poles: one table of the
-    moments I_ij, one of exp(p h j) and one exp(p h KERNEL_BLOCK b) per
-    chunk; each keeps its own block product and Horner step, so each
-    kernel is the one it would be alone, bit for bit.  The tables every
-    chunk reads are built at construction, and the feedthroughs are the
-    kernels' first terms.
+    R[i, (l, j)] = (coefficient of s**l in P_i) exp(p_i h j) built once at
+    construction: a row of one small matrix product, then Horner in s.  The
+    kernel holds at most the n terms given at construction (asking for more
+    raises ValueError), and its blocks are built in chunks that end at the
+    stages of :func:`_next_stage` for n, whatever lengths are asked for.
+    So each block is always the same row of a product of the same shape,
+    and growing the kernel never changes the terms it already has nor what
+    it will build: a kernel grown on demand equals one built to n at once,
+    bit for bit.  The one closed-form sampler: the plant entry builds one,
+    and the controller entry one per operator.
     """
 
     def __init__(self, modes, h: float, n: int):
-        self.h, self.n, self.stage = h, n, 0
-        poles = np.concatenate([p for _, p, _ in modes])
-        # kernel i has the poles poles[lo:hi] and coeffs.shape[1] powers
-        self.spans, hi = [], 0
-        for _, p, coeffs in modes:
-            self.spans.append((hi, hi + p.size, coeffs.shape[1]))
-            hi += p.size
-        moments = _interval_moments(poles, h, self.spans)
+        d, poles, coeffs = modes
+        self.h, self.n, self.stage, self.powers = h, n, 0, coeffs.shape[1]
+        moments = _interval_moments(poles, h, self.powers)
+        # the coefficients of P_i, columns the powers of s
+        poly = coeffs * moments[:, :1]
+        for l in range(1, self.powers):
+            for j in range(1, l + 1):
+                poly[:, l - j] += coeffs[:, l] * math.comb(l, j) * moments[:, j]
         steps = np.exp((poles * h)[:, None] * _BLOCK_STEPS)
-        self.bases = []
-        for (_, _, coeffs), (lo, hi, powers) in zip(modes, self.spans):
-            # the coefficients of P_i, columns the powers of s
-            poly = coeffs * moments[lo:hi, :1]
-            for l in range(1, powers):
-                for j in range(1, l + 1):
-                    poly[:, l - j] += coeffs[:, l] * math.comb(l, j) * moments[lo:hi, j]
-            self.bases.append((poly[:, :, None] * steps[lo:hi, None, :])
-                              .reshape(hi - lo, powers * KERNEL_BLOCK))
+        self.basis = (poly[:, :, None] * steps[:, None, :]).reshape(
+            poles.size, self.powers * KERNEL_BLOCK)
         self.rates = poles * (KERNEL_BLOCK * h)
-        self.terms = [_read_only(np.array([d])) for d, _, _ in modes]
+        self.terms = _read_only(np.array([d]))
 
-    def __call__(self, m: int) -> list[np.ndarray]:
+    def __call__(self, m: int) -> np.ndarray:
         if m > self.n:
-            raise ValueError(f"the kernels have {self.n} terms, not {m}")
-        while self.terms[0].size < m:
+            raise ValueError(f"the kernel has {self.n} terms, not {m}")
+        while self.terms.size < m:
             # up to the block of term stage - 1: the block of term k > 0 is
             # (k - 1) // KERNEL_BLOCK
             self.stage = _next_stage(self.stage, self.n)
-            self._extend(np.arange((self.terms[0].size - 1) // KERNEL_BLOCK,
+            self._extend(np.arange((self.terms.size - 1) // KERNEL_BLOCK,
                                    (self.stage - 2) // KERNEL_BLOCK + 1))
-        return [terms[:m] for terms in self.terms]
+        return self.terms[:m]
 
     def _extend(self, blocks: np.ndarray) -> None:
-        """Append the consecutive blocks ``blocks`` to every kernel."""
-        modes = np.exp(np.multiply.outer(blocks, self.rates))
+        """Append the consecutive blocks ``blocks`` to the kernel."""
+        rows = (np.exp(np.multiply.outer(blocks, self.rates)) @ self.basis).reshape(
+            blocks.size, self.powers, KERNEL_BLOCK)
         s = (blocks[:, None] * KERNEL_BLOCK + _BLOCK_STEPS) * self.h
-        for i, ((lo, hi, powers), basis) in enumerate(zip(self.spans, self.bases)):
-            rows = (modes[:, lo:hi] @ basis).reshape(blocks.size, powers, KERNEL_BLOCK)
-            new = rows[:, -1]
-            for l in range(powers - 2, -1, -1):
-                new = new * s + rows[:, l]
-            self.terms[i] = _read_only(np.concatenate([self.terms[i], new.real.ravel()]))
+        new = rows[:, -1]
+        for l in range(self.powers - 2, -1, -1):
+            new = new * s + rows[:, l]
+        self.terms = _read_only(np.concatenate([self.terms, new.real.ravel()]))
 
 
 def _plant_modes(plant: NioptdPlant, band) -> tuple[float, np.ndarray, np.ndarray]:
@@ -786,7 +765,7 @@ class _PlantAtRest:
     def __init__(self, plant: NioptdPlant, h: float, solver: str,
                  band: tuple[float, float], n: int):
         if solver == "oustaloup":
-            num = plant.K * _OperatorKernels([_plant_modes(plant, band)], h, n)(n)[0]
+            num = plant.K * _OperatorKernels(_plant_modes(plant, band), h, n)(n)
             den = np.ones(1)
         elif solver == "gl":
             num = np.array([0.0, plant.K])
@@ -799,33 +778,33 @@ class _PlantAtRest:
 
 class _ControllerRuns:
     """What the runs of one controller at step h, with one solver and band,
-    to n terms share, whatever the plant: the operator kernels, and
-    H = kp + ki s**-lam + kd s**mu, a :class:`_Series`, and its kernels as
-    last grown (read-only).  Its runs own it: each
-    :func:`simulate_closed_loop` makes one, and a :func:`robustness_sweep`
-    one for all its lags.
+    to n terms share, whatever the plant: ``operators``, the kernels of
+    s**-lam and s**mu (``op(m)`` their first m terms: an
+    :class:`_OperatorKernels` each, or their scaled GL weights), and
+    H = kp + ki s**-lam + kd s**mu as last grown, a :class:`_Series`.  Its
+    runs own it: each :func:`simulate_closed_loop` makes one, and a
+    :func:`robustness_sweep` one for all its lags.
     """
 
     def __init__(self, controller: FopidController, h: float, solver: str,
                  band: tuple[float, float], n: int):
         exponents = (-controller.lam, controller.mu)
-        self.operators = (
-            _OperatorKernels([differintegrator_modes(g, band) for g in exponents], h, n)
-            if solver == "oustaloup" else
-            lambda m: [h ** -g * gl_coefficients(g, m) for g in exponents])
+        self.operators = [
+            _OperatorKernels(differintegrator_modes(g, band), h, n) if solver == "oustaloup"
+            else lambda m, g=g: h ** -g * gl_coefficients(g, m)
+            for g in exponents]
         self.controller, self.h, self.solver, self.band, self.n = controller, h, solver, band, n
-        self.H, self.kernels = _Series(np.zeros(0)), []
+        self.H = _Series(np.zeros(0))
 
-    def grown(self, t: int):
-        """H as last grown, to at least t terms, and the first t terms of
-        the operator kernels."""
+    def grown(self, t: int) -> _Series:
+        """H as last grown, to at least t terms."""
         if self.H.terms.size < t:
             c = self.controller
-            self.kernels = self.operators(t)
-            H = c.ki * self.kernels[0] + c.kd * self.kernels[1]
+            lam, mu = (op(t) for op in self.operators)
+            H = c.ki * lam + c.kd * mu
             H[0] += c.kp
             self.H = _Series(H)
-        return self.H, [kernel[:t] for kernel in self.kernels]
+        return self.H
 
 
 @functools.lru_cache(maxsize=8)
@@ -855,7 +834,7 @@ def simulate_closed_loop(
     """
     scenario = scenario or Scenario()
     h = scenario.step_size
-    runs = _ControllerRuns(controller, h, solver, tuple(band), scenario.n_steps)
+    runs = _ControllerRuns(controller, h, solver, _band(band), scenario.n_steps)
     return _closed_loops(plant, [int(round(plant.L / h))], runs, scenario)[0]
 
 
@@ -878,7 +857,8 @@ def _closed_loops(plant, delays, runs, scenario) -> list[SimResult]:
         def states():
             s = _leading_zeros(e)
             x1, x3 = np.zeros((2, y.size))
-            x1[s:], x3[s:] = _series_mul(e[s:], np.array(runs.grown(y.size)[1]), 0, y.size - s)
+            kernels = np.array([op(y.size) for op in runs.operators])
+            x1[s:], x3[s:] = _series_mul(e[s:], kernels, 0, y.size - s)
             if k is not None:
                 x1[k] = x3[k] = 0.0
             return x1, x3
@@ -898,7 +878,7 @@ def _closed_loops(plant, delays, runs, scenario) -> list[SimResult]:
     if survivors:
         e = np.array([errors[i] for i in survivors])
         u, s = np.zeros(e.shape), _leading_zeros(e)
-        u[:, s:] = _series_mul(runs.grown(n)[0], e[:, s:], 0, n - s)
+        u[:, s:] = _series_mul(runs.grown(n), e[:, s:], 0, n - s)
         controls = dict(zip(survivors, u))
     return [result(y, k, errors[i], controls.get(i)) for i, (y, k) in enumerate(outputs)]
 

@@ -186,10 +186,10 @@ class TestDesign:
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
     def test_one_kernel_object_per_simulated_evaluation(self, tmp_path, monkeypatch):
-        """A `design` run sets up exactly one kernel object for the operators
-        of each evaluation it simulates, none for an evaluation the early
-        verdict decides or the gain map rejects, and one for the plant,
-        which both methods share."""
+        """A `design` run sets up exactly one kernel object for each of the
+        two operators of each evaluation it simulates, none for an
+        evaluation the early verdict decides or the gain map rejects, and
+        one for the plant, which both methods share."""
         import lqrfopid.nsga2
         from lqrfopid import sim
 
@@ -198,7 +198,7 @@ class TestDesign:
 
         def spied_evaluate(*args, **kwargs):
             verdicts.append("no gain map")
-            kernels.append([])
+            kernels.append(0)
             return evaluate(*args, **kwargs)
 
         def spied_verdict(*args):
@@ -208,7 +208,7 @@ class TestDesign:
 
         class CountedKernels(sim._OperatorKernels):
             def __init__(self, modes, h, n):
-                kernels[-1].append(len(modes))
+                kernels[-1] += 1
                 super().__init__(modes, h, n)
 
         monkeypatch.setattr(lqrfopid.nsga2, "evaluate_design_objectives", spied_evaluate)
@@ -220,9 +220,10 @@ class TestDesign:
         sim._PlantAtRest.cache_clear()
         assert len(verdicts) == 32
         assert {"simulated", "decided"} <= set(verdicts)
-        assert sum(built.count(1) for built in kernels) == 1
+        # two operator kernels per simulated evaluation, and the plant's once
+        assert sum(kernels) == 2 * verdicts.count("simulated") + 1
         for verdict, built in zip(verdicts, kernels):
-            assert built.count(2) == (verdict == "simulated"), verdict
+            assert built - 2 * (verdict == "simulated") in (0, 1), verdict
 
     def test_empty_front_does_not_stop_other_methods(self, tmp_path, monkeypatch, capsys):
         import lqrfopid.cli
@@ -457,6 +458,29 @@ class TestConfigFile:
         # the solver key took effect: the default solver gives another step
         assert main(["step", "--bode", "--horizon", "1", "--out-dir", str(gl)]) == EXIT_OK
         assert (gl / "step.csv").read_bytes() != (from_cfg / "step.csv").read_bytes()
+
+    @pytest.mark.parametrize("name, csv", [("gains", "gains.csv"), ("rule", "rule.csv"),
+                                           ("sweep", "sweep.csv")])
+    def test_config_gives_required_options(self, tmp_path, name, csv):
+        """A command whose required options all come from --config writes
+        the bytes it writes with them given as flags."""
+        command, *flags = MINIMAL_ARGV[name]
+        cfg = tmp_path / "required.cfg"
+        cfg.write_text("".join(f"{key[2:]} = {value}\n"
+                               for key, value in zip(flags[::2], flags[1::2])), encoding="utf-8")
+        from_cfg, from_flags = tmp_path / "cfg", tmp_path / "flags"
+        assert main([command, "--config", str(cfg), "--out-dir", str(from_cfg)]) == EXIT_OK
+        assert main(MINIMAL_ARGV[name] + ["--out-dir", str(from_flags)]) == EXIT_OK
+        assert (from_cfg / csv).read_bytes() == (from_flags / csv).read_bytes()
+
+    def test_required_option_missing_from_flags_and_file_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "partial.cfg"
+        cfg.write_text("Q1 = 1\nQ2 = 1\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as exit:
+            main(["gains", "--config", str(cfg), "--Q3", "1", "--out-dir", str(tmp_path)])
+        assert exit.value.code == EXIT_INVALID_INPUT
+        assert "the following arguments are required: --R" in capsys.readouterr().err
+        assert not (tmp_path / "gains.csv").exists()
 
     def test_bad_int_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "int.cfg"

@@ -156,8 +156,9 @@ class TestOustaloup:
         for band in ((0.0, 1e3), (1e3, 1e-3), (1.0, 1.0)):
             with pytest.raises(ValueError, match="w_low < w_high"):
                 oustaloup_approximation(0.5, band=band)
-        with pytest.raises(ValueError, match="order must be >= 1"):
-            oustaloup_approximation(0.5, order=0)
+        for order in (0, 2.5, True):
+            with pytest.raises(ValueError, match="order must be >= 1"):
+                oustaloup_approximation(0.5, order=order)
 
     def test_filter_rejects_non_negative_pole(self):
         for pole in (0.0, 2.0):
@@ -207,7 +208,8 @@ class TestNonFiniteInputs:
             yield
 
     @pytest.mark.parametrize("band", [(1e-3, math.inf), (1e-3, math.nan), (math.nan, 1e3),
-                                      (-math.inf, 1e3)])
+                                      (-math.inf, 1e3), (1e-3, 1e3, 5), (1e-3,), 5, None,
+                                      "ab"])
     def test_oustaloup_band(self, band):
         with pytest.raises(ValueError, match="band"):
             oustaloup_approximation(0.5, band)

@@ -168,10 +168,11 @@ class TestPerformanceIndices:
 
 
 class TestClosedLoop:
-    @pytest.mark.parametrize("band", [(1e-3, math.inf), (math.nan, 1e3)])
+    @pytest.mark.parametrize("band", [(1e-3, math.inf), (math.nan, 1e3), (1e-3, 1e3, 5),
+                                      (1e-3,), 5, None, "ab"])
     def test_rejects_non_finite_band(self, band):
-        """The Oustaloup path names the band, before NumPy warns of
-        anything."""
+        """A band that is not two finite numbers 0 < w_low < w_high raises a
+        ValueError that names the band, before NumPy warns of anything."""
         case, controller = reference_controller("osc_median")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -750,6 +751,21 @@ class TestSolvers:
                    if isinstance(node, ast.Call)
                    and getattr(node.func, "id", "") == "_interval_moments"}
         assert callers == {"_OperatorKernels"}, callers
+
+    def test_one_kernel_object_per_block(self):
+        """Structural guard: each kernel object samples one block, so every
+        _OperatorKernels(...) call in sim.py passes the modes of one block,
+        a _plant_modes or differintegrator_modes call, and
+        _interval_moments takes one count, not spans of a shared pass."""
+        tree = ast.parse(Path(sim.__file__).read_text(encoding="utf-8"))
+        firsts = [getattr(node.args[0].func, "id", None)
+                  if isinstance(node.args[0], ast.Call) else type(node.args[0]).__name__
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", "") == "_OperatorKernels"]
+        assert firsts and set(firsts) <= {"_plant_modes", "differintegrator_modes"}, firsts
+        [moments] = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                     and node.name == "_interval_moments"]
+        assert [a.arg for a in moments.args.args] == ["poles", "h", "count"]
 
     def test_only_the_entries_build_kernels(self):
         """Structural guard: in sim.py an _OperatorKernels is constructed only

@@ -54,10 +54,9 @@ DISTURBED = Scenario(disturbance_time=40.0, disturbance_magnitude=0.1)
 AT_REST = Scenario(setpoint=0.0, disturbance_time=40.0, disturbance_magnitude=0.1)
 
 
-def operator_kernels(exponents, h, n):
-    """The closed-form kernels of the operators s**gamma to n terms, one per
-    exponent."""
-    return _OperatorKernels([differintegrator_modes(g, DEFAULT_BAND) for g in exponents], h, n)
+def operator_kernel(gamma, h, n):
+    """The closed-form kernel object of the operator s**gamma to n terms."""
+    return _OperatorKernels(differintegrator_modes(gamma, DEFAULT_BAND), h, n)
 
 
 def assert_agree(res, ref):
@@ -231,7 +230,7 @@ def test_split_sampling_matches_fused(h):
         for lam, mu in pairs:
             at_rest = _PlantAtRest(replace(plant, L=0.0), h, "oustaloup", DEFAULT_BAND, n)
             num, den = at_rest.num.terms, at_rest.den
-            ops = operator_kernels((-lam, mu), h, n)(n)
+            ops = [operator_kernel(g, h, n)(n) for g in (-lam, mu)]
             assert np.array_equal(den, [1.0]) and num[0] == 0.0
             want = fused_oustaloup_markov(plant, h, (-lam, mu), n)
             for got, ref in zip([num] + ops, want):
@@ -269,8 +268,8 @@ def test_closed_form_kernels_match_matrix_path(h):
     exponents = list(rng.uniform(-2.0, 2.0, 24))
     exponents += [sign * g for g in ORDER_EDGES for sign in (-1.0, 1.0)]
     exponents += NEAR_INTEGERS
-    operators = operator_kernels(exponents, h, KERNEL_TERMS)
-    for gamma, got in zip(exponents, operators(KERNEL_TERMS)):
+    for gamma in exponents:
+        got = operator_kernel(gamma, h, KERNEL_TERMS)(KERNEL_TERMS)
         ref = operator_markov(gamma, h, KERNEL_TERMS)
         assert got.size == KERNEL_TERMS
         assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref)), gamma
@@ -410,11 +409,11 @@ def test_grown_kernels_equal_one_build(h, n):
     rng = np.random.default_rng(43)
     lengths = sorted({m for m in GROWN_LENGTHS if m <= n} | set(stage_lengths(n)))
     for gamma in list(rng.uniform(-2.0, 2.0, 12)) + [-2.0, -1.0, 0.0, 1.0, 2.0]:
-        [whole] = operator_kernels((gamma,), h, n)(n)
-        grown = operator_kernels((gamma,), h, n)
+        whole = operator_kernel(gamma, h, n)(n)
+        grown = operator_kernel(gamma, h, n)
         before = np.zeros(0)
         for m in lengths:
-            [now] = grown(m)
+            now = grown(m)
             assert now.size == m
             common = min(m, before.size)
             assert np.array_equal(now[:common], before[:common]), (gamma, m)
@@ -452,8 +451,8 @@ def counted_kernels(monkeypatch):
 def test_kernels_grow_in_few_chunk_products(counted_kernels):
     """A cold plant entry builds its kernel in 3 chunk products at N = 2,500
     and 10**4, through block ceil((n - 1) / 128) - 1 and no further; a
-    surviving evaluation at N = 10**4 builds its controller kernels in 3, a
-    loop that diverges before sample 1,024 in 2."""
+    surviving evaluation at N = 10**4 builds each of its two operator
+    kernels in 3, a loop that diverges before sample 1,024 in 2."""
     for n in (2500, KERNEL_TERMS):
         _PlantAtRest(NioptdPlant(K=1.0, L=0.0, T=2.0, alpha=1.5), 0.01, "oustaloup",
                      DEFAULT_BAND, n)
@@ -470,47 +469,26 @@ def test_kernels_grow_in_few_chunk_products(counted_kernels):
     assert objectives != (sim.PENALTY_OBJECTIVE, sim.PENALTY_OBJECTIVE)
     assert Scenario().n_steps == KERNEL_TERMS
     # the plant entry was built above
-    [operators] = counted_kernels
-    assert len(operators.spans) == 2 and len(operators.chunks) == 3
+    assert [len(kernel.chunks) for kernel in counted_kernels] == [3, 3]
 
     counted_kernels.clear()
     res = simulate_closed_loop(case.plant, EARLY_DIVERGING, Scenario())
     assert res.diverged and sim.DIRECT_TERMS < res.t.size <= 1024
-    [operators] = counted_kernels
-    assert len(operators.chunks) == 2
+    assert [len(kernel.chunks) for kernel in counted_kernels] == [2, 2]
 
 
 @pytest.mark.parametrize("n", [1, 2, 129, 1000])
 def test_kernels_refuse_terms_past_their_length(n):
     """A request past the n terms given at construction raises ValueError,
-    before and after the kernels reached n, and builds nothing."""
-    kernels = operator_kernels((-0.5, 0.7), 0.01, n)
-    with pytest.raises(ValueError):
-        kernels(n + 1)
-    assert kernels.terms[0].size == 1
-    assert [k.size for k in kernels(n)] == [n, n]
-    with pytest.raises(ValueError):
-        kernels(n + 1)
-
-
-@pytest.mark.parametrize("h", [0.01, 0.05])
-def test_shared_kernel_pass_equals_per_exponent_builds(h):
-    """The kernels of one shared pass over both operators equal those built
-    one exponent at a time bit for bit, at every length they grow through:
-    seeded (-lam, mu) pairs of the design box and every pair of the orders
-    0, 1 and 2 (2 is a cube of three powers, next to operators of fewer)."""
-    rng = np.random.default_rng(61)
-    lo, hi = np.array(DESIGN_BOUNDS[4:]).T
-    pairs = [tuple(rng.uniform(lo, hi)) for _ in range(12)]
-    pairs += list(itertools.product((0.0, 1.0, 2.0), repeat=2))
-    for lam, mu in pairs:
-        shared = operator_kernels((-lam, mu), h, KERNEL_TERMS)
-        alone = [operator_kernels((g,), h, KERNEL_TERMS) for g in (-lam, mu)]
-        for m in GROWN_LENGTHS:
-            got = shared(m)
-            assert len(got) == 2
-            for kernel, single in zip(got, alone):
-                assert np.array_equal(kernel, single(m)[0]), (lam, mu, m)
+    before and after the kernel reached n, and builds nothing."""
+    for gamma in (-0.5, 0.7):
+        kernel = operator_kernel(gamma, 0.01, n)
+        with pytest.raises(ValueError):
+            kernel(n + 1)
+        assert kernel.terms.size == 1
+        assert kernel(n).size == n
+        with pytest.raises(ValueError):
+            kernel(n + 1)
 
 
 # the branches of fracnum._factors: the identity, an order too small to move
@@ -690,7 +668,7 @@ def engine_second_sample(plant, controller, scenario):
     at_rest = _PlantAtRest(replace(plant, L=0.0), h, "oustaloup", DEFAULT_BAND, n)
     runs = sim._ControllerRuns(controller, h, "oustaloup", DEFAULT_BAND, n)
     [(y, k)] = sim._loop_output(at_rest, [d], runs, r, n, 0.0, np.inf, n)
-    num, H = at_rest.num.terms[:d + 3], runs.grown(d + 3)[0].terms[:d + 3]
+    num, H = at_rest.num.terms[:d + 3], runs.grown(d + 3).terms[:d + 3]
     nH = np.convolve(num, H)[:d + 3]
     closed = r * (nH.cumsum()[d + 2] - nH[1] ** 2)
     scale = abs(r) * (np.convolve(np.abs(num), np.abs(H))[:d + 3].sum() + nH[1] ** 2)
@@ -730,7 +708,7 @@ def test_order_variation_bounds_the_kernels(h):
     rng = np.random.default_rng(97)
     orders = list(rng.uniform(-2.0, 2.0, 24)) + [g * s for g in FACTOR_EDGES for s in (1, -1)]
     for g in orders:
-        kernel = operator_kernels([g], h, 400)(400)[0]
+        kernel = operator_kernel(g, h, 400)(400)
         for m in (1, 11, 102, 399):
             bound = sim._order_variation(g, DEFAULT_BAND, m * h)
             assert np.abs(kernel[1:m + 1]).sum() <= bound * (1.0 + 1e-12), (g, m)
@@ -886,6 +864,29 @@ def test_second_response_preconditions():
             [verdict_kind(plant, c, scenario) for c in second]
 
 
+def test_verdict_leaves_a_plant_with_feedthrough_to_the_engine(monkeypatch):
+    """An order too small to move 1 - alpha off 1 makes the plant's filter
+    the identity, so num = (1 / (T + 1), 0, 0, ...): num[0] != 0 and the
+    loop has no delay round trip to decide by.  The verdict decides
+    nothing, though its sum for sample 2 (d + 1) would be past the bound,
+    and the loop reaches the horizon: the objective is the engine's pair
+    bit for bit."""
+    plant = NioptdPlant(K=1.0, L=0.0, T=2.0, alpha=1e-300)
+    controller = FopidController(kp=1e4, ki=0.1, kd=0.0, lam=1.0, mu=0.5)
+    scenario = Scenario(horizon=5.0)
+    at_rest = _PlantAtRest(plant, scenario.step_size, "oustaloup", DEFAULT_BAND,
+                           scenario.n_steps)
+    assert at_rest.num.terms[0] != 0.0
+    assert sim._early_verdict(plant, controller, scenario) is None
+    res = simulate_closed_loop(plant, controller, scenario)
+    assert not res.diverged and 0.0 < res.itse < 1e-5
+    monkeypatch.setattr(sim, "design_from_vars", lambda *args: controller)
+    call = (plant, np.array([1.0, 1.0, 1.0, 1.0, 1.0, 0.5]), DelayMethod.CAI, scenario)
+    got, [engine] = evaluate_design_objectives(*call), engine_objectives(monkeypatch, [call])
+    assert [v.hex() for v in got] == [v.hex() for v in engine] == [
+        v.hex() for v in (res.itse, res.isdco)]
+
+
 @pytest.mark.parametrize("name", ["osc_low_itse", "slug_median"])
 def test_zero_setpoint_products_start_at_the_disturbance(name):
     """With a zero set-point e is exactly zero up to the disturbance: u, x1
@@ -901,8 +902,9 @@ def test_zero_setpoint_products_start_at_the_disturbance(name):
     assert w == 1650
     res = simulate_closed_loop(plant, controller, scenario)
     assert not res.diverged and not res.x2[:w + 1].any()
-    H, kernels = sim._ControllerRuns(controller, h, "oustaloup", DEFAULT_BAND, n).grown(n)
-    wants = [np.convolve(H.terms, res.x2)[:n]] + [np.convolve(res.x2, k)[:n] for k in kernels]
+    runs = sim._ControllerRuns(controller, h, "oustaloup", DEFAULT_BAND, n)
+    wants = [np.convolve(runs.grown(n).terms, res.x2)[:n]] + [
+        np.convolve(res.x2, op(n))[:n] for op in runs.operators]
     for got, want in zip((res.u, res.x1, res.x3), wants):
         assert not got[:w].any()
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -979,7 +981,7 @@ def test_first_block_raises_where_lapack_reports_failure(monkeypatch):
 def test_evaluation_reaches_lapack_directly():
     """One Oustaloup-path evaluation calls neither scipy.linalg.schur nor
     solve_triangular nor toeplitz, and builds one kernel object for the
-    plant and one for both controller operators."""
+    plant and one for each controller operator."""
     case = BY_NAME["osc_median"]
     vars = LqrDesignVars(q1=case.q1, q2=case.q2, q3=case.q3, r=case.r,
                          lam=case.lam, mu=case.mu)
@@ -989,7 +991,7 @@ def test_evaluation_reaches_lapack_directly():
     def spy(frame, event, arg):
         code = frame.f_code
         if event == "return" and code is _OperatorKernels.__init__.__code__:
-            calls.append(f"kernels of {len(frame.f_locals['modes'])}")
+            calls.append("kernel")
         elif event == "call" and code.co_name in wrappers and "scipy" in code.co_filename:
             calls.append(code.co_name)
 
@@ -1008,7 +1010,7 @@ def test_evaluation_reaches_lapack_directly():
 
     sim._PlantAtRest.cache_clear()
     objectives = spied(lambda: evaluate_design_objectives(case.plant, vars, case.method))
-    assert sorted(calls) == ["kernels of 1", "kernels of 2"]
+    assert calls == ["kernel"] * 3
     assert objectives != (sim.PENALTY_OBJECTIVE, sim.PENALTY_OBJECTIVE)
 
 
@@ -1051,7 +1053,7 @@ def eager_states(res, plant, controller, scenario, solver):
     h, n = scenario.step_size, res.t.size
     # an entry of its own, as the run built one
     runs = sim._ControllerRuns(controller, h, solver, DEFAULT_BAND, scenario.n_steps)
-    x1, x3 = sim._series_mul(res.x2, np.array(runs.grown(n)[1]), 0, n)
+    x1, x3 = sim._series_mul(res.x2, np.array([op(n) for op in runs.operators]), 0, n)
     if res.diverged:
         x1[-1] = x3[-1] = 0.0
     return x1, x3
@@ -1119,8 +1121,9 @@ def test_objective_forms_no_controller_states(monkeypatch):
     def kernel_products(controller):
         """The products one of whose factors holds a prefix of more than one
         term of an operator kernel, in a row of its own."""
-        kernels = sim._ControllerRuns(controller, scenario.step_size, "oustaloup", DEFAULT_BAND,
-                                      scenario.n_steps).grown(scenario.n_steps)[1]
+        runs = sim._ControllerRuns(controller, scenario.step_size, "oustaloup", DEFAULT_BAND,
+                                   scenario.n_steps)
+        kernels = [op(scenario.n_steps) for op in runs.operators]
         return sum(any(row.size > 1 and np.array_equal(row, k[:row.size])
                        for f in factors for row in np.atleast_2d(f) for k in kernels)
                    for factors in products)
@@ -1195,9 +1198,9 @@ def test_disturbed_sweep_transform_count(monkeypatch):
 
     class Entry(sim._ControllerRuns):
         def grown(self, t):
-            H, kernels = super().grown(t)
+            H = super().grown(t)
             grown.append(H)
-            return H, kernels
+            return H
 
     monkeypatch.setattr(sim, "_ControllerRuns", Entry)
     sim._PlantAtRest.cache_clear()
