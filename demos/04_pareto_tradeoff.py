@@ -9,7 +9,9 @@ median solution of each as the balanced design.
 
 A production-scale run uses population and generation counts of 100
 (the MooConfig defaults); this demo is scaled down to finish in about a
-minute.
+minute.  Only those counts, the bounds and the seed are settings: the
+Pareto fraction (0.7), intermediate crossover and single-coordinate
+mutation are the protocol's, fixed in ``lqrfopid.nsga2``.
 
 Run:  python demos/04_pareto_tradeoff.py
 """

@@ -9,8 +9,9 @@ scale by 1/K.  This script
 1. evaluates the rules across the fitted domain,
 2. refits each parameter from the bundled median-solution dataset and
    reports the goodness of fit, and
-3. shows the one-at-a-time outlier screening on the derivative-gain
-   column (one dataset row is a genuine outlier).
+3. shows the one-at-a-time outlier screening, the only screening the
+   package has, on the derivative-gain column (one dataset row is a
+   genuine outlier; the bundled kd fit is the refit without it, n = 23).
 
 Run:  python demos/06_tuning_rules.py
 """
@@ -43,7 +44,7 @@ for name, col in columns.items():
 
 print("\noutlier screening on the derivative-gain column:")
 pts = np.column_stack([x, y, data[:, 2]])
-flagged = detect_outliers(pts, iterative=True, max_outliers=3)
+flagged = detect_outliers(pts, max_outliers=3)
 for idx in flagged:
     print(f"  flagged row {idx}: (L/T={x[idx]:.2f}, alpha={y[idx]:.2f}, "
           f"kd={data[idx, 2]:.4f})")

@@ -47,7 +47,9 @@ class NioptdPlant:
     """Four-parameter process K exp(-L s) / (T s**alpha + 1).
 
     alpha < 1 gives sluggish (creeping) open-loop steps, alpha > 1 gives
-    oscillatory ones.
+    oscillatory ones.  An order too small to move 1 - alpha off 1.0
+    (alpha <= 2**-54) is refused: its Oustaloup filter is the identity, so
+    the plant is the static gain K / (T + 1) with no fractional element.
     """
 
     K: float
@@ -64,6 +66,9 @@ class NioptdPlant:
             raise ValueError(f"pseudo time constant must be positive and finite, got {self.T}")
         if not (0.0 < self.alpha < 2.0):
             raise ValueError(f"fractional order must lie in (0, 2), got {self.alpha}")
+        if 1.0 - self.alpha == 1.0:
+            raise ValueError(f"alpha = {self.alpha} is too small to move 1 - alpha off 1: "
+                             f"the plant would be the static gain K / (T + 1)")
 
     @property
     def is_oscillatory(self) -> bool:

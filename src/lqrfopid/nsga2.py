@@ -57,22 +57,27 @@ __all__ = [
 ]
 
 
+# the protocol's fixed search settings: the share of front-0 survivors,
+# the chance a child is a crossover rather than a mutation, and the
+# mutation's reach as a fraction of each interval
+PARETO_FRACTION = 0.7
+CROSSOVER_FRACTION = 0.8
+MUTATION_SCALE = 0.1
+
+
 @dataclass(frozen=True)
 class MooConfig:
     """Optimizer settings; the defaults match the design protocol used
-    throughout this package (population and generations 100, Pareto
-    fraction 0.7, intermediate crossover, single-coordinate mutation).
-    Population, generations and seed are integers (the seed non-negative),
-    the bounds a non-empty sequence of finite non-empty (low, high)
-    intervals and the mutation scale finite; any other value raises
-    ValueError naming the field."""
+    throughout this package (population and generations 100), whose
+    Pareto fraction, intermediate crossover and single-coordinate mutation
+    are the module constants above, not settings.  Population, generations
+    and seed are integers (the seed non-negative) and the bounds a
+    non-empty sequence of finite non-empty (low, high) intervals; any
+    other value raises ValueError naming the field."""
 
     population: int = 100
     generations: int = 100
-    pareto_fraction: float = 0.7
     bounds: tuple = DESIGN_BOUNDS
-    crossover_fraction: float = 0.8
-    mutation_scale: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
@@ -85,12 +90,6 @@ class MooConfig:
             raise ValueError(f"generations must be at least 1, got {self.generations}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if not (0.0 < self.pareto_fraction <= 1.0):
-            raise ValueError("pareto fraction must lie in (0, 1]")
-        if not (0.0 <= self.crossover_fraction <= 1.0):
-            raise ValueError("crossover fraction must lie in [0, 1]")
-        if not math.isfinite(self.mutation_scale):
-            raise ValueError(f"mutation_scale must be finite, got {self.mutation_scale}")
         try:
             pairs = [(float(low), float(high)) for low, high in self.bounds]
         except (TypeError, ValueError):
@@ -187,12 +186,12 @@ def make_offspring(
 ) -> np.ndarray:
     """One child per parent pair from the tournament-selected pool.
 
-    With probability ``crossover_fraction`` the child is an intermediate
+    With probability CROSSOVER_FRACTION the child is an intermediate
     (per-coordinate random weighted average) of two parents, which keeps
-    the coordinates they share exactly; otherwise it
-    is a copy of the first parent with a bounded uniform perturbation
-    added at one randomly chosen coordinate.  Children are clamped to the
-    bounds.
+    the coordinates they share exactly; otherwise it is a copy of the
+    first parent with a uniform perturbation of at most MUTATION_SCALE
+    times its interval added at one randomly chosen coordinate.  Children
+    are clamped to the bounds.
     """
     parents = np.asarray(parents, dtype=float)
     n_children = parents.shape[0] // 2
@@ -203,7 +202,7 @@ def make_offspring(
     for i in range(n_children):
         p1 = parents[2 * i]
         p2 = parents[2 * i + 1]
-        if rng.random() < config.crossover_fraction:
+        if rng.random() < CROSSOVER_FRACTION:
             w = rng.random(nvar)
             # a shared coordinate is inherited exactly: the weighted average
             # of two equal values can be 1 ulp off, a distinct duplicate
@@ -211,14 +210,14 @@ def make_offspring(
         else:
             child = p1.copy()
             j = rng.integers(0, nvar)
-            child[j] += rng.uniform(-1.0, 1.0) * config.mutation_scale * (high[j] - low[j])
+            child[j] += rng.uniform(-1.0, 1.0) * MUTATION_SCALE * (high[j] - low[j])
         children[i] = np.clip(child, low, high)
     return children
 
 
 def _survival(X, F, config):
     """Rank-then-crowding environmental selection down to the population
-    size, with the share of front-0 survivors capped at pareto_fraction."""
+    size, with the share of front-0 survivors capped at PARETO_FRACTION."""
     pop = config.population
     fronts = fast_nondominated_sort(F)
     rank = np.empty(F.shape[0], dtype=int)
@@ -226,7 +225,7 @@ def _survival(X, F, config):
     for r, front in enumerate(fronts):
         rank[front] = r
         crowd[front] = crowding_distance(F[front])
-    cap0 = max(1, int(np.ceil(config.pareto_fraction * pop)))
+    cap0 = max(1, int(np.ceil(PARETO_FRACTION * pop)))
     keep: list[int] = []
     for r, front in enumerate(fronts):
         budget = pop - len(keep)

@@ -9,8 +9,9 @@ ratio x = L/T (order 2) and the process order y = alpha (order 4):
 
 The three gains scale as f(x, y) / K; the orders lam and mu are f(x, y)
 directly.  The bundled coefficient set and the median-solution dataset it
-was fitted from ship with the package; refitting and outlier screening
-reproduce the bundled goodness-of-fit numbers.
+was fitted from ship with the package; refitting, after screening out
+one outlier at a time where the bundled fit did (the kp and kd fits at
+n = 23), reproduces the bundled goodness-of-fit numbers.
 """
 from __future__ import annotations
 
@@ -203,44 +204,28 @@ def fit_polynomial_surface(points) -> tuple[TuningRuleCoefficients, FitDiagnosti
     )
 
 
-def detect_outliers(
-    points,
-    iterative: bool = False,
-    max_outliers: int = 1,
-) -> list[int]:
-    """Indices of points whose residual exceeds OUTLIER_FACTOR times the
-    residual RMS of the least-squares fit to all of them.
+def detect_outliers(points, max_outliers: int = 1) -> list[int]:
+    """Indices of the points screened out one at a time: fit all of them by
+    least squares, remove the single worst offender if its residual
+    exceeds OUTLIER_FACTOR times the residual RMS, refit, and repeat up to
+    ``max_outliers`` times.
 
     The threshold uses the raw residual root-mean-square sqrt(SSE/n) (the
     dof-corrected RMSE of :class:`FitDiagnostics` is too forgiving for
-    screening).  ``iterative=True`` removes the single worst offender,
-    refits, and repeats up to ``max_outliers`` times, mirroring
-    one-at-a-time outlier screening.  Raises ValueError unless
+    screening); an exact fit flags nothing.  Raises ValueError unless
     ``max_outliers`` is a non-negative integer.
     """
     if not isinstance(max_outliers, numbers.Integral) or max_outliers < 0:
         raise ValueError(f"max_outliers must be a non-negative integer, got {max_outliers!r}")
     pts = _as_points(points)
     scale = max(1.0, float(np.max(np.abs(pts[:, 2]))))
-
-    def residual_rms(p, coefs):
-        res = p[:, 2] - coefs.evaluate(p[:, 0], p[:, 1])
-        return np.abs(res), float(np.sqrt(np.mean(res ** 2)))
-
-    if not iterative:
-        coefficients, _ = fit_polynomial_surface(pts)
-        residuals, rms = residual_rms(pts, coefficients)
-        if rms <= 1e-12 * scale:  # exact fit: nothing can be an outlier
-            return []
-        return np.flatnonzero(residuals > OUTLIER_FACTOR * rms).tolist()
-
     flagged: list[int] = []
-    active = np.arange(pts.shape[0])
-    work = pts.copy()
+    active, work = np.arange(pts.shape[0]), pts
     for _ in range(max_outliers):
         coefficients, _ = fit_polynomial_surface(work)
-        residuals, rms = residual_rms(work, coefficients)
-        if rms <= 1e-12 * scale:
+        residuals = np.abs(work[:, 2] - coefficients.evaluate(work[:, 0], work[:, 1]))
+        rms = float(np.sqrt(np.mean(residuals ** 2)))
+        if rms <= 1e-12 * scale:  # exact fit: nothing can be an outlier
             break
         worst = int(np.argmax(residuals))
         if residuals[worst] <= OUTLIER_FACTOR * rms:

@@ -84,8 +84,9 @@ controller builds each operator's kernel once, from that operator's modes.
 Timing convention shared by both paths: num[0] = 0, so the plant state at
 sample k has integrated the (zero-order-held, delayed) input, control and
 disturbance alike, up to sample k - 1 - round(L/h): there is never an
-algebraic loop, even at L = 0.  Rounding the delay to the grid induces at
-most h/2 of delay error.
+algebraic loop, even at L = 0, since no plant has an order so small that
+its Oustaloup filter is the identity.  Rounding the delay to the grid
+induces at most h/2 of delay error.
 """
 from __future__ import annotations
 
@@ -280,7 +281,9 @@ def frequency_response(plant: NioptdPlant, w) -> complex | np.ndarray:
     if not np.all((0.0 < w_arr) & (w_arr < np.inf)):
         raise ValueError("frequencies must be positive and finite")
     jw_alpha = w_arr ** plant.alpha * np.exp(1j * plant.alpha * np.pi / 2.0)
-    resp = plant.K * np.exp(-1j * w_arr * plant.L) / (plant.T * jw_alpha + 1.0)
+    # the unit-gain response first: NumPy's complex division would scale K by
+    # the denominator's parts and overflow for a finite response at large K
+    resp = plant.K * (np.exp(-1j * w_arr * plant.L) / (plant.T * jw_alpha + 1.0))
     return resp if np.ndim(w) else complex(resp[0])
 
 
@@ -689,8 +692,8 @@ class _OperatorKernels:
 def _plant_modes(plant: NioptdPlant, band) -> tuple[float, np.ndarray, np.ndarray]:
     """The modes (d, poles, coeffs) of the unit-gain plant F / (T + F), with
     F = gain prod(s - zeros) / prod(s - p) = sum_i c_i / (s - p_i) the
-    filter of s**-alpha (no feedthrough, but for an order too small to move
-    1 - alpha off 1, where F is the identity).
+    filter of s**-alpha, with no feedthrough (no plant has an order too
+    small to move 1 - alpha off 1, whose F would be the identity).
 
     The poles are the zeros of T + F, guessed by the eigenvalues of
     diag(p) - c 1' / T, real or in conjugate pairs.  Each is its anchor,
@@ -704,10 +707,8 @@ def _plant_modes(plant: NioptdPlant, band) -> tuple[float, np.ndarray, np.ndarra
     the plant's unit dc gain (sum_i -residue_i / pole_i = 1) by more than
     1e-9."""
     filt, power, integrators = _factors(-plant.alpha, band, OUSTALOUP_ORDER)
-    d, p, c = _factor_modes(filt, power, integrators)
+    _, p, c = _factor_modes(filt, power, integrators)
     T = plant.T
-    if not p.size:  # F is the identity
-        return d / (T + d), p, c
     zeros, gain = (filt.zeros, filt.gain) if filt is not None else (np.zeros(0), 1.0)
     anchors = np.concatenate([p, zeros])
     with np.errstate(all="ignore"):
@@ -901,8 +902,8 @@ def _early_verdict(plant, controller, scenario):
     |r| (|H[0] N[d + 2]| + (num[1] H[0])**2) plus that sum's bound.  A NaN
     or infinite feedthrough part decides nothing.  Builds only the plant
     entry (den = 1 there): no modes and no operator kernels.  A sample is
-    left undecided where r = 0, a disturbance starts at or before it, it
-    is at or past N, or num[0] != 0.
+    left undecided where r = 0, a disturbance starts at or before it, or
+    it is at or past N.
     """
     h, n, r = scenario.step_size, scenario.n_steps, float(scenario.setpoint)
     d = int(round(plant.L / h))
@@ -912,8 +913,6 @@ def _early_verdict(plant, controller, scenario):
         return None
     at_rest = _PlantAtRest(replace(plant, L=0.0), h, "oustaloup", DEFAULT_BAND, n)
     num1 = float(at_rest.num.terms[1])
-    if at_rest.num.terms[0] != 0.0:
-        return None
     c, bound = controller, _divergence_bound(r)
     # as the controller entry forms H[0], in Python floats, which overflow
     # without a warning: ki times the first term of one kernel plus kd

@@ -11,9 +11,11 @@ from lqrfopid import (
     FopidController,
     LqrDesignVars,
     NioptdPlant,
+    Scenario,
     build_state_space,
     design_from_vars,
     expm,
+    simulate_closed_loop,
 )
 from lqrfopid.design import DESIGN_BOUNDS
 
@@ -48,6 +50,23 @@ class TestPlantAndTypes:
         for L, T in ((np.nan, 2.0), (np.inf, 2.0), (0.5, np.nan), (0.5, np.inf)):
             with pytest.raises(ValueError):
                 NioptdPlant(K=1.0, L=L, T=T, alpha=1.5)
+
+    @pytest.mark.parametrize("alpha", [2.0 ** -54, 1e-300])
+    def test_rejects_an_order_with_no_fractional_element(self, alpha):
+        """An order too small to move 1 - alpha off 1 would make the plant's
+        Oustaloup filter the identity, a static gain K / (T + 1) whose loop
+        is algebraic at L = 0: it is refused where it is built."""
+        with pytest.raises(ValueError, match=f"alpha = {alpha!r}"):
+            NioptdPlant(K=1.0, L=0.0, T=2.0, alpha=alpha)
+
+    def test_smallest_fractional_order_runs(self):
+        """alpha = 2**-53 moves 1 - alpha off 1, so the plant is built and
+        its closed loop runs on the GL path."""
+        plant = NioptdPlant(K=1.0, L=0.0, T=2.0, alpha=2.0 ** -53)
+        res = simulate_closed_loop(plant, FopidController(kp=1.0, ki=0.5, kd=0.0, lam=1.0,
+                                                          mu=0.5),
+                                   Scenario(horizon=2.0), solver="gl")
+        assert res.y.size == 200 and np.all(np.isfinite(res.y)) and not res.diverged
 
     def test_open_loop_classification(self):
         assert OSCILLATORY_PLANT.is_oscillatory

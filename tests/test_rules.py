@@ -110,7 +110,7 @@ class TestFit:
 
     def test_kd_refit_after_one_outlier_matches_reference(self, dataset):
         pts = column_points(dataset, "kd")
-        flagged = detect_outliers(pts, iterative=True, max_outliers=1)
+        flagged = detect_outliers(pts, max_outliers=1)
         assert len(flagged) == 1
         mask = np.ones(24, dtype=bool)
         mask[flagged] = False
@@ -122,7 +122,7 @@ class TestFit:
 
     def test_kp_refit_after_one_outlier_matches_reference(self, dataset):
         pts = column_points(dataset, "kp")
-        flagged = detect_outliers(pts, iterative=True, max_outliers=1)
+        flagged = detect_outliers(pts, max_outliers=1)
         assert len(flagged) == 1
         mask = np.ones(24, dtype=bool)
         mask[flagged] = False
@@ -187,21 +187,21 @@ class TestOutliers:
         pts = self._synthetic(noise=sigma, seed=4)
         pts[13, 2] += 10 * sigma
         assert detect_outliers(pts) == [13]
-        assert detect_outliers(pts, iterative=True, max_outliers=2) == [13]
+        assert detect_outliers(pts, max_outliers=2) == [13]
 
     @pytest.mark.parametrize("max_outliers", [-1, 1.5])
     def test_rejects_bad_max_outliers(self, dataset, max_outliers):
         """max_outliers is a non-negative integer: -1 returned [] where 1
         flags row 10 of the Kp column, and 1.5 raised a bare TypeError."""
         pts = column_points(dataset, "kp")
-        assert detect_outliers(pts, iterative=True, max_outliers=1) == [10]
+        assert detect_outliers(pts, max_outliers=1) == [10]
         with pytest.raises(ValueError, match="max_outliers"):
-            detect_outliers(pts, iterative=True, max_outliers=max_outliers)
+            detect_outliers(pts, max_outliers=max_outliers)
 
     def test_dataset_kd_column_single_outlier_raises_fit_quality(self):
         data = load_median_solutions()
         pts = column_points(data, "kd")
-        flagged = detect_outliers(pts, iterative=True, max_outliers=3)
+        flagged = detect_outliers(pts, max_outliers=3)
         assert len(flagged) <= 1
         _, diag_all = fit_polynomial_surface(pts)
         mask = np.ones(24, dtype=bool)

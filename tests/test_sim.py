@@ -135,6 +135,20 @@ class TestFrequencyResponse:
         mags = np.abs(frequency_response(OSCILLATORY_PLANT, w))
         assert mags.max() > 1.0
 
+    def test_large_gain_gives_a_finite_response(self):
+        """A finite response at a gain near the float range stays finite: it
+        overflowed to inf at 31.6 and 1000 rad/s when the complex division
+        took K with it."""
+        plant = NioptdPlant(K=1.7e308, L=0.5, T=2.0, alpha=1.5)
+        w = np.array([1.0, 31.6, 1000.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = frequency_response(plant, w)
+        unit = frequency_response(replace(plant, K=1.0), w)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(np.abs(got), 1.7e308 * np.abs(unit), rtol=1e-15)
+        np.testing.assert_allclose(np.abs(got[1:]), [4.79e305, 2.69e303], rtol=1e-3)
+
     def test_rejects_nonpositive_frequency(self):
         # non-finite frequencies too, which would give NaN
         for w in (0.0, -1.0, np.nan, np.inf, [1.0, np.nan], [1.0, np.inf]):

@@ -2,9 +2,11 @@
 other test reaches.  These checks fail when a change to the package breaks
 one of them: every ``lqrfopid`` name a script reads resolves, every call it
 makes into the package binds to the callee's signature, and its ``--help``
-exits 0.  ``tools/`` is only read."""
+exits 0.  ``tier1_gate.py`` reads no package name; it is imported, and its
+reading of a JUnit report checked.  ``tools/`` is only read."""
 import ast
 import importlib
+import importlib.util
 import inspect
 import os
 import subprocess
@@ -53,7 +55,12 @@ def _resolve(bound, root, names):
     return target
 
 
-@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
+# the scripts that read the package, which the name and call checks cover
+PACKAGE_SCRIPTS = [script for script in SCRIPTS if _package_bindings(
+    ast.parse(script.read_text(encoding="utf-8")))]
+
+
+@pytest.mark.parametrize("script", PACKAGE_SCRIPTS, ids=lambda p: p.name)
 def test_package_names_resolve(script):
     """Every attribute chain a script reads off a package name resolves."""
     tree = ast.parse(script.read_text(encoding="utf-8"))
@@ -72,7 +79,7 @@ def test_package_names_resolve(script):
     assert chains
 
 
-@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
+@pytest.mark.parametrize("script", PACKAGE_SCRIPTS, ids=lambda p: p.name)
 def test_calls_bind_to_signatures(script):
     """Every call a script makes into the package binds to the callee's
     signature; calls with star arguments are skipped."""
@@ -119,3 +126,27 @@ def test_replay_rejects_fewer_than_one_repeat():
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 2, (value, done.stderr)
         assert "--repeats" in done.stderr and "Traceback" not in done.stderr, done.stderr
+
+
+def test_tier1_gate_reads_failures_from_junit(tmp_path):
+    """The gate imports, expects only the documented reference row to fail,
+    and names each failed or errored case of a JUnit report by its pytest
+    node id; passed and skipped cases are not failures."""
+    spec = importlib.util.spec_from_file_location("tier1_gate", ROOT / "tools" / "tier1_gate.py")
+    gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gate)
+    assert gate.EXPECTED_FAILURES == {
+        "tests/test_acceptance.py::test_criterion_5_reference_index_reproduction[slug_low_isdco]"}
+    report = tmp_path / "report.xml"
+    report.write_text(
+        '<testsuites><testsuite name="pytest">'
+        '<testcase classname="tests.test_acceptance" '
+        'name="test_criterion_5_reference_index_reproduction[slug_low_isdco]">'
+        '<failure message="off"/></testcase>'
+        '<testcase classname="tests.test_nsga2.TestOffspring" name="test_a"><error/></testcase>'
+        '<testcase classname="tests.test_nsga2.TestOffspring" name="test_b"/>'
+        '<testcase classname="tests.test_rules" name="test_c"><skipped/></testcase>'
+        '</testsuite></testsuites>', encoding="utf-8")
+    assert gate.failed_ids(report, ROOT) == {
+        "tests/test_acceptance.py::test_criterion_5_reference_index_reproduction[slug_low_isdco]",
+        "tests/test_nsga2.py::TestOffspring::test_a"}
